@@ -1,12 +1,17 @@
 """Bench fixtures: result-artifact writing and cluster factories.
 
 Every bench regenerates one of the paper's tables or figures, asserts the
-shape that must hold, and writes the rendered artifact to
-``benchmarks/results/<name>.txt`` (also echoed to stdout under ``-s``) so
-EXPERIMENTS.md can point at concrete files.  A bench that also passes a
-``data`` mapping gets a machine-readable twin at
-``benchmarks/results/BENCH_<name>.json`` for dashboards and regression
-tracking.
+shape that must hold, and renders an artifact ``<name>.txt`` (also echoed
+to stdout under ``-s``).  A bench that also passes a ``data`` mapping gets
+a machine-readable twin ``BENCH_<name>.json`` for dashboards and
+regression tracking.  Artifacts go to a temp dir; ``--bench-record``
+writes them into the committed ``benchmarks/results/`` instead, so only a
+deliberate recording run changes the tree.
+
+Wall-clock *thresholds* (speedup bars) carry the ``perf`` marker and are
+excluded from the default run — a busy box must not fail tier-1.  The
+measurements, artifacts and shape assertions still run there; run the
+bars with ``python -m pytest -m perf benchmarks/``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
+def results_dir(request, tmp_path_factory) -> pathlib.Path:
+    if not request.config.getoption("--bench-record"):
+        return tmp_path_factory.mktemp("bench-results")
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 

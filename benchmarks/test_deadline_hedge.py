@@ -35,6 +35,8 @@ import statistics
 import threading
 import time
 
+import pytest
+
 from repro.cluster import Cluster
 from repro.net.deadline import Deadline
 from repro.net.tcpnet import TcpNetwork
@@ -152,9 +154,15 @@ def measure_locate() -> tuple[list[float], list[float]]:
     return sequential, hedged
 
 
-def test_deadline_hedge(report):
-    lock_seq, lock_hedge = measure_lock()
-    loc_seq, loc_hedge = measure_locate()
+@pytest.fixture(scope="module")
+def chase_samples() -> tuple[list[float], list[float], list[float], list[float]]:
+    """(lock seq, lock hedged, locate seq, locate hedged) samples, shared
+    by the artifact test (tier-1) and the threshold test (``-m perf``)."""
+    return (*measure_lock(), *measure_locate())
+
+
+def test_deadline_hedge(report, chase_samples):
+    lock_seq, lock_hedge, loc_seq, loc_hedge = chase_samples
 
     rows = []
     speedups = {}
@@ -184,13 +192,18 @@ def test_deadline_hedge(report):
     ]
     report("deadline_hedge", "\n".join(lines).rstrip())
 
-    # Acceptance: hedged p99 beats the sequential chase p99 by >= 2x, and
-    # the hedged path completes within ~one io-timeout window (it must
+    # The hedged path completes within ~one io-timeout window (it must
     # never wait out the stall, let alone stack windows per hop).
-    assert speedups["lock chase"] >= 2.0, lines
-    assert speedups["locate"] >= 2.0, lines
     assert p99(lock_hedge) < IO_TIMEOUT_S, lines
     assert p99(loc_hedge) < IO_TIMEOUT_S, lines
     # The sequential arms really did pay the stall (the bench is honest).
     assert p99(lock_seq) >= STALL_MS / 1000.0
     assert p99(loc_seq) >= STALL_MS / 1000.0
+
+
+@pytest.mark.perf
+def test_deadline_hedge_bars(chase_samples):
+    """Acceptance: hedged p99 beats the sequential chase p99 by >= 2x."""
+    lock_seq, lock_hedge, loc_seq, loc_hedge = chase_samples
+    assert p99(lock_seq) / p99(lock_hedge) >= 2.0
+    assert p99(loc_seq) / p99(loc_hedge) >= 2.0

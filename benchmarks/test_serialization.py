@@ -23,6 +23,8 @@ from __future__ import annotations
 import pickle
 import timeit
 
+import pytest
+
 from repro.net import wirecodec
 from repro.net.message import Message, MessageKind, ReplyPayload, from_wire, to_wire
 from repro.rmi import protocol
@@ -140,7 +142,10 @@ def _bench_class(cls: type, iterations: int = ITERATIONS,
     }
 
 
-def test_serialization(report):
+@pytest.fixture(scope="module")
+def rows() -> dict[str, dict]:
+    """The per-class timing matrix, shared by the artifact test (tier-1)
+    and the threshold test (``-m perf``)."""
     assert set(SAMPLES) == set(wirecodec.REGISTERED_PAYLOADS), (
         "every registered payload class needs a bench sample")
     rows: dict[str, dict] = {}
@@ -152,7 +157,10 @@ def test_serialization(report):
             # more likely scheduler noise than a real slowdown.
             row = _bench_class(cls, RETRY_ITERATIONS, RETRY_ROUNDS)
         rows[cls.__name__] = row
+    return rows
 
+
+def test_serialization(report, rows):
     lines = [
         "Serialization -- compiled binary envelope vs pickled-tuple envelope",
         "(per payload class; ns per envelope encode/decode, best-of-"
@@ -181,13 +189,7 @@ def test_serialization(report):
         "payloads": rows,
     })
 
-    # The acceptance shape: every payload class wins both directions.
-    losers = {
-        name: row for name, row in rows.items()
-        if row["encode_speedup"] <= 1.0 or row["decode_speedup"] <= 1.0
-    }
-    assert not losers, losers
-    # And the compact layout must never be *larger* than the pickle.
+    # The compact layout must never be *larger* than the pickle.
     oversized = {
         name: row for name, row in rows.items()
         if row["wire_bytes"] > row["pickle_bytes"]
@@ -195,6 +197,17 @@ def test_serialization(report):
     assert not oversized, oversized
 
 
+@pytest.mark.perf
+def test_serialization_beats_pickle(rows):
+    """The acceptance shape: every payload class wins both directions."""
+    losers = {
+        name: row for name, row in rows.items()
+        if row["encode_speedup"] <= 1.0 or row["decode_speedup"] <= 1.0
+    }
+    assert not losers, losers
+
+
+@pytest.mark.perf
 def test_serialization_smoke():
     """Cheap CI guard: the hot-path envelopes must keep beating pickle.
 

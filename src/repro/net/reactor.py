@@ -298,7 +298,7 @@ class Connection:
         self._out_bytes = 0
         self._flush_at: float | None = None
         self._closed = False            # no further send() accepted
-        self._writing = False           # a sender owns the socket right now
+        self._writing = False           # a sender or the loop is mid-write
         self._registered = False
         # Read side: loop thread only.
         self._in = bytearray()
@@ -524,25 +524,33 @@ class Connection:
                             total += len(chunk)
                     frames += 1
                 self._out_bytes -= total
+                # The queue may now be empty: hold the write right across
+                # the syscall, or a sender would go direct and land inside
+                # a frame this write leaves half-sent.
+                self._writing = True
             try:
                 sent = _send_gather(self._sock, chunks)
             except (BlockingIOError, InterruptedError):
                 sent = 0
             except (ConnectionError, OSError) as exc:
+                with self._lock:
+                    self._writing = False
                 self._teardown(exc)
                 return
             if sent:
                 self._metrics.note_flush(frames)
-            if sent < total:
-                # Backpressure: keep the remainder at the queue head and
-                # let EVENT_WRITE drive the rest out.  Disarm the flush
-                # deadline — retrying before the socket drains would just
-                # spin; writability is now the only useful signal.
-                rest = _remainder(chunks, sent)
-                with self._lock:
-                    self._out.appendleft(rest)
+            with self._lock:
+                self._writing = False
+                if sent < total:
+                    # Backpressure: keep the remainder at the queue head
+                    # and let EVENT_WRITE drive the rest out.  Disarm the
+                    # flush deadline — retrying before the socket drains
+                    # would just spin; writability is now the only useful
+                    # signal.
+                    self._out.appendleft(_remainder(chunks, sent))
                     self._out_bytes += total - sent
                     self._flush_at = None
+            if sent < total:
                 self._set_write_interest(True)
                 return
         self._set_write_interest(False)

@@ -41,11 +41,16 @@ class MessageTrace:
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
-        #: Recorded-but-not-yet-materialized entries: (seq, time_ms,
-        #: message, dropped, nbytes).  The hot path only appends this
-        #: tuple; the kind string and payload sizing (a pickle!) are
-        #: deferred to the first read, off the transport's critical path.
-        self._pending: list[tuple[int, float, Message, bool, int | None]] = []
+        #: Recorded-but-not-yet-materialized entries: the header fields a
+        #: :class:`TraceEvent` needs, plus the size — or, when the
+        #: transport did not measure one, the message to size on first
+        #: read.  The hot path only appends this tuple; the kind string
+        #: and payload sizing (a pickle!) happen off the transport's
+        #: critical path.
+        self._pending: list[tuple[
+            int, float, MessageKind, MessageKind | None, str, str, str,
+            bool, "int | Message",
+        ]] = []
         self._lock = threading.Lock()
         self._seq = 0
 
@@ -56,29 +61,35 @@ class MessageTrace:
         ``nbytes`` lets a transport that already knows the frame's
         *measured* on-wire size (the TCP data plane) thread it through
         instead of paying a second serialization at materialize time;
-        ``None`` keeps the :func:`payload_nbytes` estimate (the
-        simulated network's figure-stable accounting).
+        the trace then keeps the header fields only and the payload is
+        free to go.  ``None`` keeps the message until first read for the
+        :func:`payload_nbytes` estimate (the simulated network's
+        figure-stable accounting).
         """
         with self._lock:
             self._seq += 1
-            self._pending.append((self._seq, time_ms, message, dropped, nbytes))
+            self._pending.append((
+                self._seq, time_ms, message.kind, message.in_reply_to,
+                message.src, message.dst, message.msg_id, dropped,
+                nbytes if nbytes is not None else message,
+            ))
 
     def _materialize_locked(self) -> None:
-        for seq, time_ms, message, dropped, nbytes in self._pending:
-            kind = message.kind.value
-            if (message.kind is MessageKind.REPLY
-                    and message.in_reply_to is not None):
-                kind = f"REPLY({message.in_reply_to.value})"
+        for (seq, time_ms, kind, in_reply_to, src, dst, msg_id, dropped,
+             size) in self._pending:
+            label = kind.value
+            if kind is MessageKind.REPLY and in_reply_to is not None:
+                label = f"REPLY({in_reply_to.value})"
             self._events.append(TraceEvent(
                 seq=seq,
                 time_ms=time_ms,
-                kind=kind,
-                src=message.src,
-                dst=message.dst,
-                msg_id=message.msg_id,
-                local=message.is_local,
+                kind=label,
+                src=src,
+                dst=dst,
+                msg_id=msg_id,
+                local=src == dst,
                 dropped=dropped,
-                nbytes=nbytes if nbytes is not None else payload_nbytes(message),
+                nbytes=size if type(size) is int else payload_nbytes(size),
             ))
         self._pending.clear()
 

@@ -4,7 +4,7 @@ Arguments, results, and migrated object state cross namespaces as bytes, so
 even on the in-process simulated network a remote call cannot mutate the
 caller's objects — the semantics a real network imposes.
 
-Two special cases ride on pickle's *persistent id* hook:
+Two special cases ride on pickle's ``reducer_override`` hook:
 
 * **Stubs** marshal as their :class:`~repro.rmi.stub.RemoteRef` only and are
   re-attached to the receiving namespace's transport on unmarshal, exactly
@@ -15,17 +15,25 @@ Two special cases ride on pickle's *persistent id* hook:
   hide inside an argument list.  (Java RMI's analogue: a non-Serializable,
   non-exported object.)
 
-Hot-path discipline (PR 8): a Python-level ``persistent_id`` hook is
-consulted for *every object* the C pickler visits, and building a fresh
-``Pickler`` + ``BytesIO`` per call costs more than encoding a small
-argument list.  So :func:`marshal` first checks whether the value is a
-plain primitive tree — no instance can hide a stub or a mobile object
-there — and takes the pure-C ``pickle.dumps`` path; everything else goes
-through a per-thread *reused* pickler (memo cleared, buffer rewound)
-instead of fresh objects per call.  Out-of-band buffer handling for
-``*_blob``-bearing payloads lives one layer down in
-:mod:`repro.net.wirecodec`, which ships ``PickleBuffer`` exports as
-separate writev segments.
+Hot-path discipline: the C pickler must not call into Python for objects
+that cannot be one of those two cases.  ``reducer_override`` is consulted
+only *after* the pickler's exact-type fast paths (``None``, ``bool``,
+``int``, ``float``, ``str``, ``bytes``, ``bytearray``, ``tuple``,
+``list``, ``dict``, ``set``, ``frozenset``) have declined, so a tree of
+primitives of any width and depth is encoded without a single Python call
+and byte-for-byte as ``pickle.dumps`` would.  The skip is exact, not a
+heuristic: a stub or a mobile instance never has one of those exact
+types, and a *subclass* of a builtin (which could smuggle either in its
+state) still reaches the hook.  That is why there is no pre-check walk
+and no size threshold — a ``persistent_id`` hook, by contrast, runs for
+*every* object visited (5 000 Python calls for a 5 000-int list), and a
+Python walk that proves a tree hook-free costs more than the pickling.
+A stub is emitted as a reduce to one sentinel global, which the
+unpickler's ``find_class`` binds to the per-call stub factory.  The
+pickler and its buffer are reused per thread (memo cleared, buffer
+rewound): building both afresh costs more than encoding a small argument
+list.  Out-of-band buffer handling for ``*_blob``-bearing payloads lives
+one layer down in :mod:`repro.net.wirecodec`.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import io
 import pickle
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from repro.errors import MarshalError
 from repro.rmi.stub import RemoteRef, Stub, detached_stub
@@ -46,16 +54,28 @@ StubFactory = Callable[[RemoteRef], Stub]
 MOBILE_CLASS_MARKER = "__mage_mobile_class__"
 
 
+def _attach_stub(ref: RemoteRef) -> NoReturn:
+    """The sentinel global a marshalled stub reduces to.
+
+    :class:`_MageUnpickler` never calls it (``find_class`` substitutes the
+    per-call stub factory); it only runs when a marshalled blob is fed to
+    a plain ``pickle.loads``, which has no namespace to attach to.
+    """
+    raise MarshalError(
+        f"stub for {ref} can only be unmarshalled by repro.rmi.marshal.unmarshal"
+    )
+
+
 class _MagePickler(pickle.Pickler):
-    def persistent_id(self, obj: Any) -> Any:  # noqa: D102 (pickle hook)
+    def reducer_override(self, obj: Any) -> Any:  # noqa: D102 (pickle hook)
         if isinstance(obj, Stub):
-            return ("stub", obj.ref)
+            return _attach_stub, (obj.ref,)
         if getattr(type(obj), MOBILE_CLASS_MARKER, False):
             raise MarshalError(
                 f"mobile object of class {type(obj).__name__!r} cannot be "
                 "marshalled by value; move it with the MAGE runtime instead"
             )
-        return None
+        return NotImplemented
 
 
 class _MageUnpickler(pickle.Unpickler):
@@ -63,51 +83,27 @@ class _MageUnpickler(pickle.Unpickler):
         super().__init__(file)
         self._stub_factory = stub_factory
 
-    def persistent_load(self, pid: Any) -> Any:  # noqa: D102 (pickle hook)
-        if isinstance(pid, tuple) and len(pid) == 2 and pid[0] == "stub":
-            return self._stub_factory(pid[1])
-        raise MarshalError(f"unknown persistent id in stream: {pid!r}")
+    def find_class(self, module: str, name: str) -> Any:  # noqa: D102 (pickle hook)
+        if name == _attach_stub.__name__ and module == __name__:
+            return self._stub_factory
+        return super().find_class(module, name)
 
 
-# Values that can never be (or contain) a Stub or a mobile instance, so
-# the persistent_id hook has nothing to say about them.
+# Values that can never be (or contain) a Stub or a mobile instance and
+# that neither side can mutate: the bypass hands them over without a copy.
 _PLAIN_SCALARS = frozenset({str, int, float, bool, bytes, type(None)})
 _PLAIN_MAX_ITEMS = 64
 _PLAIN_MAX_DEPTH = 4
 
 
-def _plain_safe(value: Any, depth: int = 0) -> bool:
-    """True when ``value`` is a primitive tree (exact builtin types only).
+def _plain_immutable(value: Any, depth: int = 0) -> bool:
+    """True when ``value`` is a small *immutable* primitive tree.
 
     Exact-type checks on purpose: a *subclass* of ``str`` or ``tuple``
-    could smuggle arbitrary state, so it takes the guarded path.
-    """
-    t = type(value)
-    if t in _PLAIN_SCALARS:
-        return True
-    if depth >= _PLAIN_MAX_DEPTH:
-        return False
-    if t is tuple or t is list:
-        if len(value) > _PLAIN_MAX_ITEMS:
-            return False
-        return all(_plain_safe(item, depth + 1) for item in value)
-    if t is dict:
-        if len(value) > _PLAIN_MAX_ITEMS:
-            return False
-        return all(
-            type(key) in _PLAIN_SCALARS and _plain_safe(item, depth + 1)
-            for key, item in value.items()
-        )
-    return False
-
-
-def _plain_immutable(value: Any, depth: int = 0) -> bool:
-    """True when ``value`` is an *immutable* primitive tree.
-
-    Stricter than :func:`_plain_safe`: list and dict nodes are rejected
-    (they pass the persistent-id check but are mutable), so a value
-    passing here can be handed across the in-process bypass boundary
-    without any copy — neither side can mutate what the other sees.
+    could smuggle arbitrary state.  A value passing here can be handed
+    across the in-process bypass boundary without any copy — neither
+    side can mutate what the other sees.  The caps bound the cost of
+    this Python walk; a bigger tree just pays the pickle round trip.
     """
     t = type(value)
     if t in _PLAIN_SCALARS:
@@ -138,21 +134,22 @@ class _MarshalScratch(threading.local):
     """Per-thread reused pickler + growable buffer."""
 
     def __init__(self) -> None:
-        self.reset()
-        self.busy = False
-
-    def reset(self) -> None:
         self.buffer = io.BytesIO()
         self.pickler = _MagePickler(self.buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        self.busy = False
 
 
 _scratch = _MarshalScratch()
 
-# Single-slot (value identity -> blob size) cache: the common pattern is
-# marshal(value) followed by marshalled_size(value) for bandwidth
-# accounting, which used to serialize everything twice.  The strong
-# reference in the slot makes the identity check sound (no id reuse).
-_last_sized: "tuple[Any, int] | None" = None
+
+def _dump(pickler: _MagePickler, buffer: io.BytesIO, value: Any) -> bytes:
+    try:
+        pickler.dump(value)
+    except MarshalError:
+        raise
+    except Exception as exc:
+        raise MarshalError(f"cannot marshal {type(value).__name__}: {exc}") from exc
+    return buffer.getvalue()
 
 
 def marshal(value: Any) -> bytes:
@@ -161,49 +158,27 @@ def marshal(value: Any) -> bytes:
     Raises :class:`MarshalError` for unpicklable values and for mobile
     instances (which must travel via the mover).
     """
-    global _last_sized
-    if _plain_safe(value):
-        blob = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-        _last_sized = (value, len(blob))
-        return blob
     scratch = _scratch
     if scratch.busy:
         # Reentrant marshal (a payload's __reduce__ marshalling nested
-        # state) — fall back to fresh objects rather than corrupting the
-        # in-flight stream.
-        return _marshal_fresh(value)
+        # state): fresh objects rather than corrupting the in-flight
+        # stream.
+        buffer = io.BytesIO()
+        return _dump(_MagePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL),
+                     buffer, value)
     scratch.busy = True
+    buffer = scratch.buffer
+    pickler = scratch.pickler
     try:
-        buffer = scratch.buffer
+        return _dump(pickler, buffer, value)
+    finally:
+        # Rewind for the next call, failed or not (a failed dump may have
+        # flushed a partial frame), and drop the memo's references to
+        # what was just marshalled.
         buffer.seek(0)
         buffer.truncate()
-        pickler = scratch.pickler
         pickler.clear_memo()
-        try:
-            pickler.dump(value)
-        except MarshalError:
-            scratch.reset()
-            raise
-        except Exception as exc:
-            scratch.reset()
-            raise MarshalError(
-                f"cannot marshal {type(value).__name__}: {exc}") from exc
-        blob = buffer.getvalue()
-    finally:
         scratch.busy = False
-    _last_sized = (value, len(blob))
-    return blob
-
-
-def _marshal_fresh(value: Any) -> bytes:
-    buffer = io.BytesIO()
-    try:
-        _MagePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(value)
-    except MarshalError:
-        raise
-    except Exception as exc:
-        raise MarshalError(f"cannot marshal {type(value).__name__}: {exc}") from exc
-    return buffer.getvalue()
 
 
 def unmarshal(blob: bytes, stub_factory: StubFactory | None = None) -> Any:
@@ -222,14 +197,7 @@ def unmarshal(blob: bytes, stub_factory: StubFactory | None = None) -> Any:
 
 
 def marshalled_size(value: Any) -> int:
-    """Size in bytes of ``value`` on the wire (for bandwidth accounting).
-
-    When ``value`` is the object most recently marshalled (by identity),
-    the size is read from the cached slot instead of serializing again.
-    """
-    cached = _last_sized
-    if cached is not None and cached[0] is value:
-        return cached[1]
+    """Size in bytes of ``value`` on the wire (for bandwidth accounting)."""
     return len(marshal(value))
 
 

@@ -219,7 +219,7 @@ class Stub:
 
     def __reduce__(self) -> NoReturn:
         # Stubs never pickle directly: the marshalling layer intercepts them
-        # via its persistent-id hook and ships only the ref.  Reaching this
+        # via its reducer_override hook and ships only the ref.  Reaching this
         # line means someone bypassed repro.rmi.marshal.
         raise ConfigurationError(
             "stubs must be marshalled with repro.rmi.marshal, not pickled raw"

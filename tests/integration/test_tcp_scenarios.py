@@ -82,7 +82,13 @@ class TestPrimitivesOverTcp:
             if sensor2.store.contains("probe"):
                 break
             time.sleep(0.05)
-        report = tcp_cluster["lab"].stub("probe", location="sensor2").report()
+        # The agent is registered before its arrival and completion hooks
+        # run, so the store can show it a moment before the tour is done.
+        stub = tcp_cluster["lab"].stub("probe", location="sensor2")
+        report = stub.report()
+        while not report["completed"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+            report = stub.report()
         assert report["visited"] == ["sensor1", "sensor2"]
         assert report["completed"] is True
 

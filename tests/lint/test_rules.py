@@ -35,7 +35,7 @@ def lint_snippet(tmp_path: Path, code: str, rel_path: str = DEFAULT_REL,
 
 def test_every_rule_is_registered():
     ids = sorted(rule.id for rule in ALL_RULES)
-    assert ids == [f"MAGE{i:03d}" for i in range(1, 11)]
+    assert ids == [f"MAGE{i:03d}" for i in range(1, 12)]
     for rule in ALL_RULES:
         assert rule.title and rule.rationale, f"{rule.id} lacks docs"
         assert rule.explain().startswith(rule.id)
@@ -658,6 +658,62 @@ def test_mage010_sanctioned_modules_stay_clean(tmp_path):
                 return servant.update(args)
     """, rel_path="src/repro/rmi/bypass.py", rule="MAGE010")
     assert findings == []
+
+
+# ---------------------------------------------------------------------------
+# MAGE011 — per-object Python hook on a pickler
+# ---------------------------------------------------------------------------
+
+
+def test_mage011_flags_persistent_id_on_pickler_subclass(tmp_path):
+    findings = lint_snippet(tmp_path, """
+        import pickle
+
+        class WirePickler(pickle.Pickler):
+            def persistent_id(self, obj):
+                return None
+
+        class TracingPickler(WirePickler):
+            def persistent_id(self, obj):
+                return super().persistent_id(obj)
+    """, rel_path="src/repro/rmi/fixture_pickler.py", rule="MAGE011")
+    assert [f.symbol for f in findings] == [
+        "WirePickler.persistent_id", "TracingPickler.persistent_id"]
+    assert "reducer_override" in findings[0].message
+
+
+def test_mage011_clean_near_misses(tmp_path):
+    findings = lint_snippet(tmp_path, """
+        import pickle
+
+        class WirePickler(pickle.Pickler):
+            # The sanctioned hook: only non-builtin objects reach it.
+            def reducer_override(self, obj):
+                return NotImplemented
+
+        class WireUnpickler(pickle.Unpickler):
+            # Called once per PERSID opcode, not per object.
+            def persistent_load(self, pid):
+                raise pickle.UnpicklingError(pid)
+
+        class Catalogue:
+            # Same name, not a pickler.
+            def persistent_id(self, obj):
+                return id(obj)
+    """, rel_path="src/repro/rmi/fixture_pickler.py", rule="MAGE011")
+    assert findings == []
+    # Outside src/ (a test building an old-dialect blob) is out of scope.
+    helper = tmp_path / "tools" / "old_dialect.py"
+    helper.parent.mkdir()
+    helper.write_text(textwrap.dedent("""
+        import pickle
+
+        class OldDialectPickler(pickle.Pickler):
+            def persistent_id(self, obj):
+                return None
+    """))
+    run = lint_paths([helper.parent], root=tmp_path)
+    assert [f for f in run.findings if f.rule == "MAGE011"] == []
 
 
 # ---------------------------------------------------------------------------

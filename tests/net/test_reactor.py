@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import select
 import socket
+import sys
 import threading
 import time
 
@@ -180,3 +181,69 @@ def test_shutdown_drains_queued_writes_and_leaks_no_fds(reactor):
     theirs.close()
     after = len(os.listdir("/proc/self/fd"))
     assert after <= before
+
+
+def test_concurrent_senders_never_interleave_frames(reactor):
+    """The loop's flush and a sender's direct write never share the socket.
+
+    ``_handle_flush`` pops frames under the lock and writes them outside
+    it; unless it holds the ``_writing`` right meanwhile, a concurrent
+    ``send()`` finds the queue empty, writes directly, and lands inside
+    the loop's partially written frame — the stream desynchronises.  A
+    small send buffer makes every write partial and a reader that takes
+    a little at a time keeps the loop flushing.  Each sender thread
+    fills its frames with its own byte and keeps two in flight, sending
+    the next when the reader has seen one (a streamed move's window), so
+    the queue keeps running empty under the loop.  Every frame that
+    arrives must be homogeneous and none may be lost.
+    """
+    senders, per_sender, body_len, window = 4, 1500, 16 * 1024, 2
+    ours, theirs = socket.socketpair()
+    ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    theirs.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sink = FrameSink()
+    conn = reactor().add_connection(ours, sink.on_frame, sink.on_closed)
+    credits = [threading.Semaphore(window) for _ in range(senders)]
+    errors: list[BaseException] = []
+
+    def sender(index: int) -> None:
+        try:
+            body = frame(bytes([index + 1]) * body_len)
+            for _ in range(per_sender):
+                assert credits[index].acquire(timeout=WAIT_S)
+                conn.send(body)
+        except BaseException as exc:  # surfaced below, not swallowed
+            errors.append(exc)
+
+    threads = [threading.Thread(target=sender, args=(i,), daemon=True)
+               for i in range(senders)]
+    received = [0] * senders
+    theirs.settimeout(WAIT_S)
+    buf = bytearray()
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for _ in range(senders * per_sender):
+            while len(buf) < HEADER.size + body_len:
+                chunk = theirs.recv(2048)
+                assert chunk, "connection dropped mid-stream"
+                buf += chunk
+            (word,) = HEADER.unpack_from(buf)
+            assert word == body_len, f"desynchronised stream: header {word:#x}"
+            body = bytes(buf[HEADER.size:HEADER.size + body_len])
+            del buf[:HEADER.size + body_len]
+            assert body == body[:1] * body_len, "frames interleaved"
+            index = body[0] - 1
+            received[index] += 1
+            credits[index].release()
+        for t in threads:
+            t.join(WAIT_S)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors
+    assert not any(t.is_alive() for t in threads)
+    assert received == [per_sender] * senders
+    assert not buf and not sink.closed.is_set()
+    theirs.close()

@@ -1,5 +1,8 @@
 """Message-trace recording and queries (the figure-reproduction instrument)."""
 
+import gc
+import weakref
+
 from repro.net.message import Message, MessageKind
 from repro.net.trace import MessageTrace
 
@@ -34,6 +37,28 @@ class TestRecording:
         trace = MessageTrace()
         trace.record(_msg(src="a", dst="a"), 0.0)
         assert trace.events()[0].local
+
+    def test_measured_size_does_not_pin_the_payload(self):
+        """With ``nbytes`` supplied the trace keeps header fields only.
+
+        A streamed move's megabyte must not stay alive until someone
+        reads or clears the trace.
+        """
+
+        class Payload:
+            pass
+
+        payload = Payload()
+        alive = weakref.ref(payload)
+        trace = MessageTrace()
+        trace.record(Message(kind=MessageKind.INVOKE, src="a", dst="b",
+                             payload=payload), 0.0, nbytes=1234)
+        del payload
+        gc.collect()
+        assert alive() is None
+        assert len(trace) == 1
+        assert trace.summary() == {"INVOKE": 1}
+        assert trace.remote_bytes() == 1234
 
 
 class TestQueries:

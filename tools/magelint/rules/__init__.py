@@ -19,6 +19,7 @@ from magelint.rules.mage007_shared_mutation import SharedMutationRule
 from magelint.rules.mage008_wire_coverage import WireCoverageRule
 from magelint.rules.mage009_inline_blocking import InlineBlockingRule
 from magelint.rules.mage010_servant_call import ServantCallRule
+from magelint.rules.mage011_pickler_hook import PicklerHookRule
 
 ALL_RULES: tuple[Rule, ...] = (
     LockBlockingRule(),
@@ -31,6 +32,7 @@ ALL_RULES: tuple[Rule, ...] = (
     WireCoverageRule(),
     InlineBlockingRule(),
     ServantCallRule(),
+    PicklerHookRule(),
 )
 
 RULES_BY_ID: dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
