@@ -1,26 +1,24 @@
 """Cross-host endpoint layer: what does the HELLO handshake cost?
 
 Not a paper figure — the engineering bench for the endpoint layer.  The
-HELLO exchange adds one synchronous round trip to every new
-pooled/pipelined connection (client HELLO out, server HELLO back) before
-the first request frame is written.  That price is paid **once per
-connection**, and persistent connections carry thousands of exchanges,
-so the acceptance bar is *amortization*: averaged over a conversation,
-handshake overhead must stay at or below one round-trip time.
+HELLO exchange adds one synchronous round trip to every new connection
+(client HELLO out, server HELLO back) before the first request frame is
+written.  That price is paid **once per connection**, and persistent
+connections carry thousands of exchanges, so the acceptance bar is
+*amortization*: averaged over a conversation, handshake overhead must
+stay at or below one round-trip time.
 
 Method: two transports in one process (separate registries — the
 handshake genuinely crosses the wire), ``latency_ms=2.0`` emulating a
-LAN hop so the round trip is measurable above scheduler noise.  For
-each arm (handshaked vs ``handshake=False`` legacy wiring) we time, on
-a fresh connection, the first call plus ``CALLS - 1`` further calls.
-The per-call RTT baseline comes from the legacy arm's steady state.
+LAN hop so the round trip is measurable above scheduler noise.  On a
+fresh connection we time the first call — which pays connect + HELLO +
+one exchange — and ``CALLS - 1`` further calls, whose mean is the
+round-trip time.  Everything the first call costs beyond one steady
+call is charged to the handshake (an upper bound: the TCP connect is in
+there too).
 
-Measured shape asserted:
-
-* amortized handshake overhead per call ≤ 1 RTT (it is ~RTT/CALLS);
-* the handshaked channel's steady-state per-call latency is within
-  noise of the legacy channel's (the handshake leaves no per-frame
-  residue).
+Measured shape asserted: amortized handshake overhead per call ≤ 1 RTT
+(it is ~RTT/CALLS).
 
 Results recorded in ``results/crosshost.txt``.
 """
@@ -40,15 +38,14 @@ CALLS = 50
 SAMPLES = 3
 
 
-def _conversation_s(handshake: bool) -> tuple[float, float]:
-    """One fresh-connection conversation; returns (total_s, steady_per_call_s).
+def _conversation_s() -> tuple[float, float]:
+    """One fresh-connection conversation; returns (first_s, steady_per_call_s).
 
     ``steady_per_call_s`` excludes the first call (which pays connect +
-    any handshake), so it reflects the channel's per-frame cost alone.
+    handshake), so it reflects the channel's per-frame cost alone.
     """
-    a = TcpNetwork(latency_ms=LINK_LATENCY_MS, handshake=handshake,
-                   hello_timeout_s=5.0)
-    b = TcpNetwork(latency_ms=LINK_LATENCY_MS, handshake=handshake)
+    a = TcpNetwork(latency_ms=LINK_LATENCY_MS, hello_timeout_s=5.0)
+    b = TcpNetwork(latency_ms=LINK_LATENCY_MS)
     try:
         a.register("caller", lambda m: "ok")
         b.register("server", lambda m: "pong")
@@ -60,25 +57,21 @@ def _conversation_s(handshake: bool) -> tuple[float, float]:
         for _ in range(CALLS - 1):
             a.call("caller", "server", MessageKind.PING)
         steady_s = time.perf_counter() - steady_started
-        return first_s + steady_s, steady_s / (CALLS - 1)
+        return first_s, steady_s / (CALLS - 1)
     finally:
         a.shutdown()
         b.shutdown()
 
 
 def test_handshake_overhead_amortizes_below_one_rtt(report):
-    legacy_total = hello_total = float("inf")
-    legacy_steady = hello_steady = float("inf")
+    first_s = rtt_s = float("inf")
     for _ in range(SAMPLES):
-        total, steady = _conversation_s(handshake=False)
-        legacy_total, legacy_steady = (min(legacy_total, total),
-                                       min(legacy_steady, steady))
-        total, steady = _conversation_s(handshake=True)
-        hello_total, hello_steady = (min(hello_total, total),
-                                     min(hello_steady, steady))
+        first, steady = _conversation_s()
+        first_s, rtt_s = min(first_s, first), min(rtt_s, steady)
 
-    rtt_s = legacy_steady  # a steady-state call is exactly one round trip
-    overhead_total_s = max(0.0, hello_total - legacy_total)
+    # A steady-state call is exactly one round trip; the first call is
+    # one round trip plus whatever opening the connection cost.
+    overhead_total_s = max(0.0, first_s - rtt_s)
     amortized_s = overhead_total_s / CALLS
 
     lines = [
@@ -86,12 +79,11 @@ def test_handshake_overhead_amortizes_below_one_rtt(report):
         f"({CALLS} calls/conversation, {LINK_LATENCY_MS} ms emulated link, "
         f"best of {SAMPLES})",
         f"  round-trip time (steady-state call) : {rtt_s * 1e3:8.3f} ms",
-        f"  legacy conversation (no HELLO)      : {legacy_total * 1e3:8.3f} ms",
-        f"  handshaked conversation             : {hello_total * 1e3:8.3f} ms",
-        f"  handshake overhead, whole conn      : {overhead_total_s * 1e3:8.3f} ms",
+        f"  first call (connect + HELLO + call) : {first_s * 1e3:8.3f} ms",
+        f"  handshake overhead, whole conn      : {overhead_total_s * 1e3:8.3f} ms"
+        f"  ({overhead_total_s / rtt_s:.2f} RTT)",
         f"  handshake overhead, amortized/call  : {amortized_s * 1e3:8.3f} ms"
         f"  ({amortized_s / rtt_s:.2f} RTT)",
-        f"  steady-state per call, handshaked   : {hello_steady * 1e3:8.3f} ms",
     ]
     report("crosshost", "\n".join(lines))
 
@@ -101,7 +93,3 @@ def test_handshake_overhead_amortizes_below_one_rtt(report):
         f"handshake overhead {amortized_s * 1e3:.3f} ms/call exceeds one "
         f"RTT ({rtt_s * 1e3:.3f} ms)"
     )
-    # And the handshake must leave no per-frame residue: steady-state
-    # calls on a handshaked channel cost what legacy calls cost (3x
-    # guards CI jitter, not a real margin).
-    assert hello_steady <= legacy_steady * 3

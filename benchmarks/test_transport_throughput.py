@@ -1,46 +1,48 @@
-"""Transport throughput: connection-per-call vs pooled vs pipelined TCP.
+"""Transport throughput: connection-per-call vs the pipelined channel.
 
 Not a paper figure — an engineering bench for the ROADMAP's "fast as the
-hardware allows" north star.  The seed transport mirrored early RMI's
-connection-per-call behaviour (a fresh socket and a fresh server thread
-per request); the pooled transport keeps one persistent connection per
-(src, dst) pair, and the pipelined mode additionally carries many
-concurrent exchanges on that one connection, matching replies to callers
-by message id — since the reactor rewrite, over an event-loop data plane
-with adaptive frame coalescing.
+hardware allows" north star.  Early RMI opened a fresh connection for
+every request; the transport keeps one persistent connection per
+(src, dst) pair carrying many concurrent exchanges, matched to callers
+by message id, over an event-loop data plane with adaptive frame
+coalescing.  The product carries only that path, so the baseline row is
+a small blocking client local to this file (:func:`per_call`): dial,
+HELLO, one request frame, one reply, close — the same wire contract,
+paid in full on every call.
 
-The bench runs 8 concurrent callers against one node in each mode, adds
-a 64-caller pipelined point (where per-wake costs amortize), and — since
-the call path learned transparent aggregation — measures both pipelined
-points with auto-batching disabled too, so the coalescing win is its own
-recorded number rather than folded into the mode comparison.  The server
-handler is declared ``inline_safe``: PING is on the inline allowlist, so
-the bench exercises the full fast path (client-side AUTO_BATCH frames,
-loop-thread dispatch, aggregated replies).  Results go to
-``results/transport_throughput.txt`` and a machine-readable
-``results/BENCH_transport_throughput.json`` (including the reactor's
-data-plane counters — batch-size histogram, inline-dispatch tallies) so
-future transport changes can diff against a recorded baseline.  The
-bars that must hold (under ``-m perf``): pipelining beats connection-per-call by at least
-2x, and pooling stays measurably ahead of it.  (The reactor accelerated
-per-call mode too — a fresh connection now costs a loop registration
-instead of a spawned reader thread — so the pooled gap is narrower than
-in the thread-per-connection era.)
+The bench runs 8 concurrent callers against one node both ways, adds a
+64-caller pipelined point (where per-wake costs amortize), and measures
+both pipelined points with auto-batching disabled too, so the coalescing
+win is its own recorded number.  The server handler is declared
+``inline_safe``: PING is on the inline allowlist, so the bench exercises
+the full fast path (client-side AUTO_BATCH frames, loop-thread dispatch,
+aggregated replies).  Results go to ``results/transport_throughput.txt``
+and a machine-readable ``results/BENCH_transport_throughput.json``
+(including the reactor's data-plane counters — batch-size histogram,
+inline-dispatch tallies) so future transport changes can diff against a
+recorded baseline.  The bar that must hold (under ``-m perf``):
+pipelining beats connection-per-call by at least 2x.
 """
 
 from __future__ import annotations
 
+import pickle
+import socket
+import struct
 import threading
 import time
 from dataclasses import dataclass
 
 import pytest
 
-from repro.net.message import MessageKind, inline_safe
-from repro.net.tcpnet import MODES, TcpNetwork
+from repro.net import wirecodec
+from repro.net.endpoint import PROTOCOL_VERSION, Endpoint, Hello
+from repro.net.message import MessageKind, build_message, inline_safe
+from repro.net.tcpnet import TcpNetwork
+from repro.net.transport import Transport
 from repro.runtime.metrics import collect_data_plane
 
-#: The acceptance shape: pooled/pipelined vs per-call at 8 callers.
+#: The acceptance shape: pipelined vs per-call at 8 callers.
 WORKERS = 8
 CALLS_PER_WORKER = 50
 #: The amortization point: many callers sharing one pipelined connection.
@@ -49,6 +51,30 @@ WIDE_CALLS_PER_WORKER = 8
 WARMUP_CALLS = 5
 #: Best-of-N sampling to damp scheduler jitter on shared CI hardware.
 SAMPLES = 3
+#: The two rows of the comparison, slowest first.
+STRATEGIES = ("per-call", "pipelined")
+
+_U32 = struct.Struct(">I")
+
+
+def per_call(endpoint: Endpoint, src: str, dst: str, payload: object) -> object:
+    """One PING the early-RMI way: a fresh connection for this call alone."""
+    hello = pickle.dumps(Hello(PROTOCOL_VERSION, src, settings={
+        wirecodec.WIRE_SETTING: wirecodec.WIRE_FORMAT}))
+    request = b"".join(wirecodec.encode_envelope(
+        build_message(MessageKind.PING, src, dst, payload)))
+    with socket.create_connection(endpoint.address()) as sock, \
+            sock.makefile("rb") as rx:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+        def exchange(body: bytes) -> bytes:
+            sock.sendall(_U32.pack(len(body)) + body)
+            (length,) = _U32.unpack(rx.read(4))
+            return rx.read(length)
+
+        exchange(hello)  # the server's HELLO back: the connection is admitted
+        reply = wirecodec.decode_envelope(exchange(request))
+    return Transport._unwrap(reply)
 
 
 @dataclass(frozen=True)
@@ -77,22 +103,28 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-def measure_throughput(mode: str, workers: int = WORKERS,
+def measure_throughput(strategy: str, workers: int = WORKERS,
                        calls: int = CALLS_PER_WORKER,
                        **net_kwargs) -> ThroughputSample:
     """Rate and latency spread for ``workers`` concurrent callers.
 
-    ``net_kwargs`` reach the :class:`TcpNetwork` constructor — the
-    auto-batch comparison points pass ``auto_batch=False`` here.
+    ``strategy`` picks the client (:data:`STRATEGIES`); ``net_kwargs``
+    reach the :class:`TcpNetwork` constructor — the auto-batch
+    comparison points pass ``auto_batch=False`` here.
     """
-    net = TcpNetwork(mode=mode, **net_kwargs)
+    net = TcpNetwork(**net_kwargs)
     try:
         net.register("client", lambda m: None)
         # inline_safe: PING is allowlisted, so declaring the echo handler
         # non-blocking lets the server answer on the reactor loop thread.
         net.register("server", inline_safe(lambda m: m.payload))
-        for _ in range(WARMUP_CALLS):  # establish pooled connections
-            net.call("client", "server", MessageKind.PING, 0)
+        if strategy == "per-call":
+            endpoint = net.endpoint_of("server")
+            call = lambda i: per_call(endpoint, "client", "server", i)
+        else:
+            call = lambda i: net.call("client", "server", MessageKind.PING, i)
+        for _ in range(WARMUP_CALLS):  # establish the shared connection
+            call(0)
         barrier = threading.Barrier(workers + 1)
         lanes: list[list[float]] = [[] for _ in range(workers)]
 
@@ -100,7 +132,7 @@ def measure_throughput(mode: str, workers: int = WORKERS,
             barrier.wait()
             for i in range(calls):
                 t0 = time.perf_counter()
-                net.call("client", "server", MessageKind.PING, i)
+                call(i)
                 lane.append(time.perf_counter() - t0)
 
         threads = [
@@ -125,11 +157,11 @@ def measure_throughput(mode: str, workers: int = WORKERS,
         net.shutdown()
 
 
-def best_of(samples: int, mode: str, workers: int = WORKERS,
+def best_of(samples: int, strategy: str, workers: int = WORKERS,
             calls: int = CALLS_PER_WORKER, **net_kwargs) -> ThroughputSample:
     """Best-rate sample of ``samples`` runs (damps box noise)."""
     return max(
-        (measure_throughput(mode, workers, calls, **net_kwargs)
+        (measure_throughput(strategy, workers, calls, **net_kwargs)
          for _ in range(samples)),
         key=lambda sample: sample.calls_per_s,
     )
@@ -158,28 +190,28 @@ def measure_batch_round_trips(batch_size: int) -> tuple[int, int]:
 
 @pytest.fixture(scope="module")
 def mode_samples() -> dict[str, ThroughputSample]:
-    """One best-of-N sample per connection mode, shared by the artifact
-    test (tier-1) and the threshold test (``-m perf``)."""
-    return {mode: best_of(SAMPLES, mode) for mode in MODES}
+    """One best-of-N sample per connection strategy, shared by the
+    artifact test (tier-1) and the threshold test (``-m perf``)."""
+    return {mode: best_of(SAMPLES, mode) for mode in STRATEGIES}
 
 
 def test_transport_throughput(report, mode_samples):
     results = mode_samples
     wide = best_of(SAMPLES, "pipelined", WIDE_WORKERS, WIDE_CALLS_PER_WORKER)
     # The same two pipelined points with auto-batching off isolate the
-    # coalescing win from everything else the pipelined mode does.
+    # coalescing win from everything else the pipelined channel does.
     nobatch = best_of(SAMPLES, "pipelined", auto_batch=False)
     wide_nobatch = best_of(SAMPLES, "pipelined", WIDE_WORKERS,
                            WIDE_CALLS_PER_WORKER, auto_batch=False)
     sequential_msgs, batched_msgs = measure_batch_round_trips(8)
     rates = {mode: sample.calls_per_s for mode, sample in results.items()}
-    speedups = {mode: rates[mode] / rates["per-call"] for mode in MODES}
+    speedups = {mode: rates[mode] / rates["per-call"] for mode in STRATEGIES}
     lines = [
         "Transport throughput -- 8 concurrent callers, loopback TCP",
         "(connection strategy vs calls/second; speedup over per-call)",
         "",
     ]
-    for mode in MODES:
+    for mode in STRATEGIES:
         sample = results[mode]
         lines.append(
             f"  {mode:<10s} {sample.calls_per_s:>10.0f} calls/s   "
@@ -255,26 +287,24 @@ def test_transport_throughput(report, mode_samples):
 @pytest.mark.perf
 def test_transport_throughput_bars(mode_samples):
     """The acceptance shape: pipelining beats connection-per-call by
-    >= 2x at 8 concurrent callers, and pooling alone still wins
-    measurably (the reactor narrowed the per-call gap — connecting no
-    longer spawns a thread — so 2x is pipelining's bar, not pooling's)."""
+    >= 2x at 8 concurrent callers."""
     rates = {mode: s.calls_per_s for mode, s in mode_samples.items()}
     assert rates["pipelined"] >= 2.0 * rates["per-call"], rates
-    assert rates["pooled"] >= 1.2 * rates["per-call"], rates
 
 
 @pytest.mark.perf
-def test_pipelined_beats_pooled_smoke():
-    """Cheap CI guard: pipelining must not regress below pooling.
+def test_pipelined_beats_per_call_smoke():
+    """Cheap CI guard: the shared channel must not regress below a fresh
+    connection per call.
 
     Low iteration counts keep this a smoke check, and best-of-N damps
     scheduler noise; the margin allows a sliver of residual jitter
-    without letting a real regression (pipelining slower than one
-    serialized exchange at a time) slip through.
+    without letting a real regression (pipelining slower than paying
+    connect + HELLO on every call) slip through.
     """
     pipelined = best_of(2, "pipelined", workers=4, calls=25).calls_per_s
-    pooled = best_of(2, "pooled", workers=4, calls=25).calls_per_s
-    assert pipelined >= 0.9 * pooled, (pipelined, pooled)
+    baseline = best_of(2, "per-call", workers=4, calls=25).calls_per_s
+    assert pipelined >= 0.9 * baseline, (pipelined, baseline)
 
 
 @pytest.mark.slow

@@ -17,8 +17,7 @@ Quickstart::
         geo_filter = rev.bind()       # class ships to sensor1, instantiates
         geo_filter.filter_data()      # runs on sensor1
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every table and figure.
+See DESIGN.md for the module map and the wire contract.
 """
 
 from repro import errors

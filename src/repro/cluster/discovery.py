@@ -23,7 +23,7 @@ needs three more things, which this service provides:
   :class:`~repro.cluster.load.LoadBalancer` given this membership never
   picks one as a migration target), their forwarding hints are evicted
   from the local registry, and the transport prunes their per-peer state
-  (latency EWMAs, codec advertisements, address-book entry, channels).
+  (latency EWMAs, address-book entry, channels).
 
 Nothing here runs unless asked: with no joins and no heartbeat the
 service answers exactly like the PR-4 ``DiscoveryService`` it grew from

@@ -53,6 +53,33 @@ class NodeUnreachableError(TransportError):
         return (type(self), (self.node_id, self.reason))
 
 
+class ProtocolMismatchError(TransportError):
+    """A peer's HELLO named another protocol version or wire format.
+
+    The connection is refused during the handshake, before any request
+    frame is written, and the dial is never retried: the two builds
+    cannot decode each other's frames, so retrying cannot help.
+    """
+
+    def __init__(self, node_id: str, local_version: int, local_format: str,
+                 peer_version: object, peer_format: object) -> None:
+        super().__init__(
+            f"node {node_id!r} speaks protocol version {peer_version!r}, "
+            f"wire format {peer_format!r}; this build speaks version "
+            f"{local_version!r}, wire format {local_format!r}"
+        )
+        self.node_id = node_id
+        self.local_version = local_version
+        self.local_format = local_format
+        self.peer_version = peer_version
+        self.peer_format = peer_format
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (type(self), (self.node_id, self.local_version,
+                             self.local_format, self.peer_version,
+                             self.peer_format))
+
+
 class MessageLostError(TransportError):
     """A single message transmission was lost.
 

@@ -6,13 +6,10 @@ Two interchangeable transports implement :class:`repro.net.transport.Transport`:
   virtual clock, configurable latency/loss, partitions, and full message
   tracing.  This is the default substrate for tests and benches, standing in
   for the paper's 10 Mb/s Ethernet testbed.
-* :class:`repro.net.tcpnet.TcpNetwork` — real TCP sockets on loopback.  By
-  default it keeps one persistent, *pipelined* connection per (src, dst)
-  pair: frames carry message ids, a reader thread matches replies to
-  waiting callers, and the server feeds a bounded worker pool from
-  per-connection serve loops.  ``mode="per-call"`` restores early RMI's
-  connection-per-call behaviour (the throughput bench's baseline) and
-  ``mode="pooled"`` reuses connections without pipelining.
+* :class:`repro.net.tcpnet.TcpNetwork` — real TCP sockets, loopback or
+  cross-host.  It keeps one persistent, *pipelined* connection per
+  (src, dst) pair: frames carry message ids, the reactor matches replies
+  to waiting callers, and the server feeds a bounded worker pool.
 
 Shared guarantees, regardless of transport:
 
@@ -55,13 +52,12 @@ probes, cluster broadcast) scatters over.  They return a
     that already completed it makes ``cancel`` a no-op returning
     ``False``).  On the pipelined TCP transport cancellation releases the
     in-flight exchange exactly like a timed-out waiter — the late reply
-    is dropped by the reader, other waiters on the shared connection are
-    untouched.  On the simulated network futures are already complete
+    is dropped, other waiters on the shared connection are untouched.  On the simulated network futures are already complete
     when handed out, so ``cancel`` is a deterministic no-op there.
 ``future.map(fn)``
     A derived future resolving to ``fn(value)``; the mapper runs lazily on
     the collecting thread (RMI unmarshals results this way, off the
-    transport's reader thread).  Cancelling the view cancels the source.
+    transport's reactor loop).  Cancelling the view cancels the source.
 ``future.add_done_callback(fn)``
     Run ``fn(future)`` on completion (immediately if already done).
 
@@ -95,17 +91,16 @@ built on them.  One deadline:
   (:func:`repro.net.deadline.current_deadline`), so nested calls the
   handler makes inherit the caller's budget with no parameter plumbing.
 
-With no deadline set, every path — messages, traces, virtual-clock
-charges — is identical to the pre-deadline behaviour, which is what
-keeps the figure benches byte-stable.
+With no deadline set, no path — messages, traces, virtual-clock
+charges — pays for the feature, which is what keeps the figure benches
+byte-stable.
 
 Completion model: the **simulated network** completes futures eagerly on
 the calling thread — deterministic messages, traces, and virtual-clock
 charges, identical to the equivalent loop of blocking calls.  The
 **pipelined TCP transport** implements futures natively on its waiter
-mechanism: submission writes the frame, the connection's reader thread
-resolves the future, so N outstanding futures overlap N round trips on
-one socket.
+mechanism: submission writes the frame, the reactor loop resolves the
+future, so N outstanding futures overlap N round trips on one socket.
 
 Bulk data and link awareness
 ----------------------------
@@ -120,10 +115,10 @@ it.
 
 The TCP transport additionally carries a **negotiated per-frame codec**
 (:mod:`repro.net.codec`): frames at or above a size threshold are
-compressed (zlib by default, lz4 when importable) toward peers that
-advertise the codec; everything else — all small control traffic — ships
-with framing byte-identical to the pre-codec wire format, and
-mixed-codec deployments degrade to raw rather than failing.
+compressed (zlib by default, lz4 when importable) toward peers whose
+HELLO advertises the codec; everything else — all small control traffic
+— ships raw, and mixed-codec deployments degrade to raw rather than
+failing.
 ``TcpNetwork(bandwidth_mbps=...)`` emulates link throughput the way
 ``latency_ms`` emulates delay, so benches can price what compression
 and chunking buy.
@@ -136,16 +131,18 @@ every transport keeps an **address book** (``connect(node_id,
 endpoint)`` / ``endpoint_of`` / ``known_peers`` / ``forget_peer``) for
 peers hosted by *other processes or machines*.  ``TcpNetwork(bind=...,
 advertise_host=..., ports=...)`` opens the listeners beyond loopback,
-and every new pooled/pipelined connection starts with a **HELLO
-handshake** (:class:`repro.net.endpoint.Hello`): protocol version, node
-id, and codec advertisement cross the wire, so codec negotiation no
-longer needs any shared in-process registry.  No-HELLO peers, HELLO
-timeouts, and protocol-version mismatches all degrade to raw framing —
-never fail — and HELLO frames are invisible to message traces.  The
-cluster layer's :class:`repro.cluster.discovery.Membership` service
-fills the address book via seed-list JOIN and ANNOUNCE propagation and
-prunes it (with the per-link EWMAs and codec advertisements) when its
-heartbeat declares a peer dead.
+and every connection starts with a mandatory **HELLO handshake**
+(:class:`repro.net.endpoint.Hello`): protocol version, node id, wire
+format digest, and codec advertisement cross the wire.  A peer that
+answers no HELLO in time fails the dial
+(:class:`~repro.errors.NodeUnreachableError`); one that states another
+protocol version or wire format is refused with
+:class:`~repro.errors.ProtocolMismatchError`; both happen before any
+request frame is written.  HELLO frames are invisible to message
+traces.  The cluster layer's
+:class:`repro.cluster.discovery.Membership` service fills the address
+book via seed-list JOIN and ANNOUNCE propagation and prunes it (with
+the per-link EWMAs) when its heartbeat declares a peer dead.
 
 Transports also keep **per-link latency EWMAs**
 (``note_link_latency`` / ``link_latency_s`` / ``rank_by_latency``) — the

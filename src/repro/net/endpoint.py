@@ -1,9 +1,6 @@
 """Cross-host endpoints and the wire-level HELLO handshake.
 
-Until now every layer silently assumed one process: the TCP transport
-bound only loopback and resolved peers through its in-process registry of
-node servers, and codec advertisement rode that same registry.  This
-module is the vocabulary that lets the stack span real machines:
+The vocabulary that lets the stack span real machines:
 
 * :class:`Endpoint` — a ``(host, port)`` address a node can be reached
   at.  Transports keep an **address book** (``node_id -> Endpoint``,
@@ -12,18 +9,18 @@ module is the vocabulary that lets the stack span real machines:
   propagates the book via JOIN/ANNOUNCE.
 * :class:`Hello` — the first frame each side of a new TCP connection
   sends: protocol version, node identity, codec advertisement, and a
-  free-form settings map.  Codec negotiation thereby moves **onto the
-  wire**: a sender compresses toward a peer only per what that peer's
-  HELLO advertised, so two processes that have never shared a registry
-  still negotiate.  The handshake degrades, never fails — a peer that
-  answers no HELLO within the handshake window, or one speaking a
-  different protocol version, is simply written to in raw framing
-  (which is byte-identical to the pre-handshake wire format).
+  settings map that carries the wire-format digest.  The handshake is
+  mandatory and strict: both sides must state the same
+  :data:`PROTOCOL_VERSION` and the same wire format, or the dial is
+  refused with :class:`~repro.errors.ProtocolMismatchError` before any
+  request is written (see :mod:`repro.net.tcpnet` for the full
+  contract).  Codec negotiation happens **on the wire**: a sender
+  compresses toward a peer only per what that peer's HELLO advertised,
+  so two processes that share nothing but a socket still negotiate.
 
 HELLO frames are wire-level: they are not :class:`~repro.net.message.
 Message` envelopes, never reach a node's dispatcher, and are invisible
-to message traces — a trace-asserting bench sees the exact same message
-sequence whether or not its transport handshakes.
+to message traces.
 """
 
 from __future__ import annotations
@@ -34,8 +31,7 @@ from typing import Any
 from repro.errors import ConfigurationError
 
 #: Version of the frame-level wire protocol spoken after the HELLO
-#: exchange.  Mismatched peers degrade to raw framing (the lowest common
-#: dialect every version shares) instead of failing.
+#: exchange.  A peer stating any other version is refused.
 PROTOCOL_VERSION = 1
 
 
@@ -106,24 +102,26 @@ class Hello:
     """The handshake frame exchanged once per new TCP connection.
 
     The client sends its HELLO immediately after connecting and waits
-    (briefly) for the server's; both directions carry:
+    (``hello_timeout_s``) for the server's; both directions carry:
 
     ``version``
         :data:`PROTOCOL_VERSION` of the sender.  A receiver seeing any
-        other version records an empty negotiation — raw frames only —
-        and keeps serving.
+        other version refuses the connection.
     ``node_id``
         Who is speaking: the client's source node, or the node the
         contacted listener serves.  Lets a server attribute a
         connection to a peer it never registered locally.
     ``codecs``
         The frame codecs the *sender* can decode — i.e. what the other
-        side may compress toward it.  This is the advertisement that
-        used to ride the in-process ``advertise_codecs`` registry.
+        side may compress toward it
+        (:meth:`~repro.net.tcpnet.TcpNetwork.advertise_codecs` overrides
+        a local node's).
     ``settings``
-        Free-form sender configuration (frame bound, connection mode,
-        ...).  Receivers ignore keys they do not know, which is what
-        lets the handshake grow fields without a version bump.
+        Sender configuration.  ``"wire"`` is required: the sender's
+        :data:`repro.net.wirecodec.WIRE_FORMAT`, which must equal the
+        receiver's.  ``"uds"`` (a server's same-host Unix-socket facet)
+        and ``"max_frame"`` are informational; receivers ignore keys
+        they do not know.
     """
 
     version: int

@@ -43,7 +43,6 @@ class MessageKind(enum.Enum):
     TRANSFER_CHUNK = "TRANSFER_CHUNK"      # one slice of a streamed transfer's state
     TRANSFER_COMMIT = "TRANSFER_COMMIT"    # atomically apply a fully staged transfer
     TRANSFER_ABORT = "TRANSFER_ABORT"      # discard a staged (or staging) transfer
-    MOVE_COMPLETE = "MOVE_COMPLETE"      # host -> requester: move finished
     CLASS_REQUEST = "CLASS_REQUEST"      # pull a class definition (conditional)
     CLASS_TRANSFER = "CLASS_TRANSFER"    # push a class definition (probe or body)
     INSTANTIATE = "INSTANTIATE"          # create an object from a cached class
@@ -62,8 +61,8 @@ class MessageKind(enum.Enum):
     REPLY = "REPLY"                      # response envelope for any request
 
     # --- Transport-internal aggregation ------------------------------------
-    # (Appended last: the binary wire codec's kind table is definition-order
-    # sensitive, so new members must never be inserted above.)
+    # (Definition order is the binary wire codec's kind-code table; it is
+    # part of the wire-format digest, so any edit here changes the format.)
     AUTO_BATCH = "AUTO_BATCH"            # transport-coalesced concurrent requests
 
 
@@ -124,7 +123,7 @@ class Message:
     the request a REPLY answers so traces read like the paper's figures,
     e.g. ``REPLY(INVOKE)``.  ``reply_to_id`` carries the *message id* of the
     request a REPLY answers: transports that pipeline several concurrent
-    requests over one connection (the pooled TCP transport) match replies to
+    requests over one connection (the TCP transport) match replies to
     waiting callers by this id.
 
     ``deadline`` is the request's remaining end-to-end time budget (or
@@ -208,46 +207,6 @@ def build_message(
         in_reply_to=None,
         reply_to_id="",
         deadline=deadline,
-    )
-    return message
-
-
-def to_wire(message: Message) -> bytes:
-    """Flatten ``message`` to bytes for the TCP wire.
-
-    A positional tuple with enums as their string values is roughly
-    twice as cheap to serialize and a third the size of pickling the
-    dataclass itself — and the envelope codec is a fixed cost on every
-    hot-path call.  Payloads still pickle by their own rules.
-    """
-    in_reply_to = message.in_reply_to
-    return pickle.dumps(
-        (message.kind.value, message.src, message.dst, message.payload,
-         message.msg_id,
-         None if in_reply_to is None else in_reply_to.value,
-         message.reply_to_id, message.deadline),
-        pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def from_wire(blob: bytes) -> object:
-    """Inverse of :func:`to_wire`.
-
-    A frame that does not hold a flattened envelope — a wire-level
-    HELLO, or an envelope pickled whole by an older build — comes back
-    as whatever it unpickles to; callers route on the type.
-    """
-    obj: object = pickle.loads(blob)
-    if type(obj) is not tuple:
-        return obj
-    (kind, src, dst, payload, msg_id, in_reply_to, reply_to_id,
-     deadline) = obj
-    message = Message.__new__(Message)
-    message.__dict__.update(
-        kind=MessageKind(kind), src=src, dst=dst, payload=payload,
-        msg_id=msg_id,
-        in_reply_to=None if in_reply_to is None else MessageKind(in_reply_to),
-        reply_to_id=reply_to_id, deadline=deadline,
     )
     return message
 

@@ -1,79 +1,81 @@
-"""Real TCP transport, cross-host capable, with persistent pooled connections.
+"""Real TCP transport, cross-host capable: one connection per peer pair.
 
 The simulated network answers "does the model behave as the paper says";
 this transport answers "does the stack actually run over sockets".  Each
 registered node owns a listening socket on the configured ``bind``
 interface (``127.0.0.1`` by default; ephemeral port unless pinned via
-``ports``); messages are length-prefixed pickled envelopes.
+``ports``).  Nodes *registered on this transport* are served in process;
+nodes hosted by **other processes/machines** are reached through the
+transport's address book (:meth:`~repro.net.transport.Transport.connect`
+records ``node_id -> Endpoint``), which the cluster layer's membership
+service fills from a seed list and JOIN/ANNOUNCE propagation.
 
-Peers fall in two classes.  Nodes *registered on this transport* are
-served in process, exactly as before.  Nodes hosted by **other
-processes/machines** are reached through the transport's address book
-(:meth:`~repro.net.transport.Transport.connect` records
-``node_id -> Endpoint``); the cluster layer's membership service fills
-the book from a seed list and JOIN/ANNOUNCE propagation.  With an empty
-address book every path below is byte-identical to the single-process
-transport of earlier PRs.
+**The wire contract.**  A TCP (or same-host Unix-socket) connection has
+exactly one life: dial → client HELLO → server HELLO → both sides check
+that the peer's :class:`~repro.net.endpoint.Hello` carries this build's
+:data:`~repro.net.endpoint.PROTOCOL_VERSION` **and** the identical
+:data:`repro.net.wirecodec.WIRE_FORMAT` digest → a pipelined channel
+carrying binary envelopes.  Anything else is a *refused dial*, decided
+before any request frame is written, so at-most-once is untouched:
 
-Every new pooled/pipelined connection opens with a **HELLO handshake**
-(:mod:`repro.net.endpoint`): the client sends protocol version, node id,
-codec advertisement, and settings, then waits briefly for the server's
-HELLO.  Codec negotiation thereby happens **on the wire** — two
-processes that never shared a registry still compress toward each other
-— while a peer that answers no HELLO (a pre-handshake build, modelled by
-``handshake=False``) or speaks another protocol version degrades to raw
-framing, never fails.  HELLO frames are wire-level only: they are not
-``Message`` envelopes, are invisible to traces, and the ``per-call``
-mode (the early-RMI baseline) skips them entirely.
+* HELLO timeout, hang-up, an oversized (> 64 KiB) or non-HELLO first
+  frame → :class:`~repro.errors.NodeUnreachableError` ("handshake
+  failed: …"); the request provably never left, exactly like a failed
+  connect.
+* version or digest mismatch → :class:`~repro.errors.
+  ProtocolMismatchError`, naming both sides' version and format; never
+  retried.  The server answers a mismatched HELLO with its own, so the
+  dialler can report both sides, then closes.
 
-Three client-side connection strategies (``mode=``), slowest to fastest:
+The server holds accepted connections to the same rule: the first frame
+must be a (bounded) HELLO, and every later frame must be a binary
+envelope — a second HELLO, or any frame that does not open with
+:data:`wirecodec.MAGIC`, closes the connection without being unpickled.
+HELLO frames are wire-level only: a small pickled ``Hello``, decoded
+only by the handshake code, never traced and never dispatched.  The
+HELLO also carries each side's frame-codec advertisement (what the
+*other* side may compress toward it) and the server's same-host
+Unix-socket facet.
 
-* ``"per-call"`` — a fresh connection per request, mirroring early RMI's
-  connection-per-call behaviour.  Kept as the baseline the throughput
-  bench measures against.
-* ``"pooled"`` — one persistent connection per (src, dst) pair, reused
-  across calls but carrying one exchange at a time.  Saves the connect
-  handshake on every call after the first.
-* ``"pipelined"`` (default) — the pooled connection additionally carries
-  many concurrent exchanges at once: submission enqueues the frame on
-  the reactor's per-connection write queue, and incoming reply frames
-  are demultiplexed to waiting callers by ``Message.reply_to_id``.  N
-  threads calling into one destination share one socket and one
-  round-trip pipeline.  The same mechanism implements ``call_async``
-  natively: submission writes the frame and parks a
-  :class:`~repro.net.transport.CallFuture` that the reactor resolves, so
-  one caller can scatter N requests (to one node or to N nodes) and
-  overlap every round trip without extra threads.
-  ``CallFuture.cancel()`` and deadline expiry both *abandon* an
-  in-flight exchange the same way a timed-out waiter does: the pending
-  reply slot is released, the late reply is dropped, and other waiters
-  sharing the connection are untouched.  A request's deadline also caps
-  every reply wait (io timeout or less) and is enforced server-side: a
-  frame whose deadline expired in the worker queue is dropped at
-  dequeue.
+**The channel.**  One persistent connection per (src, dst) pair carries
+many concurrent exchanges: submission enqueues the frame on the
+reactor's per-connection write queue, and incoming reply frames are
+demultiplexed to waiting callers by ``Message.reply_to_id``.  N threads
+calling into one destination share one socket and one round-trip
+pipeline.  ``call_async`` is native to this mechanism: submission writes
+the frame and parks a :class:`~repro.net.transport.CallFuture` that the
+reactor resolves, so one caller can scatter N requests (to one node or
+to N nodes) and overlap every round trip without extra threads.
+``CallFuture.cancel()`` and deadline expiry both *abandon* an in-flight
+exchange the way a timed-out waiter does: the pending reply slot is
+released, the late reply is dropped, and other waiters sharing the
+connection are untouched.  A request's deadline also caps every reply
+wait (io timeout or less) and is enforced server-side: a frame whose
+deadline expired in the worker queue is dropped at dequeue.  Concurrent
+calls to one peer coalesce into AUTO_BATCH frames (see
+:class:`_AutoBatcher`); ``auto_batch=False`` turns the client-side
+coalescing off for A/B measurement.
 
-**Data plane.**  All pooled/pipelined sockets — client channels,
-server-accepted connections, and listeners — are owned by a shared
+**Data plane.**  Every socket — client channels, server-accepted
+connections, and listeners — is owned by a shared
 :class:`~repro.net.reactor.Reactor`: a small pool of ``selectors`` event
 loops (one by default, ``reactor_threads=`` scales it) doing
 non-blocking reads through per-connection receive state machines and
-coalescing queued writes into large sends
-(``coalesce_max_bytes=``/``coalesce_max_delay_ms=`` shape the batching;
-see the reactor module docstring).  This replaces the per-connection
-reader/serve threads of earlier PRs: parked callers and thread handoffs
-no longer scale with connection count, and a burst of small frames
-rides one syscall.  Only the deliberately slow ``per-call`` mode still
-dials blocking sockets — it exists to measure what the reactor buys.
+coalescing queued writes into large sends (see the reactor module
+docstring).  Only the client's HELLO exchange uses the socket in
+blocking mode, before the reactor adopts it.
 
-Handler execution never runs on a reactor loop: frames are dispatched
-to a bounded worker pool, and *bulk* kinds (streamed migration:
+Handler execution never blocks a reactor loop: frames are dispatched to
+a bounded worker pool, and *bulk* kinds (streamed migration:
 OBJECT_TRANSFER and the PREPARE/CHUNK/COMMIT/ABORT family) go to a
 separate background pool so staging writes and marshalled-state applies
 cannot queue behind — or starve — latency-sensitive calls.  When every
 resident worker is busy a submission runs on a temporary overflow
 thread, so a nested call made by a blocked handler (moves trigger
 OBJECT_TRANSFER, finds walk forwarding chains) can always be dispatched
-and the pool cannot deadlock on its own queue.
+and the pool cannot deadlock on its own queue.  Handlers declared
+:func:`~repro.net.message.inline_safe` run their allowlisted kinds on
+the loop thread itself, under a per-call time budget.
 
 TCP provides reliable, ordered delivery, so no loss model applies here —
 loss/retry behaviour is exercised on the simulated network.  An
@@ -83,8 +85,8 @@ to the caller instead).  A handler that dies with a control-flow exception
 (``KeyboardInterrupt``/``SystemExit``) answers its caller with an uncached
 :class:`~repro.errors.TransportError` — the interrupt itself cannot cross
 the wire, and a retransmission executes afresh.  At-most-once execution holds
-across reconnects: a stale pooled connection is retried only when the
-frame provably never left this side; once a request is on the wire, a
+across reconnects: a stale connection is retried only when the frame
+provably never left this side; once a request is on the wire, a
 connection failure surfaces as :class:`NodeUnreachableError` rather than
 risking re-execution against a replaced node's fresh reply cache.  The
 clock is real time by default.
@@ -105,6 +107,7 @@ from repro.errors import (
     ConfigurationError,
     MarshalError,
     NodeUnreachableError,
+    ProtocolMismatchError,
     RemoteInvocationError,
     TransportError,
 )
@@ -118,8 +121,6 @@ from repro.net.message import (
     MessageKind,
     ReplyPayload,
     build_message,
-    from_wire,
-    to_wire,
 )
 from repro.net.reactor import (
     Connection,
@@ -141,27 +142,21 @@ from repro.util.clock import Clock, WallClock
 _LENGTH_PREFIX = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024  # 64 MiB: a generous bound on one message
 
+#: Bound on a HELLO frame's body.  The HELLO comes from a peer nothing
+#: has verified yet, so it gets its own small bound instead of the
+#: message bound: the dialling side refuses a longer one before reading
+#: its body, the accepting side (whose reactor delivers whole frames)
+#: before decoding it.
+_HELLO_MAX_BYTES = 64 * 1024
+
 # The frame header is one 32-bit word: the top 3 bits carry the codec id
 # (see repro.net.codec), the low 29 bits the on-wire body length.  Raw
-# frames use codec id 0, so an uncompressed frame is byte-for-byte the
-# pre-codec framing — negotiation only ever *adds* compression toward
-# peers that advertised they accept it.
+# frames use codec id 0.
 _CODEC_SHIFT = 29
 _LENGTH_MASK = (1 << _CODEC_SHIFT) - 1
 
-#: Valid ``TcpNetwork(mode=...)`` values, slowest to fastest.
-MODES = ("per-call", "pooled", "pipelined")
-
-#: ``Hello.settings`` key under which auto-batch capability is advertised.
-_AUTOBATCH_SETTING = "autobatch"
-#: Capability token: a peer advertising exactly this value accepts
-#: AUTO_BATCH envelopes (and answers them with aggregated replies).
-_AUTOBATCH_TOKEN = "ab1"
-
 #: ``Hello.settings`` key advertising a server's same-host Unix-domain
-#: listener: ``(advertise_host, port, uds_name)``.  Receivers that do not
-#: know the key ignore it (the HELLO extension contract), so mixed-version
-#: clusters interop over plain TCP.
+#: listener: ``(advertise_host, port, uds_name)``.
 _UDS_SETTING = "uds"
 
 #: Whether this platform offers Unix-domain stream sockets at all.  The
@@ -176,6 +171,14 @@ _UNBATCHABLE_KINDS = BULK_KINDS | ONEWAY_KINDS | frozenset({
     MessageKind.BATCH, MessageKind.AUTO_BATCH,
 })
 
+#: Caps on one AUTO_BATCH frame: sub-calls, and estimated payload bytes.
+_BATCH_MAX_MSGS = 32
+_BATCH_MAX_BYTES = 64 * 1024
+
+#: Time budget for one inline (loop-thread) dispatch; an AUTO_BATCH of
+#: inline kinds gets this much per sub-call.
+_INLINE_BUDGET_S = 0.001
+
 #: Consecutive over-budget inline dispatches before a server stops
 #: dispatching inline for good (a misregistered slow handler must not
 #: keep stalling the reactor loop).
@@ -188,19 +191,6 @@ _INLINE_DEMOTE_STRIKES = 8
 #: the very batches it guards), yet far below any reply-wait timeout a
 #: caller could notice when the clock really is dead.
 _BATCH_KICK_GRACE_S = 0.02
-
-
-def _hello_accepts_autobatch(hello: Hello | None, protocol_version: int) -> bool:
-    """True when ``hello`` negotiated transparent invoke coalescing.
-
-    Mirrors :func:`wirecodec.hello_accepts_binary`: an exact version match
-    plus the capability token.  Legacy peers (no HELLO, older builds whose
-    settings lack the key, ``auto_batch=False`` builds) simply never see
-    an AUTO_BATCH frame — per-call framing is byte-identical to before.
-    """
-    if hello is None or hello.version != protocol_version:
-        return False
-    return hello.settings.get(_AUTOBATCH_SETTING) == _AUTOBATCH_TOKEN
 
 
 def _fail_sink(sink, error: Exception) -> None:
@@ -291,70 +281,41 @@ def _transmittable_error_payload(payload: ReplyPayload) -> ReplyPayload:
         )
 
 
-def _encode_frame(message: Message, codec_for=None, flat: bool = False,
-                  binary: bool = False) -> "bytes | list[bytes | memoryview]":
-    """One wire-ready frame, compressing when negotiated.
+def _encode_frame(message: Message,
+                  codec_for=None) -> "bytes | list[bytes | memoryview]":
+    """One wire-ready frame: header word + binary envelope.
+
+    The envelope comes from :func:`wirecodec.encode_envelope`.  Large
+    blob fields come back as a buffer *list* (header + head + zero-copy
+    segments) that the reactor writes with one gather syscall; small
+    frames collapse to contiguous bytes.
 
     ``codec_for`` maps the serialized size to a codec id (``None`` keeps
     every frame raw).  A frame the codec fails to shrink is sent raw —
     the header is self-describing, so the receiver never needs to know
     what the sender attempted.
-
-    Three envelope encodings, fastest first:
-
-    * ``binary`` — the schema-compiled codec
-      (:mod:`repro.net.wirecodec`), used only toward peers whose HELLO
-      advertised the *identical* wire-format digest.  Large blob fields
-      come back as a buffer *list* (header + head + zero-copy segments)
-      that the reactor writes with one gather syscall; small frames
-      collapse to contiguous bytes.
-    * ``flat`` — the flattened pickled-tuple marshal, toward confirmed
-      same-version peers that did not negotiate the binary dialect.
-    * neither — the legacy whole-message pickle.
-
-    Decoding is self-describing in every case: a binary envelope starts
-    with :data:`wirecodec.MAGIC`, which no pickle stream can.
     """
-    if binary:
-        try:
-            parts = wirecodec.encode_envelope(message)
-        except Exception as exc:
-            raise MarshalError(
-                f"cannot encode {message.describe()}: {exc}") from exc
-        if len(parts) == 1:
-            blob = parts[0]
-        else:
-            nbytes = sum(len(part) for part in parts)
-            if nbytes > _MAX_FRAME:
-                raise MarshalError(f"message too large: {nbytes} bytes")
-            ident = codec.RAW if codec_for is None else codec_for(nbytes)
-            if ident != codec.RAW:
-                joined = b"".join(parts)
-                body = codec.encode(ident, joined)
-                if len(body) < nbytes:  # compression beats zero-copy
-                    return _LENGTH_PREFIX.pack(
-                        len(body) | (ident << _CODEC_SHIFT)) + body
-            head = _LENGTH_PREFIX.pack(nbytes)
-            first = parts[0]
-            if isinstance(first, bytes):
-                return [head + first, *parts[1:]]
-            return [head, *parts]
-    else:
-        try:
-            blob = (to_wire(message) if flat else
-                    pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
-        except Exception as exc:
-            raise MarshalError(
-                f"cannot pickle {message.describe()}: {exc}") from exc
-    if len(blob) > _MAX_FRAME:
-        raise MarshalError(f"message too large: {len(blob)} bytes")
-    ident = codec.RAW if codec_for is None else codec_for(len(blob))
-    body = blob
+    try:
+        parts = wirecodec.encode_envelope(message)
+    except Exception as exc:
+        raise MarshalError(
+            f"cannot encode {message.describe()}: {exc}") from exc
+    nbytes = sum(len(part) for part in parts)
+    if nbytes > _MAX_FRAME:
+        raise MarshalError(f"message too large: {nbytes} bytes")
+    ident = codec.RAW if codec_for is None else codec_for(nbytes)
     if ident != codec.RAW:
-        body = codec.encode(ident, blob)
-        if len(body) >= len(blob):  # incompressible payload: keep raw
-            ident, body = codec.RAW, blob
-    return _LENGTH_PREFIX.pack(len(body) | (ident << _CODEC_SHIFT)) + body
+        body = codec.encode(ident, b"".join(parts))
+        if len(body) < nbytes:  # compression beats zero-copy
+            return _LENGTH_PREFIX.pack(
+                len(body) | (ident << _CODEC_SHIFT)) + body
+    head = _LENGTH_PREFIX.pack(nbytes)
+    first = parts[0]
+    if isinstance(first, bytes):
+        if len(parts) == 1:
+            return head + first
+        return [head + first, *parts[1:]]
+    return [head, *parts]
 
 
 def _frame_nbytes(wire: "bytes | list[bytes | memoryview]") -> int:
@@ -364,23 +325,19 @@ def _frame_nbytes(wire: "bytes | list[bytes | memoryview]") -> int:
     return sum(len(part) for part in wire)
 
 
-def _send_frame(sock: socket.socket, message: Message,
-                codec_for=None) -> None:
-    """Write one frame on a blocking socket (the per-call path)."""
-    sock.sendall(_encode_frame(message, codec_for))
+def _decode_frame(ident: int, body: bytes) -> Message:
+    """Decompress + decode one post-handshake frame body.
 
-
-def _decode_frame(ident: int, body: bytes) -> object:
-    """Decompress + unmarshal one reactor-delivered frame body.
-
-    Routing is one byte: a binary envelope opens with
-    :data:`wirecodec.MAGIC` (0xB1), a pickle stream with 0x80 — so the
-    receiver needs no negotiation state to decode either dialect.
+    Every frame after the HELLO exchange is a binary envelope, which
+    opens with :data:`wirecodec.MAGIC`.  Anything else — a second HELLO,
+    a pickled message — is a protocol violation: it raises without being
+    unpickled, and the reactor closes the connection.
     """
     blob = codec.decode(ident, body, _MAX_FRAME)
-    if blob and blob[0] == wirecodec.MAGIC:
-        return wirecodec.decode_envelope(blob)
-    return from_wire(blob)
+    if not blob or blob[0] != wirecodec.MAGIC:
+        raise MarshalError(
+            "protocol violation: frame is not a binary envelope")
+    return wirecodec.decode_envelope(blob)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -401,54 +358,54 @@ def _encode_hello(hello: Hello) -> bytes:
     return _LENGTH_PREFIX.pack(len(blob)) + blob
 
 
-def _send_hello(sock: socket.socket, hello: Hello) -> None:
-    """Write one HELLO frame on a blocking socket (client handshake)."""
-    sock.sendall(_encode_hello(hello))
+def _decode_hello(ident: int, body: bytes) -> Hello:
+    """The first frame of a connection: a raw, bounded, pickled HELLO.
 
-
-def _recv_any(sock: socket.socket) -> tuple[object, int]:
-    """Read one frame of any type; returns ``(object, wire_bytes)``.
-
-    ``wire_bytes`` is the on-wire size (header + possibly-compressed
-    body) — what a bandwidth-emulating link charges for.  Decoding is
-    self-describing from the header's codec bits: a receiver decodes any
-    codec it supports regardless of what it advertised, and rejects
-    unknown ids (or frames that inflate past the frame bound) with
-    :class:`MarshalError`.  The frame may be a :class:`Message` envelope
-    or a wire-level :class:`Hello`; callers route on the type.
+    The only place a frame body is unpickled; a body that is oversized,
+    compressed, or opens like a binary envelope is refused first.
     """
-    header = _recv_exact(sock, _LENGTH_PREFIX.size)
-    (word,) = _LENGTH_PREFIX.unpack(header)
-    ident = word >> _CODEC_SHIFT
+    if len(body) > _HELLO_MAX_BYTES:
+        raise MarshalError(f"HELLO frame too large: {len(body)} bytes")
+    if ident != codec.RAW or not body or body[0] == wirecodec.MAGIC:
+        raise MarshalError("expected a HELLO frame")
+    try:
+        hello = pickle.loads(body)
+    except Exception as exc:
+        raise MarshalError(f"undecodable HELLO frame: {exc}") from exc
+    if not isinstance(hello, Hello):
+        raise MarshalError(
+            f"expected a HELLO frame, got {type(hello).__name__}")
+    if not (isinstance(hello.node_id, str) and isinstance(hello.codecs, tuple)
+            and isinstance(hello.settings, dict)):
+        raise MarshalError("malformed HELLO frame")
+    return hello
+
+
+def _recv_hello(sock: socket.socket) -> Hello:
+    """Read the server's HELLO on a blocking socket (client handshake).
+
+    The length is checked against :data:`_HELLO_MAX_BYTES` before any of
+    the body is read.
+    """
+    (word,) = _LENGTH_PREFIX.unpack(_recv_exact(sock, _LENGTH_PREFIX.size))
     length = word & _LENGTH_MASK
-    if length > _MAX_FRAME:
-        raise MarshalError(f"incoming frame too large: {length} bytes")
-    body = _recv_exact(sock, length)
-    blob = codec.decode(ident, body, _MAX_FRAME)
-    if blob and blob[0] == wirecodec.MAGIC:
-        return wirecodec.decode_envelope(blob), _LENGTH_PREFIX.size + length
-    return from_wire(blob), _LENGTH_PREFIX.size + length
+    if length > _HELLO_MAX_BYTES:
+        raise MarshalError(f"HELLO frame too large: {length} bytes")
+    return _decode_hello(word >> _CODEC_SHIFT, _recv_exact(sock, length))
 
 
-def _recv_frame(sock: socket.socket) -> tuple[Message, int]:
-    """Read one frame that must be a :class:`Message` envelope."""
-    message, nbytes = _recv_any(sock)
-    if not isinstance(message, Message):
-        raise MarshalError(f"expected a Message frame, got {type(message).__name__}")
-    return message, nbytes
+def _same_dialect(peer: Hello) -> bool:
+    """The one admission check: this build's version *and* wire format."""
+    return (peer.version == PROTOCOL_VERSION
+            and wirecodec.hello_accepts_binary(peer))
 
 
 class _ChannelClosedError(ConnectionError):
     """The channel died before this frame was written (safe to retry)."""
 
 
-class _HandshakeTimeout(Exception):
-    """The HELLO wait expired; the socket's read stream may hold a
-    half-consumed frame and cannot be trusted for framing anymore."""
-
-
 class _Waiter:
-    """One caller parked on an in-flight pipelined request."""
+    """One caller parked on an in-flight request."""
 
     __slots__ = ("_event", "_reply", "_error")
 
@@ -549,55 +506,31 @@ class _WaiterShard:
 class _Channel:
     """One persistent client connection to a destination node.
 
-    The socket lives on the shared reactor: submission encodes the frame
-    and enqueues it on the connection's write queue (no send lock, no
+    Built only from a completed handshake: ``peer_hello`` is the
+    server's HELLO, already checked for version and wire format.  The
+    socket lives on the shared reactor: submission encodes the frame and
+    enqueues it on the connection's write queue (no send lock, no
     blocking), and the reactor's frame callback demultiplexes reply
-    frames to parked callers by ``reply_to_id`` — the reader thread of
-    earlier PRs is gone.  The waiter table is striped by message-id hash
-    so concurrent pipelined callers stop serializing on one mutex.
-    ``serialize=True`` ("pooled" mode) additionally holds a request lock
-    across each whole exchange, keeping the connection reused but never
-    pipelined.
+    frames to parked callers by ``reply_to_id``.  The waiter table is
+    striped by message-id hash so concurrent callers do not serialize on
+    one mutex.
     """
 
     def __init__(self, dst: str, sock: socket.socket, reactor: Reactor,
-                 serialize: bool,
-                 codec_for=None,
-                 negotiated: tuple[str, ...] | None = None,
-                 peer_hello: Hello | None = None,
-                 protocol_version: int = PROTOCOL_VERSION,
-                 binary_enabled: bool = True) -> None:
+                 peer_hello: Hello, codec_for=None) -> None:
         self.dst = dst
-        self._codec_for = codec_for
-        #: What the peer's HELLO advertised (``None`` = no HELLO yet /
-        #: legacy peer — raw only).  Set before the reactor adopts the
-        #: socket (the frame callback may adopt a HELLO that straggles in
-        #: late, so a post-adoption assignment could clobber that).
-        self.negotiated_codecs = negotiated
         self.peer_hello = peer_hello
-        self._protocol_version = protocol_version
-        #: Binary-envelope negotiation, precomputed once per HELLO so the
-        #: per-frame send path reads one attribute instead of probing the
-        #: peer's settings dict on every encode.
-        self._binary_enabled = binary_enabled
-        self.send_binary = binary_enabled and wirecodec.hello_accepts_binary(
-            peer_hello, protocol_version
-        )
-        #: Whether the peer's HELLO advertised AUTO_BATCH capability —
-        #: gates every ``submit_auto`` so legacy peers never see a frame
-        #: kind they cannot decode.
-        self.peer_autobatch = _hello_accepts_autobatch(
-            peer_hello, protocol_version
-        )
-        #: The transport attaches a :class:`_AutoBatcher` right after
-        #: construction on pipelined channels with auto-batching enabled.
+        #: The frame codecs the peer's HELLO says it decodes.
+        self.negotiated_codecs = peer_hello.codecs
+        self._codec_for = codec_for
+        #: The transport attaches an :class:`_AutoBatcher` right after
+        #: construction when auto-batching is enabled.
         self._batcher: "_AutoBatcher | None" = None
         #: batch msg_id -> its sub-call msg_ids, so a *whole-batch* error
         #: reply (server-side control-flow abort) can fail every sub
         #: sink.  Entries are removed when the aggregated reply arrives.
         self._batch_lock = threading.Lock()
         self._batch_subs: dict[str, tuple[str, ...]] = {}
-        self._request_lock = threading.Lock() if serialize else None
         self._shards = tuple(_WaiterShard() for _ in range(_WAITER_SHARDS))
         self._closed = False
         self._conn: Connection = reactor.add_connection(
@@ -607,22 +540,11 @@ class _Channel:
     def _shard(self, msg_id: str) -> _WaiterShard:
         return self._shards[hash(msg_id) % _WAITER_SHARDS]
 
-    def _flat_wire(self) -> bool:
-        """Flattened envelopes only toward a confirmed same-version peer."""
-        hello = self.peer_hello
-        return hello is not None and hello.version == self._protocol_version
-
     @property
     def closed(self) -> bool:
         return self._closed
 
     def request(self, message: Message, timeout_s: float) -> Message:
-        if self._request_lock is not None:
-            with self._request_lock:
-                return self._request(message, timeout_s)
-        return self._request(message, timeout_s)
-
-    def _request(self, message: Message, timeout_s: float) -> Message:
         waiter = _Waiter()
         self.submit(message, waiter)
         try:
@@ -634,8 +556,8 @@ class _Channel:
         """Park ``sink`` for the reply and enqueue the frame; never waits.
 
         ``sink`` is anything with ``resolve(reply)`` / ``fail(error)`` — a
-        :class:`_Waiter` for the blocking path, a pipelined
-        :class:`~repro.net.transport.CallFuture` for the asynchronous one.
+        :class:`_Waiter` for the blocking path, a
+        :class:`_PipelinedCallFuture` for the asynchronous one.
         ``resolve`` runs on the reactor loop, ``fail`` on whichever thread
         closes the channel; neither may block.
 
@@ -644,8 +566,7 @@ class _Channel:
         :class:`_ChannelClosedError` means the frame provably never
         reached the write queue (safe to retry on a fresh channel).
         """
-        wire = _encode_frame(message, self._codec_for, flat=self._flat_wire(),
-                             binary=self.send_binary)
+        wire = _encode_frame(message, self._codec_for)
         shard = self._shard(message.msg_id)
         if not shard.park(message.msg_id, sink):
             raise _ChannelClosedError(f"channel to {self.dst!r} is closed")
@@ -661,13 +582,11 @@ class _Channel:
     def submit_auto(self, message: Message, sink) -> None:
         """:meth:`submit` through the transparent auto-batcher.
 
-        Routes to the coalescing layer only when the channel has one, the
-        peer negotiated the capability, and the kind is batchable; every
-        other frame takes the plain path unchanged.
+        Routes to the coalescing layer only when the channel has one and
+        the kind is batchable; every other frame takes the plain path.
         """
         batcher = self._batcher
-        if (batcher is None or not self.peer_autobatch
-                or message.kind in _UNBATCHABLE_KINDS):
+        if batcher is None or message.kind in _UNBATCHABLE_KINDS:
             self.submit(message, sink)
             return
         batcher.submit(message, sink)
@@ -686,8 +605,7 @@ class _Channel:
         batch = build_message(
             MessageKind.AUTO_BATCH, subs[0].src, subs[0].dst, subs
         )
-        wire = _encode_frame(batch, self._codec_for, flat=self._flat_wire(),
-                             binary=self.send_binary)
+        wire = _encode_frame(batch, self._codec_for)
         parked: list[tuple[Message, object]] = []
         for message, sink in items:
             if not self._shard(message.msg_id).park(message.msg_id, sink):
@@ -715,8 +633,7 @@ class _Channel:
         self._shard(msg_id).discard(msg_id, waiter)
 
     def send_oneway(self, message: Message) -> None:
-        wire = _encode_frame(message, self._codec_for, flat=self._flat_wire(),
-                             binary=self.send_binary)
+        wire = _encode_frame(message, self._codec_for)
         try:
             self._conn.send(wire)
         except ConnectionError as exc:
@@ -732,33 +649,10 @@ class _Channel:
     # -- reactor callbacks (loop thread; must not block) ----------------------
 
     def _on_frame(self, ident: int, body: bytes, wire_bytes: int) -> None:
-        # A decode/unpickle failure propagates: the reactor tears the
-        # connection down with it, and _on_closed fails every waiter —
-        # the old reader loop's close(exc) path, without the thread.
+        # A decode failure (or a frame that is not a binary envelope)
+        # propagates: the reactor tears the connection down with it, and
+        # _on_closed fails every waiter.
         reply = _decode_frame(ident, body)
-        if isinstance(reply, Hello):
-            # A HELLO that outlived the handshake window (a slow
-            # server): adopt the advertisement late — frames written
-            # so far went raw, which is always decodable.
-            self.peer_hello = reply
-            self.negotiated_codecs = (
-                tuple(reply.codecs)
-                if reply.version == self._protocol_version
-                else ()
-            )
-            self.send_binary = (
-                self._binary_enabled
-                and wirecodec.hello_accepts_binary(
-                    reply, self._protocol_version)
-            )
-            self.peer_autobatch = _hello_accepts_autobatch(
-                reply, self._protocol_version
-            )
-            return
-        if not isinstance(reply, Message):
-            raise MarshalError(
-                f"expected a Message frame, got {type(reply).__name__}"
-            )
         if reply.in_reply_to is MessageKind.AUTO_BATCH:
             self._on_batch_reply(reply)
         else:
@@ -922,10 +816,10 @@ class _CallPathMetrics:
 
 
 class _AutoBatcher:
-    """Transparent invoke coalescing on one pipelined channel.
+    """Transparent invoke coalescing on one channel.
 
-    The PR 7 reactor coalesces queued *bytes* into one syscall; this
-    layer coalesces queued *calls* into one frame, one server-side
+    The reactor coalesces queued *bytes* into one syscall; this layer
+    coalesces queued *calls* into one frame, one server-side
     dispatch, and one aggregated reply — amortizing the per-message
     Python overhead that dominates once the wire itself is cheap.
 
@@ -941,9 +835,9 @@ class _AutoBatcher:
     added latency on an idle channel and no timer anywhere.  (If the
     clock dies — the in-flight exchange hangs past its caller's
     patience — waiting futures force a flush after a short grace:
-    :meth:`kick`.)  A group is capped by ``batch_max_msgs`` /
-    ``batch_max_bytes`` and always holds at least one call; a group of
-    one is sent as a plain frame and never pays the aggregation
+    :meth:`kick`.)  A group is capped by :data:`_BATCH_MAX_MSGS` /
+    :data:`_BATCH_MAX_BYTES` and always holds at least one call; a group
+    of one is sent as a plain frame and never pays the aggregation
     envelope.
 
     Error discipline: nothing raises to the drainer, because the
@@ -956,16 +850,13 @@ class _AutoBatcher:
     sends so one poisoned call cannot error its siblings.
     """
 
-    __slots__ = ("_channel", "_transport", "_max_msgs", "_max_bytes",
-                 "_metrics", "_lock", "_queue", "_active", "_inflight")
+    __slots__ = ("_channel", "_transport", "_metrics", "_lock", "_queue",
+                 "_active", "_inflight")
 
     def __init__(self, channel: _Channel, transport: "TcpNetwork",
-                 max_msgs: int, max_bytes: int,
                  metrics: _CallPathMetrics) -> None:
         self._channel = channel
         self._transport = transport
-        self._max_msgs = max_msgs
-        self._max_bytes = max_bytes
         self._metrics = metrics
         self._lock = threading.Lock()
         self._queue: "deque[tuple[Message, object]]" = deque()
@@ -990,7 +881,7 @@ class _AutoBatcher:
 
         Every incoming reply decrements the in-flight gate and flushes
         the accumulated queue.  Replies to frames the batcher never sent
-        (``call_many`` BATCH exchanges, pre-batcher traffic) may tick it
+        (``call_many`` BATCH exchanges, unbatchable kinds) may tick it
         early — harmless: an early flush only makes a smaller group.
         """
         with self._lock:
@@ -1020,8 +911,8 @@ class _AutoBatcher:
                     return
                 group = [self._queue.popleft()]
                 nbytes = _estimate_nbytes(group[0][0])
-                while (self._queue and len(group) < self._max_msgs
-                       and nbytes < self._max_bytes):
+                while (self._queue and len(group) < _BATCH_MAX_MSGS
+                       and nbytes < _BATCH_MAX_BYTES):
                     item = self._queue.popleft()
                     group.append(item)
                     nbytes += _estimate_nbytes(item[0])
@@ -1131,9 +1022,9 @@ class _AutoBatcher:
 
 
 class _PipelinedCallFuture(CallFuture):
-    """A call future resolved by a pipelined channel's reader thread.
+    """A call future resolved by a channel's frame callback.
 
-    Doubles as the channel's parked sink: the reader thread calls
+    Doubles as the channel's parked sink: the reactor loop calls
     :meth:`resolve` with the matched reply frame, channel teardown calls
     :meth:`fail`.  ``result()``/``exception()`` default their timeout to
     the transport's io timeout *measured from submission* — a sweep that
@@ -1142,7 +1033,7 @@ class _PipelinedCallFuture(CallFuture):
     running since its frame was sent.  (An explicit ``timeout_s`` stays
     relative to the ``result()`` call.)  An expired wait *abandons* the
     exchange exactly as the blocking path does — the pending slot is
-    released (a late reply is dropped by the reader) and the future fails
+    released (a late reply is dropped on arrival) and the future fails
     permanently with :class:`~repro.errors.CallTimeoutError`.
     """
 
@@ -1214,7 +1105,7 @@ class _PipelinedCallFuture(CallFuture):
 
     def _abandon(self) -> None:
         """Release the pending reply slot (timeout and cancel share this):
-        the reader drops the late reply; other waiters are untouched."""
+        the late reply is dropped; other waiters are untouched."""
         channel = self._channel
         if channel is not None:
             channel._discard_waiter(self._message.msg_id, self)
@@ -1344,34 +1235,19 @@ class _WorkerPool:
             self._wakeup.notify_all()
 
 
-class _PeerState:
-    """What one inbound connection's HELLO taught us about its peer."""
-
-    __slots__ = ("codecs", "hello", "binary")
-
-    def __init__(self) -> None:
-        #: ``None`` until (unless) the peer HELLOs — reply compression
-        #: then falls back to the in-process advertisement registry,
-        #: which is the pre-handshake behaviour.
-        self.codecs: tuple[str, ...] | None = None
-        self.hello: Hello | None = None
-        #: True only when the peer's HELLO advertised this build's exact
-        #: binary wire-format digest — replies then use the compiled
-        #: codec; everyone else keeps the pickled envelope.
-        self.binary = False
-
-
 class _ServerConn:
     """Reactor-side state for one accepted server connection."""
 
-    __slots__ = ("conn", "peer", "first", "same_host")
+    __slots__ = ("conn", "hello", "codec_for", "same_host")
 
     def __init__(self) -> None:
         self.conn: Connection | None = None
-        self.peer = _PeerState()
-        #: True until the first frame arrives — only a connection-opening
-        #: HELLO is answered.
-        self.first = True
+        #: The peer's accepted HELLO; ``None`` until the handshake
+        #: completes — no frame is dispatched before that.
+        self.hello: Hello | None = None
+        #: Reply compression toward this peer, per its HELLO's codec
+        #: advertisement (``None`` = every reply raw).
+        self.codec_for = None
         #: The connection arrived over the Unix-domain listener, so the
         #: peer is provably on this machine: replies skip compression
         #: (it exists to save network bandwidth, which a same-host
@@ -1389,39 +1265,33 @@ class _NodeServer:
     (streamed migration frames, whose handlers do staging writes and
     marshalled-state applies) run on a dedicated background pool so they
     can never queue behind — or starve — latency-sensitive calls.
-    Replies are enqueued on the connection's coalescing write queue; no
-    per-connection thread or write lock exists anymore.
+    Replies are enqueued on the connection's coalescing write queue.
 
-    A connection's first frame may be a wire-level :class:`Hello`; the
-    server then records the peer's codec advertisement for that
-    connection's replies and answers with this node's own HELLO before
-    any request is dispatched.  A connection whose first frame is a
-    plain ``Message`` belongs to a legacy (or ``per-call``) client and
-    is served exactly as before.
+    A connection's first frame must be a wire-level :class:`Hello` of
+    this build's protocol version and wire format; the server records
+    the peer's codec advertisement for that connection's replies and
+    answers with this node's own HELLO before any request is dispatched.
+    Every other opening — and every later frame that is not a binary
+    envelope — closes the connection (see the module docstring).
     """
 
     def __init__(self, node_id: str, handler: MessageHandler, trace: MessageTrace,
                  clock: Clock, pool: _WorkerPool, bulk_pool: _WorkerPool,
-                 reactor: Reactor,
+                 reactor: Reactor, call_metrics: _CallPathMetrics,
+                 codec_chooser,
                  latency_s: float = 0.0,
                  bytes_per_s: float | None = None,
-                 codec_for_peer=None,
                  bind_host: str = "127.0.0.1",
                  port: int = 0,
-                 handshake: bool = True,
-                 hello_codecs=None,
-                 codec_for_advertised=None,
-                 protocol_version: int = PROTOCOL_VERSION,
-                 wire_formats: tuple[str, ...] = (),
-                 auto_batch: bool = True,
-                 inline_dispatch: bool = True,
-                 inline_budget_s: float = 0.001,
-                 call_metrics: "_CallPathMetrics | None" = None,
                  uds: bool = False,
                  advertise_host: str = "127.0.0.1") -> None:
         self.node_id = node_id
         self.handler = handler
         self.reply_cache = ReplyCache(shards=8)
+        #: The frame codecs this node's HELLO advertises (what peers may
+        #: compress toward it); :meth:`TcpNetwork.advertise_codecs`
+        #: overrides it for connections established afterwards.
+        self.hello_codecs: tuple[str, ...] = codec.available_codecs()
         self._trace = trace
         self._clock = clock
         self._pool = pool
@@ -1429,14 +1299,7 @@ class _NodeServer:
         self._reactor = reactor
         self._latency_s = latency_s
         self._bytes_per_s = bytes_per_s
-        self._codec_for_peer = codec_for_peer
-        self._handshake = handshake
-        self._hello_codecs = hello_codecs
-        self._codec_for_advertised = codec_for_advertised
-        self._protocol_version = protocol_version
-        self._wire_formats = wire_formats
-        self._binary_enabled = wirecodec.WIRE_FORMAT in wire_formats
-        self._auto_batch = auto_batch
+        self._codec_chooser = codec_chooser
         #: Inline dispatch runs INLINE_KINDS handlers straight on the
         #: reactor loop thread — only when the handler itself declared
         #: those kinds non-blocking (:func:`~repro.net.message.inline_safe`)
@@ -1444,10 +1307,8 @@ class _NodeServer:
         #: the loop for everyone).
         declared = frozenset(getattr(handler, "inline_kinds", ()))
         self._inline_kinds = (
-            declared & INLINE_KINDS
-            if inline_dispatch and latency_s == 0.0 else frozenset()
+            declared & INLINE_KINDS if latency_s == 0.0 else frozenset()
         )
-        self._inline_budget_s = inline_budget_s
         self._inline_strikes = 0     # loop thread only
         self._inline_demoted = False
         self._call_metrics = call_metrics
@@ -1511,57 +1372,16 @@ class _NodeServer:
     def _on_frame(self, state: _ServerConn, ident: int, body: bytes,
                   wire_bytes: int) -> None:
         # Loop thread: decode, trace, route — never execute handlers.
-        # A decode failure propagates and the reactor closes the
-        # connection, exactly as the old serve loop's bail-out did.
+        # A decode failure (or protocol violation) propagates and the
+        # reactor closes the connection.
         # (Link *bandwidth* is already charged: the reactor defers frame
         # delivery by wire_bytes/rate, serializing per connection like a
         # physical link; dispatch *latency* stays on the workers —
         # propagation delay and transmission time are independent.)
-        frame = _decode_frame(ident, body)
-        if isinstance(frame, Hello):
-            # Wire-level: never traced, never dispatched.  Answer only a
-            # connection-opening HELLO (and only when this server
-            # handshakes at all — ``handshake=False`` models a
-            # pre-handshake build that ignores them).
-            if state.first and self._handshake:
-                state.peer.hello = frame
-                state.peer.codecs = (
-                    tuple(frame.codecs)
-                    if frame.version == self._protocol_version
-                    else ()  # mismatched dialect: degrade to raw
-                )
-                state.peer.binary = (
-                    self._binary_enabled
-                    and wirecodec.hello_accepts_binary(
-                        frame, self._protocol_version)
-                )
-                settings: dict = {wirecodec.WIRE_SETTING: self._wire_formats}
-                if self._auto_batch:
-                    settings[_AUTOBATCH_SETTING] = _AUTOBATCH_TOKEN
-                if self.uds_name:
-                    # Same-host facet: peers whose advertised host
-                    # matches dial the Unix socket instead of TCP.
-                    settings[_UDS_SETTING] = (
-                        self._advertise_host, self.port, self.uds_name
-                    )
-                reply = Hello(
-                    version=self._protocol_version,
-                    node_id=self.node_id,
-                    codecs=(self._hello_codecs()
-                            if self._hello_codecs is not None else ()),
-                    settings=settings,
-                )
-                try:
-                    state.conn.send(_encode_hello(reply))
-                except ConnectionError:
-                    pass  # racing teardown; the close callback cleans up
-            state.first = False
+        if state.hello is None:
+            self._accept_hello(state, ident, body)
             return
-        if not isinstance(frame, Message):
-            raise MarshalError(  # protocol violation: close the connection
-                f"expected a Message frame, got {type(frame).__name__}"
-            )
-        state.first = False
+        frame = _decode_frame(ident, body)
         # The reactor measured the frame; thread that through so the
         # trace never pays a second serialization to size the payload.
         self._trace.record(frame, self._clock.now_ms(), nbytes=wire_bytes)
@@ -1575,6 +1395,41 @@ class _NodeServer:
             return
         pool = self._bulk_pool if frame.kind in BULK_KINDS else self._pool
         pool.submit(self._dispatch, state, frame)
+
+    def _accept_hello(self, state: _ServerConn, ident: int,
+                      body: bytes) -> None:
+        """The connection's first frame: admit the peer or refuse it.
+
+        Wire-level: never traced, never dispatched.  A frame that is not
+        a well-formed HELLO raises (the reactor closes the connection).
+        A HELLO of another version or wire format is answered with this
+        node's own — so the dialler can report both sides — and the
+        connection is then closed; ``state.hello`` stays unset, so
+        nothing that arrives meanwhile can reach a handler.
+        """
+        hello = _decode_hello(ident, body)
+        settings: dict = {wirecodec.WIRE_SETTING: wirecodec.WIRE_FORMAT}
+        if self.uds_name:
+            # Same-host facet: peers whose advertised host matches dial
+            # the Unix socket instead of TCP.
+            settings[_UDS_SETTING] = (
+                self._advertise_host, self.port, self.uds_name
+            )
+        answer = _encode_hello(Hello(
+            version=PROTOCOL_VERSION, node_id=self.node_id,
+            codecs=self.hello_codecs, settings=settings,
+        ))
+        admitted = _same_dialect(hello)
+        if admitted:
+            state.hello = hello
+            if not state.same_host:
+                state.codec_for = self._codec_chooser(hello.codecs)
+        try:
+            state.conn.send(answer)
+        except ConnectionError:
+            pass  # racing teardown; the close callback cleans up
+        if not admitted:
+            state.conn.close()  # graceful: the answer drains first
 
     def _inline_eligible(self, frame: Message) -> bool:
         """Only declared-inline kinds — or an auto-batch solely of them."""
@@ -1598,15 +1453,13 @@ class _NodeServer:
         handlers statically), but a misbehaving deployment must degrade
         to the pool rather than starve every connection on the loop.
         """
-        budget = self._inline_budget_s
+        budget = _INLINE_BUDGET_S
         if frame.kind is MessageKind.AUTO_BATCH:
             budget *= len(frame.payload)
         start = time.monotonic()
         self._dispatch(state, frame)
         elapsed = time.monotonic() - start
-        metrics = self._call_metrics
-        if metrics is not None:
-            metrics.record_inline()
+        self._call_metrics.record_inline()
         if elapsed <= budget:
             self._inline_strikes = 0
             return
@@ -1614,8 +1467,7 @@ class _NodeServer:
         demoted = self._inline_strikes >= _INLINE_DEMOTE_STRIKES
         if demoted:
             self._inline_demoted = True
-        if metrics is not None:
-            metrics.record_overrun(demoted)
+        self._call_metrics.record_overrun(demoted)
 
     def _on_conn_closed(self, state: _ServerConn) -> None:
         with self._conn_lock:
@@ -1692,25 +1544,8 @@ class _NodeServer:
     def _send_reply(self, state: _ServerConn, message: Message,
                     payload: ReplyPayload) -> None:
         reply = message.reply(_transmittable_error_payload(payload))
-        peer_codecs = state.peer.codecs
-        codec_for = None
-        if peer_codecs is not None and self._codec_for_advertised is not None:
-            # The connection's HELLO told us what its client decodes:
-            # compress replies per that wire-negotiated advertisement.
-            codec_for = lambda nbytes: self._codec_for_advertised(
-                peer_codecs, nbytes)
-        elif self._codec_for_peer is not None:
-            # Legacy (no-HELLO) connection: fall back to the in-process
-            # advertisement registry keyed by the requesting node.
-            codec_for = lambda nbytes: self._codec_for_peer(message.src, nbytes)
-        if state.same_host:
-            # Same-machine connection: bandwidth is free, CPU is not.
-            codec_for = None
-        hello = state.peer.hello
-        flat = hello is not None and hello.version == self._protocol_version
         try:
-            wire = _encode_frame(reply, codec_for, flat=flat,
-                                 binary=state.peer.binary)
+            wire = _encode_frame(reply, state.codec_for)
         except MarshalError:
             self._trace.record(reply, self._clock.now_ms())
             raise
@@ -1725,17 +1560,15 @@ class _NodeServer:
         """Sever accepted connections whose HELLO identified ``peer``.
 
         Eviction-time hygiene: a forgotten peer's half-open inbound
-        connections — and the per-connection codec/binary negotiation
-        state riding them — must not survive into its re-join, which
-        starts from a fresh handshake.  Connections that never HELLOed
-        cannot be attributed and are left alone (they carry no per-peer
-        state to go stale).
+        connections — and the codec negotiation state riding them — must
+        not survive into its re-join, which starts from a fresh
+        handshake.  Connections still mid-handshake cannot be attributed
+        and are left alone (they carry no per-peer state to go stale).
         """
         with self._conn_lock:
             stale = [
                 state for state in self._conns
-                if state.peer.hello is not None
-                and state.peer.hello.node_id == peer
+                if state.hello is not None and state.hello.node_id == peer
             ]
             for state in stale:
                 self._conns.discard(state)
@@ -1770,7 +1603,7 @@ class TcpNetwork(Transport):
     def __init__(self, clock: Clock | None = None, trace: MessageTrace | None = None,
                  connect_timeout_s: float = 5.0, io_timeout_s: float = 30.0,
                  retry_budget: int = DEFAULT_RETRY_BUDGET,
-                 mode: str = "pipelined", server_workers: int = 8,
+                 server_workers: int = 8,
                  latency_ms: float = 0.0,
                  codecs: tuple[str, ...] | None = None,
                  compress_threshold: int = codec.DEFAULT_COMPRESS_THRESHOLD,
@@ -1778,18 +1611,9 @@ class TcpNetwork(Transport):
                  bind: str = "127.0.0.1",
                  advertise_host: str | None = None,
                  ports: dict[str, int] | None = None,
-                 handshake: bool = True,
                  hello_timeout_s: float = 2.0,
-                 protocol_version: int = PROTOCOL_VERSION,
                  reactor_threads: int = 1,
-                 coalesce_max_bytes: int = 64 * 1024,
-                 coalesce_max_delay_ms: float = 0.0,
-                 wire_formats: tuple[str, ...] | None = None,
                  auto_batch: bool = True,
-                 batch_max_msgs: int = 32,
-                 batch_max_bytes: int = 64 * 1024,
-                 inline_dispatch: bool = True,
-                 inline_budget_ms: float = 1.0,
                  uds: bool = True,
                  local_bypass: bool = True) -> None:
         """``latency_ms`` emulates a slower link (tc-netem style): every
@@ -1799,19 +1623,17 @@ class TcpNetwork(Transport):
         scatter-gather and pipelining buy on a real network.
 
         ``bandwidth_mbps`` emulates link throughput the same way: each
-        received frame charges its *on-wire* bytes against the link rate
-        on the per-connection serve loop, so bulk transfers pay a
-        transmission time loopback would otherwise hide (and compressed
-        frames pay only for their compressed bytes).
+        received frame charges its *on-wire* bytes against the link
+        rate, so bulk transfers pay a transmission time loopback would
+        otherwise hide (and compressed frames pay only for their
+        compressed bytes).
 
         ``codecs`` is the sender-side compression preference order
         (default: every codec this process supports, ``()`` disables
         compression entirely).  A frame is compressed only when it
         reaches ``compress_threshold`` serialized bytes *and* the
-        destination advertises a shared codec — via its connection
-        HELLO, or via :meth:`advertise_codecs` for no-HELLO peers;
-        everything else ships raw, with framing byte-identical to the
-        pre-codec wire format.
+        destination's HELLO advertises a shared codec; everything else
+        ships raw.
 
         Cross-host knobs: ``bind`` is the interface node listeners bind
         (``"0.0.0.0"`` accepts other machines); ``advertise_host`` is
@@ -1820,43 +1642,17 @@ class TcpNetwork(Transport):
         is a wildcard, and must be set explicitly to this machine's
         reachable address in a real multi-host deployment.  ``ports``
         optionally pins ``node_id -> listen port`` (seeds want a fixed,
-        firewall-friendly port; the default remains an ephemeral one).
-        ``handshake=False`` disables the HELLO exchange entirely,
-        reproducing the pre-handshake wire behaviour (useful as the
-        legacy peer in mixed-version tests); ``hello_timeout_s`` bounds
-        how long a new connection waits for the server's HELLO before
-        degrading to raw framing.
+        firewall-friendly port; the default is an ephemeral one).
+        ``hello_timeout_s`` bounds how long a new connection waits for
+        the server's HELLO before the dial fails.
 
-        Data-plane knobs: ``reactor_threads`` sizes the event-loop pool
-        that owns every pooled/pipelined socket (one is right until it
-        saturates a core); ``coalesce_max_bytes`` and
-        ``coalesce_max_delay_ms`` shape adaptive frame coalescing — a
-        connection's queued frames flush when the loop goes idle, the
-        queue crosses the byte watermark, or the oldest frame has waited
-        out the delay, whichever comes first.  The default zero delay
-        flushes at the next loop round (lowest latency, batching only
-        under load); a small delay (0.2–1 ms) trades that latency for
-        bigger batches on throughput-bound workloads.
+        ``reactor_threads`` sizes the event-loop pool that owns every
+        socket (one is right until it saturates a core).
 
-        ``wire_formats`` is the envelope-dialect advertisement carried in
-        ``Hello.settings["wire"]`` (default: this build's schema-compiled
-        binary format).  Two peers use the binary envelope only when both
-        advertised the *identical* format digest; ``()`` models a
-        legacy/pre-codec build, which keeps the pickled-tuple envelope in
-        both directions — mixed-version clusters degrade per connection,
-        never fail.
-
-        Call-path aggregation knobs: ``auto_batch`` coalesces concurrent
-        pipelined calls to one peer into single AUTO_BATCH frames
-        (adaptive — a lone call is never delayed), capped per frame by
-        ``batch_max_msgs`` / ``batch_max_bytes``; the capability is
-        HELLO-negotiated, so a legacy peer (or ``auto_batch=False``)
-        keeps the one-frame-per-call wire.  ``inline_dispatch`` lets
-        allowlisted cheap kinds (:data:`~repro.net.message.INLINE_KINDS`)
-        execute directly on the reactor loop thread under a per-call
-        budget of ``inline_budget_ms`` — repeated overruns demote the
-        fast path back to the worker pool (watch ``inline_overruns`` and
-        ``loop_lag_ewma_ms`` in :meth:`data_plane_metrics`).
+        ``auto_batch`` coalesces this transport's concurrent calls to
+        one peer into single AUTO_BATCH frames (adaptive — a lone call
+        is never delayed).  It is a client-side switch: every server
+        accepts AUTO_BATCH frames.
 
         Same-host fast paths: ``uds`` makes every node listener
         additionally bind an abstract Unix-domain socket, advertised
@@ -1866,19 +1662,15 @@ class TcpNetwork(Transport):
         (and entirely on platforms without ``AF_UNIX``).
         ``local_bypass`` lets RMI stubs on this transport short-circuit
         invokes to servants hosted *in this process* without touching
-        the wire at all (see :class:`repro.rmi.bypass.LocalDispatch`);
-        both default on and exist as off-switches for A/B measurement
-        and for modelling builds that predate the fast paths.
+        the wire at all (see :class:`repro.rmi.bypass.LocalDispatch`).
+        ``auto_batch``, ``uds`` and ``local_bypass`` default on and
+        exist as off-switches for A/B measurement.
         """
         super().__init__(
             clock=clock if clock is not None else WallClock(),
             trace=trace,
             retry_budget=retry_budget,
         )
-        if mode not in MODES:
-            raise ConfigurationError(
-                f"unknown TCP mode {mode!r} (expected one of {MODES})"
-            )
         if latency_ms < 0:
             raise ConfigurationError(f"latency cannot be negative: {latency_ms}")
         if bandwidth_mbps is not None and bandwidth_mbps <= 0:
@@ -1897,27 +1689,6 @@ class TcpNetwork(Transport):
             raise ConfigurationError(
                 f"reactor needs at least one thread: {reactor_threads}"
             )
-        if coalesce_max_bytes <= 0:
-            raise ConfigurationError(
-                f"coalesce_max_bytes must be positive: {coalesce_max_bytes}"
-            )
-        if coalesce_max_delay_ms < 0:
-            raise ConfigurationError(
-                f"coalesce delay cannot be negative: {coalesce_max_delay_ms}"
-            )
-        if batch_max_msgs < 2:
-            raise ConfigurationError(
-                f"batch_max_msgs must be at least 2: {batch_max_msgs}"
-            )
-        if batch_max_bytes <= 0:
-            raise ConfigurationError(
-                f"batch_max_bytes must be positive: {batch_max_bytes}"
-            )
-        if inline_budget_ms <= 0:
-            raise ConfigurationError(
-                f"inline budget must be positive: {inline_budget_ms}"
-            )
-        self.mode = mode
         self.latency_ms = latency_ms
         self.connect_timeout_s = connect_timeout_s
         self.io_timeout_s = io_timeout_s
@@ -1926,19 +1697,8 @@ class TcpNetwork(Transport):
             "127.0.0.1" if bind in ("", "0.0.0.0", "::") else bind
         )
         self._ports = dict(ports) if ports else {}
-        self.handshake = handshake
         self.hello_timeout_s = hello_timeout_s
-        self.protocol_version = protocol_version
-        self.wire_formats = (
-            (wirecodec.WIRE_FORMAT,) if wire_formats is None
-            else tuple(wire_formats)
-        )
-        self._binary_enabled = wirecodec.WIRE_FORMAT in self.wire_formats
         self.auto_batch = auto_batch
-        self.batch_max_msgs = batch_max_msgs
-        self.batch_max_bytes = batch_max_bytes
-        self.inline_dispatch = inline_dispatch
-        self.inline_budget_s = inline_budget_ms / 1000.0
         self.uds = uds and _UDS_SUPPORTED
         self.supports_local_bypass = bool(local_bypass)
         self._call_metrics = _CallPathMetrics()
@@ -1959,86 +1719,37 @@ class TcpNetwork(Transport):
         # path: staging writes and marshalled-state applies never queue
         # behind latency-sensitive calls, and vice versa.
         self._bulk_pool = _WorkerPool(max(2, server_workers // 2), "tcpnet-bulk")
-        self._reactor = Reactor(
-            reactor_threads,
-            max_frame=_MAX_FRAME,
-            coalesce_max_bytes=coalesce_max_bytes,
-            coalesce_max_delay_s=coalesce_max_delay_ms / 1000.0,
-            name="tcpnet",
-        )
+        self._reactor = Reactor(reactor_threads, max_frame=_MAX_FRAME,
+                                name="tcpnet")
 
     # -- codec negotiation ----------------------------------------------------
 
     def advertise_codecs(self, node_id: str, codecs: tuple[str, ...]) -> None:
-        """Override which codecs ``node_id`` accepts from its peers.
+        """Override which codecs the local node ``node_id`` accepts.
 
-        Registration advertises every locally supported codec by default;
-        this models a mixed-codec deployment (a peer built without lz4, or
-        pre-codec entirely via ``()``) — senders then fall back to raw
-        toward that node rather than failing.
-
-        With the HELLO handshake this registry is the *source* of what a
-        local node advertises on the wire (its server's HELLO replies
-        carry it) and the *fallback* for no-HELLO legacy connections;
-        cross-process peers learn it from the handshake, never from this
-        in-process table.  Overrides apply to connections established
-        after the call.
+        A registered node's HELLO advertises every locally supported
+        codec; this models a mixed-codec deployment (a peer built
+        without lz4, or with none at all via ``()``) — senders then fall
+        back to raw toward that node rather than failing.  The override
+        rides the node's HELLOs, so it applies to connections
+        established after the call, and lasts until the node is
+        re-registered (replaced, not resumed).
         """
         for name in codecs:
             codec.codec_id(name)
-        self.set_advertised_codecs(node_id, tuple(codecs))
+        self._server(node_id).hello_codecs = tuple(codecs)
 
-    def peer_codecs(self, node_id: str) -> tuple[str, ...]:
-        """The codecs ``node_id`` advertised (``()`` when unknown → raw).
-
-        This sits on every frame-send path; the advertisement lives in
-        the transport's *sharded* per-peer records, so concurrent
-        channels hash to different stripes instead of serializing behind
-        the node-registry mutex.  A racing (un)registration can at worst
-        yield a stale tuple, which only toggles compression on one
-        frame; the decoder is self-describing, so correctness is
-        unaffected.
-        """
-        advertised = self.advertised_codecs_of(node_id)
-        return advertised if advertised is not None else ()
-
-    def _frame_codec(self, peer: str, nbytes: int) -> int:
-        """The codec id for one ``nbytes`` frame toward ``peer``.
-
-        The registry-advertisement path: used by ``per-call`` sends and
-        by channels whose peer never HELLOed.  Cross-process peers are
-        absent from the registry, so this degrades to raw for them.
-        """
-        return codec.choose_codec(
-            nbytes, self.write_codecs, self.peer_codecs(peer),
-            self.compress_threshold,
-        )
-
-    def _codec_for_advertised(self, advertised: tuple[str, ...],
-                              nbytes: int) -> int:
-        """The codec id for one frame toward a wire-negotiated peer."""
-        return codec.choose_codec(
-            nbytes, self.write_codecs, advertised, self.compress_threshold,
-        )
-
-    def _advertised_for(self, node_id: str) -> tuple[str, ...]:
-        """What ``node_id`` tells peers it decodes (its HELLO payload).
-
-        An :meth:`advertise_codecs` override wins (including an explicit
-        empty tuple — a modelled pre-codec build advertises nothing);
-        otherwise everything this process can decode.
-        """
-        advertised = self.advertised_codecs_of(node_id)
-        return advertised if advertised is not None else codec.available_codecs()
+    def _codec_chooser(self, advertised: tuple[str, ...]):
+        """``nbytes -> codec id`` toward a peer that decodes ``advertised``."""
+        write_codecs, threshold = self.write_codecs, self.compress_threshold
+        return lambda nbytes: codec.choose_codec(
+            nbytes, write_codecs, advertised, threshold)
 
     def negotiated_codecs(self, src: str, dst: str) -> tuple[str, ...] | None:
         """What the live ``src -> dst`` channel's peer HELLO advertised.
 
-        ``None`` when no pooled channel exists or its peer never HELLOed
-        (legacy raw framing); ``()`` when it HELLOed but nothing is
-        shared (e.g. a protocol-version mismatch).  Diagnostic: lets
-        tests and operators confirm negotiation happened *on the wire*
-        rather than through the in-process registry.
+        ``None`` when no live channel exists.  Diagnostic: lets tests
+        and operators confirm what crossed the wire in the handshake.
         """
         with self._chan_lock:
             channel = self._channels.get((src, dst))
@@ -2054,29 +1765,16 @@ class TcpNetwork(Transport):
         # never a missing node.
         server = _NodeServer(node_id, handler, self.trace, self.clock, self._pool,
                              self._bulk_pool, self._reactor,
+                             self._call_metrics, self._codec_chooser,
                              latency_s=self.latency_ms / 1000.0,
                              bytes_per_s=self._bytes_per_s,
-                             codec_for_peer=self._frame_codec,
                              bind_host=self.bind,
                              port=self._ports.get(node_id, 0),
-                             handshake=self.handshake,
-                             hello_codecs=lambda: self._advertised_for(node_id),
-                             codec_for_advertised=self._codec_for_advertised,
-                             protocol_version=self.protocol_version,
-                             wire_formats=self.wire_formats,
-                             auto_batch=self.auto_batch,
-                             inline_dispatch=self.inline_dispatch,
-                             inline_budget_s=self.inline_budget_s,
-                             call_metrics=self._call_metrics,
                              uds=self.uds,
                              advertise_host=self.advertise_host)
         with self._lock:
             old = self._servers.get(node_id)
             self._servers[node_id] = server
-        # A (re-)registering node advertises everything it can decode;
-        # an explicit advertise_codecs override survives re-registration
-        # only if re-issued (the node was replaced, not resumed).
-        self.set_advertised_codecs(node_id, codec.available_codecs())
         if old is not None:
             # Replacing a live node: release its port and sever its
             # connections so in-flight calls fail fast instead of hanging.
@@ -2088,17 +1786,13 @@ class TcpNetwork(Transport):
             server = self._servers.pop(node_id, None)
         if server is not None:
             server.close()
-        # Prune everything remembered about the departed node — codec
-        # advertisement, link EWMA, address-book entry, live channels —
-        # so a long-lived transport carries no state for dead peers.
+        # Prune everything remembered about the departed node — link
+        # EWMA, address-book entry, live channels — so a long-lived
+        # transport carries no state for dead peers.
         self.forget_peer(node_id)
 
     def nodes(self) -> list[str]:
-        """Locally served nodes plus address-book peers (sorted).
-
-        With an empty address book (no cross-host configuration) this is
-        exactly the registered-node list of earlier PRs.
-        """
+        """Locally served nodes plus address-book peers (sorted)."""
         with self._lock:
             local = set(self._servers)
         return sorted(local | set(self.known_peers()))
@@ -2106,13 +1800,16 @@ class TcpNetwork(Transport):
     def max_reply_wait_s(self) -> float | None:
         return self.io_timeout_s
 
-    def port_of(self, node_id: str) -> int:
-        """The TCP port ``node_id`` listens on (for diagnostics)."""
+    def _server(self, node_id: str) -> _NodeServer:
         with self._lock:
             server = self._servers.get(node_id)
         if server is None:
             raise NodeUnreachableError(node_id, "not registered")
-        return server.port
+        return server
+
+    def port_of(self, node_id: str) -> int:
+        """The TCP port ``node_id`` listens on (for diagnostics)."""
+        return self._server(node_id).port
 
     def endpoint_of(self, node_id: str) -> Endpoint | None:
         """Where ``node_id`` can be dialed: a local listener's advertised
@@ -2126,14 +1823,14 @@ class TcpNetwork(Transport):
 
     def forget_peer(self, node_id: str) -> None:
         # One atomic pop drops the peer's whole sharded record — address
-        # book, link EWMA, and codec advertisement together.  Channels
+        # book and link EWMA together.  Channels
         # are closed with ``rescue=False``: the auto-batcher's queued
         # frames fail instead of redialing the node just forgotten.
         super().forget_peer(node_id)
         self._drop_channels(node_id, rescue=False)
         # Server side of the same hygiene: sever accepted connections
         # the forgotten peer opened toward locally served nodes, so a
-        # re-join starts from a fresh handshake (no stale codec/binary
+        # re-join starts from a fresh handshake (no stale codec
         # negotiation state).
         with self._lock:
             servers = list(self._servers.values())
@@ -2209,51 +1906,41 @@ class TcpNetwork(Transport):
             return None
         return sock
 
-    def _client_handshake(
-        self, sock: socket.socket, src: str
-    ) -> tuple[tuple[str, ...] | None, Hello | None]:
-        """Open a new connection with HELLO; returns (peer codecs, hello).
+    def _client_handshake(self, sock: socket.socket, src: str,
+                          dst: str) -> Hello:
+        """Open a new connection with HELLO; returns the server's.
 
         Sends this side's HELLO and waits up to ``hello_timeout_s`` for
-        the server's.  Degrades, never fails: a peer that answers no
-        HELLO in time (a legacy build) or speaks another protocol
-        version yields a raw-only negotiation — ``(None, None)`` and
-        ``((), hello)`` respectively — and the connection proceeds.
-
-        Raises :class:`_HandshakeTimeout` when the wait expires: the
-        timeout may have struck mid-frame (a slow server's HELLO bytes
-        still in flight), in which case ``_recv_exact`` has already
-        consumed part of the frame and the stream can no longer be
-        trusted for framing — the caller must redial rather than reuse
-        this socket.
+        the server's.  No request frame has been written yet, so every
+        failure is a refused dial: a timeout, a hang-up or a first frame
+        that is not a bounded HELLO raises
+        :class:`NodeUnreachableError`; a HELLO of another protocol
+        version or wire format raises :class:`ProtocolMismatchError`.
+        The caller closes the socket on either.
         """
-        settings: dict = {"mode": self.mode, "max_frame": _MAX_FRAME,
-                          wirecodec.WIRE_SETTING: self.wire_formats}
-        if self.auto_batch:
-            settings[_AUTOBATCH_SETTING] = _AUTOBATCH_TOKEN
+        with self._lock:
+            server = self._servers.get(src)
         hello = Hello(
-            version=self.protocol_version,
+            version=PROTOCOL_VERSION,
             node_id=src,
-            codecs=self._advertised_for(src),
-            settings=settings,
+            codecs=(server.hello_codecs if server is not None
+                    else codec.available_codecs()),
+            settings={"max_frame": _MAX_FRAME,
+                      wirecodec.WIRE_SETTING: wirecodec.WIRE_FORMAT},
         )
         try:
-            _send_hello(sock, hello)
             sock.settimeout(self.hello_timeout_s)
-            frame, _nbytes = _recv_any(sock)
-        except (TimeoutError, socket.timeout) as exc:
-            raise _HandshakeTimeout from exc
-        except (ConnectionError, MarshalError, OSError):
-            # The peer hung up (or spoke garbage) on our HELLO; the
-            # first real send will surface unreachability if it's dead.
-            return None, None
-        if not isinstance(frame, Hello):
-            # A reply frame before any request can only be protocol
-            # confusion; treat as un-negotiated.
-            return None, None
-        if frame.version != self.protocol_version:
-            return (), frame  # mismatched dialect: raw, never fail
-        return tuple(frame.codecs), frame
+            sock.sendall(_encode_hello(hello))
+            peer = _recv_hello(sock)
+        except (OSError, MarshalError) as exc:
+            raise NodeUnreachableError(
+                dst, f"handshake failed: {exc}") from exc
+        if not _same_dialect(peer):
+            raise ProtocolMismatchError(
+                dst, PROTOCOL_VERSION, wirecodec.WIRE_FORMAT,
+                peer.version, peer.settings.get(wirecodec.WIRE_SETTING),
+            )
+        return peer
 
     def _channel(self, src: str, dst: str) -> _Channel:
         key = (src, dst)
@@ -2262,52 +1949,26 @@ class TcpNetwork(Transport):
             if channel is not None and not channel.closed:
                 return channel
         sock = self._connect(dst)
-        negotiated: tuple[str, ...] | None = None
-        peer_hello: Hello | None = None
-        if self.handshake:
-            try:
-                negotiated, peer_hello = self._client_handshake(sock, src)
-            except _HandshakeTimeout:
-                # The wait may have expired mid-frame, leaving the read
-                # stream desynced — redial and treat the peer as legacy
-                # (no second HELLO: one slow handshake costs this
-                # channel its compression, never its correctness).
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                sock = self._connect(dst)
-        sock.settimeout(None)  # the reactor owns it; reply timeouts are waiter-side
-        self._learn_peer_uds(dst, peer_hello)
-        channel = _Channel(dst, sock, self._reactor,
-                           serialize=(self.mode == "pooled"),
-                           negotiated=negotiated, peer_hello=peer_hello,
-                           protocol_version=self.protocol_version,
-                           binary_enabled=self._binary_enabled)
-        # Reads the channel's live negotiation state so a HELLO that
-        # straggles in after the handshake window still upgrades the
-        # channel; un-negotiated channels use the registry path (which
-        # is empty — hence raw — for peers this process never hosted).
-        # (Assigned post-construction, but only send paths — which run
-        # after this method returns — ever call it.)
-        if _UDS_SUPPORTED and sock.family == socket.AF_UNIX:
+        try:
+            peer_hello = self._client_handshake(sock, src, dst)
+            sock.settimeout(None)  # reply timeouts are waiter-side
+            self._learn_peer_uds(dst, peer_hello)
             # Same-machine channel: compression saves bandwidth a Unix
             # socket does not consume, so every frame goes raw and the
             # compressor's CPU cost goes with it.
-            channel._codec_for = None
-        else:
-            channel._codec_for = lambda nbytes: (
-                self._frame_codec(dst, nbytes)
-                if channel.negotiated_codecs is None
-                else self._codec_for_advertised(channel.negotiated_codecs, nbytes)
-            )
-        if self.auto_batch and self.mode == "pipelined":
-            # Same post-construction discipline as _codec_for: only
-            # submit_auto — called after this method returns — reads it.
-            channel._batcher = _AutoBatcher(
-                channel, self, self.batch_max_msgs, self.batch_max_bytes,
-                self._call_metrics,
-            )
+            same_host = _UDS_SUPPORTED and sock.family == socket.AF_UNIX
+            channel = _Channel(
+                dst, sock, self._reactor, peer_hello,
+                codec_for=(None if same_host
+                           else self._codec_chooser(peer_hello.codecs)),
+            )  # from here the reactor owns the socket
+        except BaseException:
+            sock.close()
+            raise
+        if self.auto_batch:
+            # Assigned post-construction, but only submit_auto — called
+            # after this method returns — reads it.
+            channel._batcher = _AutoBatcher(channel, self, self._call_metrics)
         with self._chan_lock:
             current = self._channels.get(key)
             if current is not None and not current.closed:
@@ -2316,7 +1977,7 @@ class TcpNetwork(Transport):
             self._channels[key] = channel
         return channel
 
-    def _learn_peer_uds(self, dst: str, hello: "Hello | None") -> None:
+    def _learn_peer_uds(self, dst: str, hello: Hello) -> None:
         """Adopt the Unix-socket facet a server's HELLO advertised.
 
         Recorded through :meth:`connect`'s facet merge, so the address
@@ -2327,7 +1988,7 @@ class TcpNetwork(Transport):
         ``dst``: adopting a mismatched advertisement would re-route —
         and sever — healthy connections on hearsay.
         """
-        if hello is None or not self.uds:
+        if not self.uds:
             return
         spec = hello.settings.get(_UDS_SETTING)
         if (not isinstance(spec, tuple) or len(spec) != 3
@@ -2353,7 +2014,7 @@ class TcpNetwork(Transport):
             channel.close(rescue=rescue)
 
     def open_channels(self) -> int:
-        """How many live pooled connections exist (for tests/diagnostics)."""
+        """How many live client channels exist (for tests/diagnostics)."""
         with self._chan_lock:
             return sum(1 for c in self._channels.values() if not c.closed)
 
@@ -2376,10 +2037,10 @@ class TcpNetwork(Transport):
         if message.kind in ONEWAY_KINDS:
             self.trace.record(message, self.clock.now_ms(), dropped=True)
 
-    def _transmit_pooled(self, message: Message, op):
-        """Send via the pooled channel, with one stale-channel retry.
+    def _via_channel(self, message: Message, op):
+        """Send via the peer's channel, with one stale-channel retry.
 
-        A pooled connection may have died since its last use (the peer
+        A channel may have died since its last use (the peer
         re-registered or unregistered).  ``_ChannelClosedError`` means the
         frame provably never left this side, so reconnecting and resending
         preserves at-most-once; any post-send failure surfaces from ``op``
@@ -2388,7 +2049,7 @@ class TcpNetwork(Transport):
         for _ in range(2):
             try:
                 channel = self._channel(message.src, message.dst)
-            except NodeUnreachableError:
+            except TransportError:  # refused dial: unreachable or mismatched
                 self._record_drop(message)
                 raise
             try:
@@ -2398,65 +2059,23 @@ class TcpNetwork(Transport):
         self._record_drop(message)
         raise NodeUnreachableError(message.dst, "connection lost before send")
 
-    def _reply_timeout_s(self, message: Message) -> float:
-        """The wait budget for one exchange: io timeout capped by deadline."""
+    def _transmit(self, message: Message) -> Message:
         timeout_s = self.io_timeout_s
         if message.deadline is not None:
             timeout_s = min(timeout_s, message.deadline.remaining_s())
-        return timeout_s
-
-    def _per_call_send(self, message: Message, want_reply: bool) -> Message | None:
-        """One fresh-connection exchange (the early-RMI baseline mode)."""
-        try:
-            sock = self._connect(message.dst)
-        except NodeUnreachableError:
-            self._record_drop(message)
-            raise
-        sock.settimeout(max(self._reply_timeout_s(message), 0.001))
-        with sock:
-            try:
-                _send_frame(sock, message,
-                            lambda nbytes: self._frame_codec(message.dst, nbytes))
-                if not want_reply:
-                    return None
-                reply, _nbytes = _recv_frame(sock)
-                return reply
-            except socket.timeout as exc:
-                if message.deadline is not None:
-                    # The caller's budget capped this wait: surface the
-                    # same CallTimeoutError the pooled/pipelined waiters
-                    # raise, so deadline consumers see one error type
-                    # regardless of mode.
-                    raise CallTimeoutError(
-                        f"{message.describe()}: deadline expired awaiting reply"
-                    ) from exc
-                self._record_drop(message)  # one-way only; no-op for calls
-                raise NodeUnreachableError(message.dst, f"io failed: {exc}") from exc
-            except (ConnectionError, OSError) as exc:
-                self._record_drop(message)  # one-way only; no-op for calls
-                raise NodeUnreachableError(message.dst, f"io failed: {exc}") from exc
-
-    def _transmit(self, message: Message) -> Message:
-        if self.mode == "per-call":
-            return self._per_call_send(message, want_reply=True)
-        timeout_s = self._reply_timeout_s(message)
-        return self._transmit_pooled(
+        return self._via_channel(
             message, lambda channel: channel.request(message, timeout_s)
         )
 
     def _transmit_async(self, message: Message, batch: bool) -> CallFuture:
-        """Native futures on the pipelined channel's waiter mechanism.
+        """Native futures on the channel's waiter mechanism.
 
         The frame is written during submission (with the same
         provably-unsent reconnect retry as the blocking path); the returned
-        future is resolved by the channel's reader thread when the matching
-        reply frame arrives.  Issuing N futures before collecting any puts
-        N round trips in flight on the shared connection.  The "per-call"
-        and "pooled" modes keep the base class's eager exchange — their
-        wire protocols carry one exchange at a time by design.
+        future is resolved on the reactor loop when the matching reply
+        frame arrives.  Issuing N futures before collecting any puts N
+        round trips in flight on the shared connection.
         """
-        if self.mode != "pipelined":
-            return super()._transmit_async(message, batch)
         future = _PipelinedCallFuture(message, batch, self.io_timeout_s,
                                       transport=self)
         if message.deadline is not None and message.deadline.expired:
@@ -2468,7 +2087,7 @@ class TcpNetwork(Transport):
         for _ in range(2):
             try:
                 channel = self._channel(message.src, message.dst)
-            except NodeUnreachableError as exc:
+            except TransportError as exc:  # refused dial
                 self._record_drop(message)
                 future._fail(exc)
                 return future
@@ -2480,7 +2099,7 @@ class TcpNetwork(Transport):
                 channel.submit_auto(message, future)
             except _ChannelClosedError:
                 continue  # frame provably never left; reconnect and resend
-            except Exception as exc:  # e.g. MarshalError while pickling
+            except Exception as exc:  # e.g. MarshalError while encoding
                 future._fail(exc)
                 return future
             return future
@@ -2515,7 +2134,7 @@ class TcpNetwork(Transport):
             for _ in range(2):
                 try:
                     channel = self._channel(message.src, message.dst)
-                except NodeUnreachableError as exc:
+                except TransportError as exc:  # refused dial
                     failure = exc
                     break
                 if hasattr(sink, "_channel"):
@@ -2525,7 +2144,7 @@ class TcpNetwork(Transport):
                 except _ChannelClosedError as exc:
                     failure = exc
                     continue
-                except Exception as exc:  # MarshalError while pickling
+                except Exception as exc:  # MarshalError while encoding
                     failure = exc
                     break
                 failure = None
@@ -2539,10 +2158,7 @@ class TcpNetwork(Transport):
                 ))
 
     def _transmit_oneway(self, message: Message) -> None:
-        if self.mode == "per-call":
-            self._per_call_send(message, want_reply=False)
-            return
-        self._transmit_pooled(
+        self._via_channel(
             message, lambda channel: channel.send_oneway(message)
         )
 

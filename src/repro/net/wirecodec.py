@@ -1,47 +1,46 @@
-"""Schema-compiled binary wire codec for the control plane.
+"""Schema-compiled binary wire codec: the envelope every TCP frame carries.
 
-PR 7's reactor moved the data plane off threads; the remaining per-call
-cost is serialization: every envelope and payload was a full ``pickle``
-round trip over a dataclass.  This module replaces pickle on the
-control-plane hot path with codecs **compiled at import time from the
-payload dataclasses themselves**: for each class in
-:mod:`repro.rmi.protocol` (plus :class:`~repro.net.message.ReplyPayload`)
-the field list is read once via :func:`dataclasses.fields` and an
-encoder/decoder pair is generated (``exec``-compiled, no per-field
-dispatch loop at runtime) writing a tagged, length-prefixed binary
-layout.  A whole :class:`~repro.net.message.Message` travels as a
-*binary envelope*: one magic byte, a kind code, flag-gated header
-fields, and the payload in the tagged value encoding.
+Serialization is the per-call cost that remains once the data plane is
+off threads, so the control-plane hot path does not pickle: codecs are
+**compiled at import time from the payload dataclasses themselves**.
+For each class in :mod:`repro.rmi.protocol` (plus
+:class:`~repro.net.message.ReplyPayload`) the field list is read once
+via :func:`dataclasses.fields` and an encoder/decoder pair is generated
+(``exec``-compiled, no per-field dispatch loop at runtime) writing a
+tagged, length-prefixed binary layout.  A whole
+:class:`~repro.net.message.Message` travels as a *binary envelope*: one
+magic byte, a kind code, flag-gated header fields, and the payload in
+the tagged value encoding.
 
-**How negotiation works (the HELLO story, PR 5/7).**  The handshake
-frame (:class:`repro.net.endpoint.Hello`) carries a free-form
-``settings`` map that receivers ignore unknown keys of — the designed
-growth path for wire features.  Each side advertises
-``settings["wire"] = (WIRE_FORMAT,)`` where :data:`WIRE_FORMAT` is
+**How negotiation works.**  There is one dialect and no fallback.  Each
+side's handshake frame (:class:`repro.net.endpoint.Hello`) carries
+``settings["wire"] = WIRE_FORMAT``, where :data:`WIRE_FORMAT` is
 ``"bin1:<digest>"`` and the digest hashes the *entire compiled schema*
-(kind table order plus every class's field layout).  A sender uses the
-binary envelope only toward a peer whose HELLO carried the **same
-version and the same format string**; anyone else — a legacy build, a
-``handshake=False`` peer, or a build whose schema drifted — gets the
-PR 7 flattened pickled-tuple envelope (or the whole-pickle legacy
-format), exactly as before.  Decoding never needs negotiation at all:
-the first byte of a binary envelope is :data:`MAGIC` (0xB1), which can
-never open a pickle stream (protocol ≥2 pickles start with 0x80), so a
-receiver routes each frame by looking at one byte.  SimNetwork never
-touches this module — figure traces stay byte-identical.
+(kind table order plus every class's field layout).  A connection is
+established only when both HELLOs carry the **same protocol version and
+the same format string** (:func:`hello_accepts_binary`); any other peer
+is refused during the handshake with
+:class:`~repro.errors.ProtocolMismatchError`, before a request frame is
+written.  Two peers that do talk therefore share kind codes, class
+codes and field layouts by construction.  After the handshake every
+frame body opens with :data:`MAGIC` (0xB1), which can never open a
+pickle stream (protocol ≥2 pickles start with 0x80); the transport
+closes a connection that sends anything else.  SimNetwork never touches
+this module — figure traces stay byte-identical.
 
 **Zero-copy discipline.**  Encoders append small fields into one
 ``bytearray`` and *flush* large ``bytes``/``memoryview`` fields (state
 blobs, chunk slices — anything ≥ :data:`OOB_THRESHOLD`) as separate
 out-of-band buffers, so a streamed TRANSFER_CHUNK's data never lands in
 an intermediate buffer: the frame reaches the reactor as a buffer list
-and goes out through one ``socket.sendmsg`` (writev).  The pickle
-fallback for unregistered values uses protocol 5 with a
-``buffer_callback`` for the same reason — a ``PickleBuffer`` exported by
-a payload's ``__reduce__`` ships as an out-of-band buffer straight from
-the original bytes.  :class:`~repro.rmi.stub.RemoteRef` rides as a
-registered class of its own, so stubs nested in payload fields (invoke
-targets, registry bindings) never touch the pickle machinery.
+and goes out through one ``socket.sendmsg`` (writev).  Values with no
+registered codec are pickled *inside* the envelope (tag 7) with
+protocol 5 and a ``buffer_callback`` for the same reason — a
+``PickleBuffer`` exported by a payload's ``__reduce__`` ships as an
+out-of-band buffer straight from the original bytes.
+:class:`~repro.rmi.stub.RemoteRef` rides as a registered class of its
+own, so stubs nested in payload fields (invoke targets, registry
+bindings) never touch the pickle machinery.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ from repro.rmi.stub import RemoteRef
 
 #: First byte of every binary envelope.  Pickle streams of protocol ≥ 2
 #: open with 0x80 (the PROTO opcode) and wire-level HELLOs are pickles,
-#: so one byte routes any frame: 0xB1 → binary, anything else → pickle.
+#: so one byte tells an envelope from a HELLO without decoding either.
 MAGIC = 0xB1
 
-#: ``Hello.settings`` key under which wire-format capability is advertised.
+#: ``Hello.settings`` key under which each side states its wire format.
 WIRE_SETTING = "wire"
 
 #: ``bytes`` fields at least this long ship as separate out-of-band
@@ -418,8 +417,8 @@ def _field_kind(annotation: object) -> str:
     annotation — optionals, dicts, ``object`` — uses the tagged value
     encoding, which handles primitives natively and falls back to pickle
     for the rest.  The kind name is part of the schema digest, so
-    changing a mapping here re-negotiates the dialect instead of
-    mis-decoding against an older build.
+    changing a mapping here changes :data:`WIRE_FORMAT` and a build
+    without the change is refused instead of mis-decoded.
     """
     text = annotation if isinstance(annotation, str) else str(
         getattr(annotation, "__name__", ""))
@@ -521,10 +520,10 @@ def _compile_codec(
 
 
 #: Every payload dataclass with a compiled wire codec, in code order.
-#: **Append-only**: the position is the on-wire class code, and the
-#: schema digest (hence :data:`WIRE_FORMAT`) changes whenever this
-#: tuple, a field list, or the MessageKind table changes — mismatched
-#: builds then negotiate down to the pickled envelope automatically.
+#: The position is the on-wire class code.  Codes need not stay stable
+#: across builds: the schema digest (hence :data:`WIRE_FORMAT`) changes
+#: whenever this tuple, a field list, or the MessageKind table changes,
+#: and peers whose digests differ never exchange an envelope.
 REGISTERED_PAYLOADS: tuple[type[Any], ...] = (
     protocol.InvokeRequest,
     protocol.LookupRequest,
@@ -538,7 +537,6 @@ REGISTERED_PAYLOADS: tuple[type[Any], ...] = (
     protocol.TransferChunk,
     protocol.TransferCommit,
     protocol.TransferAbort,
-    protocol.MoveComplete,
     protocol.ClassRequest,
     protocol.ClassPush,
     protocol.InstantiateRequest,
@@ -558,11 +556,6 @@ REGISTERED_PAYLOADS: tuple[type[Any], ...] = (
     RemoteRef,
 )
 
-#: Payload classes deliberately left to the pickle fallback (none today).
-#: magelint's wire-codec coverage check accepts a protocol dataclass only
-#: when it appears in :data:`REGISTERED_PAYLOADS` or here.
-PICKLE_FALLBACK: tuple[type[Any], ...] = ()
-
 _ENC_BY_CLASS: dict[type[Any], tuple[int, _Encoder]] = {}
 _DEC_BY_CODE: list[_Decoder] = []
 _SCHEMAS: list[tuple[str, tuple[tuple[str, str], ...]]] = []
@@ -578,8 +571,8 @@ for _code, _cls in enumerate(REGISTERED_PAYLOADS):
 # The envelope
 # ---------------------------------------------------------------------------
 
-#: Kind code table: position in enum definition order (append-only, like
-#: the payload registry — the digest catches any drift).
+#: Kind code table: position in enum definition order (covered by the
+#: digest, like the payload registry).
 _KINDS: tuple[MessageKind, ...] = tuple(MessageKind)
 _KIND_CODE: dict[MessageKind, int] = {k: i for i, k in enumerate(_KINDS)}
 
@@ -735,11 +728,6 @@ def decode_envelope(b: bytes) -> Message:
     return _r_envelope(b, 1)[0]
 
 
-def is_binary_envelope(blob: bytes) -> bool:
-    """Route one decoded frame body: binary envelope or pickle stream?"""
-    return bool(blob) and blob[0] == MAGIC
-
-
 # ---------------------------------------------------------------------------
 # Negotiation
 # ---------------------------------------------------------------------------
@@ -756,20 +744,16 @@ def _schema_digest() -> str:
     return h.hexdigest()[:12]
 
 
-#: The capability string advertised in ``Hello.settings["wire"]``.  The
+#: The format string each side states in ``Hello.settings["wire"]``.  The
 #: digest covers the kind table and every compiled schema, so two builds
-#: negotiate the binary envelope only when their layouts are *provably*
-#: identical; any drift degrades to the pickled envelope instead of
-#: mis-decoding.
+#: exchange envelopes only when their layouts are *provably* identical;
+#: any drift refuses the connection instead of mis-decoding.
 WIRE_FORMAT = "bin1:" + _schema_digest()
 
 
-def hello_accepts_binary(hello: Hello | None, protocol_version: int) -> bool:
-    """True when ``hello`` negotiated this build's exact binary dialect."""
-    if hello is None or hello.version != protocol_version:
-        return False
-    formats = hello.settings.get(WIRE_SETTING, ())
-    return isinstance(formats, (tuple, list)) and WIRE_FORMAT in formats
+def hello_accepts_binary(hello: Hello) -> bool:
+    """True when ``hello`` states this build's exact wire format."""
+    return bool(hello.settings.get(WIRE_SETTING) == WIRE_FORMAT)
 
 
 # ---------------------------------------------------------------------------

@@ -222,14 +222,6 @@ class TransferAbort:
 
 
 @dataclass(frozen=True)
-class MoveComplete:
-    """Host → original requester: the move finished; object now at ``location``."""
-
-    name: str
-    location: str
-
-
-@dataclass(frozen=True)
 class ClassRequest:
     """Pull a class definition from a node (conditional fetch).
 

@@ -467,24 +467,33 @@ def test_mage008_flags_unregistered_payload(tmp_path):
             protocol.InvokeRequest,
             ReplyPayload,
         )
-        PICKLE_FALLBACK = ()
     """)
     assert symbols == {"GossipDigest"}
 
 
-def test_mage008_clean_when_registered_or_parked(tmp_path):
+def test_mage008_clean_when_registered(tmp_path):
     symbols = _write_wire_fixture(tmp_path, """
         from repro.rmi import protocol
         from repro.net.message import ReplyPayload
 
         REGISTERED_PAYLOADS: "tuple[type, ...]" = (
             protocol.InvokeRequest,
+            protocol.GossipDigest,
             ReplyPayload,
         )
-        # Deliberately pickled: huge dynamic body, measured slower binary.
-        PICKLE_FALLBACK = (protocol.GossipDigest,)
     """)
     assert symbols == set()
+
+
+def test_mage008_accepts_no_other_registry(tmp_path):
+    symbols = _write_wire_fixture(tmp_path, """
+        from repro.rmi import protocol
+        from repro.net.message import ReplyPayload
+
+        REGISTERED_PAYLOADS = (protocol.InvokeRequest, ReplyPayload)
+        PICKLE_FALLBACK = (protocol.GossipDigest,)
+    """)
+    assert symbols == {"GossipDigest"}
 
 
 def test_mage008_silent_without_codec_module(tmp_path):
@@ -498,7 +507,6 @@ def test_mage008_real_registry_covers_real_protocol():
     from repro.rmi import protocol as real_protocol
 
     names = {cls.__name__ for cls in wirecodec.REGISTERED_PAYLOADS}
-    names |= {cls.__name__ for cls in wirecodec.PICKLE_FALLBACK}
     import dataclasses
     declared = {
         name for name, obj in vars(real_protocol).items()

@@ -3,8 +3,8 @@
 Covers the coalescing client (reply-clocked flush, the kick safety
 valve), the aggregating server (parallel sub dispatch, one reply frame),
 reply-id uniqueness under aggregation, failure isolation between
-coalesced sub-calls, at-most-once across retransmission, mixed-version
-interop, and the declared-inline dispatch fast path.
+coalesced sub-calls, at-most-once across retransmission, aggregation
+between two transports, and the declared-inline dispatch fast path.
 """
 
 import threading
@@ -14,21 +14,14 @@ import pytest
 
 from repro.errors import CallTimeoutError
 from repro.net.deadline import Deadline
-from repro.net.endpoint import PROTOCOL_VERSION, Hello
 from repro.net.message import (
     Message,
     MessageKind,
     ReplyPayload,
     inline_safe,
 )
-from repro.net.tcpnet import (
-    _AUTOBATCH_SETTING,
-    _AUTOBATCH_TOKEN,
-    _INLINE_DEMOTE_STRIKES,
-    _Channel,
-    _hello_accepts_autobatch,
-    TcpNetwork,
-)
+from repro.net import tcpnet
+from repro.net.tcpnet import _INLINE_DEMOTE_STRIKES, _Channel, TcpNetwork
 from repro.net.transport import ReplyCache, Transport, gather
 
 
@@ -260,19 +253,7 @@ def _link(a, a_node, b, b_node):
     b.connect(a_node, a.endpoint_of(a_node))
 
 
-class TestMixedVersionInterop:
-    def test_hello_negotiation(self):
-        accepting = Hello(
-            version=PROTOCOL_VERSION, node_id="n",
-            settings={_AUTOBATCH_SETTING: _AUTOBATCH_TOKEN},
-        )
-        assert _hello_accepts_autobatch(accepting, PROTOCOL_VERSION)
-        assert not _hello_accepts_autobatch(None, PROTOCOL_VERSION)
-        assert not _hello_accepts_autobatch(
-            Hello(version=PROTOCOL_VERSION, node_id="n"), PROTOCOL_VERSION
-        )
-        assert not _hello_accepts_autobatch(accepting, PROTOCOL_VERSION + 1)
-
+class TestAcrossTransports:
     def _pressure(self, client, src, dst, gate):
         """Run the coalescing-pressure pattern against a remote server."""
         client.call(src, dst, MessageKind.PING, 0)
@@ -285,25 +266,7 @@ class TestMixedVersionInterop:
         gate.release.set()
         assert hung.result(timeout_s=5.0) == "hung"
 
-    def test_legacy_server_gets_per_call_frames(self):
-        """A peer built without auto-batching negotiates it away: the
-        modern client's backlog flushes as plain per-call frames."""
-        modern = TcpNetwork()
-        legacy = TcpNetwork(auto_batch=False)
-        try:
-            gate = _Gate()
-            modern.register("hub", lambda m: None)
-            legacy.register("old", gate)
-            _link(modern, "hub", legacy, "old")
-            self._pressure(modern, "hub", "old", gate)
-            assert modern.data_plane_metrics().auto_batches == 0
-            kinds = {e.kind for e in legacy.trace.events()}
-            assert not any("AUTO_BATCH" in kind for kind in kinds)
-        finally:
-            modern.shutdown()
-            legacy.shutdown()
-
-    def test_modern_peers_negotiate_aggregation(self):
+    def test_backlog_crosses_as_one_aggregated_frame(self):
         client = TcpNetwork()
         server = TcpNetwork()
         try:
@@ -318,23 +281,6 @@ class TestMixedVersionInterop:
         finally:
             client.shutdown()
             server.shutdown()
-
-    def test_pre_handshake_peer_keeps_working(self):
-        """No HELLO at all (a pre-handshake build): the capability is
-        never negotiated and every call still completes."""
-        net = TcpNetwork(handshake=False)
-        try:
-            gate = _Gate()
-            hung = gate.open(net)
-            futures = [
-                net.call_async("a", "b", MessageKind.PING, i)
-                for i in range(4)
-            ]
-            assert gather(futures) == [10, 11, 12, 13]
-            gate.drain(hung)
-            assert net.data_plane_metrics().auto_batches == 0
-        finally:
-            net.shutdown()
 
 
 class TestInlineDispatch:
@@ -371,11 +317,12 @@ class TestInlineDispatch:
         finally:
             net.shutdown()
 
-    def test_persistent_overruns_demote_the_fast_path(self):
+    def test_persistent_overruns_demote_the_fast_path(self, monkeypatch):
         """A declared handler that keeps blowing its time budget demotes
         this server's inline path permanently — degrade to the pool
         rather than starve the reactor loop."""
-        net = TcpNetwork(inline_budget_ms=0.0001)
+        monkeypatch.setattr(tcpnet, "_INLINE_BUDGET_S", 1e-7)
+        net = TcpNetwork()
         try:
             net.register("a", lambda m: None)
             net.register("b", inline_safe(lambda m: sum(range(5000))))

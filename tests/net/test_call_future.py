@@ -270,18 +270,6 @@ class TestTcpAsync:
         assert future.result() == [i * 10 for i in range(8)]
         assert len(net.trace) - before == 2  # one BATCH frame, one reply
 
-    @pytest.mark.parametrize("mode", ["per-call", "pooled"])
-    def test_non_pipelined_modes_complete_eagerly(self, mode):
-        network = TcpNetwork(mode=mode)
-        try:
-            network.register("a", lambda m: None)
-            network.register("b", lambda m: m.payload)
-            future = network.call_async("a", "b", MessageKind.PING, 5)
-            assert future.done()
-            assert future.result() == 5
-        finally:
-            network.shutdown()
-
 
 class TestFailureIsolation:
     """One bad in-flight call must not corrupt the shared pooled connection."""

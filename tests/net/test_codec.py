@@ -1,70 +1,34 @@
-"""Frame codec: negotiation, thresholds, and byte-identical raw framing."""
+"""Frame codec: negotiation, thresholds, and raw framing."""
 
-import pickle
-import socket
 import struct
 
 import pytest
 
 from repro.errors import MarshalError
-from repro.net import codec
+from repro.net import codec, wirecodec
 from repro.net.message import Message, MessageKind
-from repro.net.tcpnet import TcpNetwork, _recv_frame, _send_frame
-
-
-def _socketpair():
-    a, b = socket.socketpair()
-    a.settimeout(5.0)
-    b.settimeout(5.0)
-    return a, b
-
-
-def _roundtrip(message, codec_for=None):
-    import threading
-
-    a, b = _socketpair()
-    out = {}
-    try:
-        reader = threading.Thread(
-            target=lambda: out.update(zip(("msg", "nbytes"), _recv_frame(b)))
-        )
-        reader.start()
-        _send_frame(a, message, codec_for)
-        reader.join(10.0)
-        return out["msg"], out["nbytes"]
-    finally:
-        a.close()
-        b.close()
+from repro.net.tcpnet import TcpNetwork, _decode_frame, _encode_frame
 
 
 def _wire_bytes(message, codec_for=None):
-    import threading
+    """One encoded frame as the contiguous bytes the socket would carry."""
+    wire = _encode_frame(message, codec_for)
+    if isinstance(wire, bytes):
+        return wire
+    return b"".join(bytes(part) for part in wire)
 
-    a, b = _socketpair()
-    chunks = []
 
-    def drain():
-        while True:
-            chunk = b.recv(65536)
-            if not chunk:
-                return
-            chunks.append(chunk)
-
-    try:
-        reader = threading.Thread(target=drain)
-        reader.start()
-        _send_frame(a, message, codec_for)
-        a.shutdown(socket.SHUT_WR)
-        reader.join(10.0)
-        return b"".join(chunks)
-    finally:
-        a.close()
-        b.close()
+def _roundtrip(message, codec_for=None):
+    """Encode then decode one frame; returns ``(message, wire_bytes)``."""
+    wire = _wire_bytes(message, codec_for)
+    (word,) = struct.unpack(">I", wire[:4])
+    assert word & ((1 << 29) - 1) == len(wire) - 4
+    return _decode_frame(word >> 29, wire[4:]), len(wire)
 
 
 class TestCodecPrimitives:
     def test_raw_id_is_zero(self):
-        # Raw frames must keep the pre-codec prefix bit-for-bit.
+        # A raw frame's header word is its bare body length.
         assert codec.RAW == 0
 
     def test_zlib_always_available(self):
@@ -102,15 +66,30 @@ class TestCodecPrimitives:
 
 
 class TestFrameFormat:
-    def test_sub_threshold_frame_is_byte_identical_to_pre_codec_format(self):
-        """Small control messages must produce the exact pre-PR bytes."""
+    def test_sub_threshold_frame_is_raw_length_plus_envelope(self):
+        """Small control messages ship uncompressed: a bare length word
+        followed by the binary envelope, whatever was negotiated."""
         message = Message(kind=MessageKind.PING, src="a", dst="b")
-        blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        legacy = struct.pack(">I", len(blob)) + blob
+        body = b"".join(wirecodec.encode_envelope(message))
+        raw = struct.pack(">I", len(body)) + body
         compressing = lambda nbytes: codec.choose_codec(
             nbytes, ("zlib",), ("zlib",), codec.DEFAULT_COMPRESS_THRESHOLD)
-        assert _wire_bytes(message, compressing) == legacy
-        assert _wire_bytes(message, None) == legacy
+        assert _wire_bytes(message, compressing) == raw
+        assert _wire_bytes(message, None) == raw
+
+    def test_a_frame_that_is_not_an_envelope_is_refused_undecoded(self):
+        """After the handshake nothing but binary envelopes is decoded —
+        a pickled body raises without ever reaching ``pickle.loads``."""
+        import pickle
+
+        class Bomb:
+            def __reduce__(self):
+                return (pytest.fail, ("the frame body was unpickled",))
+
+        with pytest.raises(MarshalError, match="protocol violation"):
+            _decode_frame(codec.RAW, pickle.dumps(Bomb()))
+        with pytest.raises(MarshalError, match="protocol violation"):
+            _decode_frame(codec.RAW, b"")
 
     def test_large_frame_compresses_and_roundtrips(self):
         message = Message(kind=MessageKind.INVOKE, src="a", dst="b",
@@ -162,10 +141,17 @@ class TestTcpNegotiation:
         finally:
             net.shutdown()
 
-    def test_registration_advertises_local_codecs(self, net):
+    def test_registered_node_hello_advertises_local_codecs(self, net):
+        net.register("src", lambda m: "ok")
         net.register("n1", lambda m: "ok")
-        assert net.peer_codecs("n1") == codec.available_codecs()
-        assert net.peer_codecs("ghost") == ()
+        assert net.negotiated_codecs("src", "n1") is None  # not dialled yet
+        net.call("src", "n1", MessageKind.PING)
+        assert net.negotiated_codecs("src", "n1") == codec.available_codecs()
+
+    def test_advertise_codecs_needs_a_registered_node(self, net):
+        from repro.errors import NodeUnreachableError
+        with pytest.raises(NodeUnreachableError):
+            net.advertise_codecs("ghost", ())
 
     def test_mixed_codec_peer_falls_back_to_raw(self, net, monkeypatch):
         """A peer advertising no codecs gets raw frames — and the call
@@ -173,7 +159,7 @@ class TestTcpNegotiation:
         big = b"state" * 100_000
         net.register("src", lambda m: "ok")
         net.register("legacy", lambda m: len(m.payload))
-        net.advertise_codecs("legacy", ())  # a pre-codec build
+        net.advertise_codecs("legacy", ())  # a build with no codecs
         compressions = []
         real_encode = codec.encode
         monkeypatch.setattr(

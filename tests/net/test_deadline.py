@@ -287,18 +287,3 @@ class TestTcpDeadline:
             assert executed == ["warm"]
         finally:
             slow.shutdown()
-
-    @pytest.mark.parametrize("mode", ["per-call", "pooled"])
-    def test_non_pipelined_modes_honour_deadlines(self, mode):
-        network = TcpNetwork(mode=mode, io_timeout_s=5.0)
-        try:
-            network.register("a", lambda m: None)
-            network.register("b", lambda m: m.payload)
-            assert network.call("a", "b", MessageKind.PING, 7,
-                                deadline=Deadline.after_s(5)) == 7
-            expired = Deadline.after_ms(0)
-            time.sleep(0.002)
-            with pytest.raises(CallTimeoutError):
-                network.call("a", "b", MessageKind.PING, deadline=expired)
-        finally:
-            network.shutdown()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError, NodeUnreachableError
 from repro.net.message import Message, MessageKind
-from repro.net.tcpnet import MODES, TcpNetwork
+from repro.net.tcpnet import TcpNetwork
 
 
 @pytest.fixture
@@ -77,6 +77,22 @@ class TestTcpDelivery:
             t.join()
         assert results == {i: i * 2 for i in range(8)}
 
+    def test_concurrent_calls_share_one_connection(self, net):
+        net.register("client", lambda m: None)
+        net.register("server", lambda m: m.payload)
+        threads = [
+            threading.Thread(
+                target=net.call,
+                args=("client", "server", MessageKind.PING, i),
+            )
+            for i in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert net.open_channels() == 1
+
     def test_trace_records_tcp_messages(self, net):
         net.register("a", lambda m: None)
         net.register("b", lambda m: "ok")
@@ -84,74 +100,6 @@ class TestTcpDelivery:
         kinds = net.trace.kinds()
         assert "PING" in kinds
         assert "REPLY(PING)" in kinds
-
-
-class TestConnectionModes:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_round_trip_in_every_mode(self, mode):
-        net = TcpNetwork(mode=mode)
-        try:
-            net.register("a", lambda m: None)
-            net.register("b", lambda m: ("echo", m.payload))
-            assert net.call("a", "b", MessageKind.PING, 5) == ("echo", 5)
-        finally:
-            net.shutdown()
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_concurrent_calls_in_every_mode(self, mode):
-        net = TcpNetwork(mode=mode)
-        try:
-            net.register("client", lambda m: None)
-            net.register("server", lambda m: m.payload * 2)
-            results = {}
-
-            def worker(i):
-                results[i] = net.call("client", "server", MessageKind.PING, i)
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert results == {i: i * 2 for i in range(8)}
-        finally:
-            net.shutdown()
-
-    def test_pipelined_calls_share_one_connection(self):
-        net = TcpNetwork(mode="pipelined")
-        try:
-            net.register("client", lambda m: None)
-            net.register("server", lambda m: m.payload)
-            threads = [
-                threading.Thread(
-                    target=net.call,
-                    args=("client", "server", MessageKind.PING, i),
-                )
-                for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert net.open_channels() == 1
-        finally:
-            net.shutdown()
-
-    def test_per_call_mode_pools_nothing(self):
-        net = TcpNetwork(mode="per-call")
-        try:
-            net.register("a", lambda m: None)
-            net.register("b", lambda m: "ok")
-            net.call("a", "b", MessageKind.PING)
-            assert net.open_channels() == 0
-        finally:
-            net.shutdown()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TcpNetwork(mode="carrier-pigeon")
 
 
 class TestConfig:
@@ -162,6 +110,16 @@ class TestConfig:
         finally:
             net.shutdown()
 
+    @pytest.mark.parametrize("option", [
+        "mode", "handshake", "protocol_version", "wire_formats",
+        "coalesce_max_bytes", "coalesce_max_delay_ms", "batch_max_msgs",
+        "batch_max_bytes", "inline_dispatch", "inline_budget_ms",
+    ])
+    def test_there_is_one_wire_dialect_and_no_option_to_pick_another(
+            self, option):
+        with pytest.raises(TypeError):
+            TcpNetwork(**{option: None})
+
 
 class TestDropTracing:
     def test_cast_to_unknown_destination_traces_a_drop(self, net):
@@ -171,16 +129,6 @@ class TestDropTracing:
         assert len(dropped) == 1
         assert dropped[0].kind == "AGENT_HOP"
         assert dropped[0].dst == "ghost"
-
-    def test_per_call_cast_to_unknown_destination_traces_a_drop(self):
-        net = TcpNetwork(mode="per-call")
-        try:
-            net.register("a", lambda m: None)
-            net.cast("a", "ghost", MessageKind.AGENT_HOP)
-            dropped = [e for e in net.trace.events() if e.dropped]
-            assert len(dropped) == 1
-        finally:
-            net.shutdown()
 
 
 class TestAtMostOnce:

@@ -1,4 +1,4 @@
-"""The schema-compiled binary wire codec and its HELLO negotiation.
+"""The schema-compiled binary wire codec and its format digest.
 
 Two layers of coverage:
 
@@ -6,10 +6,10 @@ Two layers of coverage:
   through its generated encoder/decoder (including edge values: long
   strings, out-of-band blobs, i64 overflow, subclasses), and the tagged
   value encoding round-trips arbitrary primitive trees (hypothesis).
-* **Mixed-version clusters over real sockets** — a new-codec build and a
-  legacy pickled-envelope build (modelled as ``wire_formats=()``)
-  interoperate in both directions for every registered payload, and the
-  binary dialect is provably used only between matching builds.
+* **Over real sockets** — two transports that share nothing but a
+  connection exchange every registered payload, in both directions, as
+  binary envelopes.  (What happens when the digests differ is
+  ``tests/net/test_handshake.py``'s subject.)
 """
 
 import dataclasses
@@ -83,9 +83,6 @@ SAMPLES = {
     ],
     protocol.TransferAbort: [
         protocol.TransferAbort(transfer_id="t-1", reason="receiver died"),
-    ],
-    protocol.MoveComplete: [
-        protocol.MoveComplete(name="acct", location="n2"),
     ],
     protocol.ClassRequest: [
         protocol.ClassRequest(class_name="Account", if_hash="h1"),
@@ -191,7 +188,7 @@ class TestGeneratedCodecs:
                           payload=payload)
         parts = wirecodec.encode_envelope(message)
         body = b"".join(bytes(p) for p in parts)
-        assert wirecodec.is_binary_envelope(body)
+        assert body[0] == wirecodec.MAGIC
         decoded = wirecodec.decode_envelope(body)
         assert (decoded.kind, decoded.src, decoded.dst, decoded.msg_id) == \
             (message.kind, message.src, message.dst, message.msg_id)
@@ -320,41 +317,25 @@ class TestEnvelope:
     def test_binary_envelope_never_collides_with_pickle(self):
         assert wirecodec.MAGIC == 0xB1
         blob = pickle.dumps(("anything",), pickle.HIGHEST_PROTOCOL)
-        assert not wirecodec.is_binary_envelope(blob)
+        assert blob[0] != wirecodec.MAGIC
 
 
 class TestNegotiation:
     def hello(self, **overrides):
         values = dict(
             version=PROTOCOL_VERSION, node_id="peer", codecs=(),
-            settings={wirecodec.WIRE_SETTING: (wirecodec.WIRE_FORMAT,)},
+            settings={wirecodec.WIRE_SETTING: wirecodec.WIRE_FORMAT},
         )
         values.update(overrides)
         return Hello(**values)
 
     def test_matching_build_accepts_binary(self):
-        assert wirecodec.hello_accepts_binary(self.hello(), PROTOCOL_VERSION)
-
-    def test_no_hello_refuses(self):
-        assert not wirecodec.hello_accepts_binary(None, PROTOCOL_VERSION)
-
-    def test_version_mismatch_refuses(self):
-        hello = self.hello(version=PROTOCOL_VERSION + 1)
-        assert not wirecodec.hello_accepts_binary(hello, PROTOCOL_VERSION)
+        assert wirecodec.hello_accepts_binary(self.hello())
 
     def test_absent_or_foreign_format_refuses(self):
+        assert not wirecodec.hello_accepts_binary(self.hello(settings={}))
         assert not wirecodec.hello_accepts_binary(
-            self.hello(settings={}), PROTOCOL_VERSION)
-        assert not wirecodec.hello_accepts_binary(
-            self.hello(settings={wirecodec.WIRE_SETTING: ("bin1:deadbeef",)}),
-            PROTOCOL_VERSION)
-
-    def test_list_advertisement_accepted(self):
-        """settings survive serialization as lists on some paths; the
-        membership check must not insist on tuples."""
-        hello = self.hello(
-            settings={wirecodec.WIRE_SETTING: [wirecodec.WIRE_FORMAT]})
-        assert wirecodec.hello_accepts_binary(hello, PROTOCOL_VERSION)
+            self.hello(settings={wirecodec.WIRE_SETTING: "bin1:deadbeef"}))
 
     def test_format_digest_tracks_the_schema(self):
         assert wirecodec.WIRE_FORMAT.startswith("bin1:")
@@ -390,10 +371,10 @@ def count_binary_encodes(monkeypatch):
     return encoded
 
 
-class TestMixedVersionClusters:
-    """New-codec and legacy builds in one cluster, over real sockets."""
+class TestOverRealSockets:
+    """Two transports, no shared state, real sockets between them."""
 
-    def test_matching_builds_use_binary_both_ways(self, nets, monkeypatch):
+    def test_envelopes_are_binary_both_ways(self, nets, monkeypatch):
         a, b = nets(), nets()
         a.register("hub", lambda m: m.payload)
         b.register("worker", lambda m: m.payload)
@@ -405,56 +386,13 @@ class TestMixedVersionClusters:
         assert encoded.count(MessageKind.PING) == 2
         assert encoded.count(MessageKind.REPLY) == 2
 
-    def test_new_client_against_legacy_server_stays_pickled(
-            self, nets, monkeypatch):
-        modern = nets()
-        legacy = nets(wire_formats=())  # models a pre-codec build
-        modern.register("hub", lambda m: m.payload)
-        legacy.register("old", lambda m: m.payload)
-        link(modern, "hub", legacy, "old")
-        encoded = count_binary_encodes(monkeypatch)
-        assert modern.call("hub", "old", MessageKind.PING, "x") == "x"
-        assert encoded == []  # degrade, never mis-frame
-
-    def test_legacy_client_against_new_server_stays_pickled(
-            self, nets, monkeypatch):
-        modern = nets()
-        legacy = nets(wire_formats=())
-        modern.register("hub", lambda m: m.payload)
-        legacy.register("old", lambda m: m.payload)
-        link(modern, "hub", legacy, "old")
-        encoded = count_binary_encodes(monkeypatch)
-        assert legacy.call("old", "hub", MessageKind.PING, "y") == "y"
-        assert encoded == []
-
-    def test_schema_drift_degrades_to_pickle(self, nets, monkeypatch):
-        """A build whose compiled schema differs (different digest) must
-        never receive binary frames it would mis-decode."""
-        modern = nets()
-        drifted = nets(wire_formats=("bin1:000000000000",))
-        modern.register("hub", lambda m: m.payload)
-        drifted.register("next", lambda m: m.payload)
-        link(modern, "hub", drifted, "next")
-        encoded = count_binary_encodes(monkeypatch)
-        assert modern.call("hub", "next", MessageKind.PING, 1) == 1
-        assert drifted.call("next", "hub", MessageKind.PING, 2) == 2
-        assert encoded == []
-
     @pytest.mark.parametrize("payload", list(all_samples()))
-    def test_every_payload_crosses_a_mixed_cluster_both_ways(
-            self, nets, payload):
-        """The full payload matrix over real sockets: modern -> legacy
-        rides the pickled envelope, modern -> modern rides binary; both
-        must deliver equivalent values."""
-        modern, peer, legacy = nets(), nets(), nets(wire_formats=())
-        modern.register("hub", lambda m: m.payload)
-        peer.register("worker", lambda m: m.payload)
-        legacy.register("old", lambda m: m.payload)
-        link(modern, "hub", peer, "worker")
-        link(modern, "hub", legacy, "old")
-        echoed = modern.call("hub", "worker", MessageKind.INVOKE, payload)
+    def test_every_payload_crosses_real_sockets_both_ways(self, nets, payload):
+        a, b = nets(), nets()
+        a.register("hub", lambda m: m.payload)
+        b.register("worker", lambda m: m.payload)
+        link(a, "hub", b, "worker")
+        echoed = a.call("hub", "worker", MessageKind.INVOKE, payload)
         assert_equivalent(echoed, payload)
-        echoed = modern.call("hub", "old", MessageKind.INVOKE, payload)
-        assert_equivalent(echoed, payload)
-        echoed = legacy.call("old", "hub", MessageKind.INVOKE, payload)
+        echoed = b.call("worker", "hub", MessageKind.INVOKE, payload)
         assert_equivalent(echoed, payload)

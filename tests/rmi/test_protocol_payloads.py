@@ -1,7 +1,8 @@
 """Wire-payload contracts: every protocol dataclass must survive pickling.
 
-The TCP transport pickles whole messages; any payload that cannot
-round-trip would split the two transports' behaviour.
+The wire codec pickles any value it has no compiled codec for (and a
+payload can nest inside one); any payload that cannot round-trip would
+split the two transports' behaviour.
 """
 
 import pickle
@@ -28,7 +29,6 @@ SAMPLES = [
         class_desc=describe_class(Counter), class_hash="h", origin="a",
         transfer_id="x", shared=False,
     ),
-    protocol.MoveComplete(name="c", location="b"),
     protocol.ClassRequest(class_name="Counter", if_hash="h"),
     protocol.ClassPush(class_name="Counter", source_hash="h",
                        desc=describe_class(Counter)),

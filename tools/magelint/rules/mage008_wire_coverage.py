@@ -15,7 +15,7 @@ MESSAGE_MODULE = "net/message.py"
 EXTRA_PAYLOADS = frozenset({"ReplyPayload"})
 #: Where every payload must be accounted for.
 CODEC_MODULE = "net/wirecodec.py"
-REGISTRY_NAMES = frozenset({"REGISTERED_PAYLOADS", "PICKLE_FALLBACK"})
+REGISTRY_NAME = "REGISTERED_PAYLOADS"
 
 
 class WireCoverageRule(Rule):
@@ -23,15 +23,14 @@ class WireCoverageRule(Rule):
     title = "Protocol payload class missing from the wire-codec registry"
     rationale = """
 The binary wire codec compiles a per-class encoder/decoder for every
-entry in ``net/wirecodec.py``'s ``REGISTERED_PAYLOADS`` tuple; anything
-else rides the generic pickle fallback.  That fallback is *silent*: a
-new payload dataclass added to ``rmi/protocol.py`` but not registered
-still round-trips, so nothing fails — it just quietly pays the pickle
-tax on every hop and skips the cross-version schema digest that keeps
-mixed clusters honest.  This rule closes the loop program-wide: every
-payload dataclass in the protocol module (plus ``ReplyPayload``) must
-appear in ``REGISTERED_PAYLOADS`` or be *deliberately* parked in
-``PICKLE_FALLBACK``, where the choice is visible and reviewable.
+entry in ``net/wirecodec.py``'s ``REGISTERED_PAYLOADS`` tuple; any other
+value is pickled inside the envelope.  That path is *silent*: a new
+payload dataclass added to ``rmi/protocol.py`` but not registered still
+round-trips, so nothing fails — it just quietly pays the pickle tax on
+every hop and stays out of the schema digest that refuses a peer whose
+layout differs.  This rule closes the loop program-wide: every payload
+dataclass in the protocol module (plus ``ReplyPayload``) must appear in
+``REGISTERED_PAYLOADS``.
 """
     example_bad = """
 # rmi/protocol.py
@@ -44,7 +43,7 @@ class GossipDigest:          # new payload ...
 # net/wirecodec.py
 REGISTERED_PAYLOADS = (
     ...,
-    protocol.GossipDigest,   # appended (codes are append-only)
+    protocol.GossipDigest,   # registered: compiled codec, in the digest
 )
 """
 
@@ -89,11 +88,9 @@ REGISTERED_PAYLOADS = (
                 symbol=name,
                 message=(
                     f"payload class `{name}` is not in the wire codec's "
-                    f"REGISTERED_PAYLOADS (or PICKLE_FALLBACK) in "
-                    f"{CODEC_MODULE} — it silently rides the pickle "
-                    f"fallback on every hop; append it to "
-                    f"REGISTERED_PAYLOADS (codes are append-only) or park "
-                    f"it in PICKLE_FALLBACK with a written reason"
+                    f"REGISTERED_PAYLOADS in {CODEC_MODULE} — it is "
+                    f"silently pickled on every hop and missing from the "
+                    f"wire-format digest; add it to REGISTERED_PAYLOADS"
                 ),
             ))
         return findings
@@ -115,7 +112,7 @@ def _registry_entries(node: ast.AST) -> Iterable[str]:
         target, value = node.target, node.value
     else:
         return
-    if not (isinstance(target, ast.Name) and target.id in REGISTRY_NAMES):
+    if not (isinstance(target, ast.Name) and target.id == REGISTRY_NAME):
         return
     if not isinstance(value, (ast.Tuple, ast.List)):
         return
