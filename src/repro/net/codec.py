@@ -116,8 +116,11 @@ def encode(ident: int, blob: bytes) -> bytes:
     raise MarshalError(f"unknown codec id {ident}")
 
 
-def decode(ident: int, blob: bytes, max_size: int) -> bytes:
+def decode(ident: int, blob: "bytes | bytearray",
+           max_size: int) -> "bytes | bytearray":
     """Decompress one received frame body, bounding the inflated size.
+
+    A raw body is returned as the very object that came in.
 
     ``max_size`` guards against decompression bombs: a frame that inflates
     past the transport's frame bound is rejected exactly as an oversized

@@ -12,6 +12,18 @@ loop that owns its sockets outright:
   into length-prefixed frames.  Frames are handed to the owner through
   an ``on_frame(codec_id, body, wire_bytes)`` callback on the loop
   thread — the callback must never block (hand real work to a pool).
+* **Large frames are received in place.**  When a header announces a
+  body of at least :data:`DIRECT_RECV_MIN` bytes that is not yet
+  buffered, the connection allocates one ``bytearray`` of exactly that
+  length (after the ``max_frame`` check — nothing is allocated for a
+  frame that will be refused), moves the already-buffered prefix into
+  it, fills the rest with ``recv_into`` across readable events, and
+  hands *that buffer* to ``on_frame``: the body is written once, by the
+  kernel, and never copied again here.  Smaller frames — and a big one
+  that happened to be wholly buffered already — arrive as ``bytes``
+  sliced out of the receive buffer.  ``on_frame`` therefore takes
+  either; whoever keeps a view of a delivered ``bytearray`` keeps the
+  whole frame alive, and nobody may write to it.
 * **Writes** go through a per-connection queue.  :meth:`Connection.send`
   only enqueues (any thread, never blocks); the loop coalesces queued
   frames into large ``send`` calls — *adaptive frame coalescing*.  A
@@ -60,6 +72,13 @@ LENGTH_MASK = (1 << CODEC_SHIFT) - 1
 #: Largest single ``recv``; big enough to drain a burst of small frames
 #: in one syscall without starving the loop's other connections.
 _RECV_CHUNK = 1 << 18
+
+#: Bodies at least this long are received straight into a buffer of
+#: their own (see "Large frames are received in place" above) and
+#: :mod:`repro.net.wirecodec` decodes their bulk byte fields as views of
+#: that buffer.  Below it a frame is cheaper to slice out of the shared
+#: receive buffer than to give an allocation and a state switch.
+DIRECT_RECV_MIN = 1 << 16
 
 #: Most bytes merged into one ``send`` during a flush.
 _SEND_CAP = 1 << 20
@@ -117,10 +136,14 @@ _DRAIN_TIMEOUT_S = 1.0
 #: Default size watermark for the write coalescer.
 DEFAULT_COALESCE_MAX_BYTES = 64 * 1024
 
+#: A received frame body: ``bytes`` sliced from the receive buffer, or
+#: the ``bytearray`` a large frame was received into.
+FrameBody = bytes | bytearray
+
 #: ``on_frame(codec_id, body, wire_bytes)`` — one parsed frame, on the
 #: loop thread.  Raising tears the connection down with the exception as
 #: the close reason.
-FrameCallback = Callable[[int, bytes, int], None]
+FrameCallback = Callable[[int, FrameBody, int], None]
 #: ``on_closed(reason)`` — exactly once, when the connection dies
 #: (``None`` = orderly EOF or local close).  Runs on the closing thread.
 ClosedCallback = Callable[[Exception | None], None]
@@ -266,6 +289,22 @@ class ReactorMetrics:
         )
 
 
+class _DirectFrame:
+    """A large frame being received in place (loop thread only)."""
+
+    __slots__ = ("ident", "body", "view", "have")
+
+    def __init__(self, ident: int, length: int, buffered: bytearray,
+                 start: int) -> None:
+        self.ident = ident
+        self.body = bytearray(length)
+        self.view = memoryview(self.body)
+        self.have = len(buffered) - start
+        # Through released views: ``buffered`` is resized right after.
+        with memoryview(buffered) as whole, whole[start:] as prefix:
+            self.view[:self.have] = prefix
+
+
 class Connection:
     """One non-blocking socket owned by a reactor loop.
 
@@ -302,6 +341,7 @@ class Connection:
         self._registered = False
         # Read side: loop thread only.
         self._in = bytearray()
+        self._direct: _DirectFrame | None = None  # large frame in progress
         self._rx_ready_at = 0.0         # bandwidth-emulation clock
         self._dead = False              # torn down
         self._write_interest = False
@@ -422,21 +462,45 @@ class Connection:
 
     # -- read path (loop thread only) -----------------------------------------
 
+    def set_max_frame(self, max_frame: int) -> None:
+        """Change this connection's frame bound (loop thread only).
+
+        For an owner that admits a peer in steps: start the connection
+        under a small bound and raise it from inside ``on_frame`` once
+        the peer has proved itself.  Applies to the next header parsed.
+        """
+        self._max_frame = max_frame
+
     def _handle_readable(self) -> None:
         while not self._dead:
+            direct = self._direct
             try:
-                chunk = self._sock.recv(_RECV_CHUNK)
+                if direct is not None:
+                    want = len(direct.body) - direct.have
+                    got = self._sock.recv_into(direct.view[direct.have:])
+                else:
+                    want = _RECV_CHUNK
+                    chunk = self._sock.recv(_RECV_CHUNK)
+                    got = len(chunk)
             except (BlockingIOError, InterruptedError):
                 return
             except (ConnectionError, OSError) as exc:
                 self._teardown(exc)
                 return
-            if not chunk:
-                self._teardown(None)  # orderly EOF
+            if not got:
+                self._teardown(None)  # orderly EOF (mid-frame: nothing delivered)
                 return
-            self._in += chunk
-            self._parse_frames()
-            if len(chunk) < _RECV_CHUNK:
+            if direct is not None:
+                direct.have += got
+                if got == want:
+                    self._direct = None
+                    direct.view.release()
+                    self._accept_frame(direct.ident, direct.body,
+                                       HEADER.size + len(direct.body))
+            else:
+                self._in += chunk
+                self._parse_frames()
+            if got < want:
                 return  # socket drained for now
 
     def _parse_frames(self) -> None:
@@ -457,6 +521,13 @@ class Connection:
                 ))
                 return
             if len(buf) - offset < header + length:
+                if length >= DIRECT_RECV_MIN:
+                    # Everything buffered past the header belongs to this
+                    # body: move it into the frame's own buffer and let
+                    # _handle_readable receive the rest in place.
+                    self._direct = _DirectFrame(ident, length, buf,
+                                                offset + header)
+                    offset = len(buf)
                 break
             body = bytes(buf[offset + header:offset + header + length])
             offset += header + length
@@ -464,7 +535,7 @@ class Connection:
         if offset:
             del buf[:offset]
 
-    def _accept_frame(self, ident: int, body: bytes, wire: int) -> None:
+    def _accept_frame(self, ident: int, body: FrameBody, wire: int) -> None:
         if self._bytes_per_s is None:
             self._deliver(ident, body, wire)
             return
@@ -476,7 +547,7 @@ class Connection:
         self._rx_ready_at = ready_at
         self._loop._defer(ready_at, self, ident, body, wire)
 
-    def _deliver(self, ident: int, body: bytes, wire: int) -> None:
+    def _deliver(self, ident: int, body: FrameBody, wire: int) -> None:
         try:
             self._on_frame(ident, body, wire)
         except Exception as exc:
@@ -595,6 +666,7 @@ class Connection:
         if self._dead:
             return
         self._dead = True
+        self._direct = None  # a half-received frame is never delivered
         with self._lock:
             self._closed = True
             self._out.clear()
@@ -672,7 +744,7 @@ class Listener:
 
 
 #: A bandwidth-deferred frame: (ready_at, seq, connection, codec, body, wire).
-_Deferred = tuple[float, int, Connection, int, bytes, int]
+_Deferred = tuple[float, int, Connection, int, FrameBody, int]
 
 
 class _Loop:
@@ -817,7 +889,7 @@ class _Loop:
             pass
 
     def _defer(self, ready_at: float, conn: Connection, ident: int,
-               body: bytes, wire: int) -> None:
+               body: FrameBody, wire: int) -> None:
         self._defer_seq += 1
         heapq.heappush(
             self._deferred, (ready_at, self._defer_seq, conn, ident, body, wire)
@@ -988,17 +1060,21 @@ class Reactor:
 
     def add_connection(self, sock: socket.socket, on_frame: FrameCallback,
                        on_closed: ClosedCallback, *,
-                       bytes_per_s: float | None = None) -> Connection:
+                       bytes_per_s: float | None = None,
+                       max_frame: int | None = None) -> Connection:
         """Adopt ``sock``; frames flow through the callbacks immediately.
 
         The returned connection accepts :meth:`Connection.send` at once
         (writes queue until the loop registers the socket, preserving
         order).  ``bytes_per_s`` enables bandwidth-emulated delivery.
+        ``max_frame`` starts this connection under a bound of its own
+        (an accepted socket whose peer has proved nothing yet); the
+        owner lifts it with :meth:`Connection.set_max_frame`.
         """
         loop = self._pick_loop()
         conn = Connection(
             loop, sock, on_frame, on_closed,
-            max_frame=self._max_frame,
+            max_frame=self._max_frame if max_frame is None else max_frame,
             coalesce_max_bytes=self._coalesce_max_bytes,
             coalesce_max_delay_s=self._coalesce_max_delay_s,
             bytes_per_s=bytes_per_s,

@@ -125,6 +125,7 @@ from repro.net.message import (
 from repro.net.reactor import (
     Connection,
     DataPlaneStats,
+    FrameBody,
     Listener,
     Reactor,
     _bucket,
@@ -144,9 +145,11 @@ _MAX_FRAME = 64 * 1024 * 1024  # 64 MiB: a generous bound on one message
 
 #: Bound on a HELLO frame's body.  The HELLO comes from a peer nothing
 #: has verified yet, so it gets its own small bound instead of the
-#: message bound: the dialling side refuses a longer one before reading
-#: its body, the accepting side (whose reactor delivers whole frames)
-#: before decoding it.
+#: message bound, and both sides refuse a longer one at its header,
+#: before reading or allocating anything for the body: the dialler in
+#: :func:`_recv_hello`, the accepting side by starting each accepted
+#: connection under this frame bound (lifted to :data:`_MAX_FRAME` once
+#: the HELLO is admitted).
 _HELLO_MAX_BYTES = 64 * 1024
 
 # The frame header is one 32-bit word: the top 3 bits carry the codec id
@@ -325,8 +328,11 @@ def _frame_nbytes(wire: "bytes | list[bytes | memoryview]") -> int:
     return sum(len(part) for part in wire)
 
 
-def _decode_frame(ident: int, body: bytes) -> Message:
+def _decode_frame(ident: int, body: FrameBody) -> Message:
     """Decompress + decode one post-handshake frame body.
+
+    The message's bulk byte fields may be views of ``body`` (see
+    :mod:`repro.net.wirecodec`); nothing here copies it.
 
     Every frame after the HELLO exchange is a binary envelope, which
     opens with :data:`wirecodec.MAGIC`.  Anything else — a second HELLO,
@@ -358,7 +364,7 @@ def _encode_hello(hello: Hello) -> bytes:
     return _LENGTH_PREFIX.pack(len(blob)) + blob
 
 
-def _decode_hello(ident: int, body: bytes) -> Hello:
+def _decode_hello(ident: int, body: FrameBody) -> Hello:
     """The first frame of a connection: a raw, bounded, pickled HELLO.
 
     The only place a frame body is unpickled; a body that is oversized,
@@ -648,7 +654,8 @@ class _Channel:
 
     # -- reactor callbacks (loop thread; must not block) ----------------------
 
-    def _on_frame(self, ident: int, body: bytes, wire_bytes: int) -> None:
+    def _on_frame(self, ident: int, body: FrameBody,
+                  wire_bytes: int) -> None:
         # A decode failure (or a frame that is not a binary envelope)
         # propagates: the reactor tears the connection down with it, and
         # _on_closed fails every waiter.
@@ -1360,6 +1367,7 @@ class _NodeServer:
             lambda ident, body, wire: self._on_frame(state, ident, body, wire),
             lambda reason: self._on_conn_closed(state),
             bytes_per_s=self._bytes_per_s,
+            max_frame=_HELLO_MAX_BYTES,  # until _accept_hello admits the peer
         )
         state.conn = conn
         with self._conn_lock:
@@ -1369,7 +1377,7 @@ class _NodeServer:
         if closing:
             conn.close(graceful=False)
 
-    def _on_frame(self, state: _ServerConn, ident: int, body: bytes,
+    def _on_frame(self, state: _ServerConn, ident: int, body: FrameBody,
                   wire_bytes: int) -> None:
         # Loop thread: decode, trace, route — never execute handlers.
         # A decode failure (or protocol violation) propagates and the
@@ -1397,7 +1405,7 @@ class _NodeServer:
         pool.submit(self._dispatch, state, frame)
 
     def _accept_hello(self, state: _ServerConn, ident: int,
-                      body: bytes) -> None:
+                      body: FrameBody) -> None:
         """The connection's first frame: admit the peer or refuse it.
 
         Wire-level: never traced, never dispatched.  A frame that is not
@@ -1422,6 +1430,7 @@ class _NodeServer:
         admitted = _same_dialect(hello)
         if admitted:
             state.hello = hello
+            state.conn.set_max_frame(_MAX_FRAME)
             if not state.same_host:
                 state.codec_for = self._codec_chooser(hello.codecs)
         try:

@@ -41,6 +41,23 @@ out-of-band buffer straight from the original bytes.
 :class:`~repro.rmi.stub.RemoteRef` rides as a registered class of its
 own, so stubs nested in payload fields (invoke targets, registry
 bindings) never touch the pickle machinery.
+
+**Byte fields on the receive side.**  A frame body reaches the decoder
+as ``bytes`` or, for a large frame, as the ``bytearray`` the reactor
+received it into (:data:`repro.net.reactor.DIRECT_RECV_MIN`).  A byte
+field decodes to ``bytes`` — never to a slice of that ``bytearray`` —
+with one exception: the *bulk fields* listed in :data:`_BULK_FIELDS`,
+plus the result blob of an INVOKE reply, decode to a read-only
+``memoryview`` of the frame body once they are at least
+``DIRECT_RECV_MIN`` long, so a megabyte of marshalled state is not
+copied between the socket and the unpickler.  Those are exactly the
+fields whose consumers (:func:`repro.rmi.marshal.unmarshal`, the
+mover's staging) read any bytes-like object; a raw ``bytes`` payload
+for an arbitrary handler still arrives as ``bytes``, and so do the
+results inside an aggregated AUTO_BATCH reply, whose decoder cannot
+tell which request each answers.  A view pins the whole frame body for
+as long as it is referenced.  Every length is checked against the end
+of the body before it is sliced.
 """
 
 from __future__ import annotations
@@ -54,6 +71,7 @@ from typing import Any, Callable
 from repro.net.deadline import Deadline
 from repro.net.endpoint import Hello
 from repro.net.message import Message, MessageKind, ReplyPayload
+from repro.net.reactor import DIRECT_RECV_MIN, FrameBody
 from repro.rmi import protocol
 from repro.rmi.stub import RemoteRef
 
@@ -81,7 +99,7 @@ _I64_MAX = (1 << 63) - 1
 Parts = "list[bytes | memoryview] | None"
 
 _Encoder = Callable[[Any, bytearray, Any], None]
-_Decoder = Callable[[bytes, int], "tuple[Any, int]"]
+_Decoder = Callable[[FrameBody, int], "tuple[Any, int]"]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +118,7 @@ def _w_str(value: str, buf: bytearray) -> None:
     buf += b
 
 
-def _r_str(b: bytes, o: int) -> tuple[str, int]:
+def _r_str(b: FrameBody, o: int) -> tuple[str, int]:
     n = b[o]
     o += 1
     if n == 255:
@@ -132,11 +150,28 @@ def _w_bytes(value: Any, buf: bytearray,
         buf += value
 
 
-def _r_bytes(b: bytes, o: int) -> tuple[bytes, int]:
+def _r_bytes(b: FrameBody, o: int,
+             bulk: bool = False) -> "tuple[bytes | memoryview, int]":
+    """One byte field: ``bytes``, or a read-only view of ``b`` when the
+    field is ``bulk`` (see the module docstring) and large."""
     (n,) = _U32.unpack_from(b, o)
     o += 4
     end = o + n
-    return b[o:end], end
+    if end > len(b):
+        raise ValueError(f"byte field of {n} bytes overruns the frame")
+    if bulk and n >= DIRECT_RECV_MIN:
+        return memoryview(b)[o:end].toreadonly(), end
+    if type(b) is bytes:
+        return b[o:end], end
+    with memoryview(b) as whole:
+        return bytes(whole[o:end]), end
+
+
+def _r_anybulk(b: FrameBody, o: int) -> tuple[Any, int]:
+    """A tagged value whose ``bytes`` form (tag 6) is a bulk byte field."""
+    if b[o] == 6:
+        return _r_bytes(b, o + 1, True)
+    return _r_any(b, o)
 
 
 def _w_strtuple(value: "tuple[str, ...]", buf: bytearray) -> None:
@@ -150,7 +185,7 @@ def _w_strtuple(value: "tuple[str, ...]", buf: bytearray) -> None:
         _w_str(item, buf)
 
 
-def _r_strtuple(b: bytes, o: int) -> "tuple[tuple[str, ...], int]":
+def _r_strtuple(b: FrameBody, o: int) -> "tuple[tuple[str, ...], int]":
     count = b[o]
     o += 1
     if count == 255:
@@ -261,13 +296,13 @@ def _w_pickle(value: Any, buf: bytearray,
         _w_bytes(pb.raw(), buf, parts)
 
 
-def _r_pickle(b: bytes, o: int) -> tuple[Any, int]:
+def _r_pickle(b: FrameBody, o: int) -> tuple[Any, int]:
     blob, o = _r_bytes(b, o)
     count = b[o]
     o += 1
     value: Any
     if count:
-        buffers: list[bytes] = []
+        buffers: list[bytes | memoryview] = []
         for _ in range(count):
             raw, o = _r_bytes(b, o)
             buffers.append(raw)
@@ -277,7 +312,7 @@ def _r_pickle(b: bytes, o: int) -> tuple[Any, int]:
     return value, o
 
 
-def _r_any(b: bytes, o: int) -> tuple[Any, int]:
+def _r_any(b: FrameBody, o: int) -> tuple[Any, int]:
     tag = b[o]
     o += 1
     if tag == 0:
@@ -368,7 +403,7 @@ def _w_dict(value: "dict[Any, Any]", buf: bytearray,
     buf += blob
 
 
-def _r_dict(b: bytes, o: int) -> "tuple[dict[Any, Any], int]":
+def _r_dict(b: FrameBody, o: int) -> "tuple[dict[Any, Any], int]":
     """Inverse of :func:`_w_dict` (both formats)."""
     fmt = b[o]
     o += 1
@@ -432,8 +467,20 @@ def _field_kind(annotation: object) -> str:
     return "any"
 
 
+#: The bulk byte fields: decoded as read-only views of the frame body
+#: once large (module docstring, "Byte fields on the receive side").
+#: Everything that reads them accepts any bytes-like object.  On the
+#: wire they are laid out exactly like ``bytes`` / ``any`` fields.
+_BULK_FIELDS: dict[type[Any], tuple[str, ...]] = {
+    protocol.InvokeRequest: ("args_blob",),
+    protocol.ObjectTransfer: ("state_blob",),
+    protocol.TransferChunk: ("data",),
+}
+_BULK_KIND = {"bytes": "bulk", "any": "anybulk"}
+
+
 def _compile_codec(
-    cls: type[Any],
+    cls: type[Any], bulk: tuple[str, ...] = (),
 ) -> tuple[_Encoder, _Decoder, tuple[tuple[str, str], ...]]:
     """Generate the encoder/decoder pair for one payload dataclass.
 
@@ -441,8 +488,12 @@ def _compile_codec(
     ``__dict__.update`` — the frozen-dataclass ``__init__`` pays one
     ``object.__setattr__`` per field, which is most of pickle's decode
     cost for these records and pure overhead for wire-validated input.
+    ``bulk`` names the fields to decode as bulk byte fields.
     """
-    spec = tuple((f.name, _field_kind(f.type)) for f in dataclass_fields(cls))
+    kinds = {f.name: _field_kind(f.type) for f in dataclass_fields(cls)}
+    for name in bulk:
+        kinds[name] = _BULK_KIND[kinds[name]]
+    spec = tuple(kinds.items())
     enc_src = ["def _enc(p, buf, parts):"]
     dec_src = ["def _dec(b, o):"]
     for i, (name, kind) in enumerate(spec):
@@ -465,6 +516,12 @@ def _compile_codec(
         elif kind == "bytes":
             enc_src.append(f"    _w_bytes(p.{name}, buf, parts)")
             dec_src.append(f"    v{i}, o = _r_bytes(b, o)")
+        elif kind == "bulk":
+            enc_src.append(f"    _w_bytes(p.{name}, buf, parts)")
+            dec_src.append(f"    v{i}, o = _r_bytes(b, o, True)")
+        elif kind == "anybulk":
+            enc_src.append(f"    _w_any(p.{name}, buf, parts)")
+            dec_src.append(f"    v{i}, o = _r_anybulk(b, o)")
         elif kind == "i64":
             # Tagged fixed-width fast path: an out-of-range int (never
             # seen for counts/sizes/indices) degrades to the pickle tag,
@@ -510,7 +567,7 @@ def _compile_codec(
         "_w_bytes": _w_bytes, "_w_any": _w_any,
         "_w_strtuple": _w_strtuple, "_w_dict": _w_dict,
         "_w_pickle": _w_pickle,
-        "_r_bytes": _r_bytes, "_r_any": _r_any,
+        "_r_bytes": _r_bytes, "_r_any": _r_any, "_r_anybulk": _r_anybulk,
         "_r_strtuple": _r_strtuple, "_r_dict": _r_dict,
         "_I64": _I64, "_F64": _F64, "_U32": _U32,
         "_cls": cls, "_new": object.__new__,
@@ -561,10 +618,18 @@ _DEC_BY_CODE: list[_Decoder] = []
 _SCHEMAS: list[tuple[str, tuple[tuple[str, str], ...]]] = []
 
 for _code, _cls in enumerate(REGISTERED_PAYLOADS):
-    _enc, _dec, _spec = _compile_codec(_cls)
+    _enc, _dec, _spec = _compile_codec(_cls, _BULK_FIELDS.get(_cls, ()))
     _ENC_BY_CLASS[_cls] = (_code, _enc)
     _DEC_BY_CODE.append(_dec)
     _SCHEMAS.append((_cls.__name__, _spec))
+
+#: The decoder table for the payload of a reply to INVOKE: its value is
+#: the marshalled result, which :func:`repro.rmi.marshal.unmarshal`
+#: reads, so it is a bulk byte field there — and only there, a reply to
+#: any other kind hands its value to whoever made the call.
+_DEC_FOR_INVOKE_REPLY: list[_Decoder] = list(_DEC_BY_CODE)
+_DEC_FOR_INVOKE_REPLY[_ENC_BY_CLASS[ReplyPayload][0]] = _compile_codec(
+    ReplyPayload, ("value",))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +644,7 @@ _KIND_CODE: dict[MessageKind, int] = {k: i for i, k in enumerate(_KINDS)}
 _FLAG_IN_REPLY_TO = 1
 _FLAG_REPLY_TO_ID = 2
 _FLAG_DEADLINE = 4
+_INVOKE = MessageKind.INVOKE
 
 
 def _w_envelope(message: Message, buf: bytearray,
@@ -667,7 +733,7 @@ def encode_envelope(message: Message) -> list[bytes | memoryview]:
     return parts
 
 
-def _r_envelope(b: bytes, o: int) -> tuple[Message, int]:
+def _r_envelope(b: FrameBody, o: int) -> tuple[Message, int]:
     """Inverse of :func:`_w_envelope`: one envelope body at offset ``o``."""
     kind = _KINDS[b[o]]
     flags = b[o + 1]
@@ -695,9 +761,12 @@ def _r_envelope(b: bytes, o: int) -> tuple[Message, int]:
     msg_id = b[o:end].decode("utf-8")
     o = end
     in_reply_to = None
+    decoders = _DEC_BY_CODE
     if flags & _FLAG_IN_REPLY_TO:
         in_reply_to = _KINDS[b[o]]
         o += 1
+        if in_reply_to is _INVOKE:
+            decoders = _DEC_FOR_INVOKE_REPLY
     reply_to_id = ""
     if flags & _FLAG_REPLY_TO_ID:
         reply_to_id, o = _r_str(b, o)
@@ -707,7 +776,7 @@ def _r_envelope(b: bytes, o: int) -> tuple[Message, int]:
         o += 8
         deadline = Deadline.after_s(remaining_s)
     if b[o] == 8:
-        payload, o = _DEC_BY_CODE[b[o + 1]](b, o + 2)
+        payload, o = decoders[b[o + 1]](b, o + 2)
     else:
         payload, o = _r_any(b, o)
     message = Message.__new__(Message)
@@ -723,8 +792,12 @@ def _r_envelope(b: bytes, o: int) -> tuple[Message, int]:
     return message, o
 
 
-def decode_envelope(b: bytes) -> Message:
-    """Inverse of :func:`encode_envelope` (input: one contiguous body)."""
+def decode_envelope(b: FrameBody) -> Message:
+    """Inverse of :func:`encode_envelope` (input: one contiguous body).
+
+    Bulk byte fields of the message may be views of ``b`` (module
+    docstring): the caller gives ``b`` up to the message.
+    """
     return _r_envelope(b, 1)[0]
 
 
@@ -768,7 +841,7 @@ def encode_value(value: Any) -> bytes:
     return bytes(buf)
 
 
-def decode_value(blob: bytes) -> Any:
+def decode_value(blob: FrameBody) -> Any:
     """Inverse of :func:`encode_value`; rejects trailing garbage."""
     value, end = _r_any(blob, 0)
     if end != len(blob):

@@ -34,6 +34,12 @@ pickler and its buffer are reused per thread (memo cleared, buffer
 rewound): building both afresh costs more than encoding a small argument
 list.  Out-of-band buffer handling for ``*_blob``-bearing payloads lives
 one layer down in :mod:`repro.net.wirecodec`.
+
+The inverse direction copies as little: :func:`unmarshal` reads a blob
+in whatever form it arrived — ``bytes``, a view of a received frame, or
+the chunks of a streamed transfer in order — through a file object that
+hands the unpickler slices of it, so the only copy of a large ``bytes``
+value is the unpickler's own ``readinto`` of the object it builds.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from __future__ import annotations
 import io
 import pickle
 import threading
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, NoReturn, Sequence
 
 from repro.errors import MarshalError
 from repro.rmi.stub import RemoteRef, Stub, detached_stub
@@ -78,8 +84,79 @@ class _MagePickler(pickle.Pickler):
         return NotImplemented
 
 
+#: One contiguous piece of a marshalled blob.
+Buffer = bytes | bytearray | memoryview
+
+#: What :func:`unmarshal` reads: a whole blob, or its pieces in order (a
+#: ``list``/``tuple`` of buffers — the staged chunks of a streamed move).
+Blob = Buffer | Sequence[Buffer]
+
+
+class _BlobReader:
+    """The file a :class:`pickle.Unpickler` reads a blob's pieces from.
+
+    Nothing is joined or copied up front.  ``read`` returns a slice of
+    the current piece (the unpickler takes any buffer) and only a read
+    that straddles two pieces builds a ``bytes``; ``readinto`` — how
+    protocol 5 fills a large ``bytes``/``bytearray`` it is building —
+    copies straight from the pieces into the unpickler's object.
+    """
+
+    __slots__ = ("_pieces", "_index", "_offset")
+
+    def __init__(self, pieces: Sequence[Buffer]) -> None:
+        self._pieces = [memoryview(piece) for piece in pieces]
+        self._index = 0     # piece being read
+        self._offset = 0    # bytes of it already consumed
+
+    def nbytes(self) -> int:
+        return sum(piece.nbytes for piece in self._pieces)
+
+    def readinto(self, target: Any) -> int:
+        out = memoryview(target)
+        filled = 0
+        while filled < len(out) and self._index < len(self._pieces):
+            piece = self._pieces[self._index]
+            take = min(len(out) - filled, len(piece) - self._offset)
+            out[filled:filled + take] = piece[self._offset:self._offset + take]
+            filled += take
+            self._offset += take
+            if self._offset == len(piece):
+                self._index += 1
+                self._offset = 0
+        return filled
+
+    def read(self, n: int) -> Buffer:
+        if self._index < len(self._pieces):
+            piece = self._pieces[self._index]
+            end = self._offset + n
+            if end <= len(piece):
+                data = piece[self._offset:end]
+                if end == len(piece):
+                    self._index += 1
+                    self._offset = 0
+                else:
+                    self._offset = end
+                return data
+        gathered = bytearray(n)
+        del gathered[self.readinto(gathered):]
+        return gathered
+
+    def readline(self) -> bytes:
+        # Only text-mode opcodes (protocols 0-1) read lines outside a
+        # frame; marshal writes protocol 5.  Correct, not fast.
+        line = bytearray()
+        while not line.endswith(b"\n"):
+            byte = self.read(1)
+            if not byte:
+                break
+            line += byte
+        return bytes(line)
+
+
 class _MageUnpickler(pickle.Unpickler):
-    def __init__(self, file: io.BytesIO, stub_factory: StubFactory) -> None:
+    def __init__(self, file: "io.BytesIO | _BlobReader",
+                 stub_factory: StubFactory) -> None:
         super().__init__(file)
         self._stub_factory = stub_factory
 
@@ -181,19 +258,30 @@ def marshal(value: Any) -> bytes:
         scratch.busy = False
 
 
-def unmarshal(blob: bytes, stub_factory: StubFactory | None = None) -> Any:
+def unmarshal(blob: Blob, stub_factory: StubFactory | None = None) -> Any:
     """Deserialize wire bytes, re-attaching stubs via ``stub_factory``.
+
+    ``blob`` is read where it lies: exact ``bytes`` through a
+    ``BytesIO`` (which shares their buffer), any other buffer — or a
+    ``list``/``tuple`` of buffers holding the blob's pieces in order —
+    through :class:`_BlobReader`.  The result never aliases ``blob``.
 
     Without a factory, embedded stubs come back *detached* (usable as refs,
     raising if invoked).
     """
     factory = stub_factory if stub_factory is not None else detached_stub
+    file: io.BytesIO | _BlobReader
+    if type(blob) is bytes:
+        file = io.BytesIO(blob)
+    else:
+        file = _BlobReader(blob if isinstance(blob, (list, tuple)) else (blob,))
     try:
-        return _MageUnpickler(io.BytesIO(blob), factory).load()
+        return _MageUnpickler(file, factory).load()
     except MarshalError:
         raise
     except Exception as exc:
-        raise MarshalError(f"cannot unmarshal {len(blob)}-byte blob: {exc}") from exc
+        nbytes = len(blob) if type(blob) is bytes else file.nbytes()
+        raise MarshalError(f"cannot unmarshal {nbytes}-byte blob: {exc}") from exc
 
 
 def marshalled_size(value: Any) -> int:
@@ -207,7 +295,7 @@ def marshal_call(args: "tuple[Any, ...]", kwargs: "dict[str, Any]") -> bytes:
 
 
 def unmarshal_call(
-    blob: bytes,
+    blob: Blob,
     stub_factory: StubFactory | None = None,
     *,
     context: str = "",

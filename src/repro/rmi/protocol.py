@@ -25,7 +25,7 @@ class InvokeRequest:
 
     name: str
     method: str
-    args_blob: bytes  # marshalled (args, kwargs)
+    args_blob: bytes  # marshalled (args, kwargs); a view of the frame when large
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class ObjectTransfer:
 
     name: str
     class_name: str
-    state_blob: bytes
+    state_blob: bytes            # a view of the frame it arrived in when large
     class_desc: "object | None"  # repro.rmi.classdesc.ClassDescriptor | None
     class_hash: str
     origin: str                  # node the object departed
@@ -161,37 +161,34 @@ class TransferPrepare:
 class TransferChunk:
     """One slice of a streamed transfer's marshalled state.
 
-    ``data`` is a zero-copy ``memoryview`` slice over the sender's state
-    blob — chunking never re-copies the blob on the send path.  Pickling
-    (see ``__reduce__``) wraps the view in a *transient*
+    ``data`` is a ``memoryview`` at both ends, and no end copies it.  The
+    sender slices it out of its state blob and the wire codec gathers it
+    into ``sendmsg`` from there; the receiver gets a read-only view of
+    the frame it arrived in (plain ``bytes`` when the chunk is under
+    :data:`repro.net.reactor.DIRECT_RECV_MIN`), which the mover stages
+    as it is — so a staged chunk keeps its whole frame alive until
+    COMMIT, ABORT or the staging reaper drops it.  On the in-process
+    simulated network the payload crosses by reference and the receiver
+    stages the sender's view.
+
+    Pickling (see ``__reduce__``) wraps the view in a *transient*
     :class:`pickle.PickleBuffer`, which protocol 5 serializes in-band
-    straight from the original bytes; the receiver then sees plain
-    ``bytes``.  The PickleBuffer must not live on the dataclass itself:
-    it holds a buffer export on the view, and a garbage-collected cycle
-    containing an exported memoryview crashes CPython's ``tp_clear`` —
-    creating it only for the duration of the dump keeps the resident
-    payload export-free.  On the in-process simulated network the payload
-    crosses by reference; :meth:`data_bytes` normalizes either form.
+    straight from the original bytes.  The PickleBuffer must not live on
+    the dataclass itself: it holds a buffer export on the view, and a
+    garbage-collected cycle containing an exported memoryview crashes
+    CPython's ``tp_clear`` — creating it only for the duration of the
+    dump keeps the resident payload export-free.
     """
 
     transfer_id: str
     index: int
-    data: "object"  # memoryview on the send path; bytes after the wire
+    data: "object"  # bytes | memoryview (kept loose: the wire tags it)
 
     def __reduce__(self):
         data = self.data
         if isinstance(data, memoryview):
             data = pickle.PickleBuffer(data)
         return (TransferChunk, (self.transfer_id, self.index, data))
-
-    def data_bytes(self) -> bytes:
-        """The chunk payload as ``bytes``, whatever form it arrived in."""
-        data = self.data
-        if isinstance(data, bytes):
-            return data
-        if isinstance(data, memoryview):
-            return data.tobytes()
-        return bytes(data)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,9 @@ stream as a **two-phase pipeline** instead:
 ``TRANSFER_CHUNK`` × N
     windowed, pipelined slices of the marshalled state
     (:meth:`Transport.stream`), each a zero-copy ``memoryview`` view of
-    the blob on the send path.  Chunks accumulate in the staging slot.
+    the blob on the send path.  Chunks accumulate in the staging slot
+    in the form they arrived in — views of their received frames — and
+    COMMIT unpickles from that sequence without joining it.
 ``TRANSFER_COMMIT``
     atomically verifies completeness, unpacks, registers, and acks; only
     now does the object exist at the target, and only on this ack does
@@ -67,7 +69,7 @@ from repro.net.deadline import Deadline, effective_deadline
 from repro.net.message import MessageKind
 from repro.net.transport import CallFuture, Transport
 from repro.rmi.classdesc import ClassDescriptor, describe_class
-from repro.rmi.marshal import StubFactory, marshal, unmarshal
+from repro.rmi.marshal import Blob, StubFactory, marshal, unmarshal
 from repro.rmi.protocol import (
     ClassPush,
     ClassRequest,
@@ -106,8 +108,7 @@ def _zero_copy_slice(view: memoryview, start: int, end: int) -> Any:
     A plain ``memoryview`` slice: :class:`TransferChunk.__reduce__` wraps
     it in a transient ``pickle.PickleBuffer`` at dump time, which protocol
     5 serializes in-band straight from the original blob — so chunking an
-    8 MB state costs zero intermediate copies on the send path.  (The
-    receiver normalizes via :meth:`TransferChunk.data_bytes`.)
+    8 MB state costs zero intermediate copies on the send path.
     """
     return view[start:end]
 
@@ -119,7 +120,7 @@ class _StagedTransfer:
 
     prepare: TransferPrepare
     expires_at: float                       # monotonic reap point
-    chunks: dict[int, bytes] = field(default_factory=dict)
+    chunks: "dict[int, bytes | memoryview]" = field(default_factory=dict)
     received_bytes: int = 0
 
 
@@ -196,8 +197,20 @@ class _TransferShard:
                     expires_at=time.monotonic() + prep.ttl_ms / 1000.0,
                 )
 
-    def add_chunk(self, chunk: TransferChunk, data: bytes,
-                  node_id: str) -> None:
+    def add_chunk(self, chunk: TransferChunk, node_id: str) -> None:
+        """Stage ``chunk.data`` as it arrived, within the PREPARE's bounds.
+
+        A staged view pins the frame it arrived in, so a stream must not
+        be able to stage more than it declared: an index outside the
+        PREPARE's chunk count, or data past its byte total, is refused
+        here rather than at COMMIT.
+        """
+        data = chunk.data
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise MigrationError(
+                f"transfer {chunk.transfer_id!r}: chunk {chunk.index} "
+                f"carries {type(data).__name__}, not bytes"
+            )
         with self._lock:
             if chunk.transfer_id in self._seen:
                 return  # committed already; late retransmission
@@ -207,9 +220,22 @@ class _TransferShard:
                     f"no staged transfer {chunk.transfer_id!r} at "
                     f"{node_id!r} (PREPARE missing, aborted, or reaped)"
                 )
-            if chunk.index not in entry.chunks:
-                entry.chunks[chunk.index] = data
-                entry.received_bytes += len(data)
+            if chunk.index in entry.chunks:
+                return  # retransmitted chunk
+            prep = entry.prepare
+            if not 0 <= chunk.index < prep.chunk_count:
+                raise MigrationError(
+                    f"transfer {chunk.transfer_id!r}: chunk index "
+                    f"{chunk.index} outside its {prep.chunk_count} chunks"
+                )
+            if entry.received_bytes + len(data) > prep.total_bytes:
+                raise MigrationError(
+                    f"transfer {chunk.transfer_id!r}: chunk {chunk.index} "
+                    f"({len(data)} bytes) overruns its {prep.total_bytes} "
+                    f"bytes ({entry.received_bytes} staged)"
+                )
+            entry.chunks[chunk.index] = data
+            entry.received_bytes += len(data)
 
     def claim_commit(self, commit: TransferCommit,
                      node_id: str) -> _StagedTransfer:
@@ -344,8 +370,12 @@ class Mover:
         state = getstate() if callable(getstate) else dict(obj.__dict__)
         return marshal(state)
 
-    def unpack(self, cls: type, state_blob: bytes) -> Any:
-        """Rebuild an instance from migrated state (honours ``__setstate__``)."""
+    def unpack(self, cls: type, state_blob: Blob) -> Any:
+        """Rebuild an instance from migrated state (honours ``__setstate__``).
+
+        ``state_blob`` is anything :func:`~repro.rmi.marshal.unmarshal`
+        reads: the blob, a view of it, or its staged chunks in order.
+        """
         obj = cls.__new__(cls)
         state = unmarshal(state_blob, self._stub_factory)
         setstate = getattr(obj, "__setstate__", None)
@@ -815,10 +845,7 @@ class Mover:
 
     def receive_chunk(self, chunk: TransferChunk) -> str:
         """Accumulate one streamed slice in its staging slot."""
-        data = chunk.data_bytes()  # normalize outside the lock (may copy)
-        self._xfer_shard(chunk.transfer_id).add_chunk(
-            chunk, data, self.node_id
-        )
+        self._xfer_shard(chunk.transfer_id).add_chunk(chunk, self.node_id)
         return "ok"
 
     def commit(self, commit: TransferCommit) -> str:
@@ -838,11 +865,10 @@ class Mover:
         try:
             entry = shard.claim_commit(commit, self.node_id)
             prep = entry.prepare
-            state_blob = b"".join(
-                entry.chunks[i] for i in range(prep.chunk_count)
-            )
             cls = self._class_for(prep)
-            obj = self.unpack(cls, state_blob)
+            obj = self.unpack(
+                cls, [entry.chunks[i] for i in range(prep.chunk_count)]
+            )
             self._apply(prep.name, obj, prep.shared, commit.transfer_id)
         finally:
             shard.end_apply(commit.transfer_id)

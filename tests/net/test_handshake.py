@@ -20,6 +20,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.errors import (
 from repro.net import codec, wirecodec
 from repro.net.endpoint import PROTOCOL_VERSION, Endpoint, Hello
 from repro.net.message import Message, MessageKind
+from repro.net.reactor import FrameError
 from repro.net.tcpnet import _HELLO_MAX_BYTES, TcpNetwork
 
 BIG = b"state" * 100_000  # well above the compress threshold
@@ -542,6 +544,58 @@ class TestServerRefusesABadClient:
             assert isinstance(pickle.loads(read_frame(sock)), Hello)
             sock.sendall(violation + REQUEST)
             assert read_until_eof(sock) == []
+
+    def test_nothing_is_allocated_before_the_hello(self, nets, monkeypatch):
+        """A first header declaring 32 MiB is refused at the header.
+
+        The accepted connection runs under the HELLO bound until its
+        HELLO is admitted, so the reactor neither waits for the body nor
+        makes room for it.
+        """
+        net = nets(uds=False)
+        net.register("worker", lambda m: "pong")
+        reasons = []
+        adopt = net._reactor.add_connection
+
+        def spy(sock, on_frame, on_closed, **kwargs):
+            def closed(reason):
+                reasons.append(reason)
+                on_closed(reason)
+            return adopt(sock, on_frame, closed, **kwargs)
+
+        monkeypatch.setattr(net._reactor, "add_connection", spy)
+        tracemalloc.start()
+        try:
+            with socket.create_connection(
+                    net.endpoint_of("worker").address()) as sock:
+                sock.settimeout(5.0)
+                sock.sendall(struct.pack(">I", 32 << 20))  # header only
+                assert read_until_eof(sock) == []  # hung up without a body
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # (The peer sees the FIN a moment before the close is reported.)
+        assert _settles_to(lambda: len(reasons), 1) == 1
+        assert isinstance(reasons[0], FrameError)
+        assert peak < (4 << 20), f"{peak} bytes allocated for a stranger"
+        # One byte over the bound is refused as well; the bound itself
+        # is a HELLO's to use.
+        with socket.create_connection(
+                net.endpoint_of("worker").address()) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(struct.pack(">I", _HELLO_MAX_BYTES + 1))
+            assert read_until_eof(sock) == []
+        assert _settles_to(lambda: len(reasons), 2) == 2
+        assert isinstance(reasons[1], FrameError)
+        other = nets(uds=False)
+        other.register("hub", lambda m: "ok")
+        other.connect("worker", net.endpoint_of("worker"))
+        assert other.call("hub", "worker", MessageKind.PING) == "pong"
+        # An admitted peer's frames run under the message bound.
+        big = os.urandom(1 << 20)
+        net.register("echo", lambda m: len(m.payload))
+        other.connect("echo", net.endpoint_of("echo"))
+        assert other.call("hub", "echo", MessageKind.PING, big) == len(big)
 
     def test_silent_client_holds_nothing_up(self, nets):
         net = nets(uds=False)

@@ -17,10 +17,19 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.reactor import CODEC_SHIFT, HEADER, Reactor
+from repro.net.reactor import (
+    CODEC_SHIFT,
+    DIRECT_RECV_MIN,
+    HEADER,
+    FrameError,
+    Reactor,
+)
 
 #: Generous deadline for cross-thread assertions on a noisy box.
 WAIT_S = 5.0
@@ -56,6 +65,7 @@ class FrameSink:
     def __init__(self) -> None:
         self.frames: list[tuple[int, bytes]] = []
         self.closed = threading.Event()
+        self.closed_calls = 0
         self.close_reason: Exception | None = None
         self._lock = threading.Lock()
 
@@ -65,6 +75,7 @@ class FrameSink:
 
     def on_closed(self, reason: Exception | None) -> None:
         self.close_reason = reason
+        self.closed_calls += 1
         self.closed.set()
 
     def snapshot(self) -> list[tuple[int, bytes]]:
@@ -247,3 +258,136 @@ def test_concurrent_senders_never_interleave_frames(reactor):
     assert received == [per_sender] * senders
     assert not buf and not sink.closed.is_set()
     theirs.close()
+
+
+# -- large frames are received in place ---------------------------------------
+
+#: Body sizes around the direct-receive threshold, and well past one recv.
+SIZES = (0, 1, DIRECT_RECV_MIN - 1, DIRECT_RECV_MIN, DIRECT_RECV_MIN + 1,
+         256 * 1024, 1024 * 1024)
+_RAMP = bytes(range(251))  # prime period: a shifted body never compares equal
+
+
+def body_of(size: int, salt: int) -> bytes:
+    ramp = _RAMP[salt:] + _RAMP[:salt]
+    return (ramp * (size // len(ramp) + 1))[:size]
+
+
+def deliver(stream: bytes, cuts: list[int], **reactor_kwargs) -> FrameSink:
+    """Write ``stream`` in the pieces ``cuts`` delimit, then EOF; returns
+    the sink once the reactor has reported the close (no sleeps: the EOF
+    is the synchronisation)."""
+    reactor_kwargs.setdefault("max_frame", 1 << 22)
+    reactor = Reactor(**reactor_kwargs)
+    ours, theirs = socket.socketpair()
+    sink = FrameSink()
+    try:
+        reactor.add_connection(ours, sink.on_frame, sink.on_closed)
+        theirs.settimeout(WAIT_S)
+        edges = sorted({0, len(stream), *(c % (len(stream) + 1) for c in cuts)})
+        for start, end in zip(edges, edges[1:]):
+            try:
+                theirs.sendall(stream[start:end])
+            except OSError:
+                break  # the reactor refused the stream and hung up
+        theirs.close()
+        assert sink.closed.wait(WAIT_S)
+    finally:
+        theirs.close()
+        reactor.close()
+    return sink
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from(SIZES), min_size=1, max_size=4),
+    codecs=st.lists(st.integers(0, 7), min_size=4, max_size=4),
+    cuts=st.lists(st.integers(0, 1 << 23), max_size=6),
+    near=st.lists(st.tuples(st.integers(0, 4), st.integers(-5, 9)), max_size=4),
+)
+def test_any_frame_sequence_survives_any_write_splitting(sizes, codecs,
+                                                         cuts, near):
+    """Frames of any size around the threshold, cut anywhere, arrive intact.
+
+    ``near`` adds cuts a few bytes either side of a frame boundary — the
+    splits that land inside a header, or leave a big body one byte short.
+    """
+    sent = [(codecs[i], body_of(size, i)) for i, size in enumerate(sizes)]
+    stream = b"".join(frame(body, codec) for codec, body in sent)
+    starts = [0]
+    for _codec, body in sent:
+        starts.append(starts[-1] + HEADER.size + len(body))
+    cuts = cuts + [max(0, starts[min(i, len(sent))] + delta)
+                   for i, delta in near]
+    sink = deliver(stream, cuts)
+    assert sink.close_reason is None
+    assert sink.closed_calls == 1
+    got = sink.snapshot()
+    assert [(ident, len(body)) for ident, body in got] == \
+        [(codec, len(body)) for codec, body in sent]
+    assert [(ident, bytes(body)) for ident, body in got] == sent
+
+
+def test_small_frame_glued_behind_a_big_one_is_delivered():
+    big, small = body_of(1 << 20, 3), b"tail"
+    sink = deliver(frame(big) + frame(small, 2), [])
+    (ident0, body0), (ident1, body1) = sink.snapshot()
+    # The big body cannot have been wholly buffered by one recv, so it
+    # was received in place and handed over as its own buffer ...
+    assert type(body0) is bytearray and ident0 == 0 and body0 == big
+    # ... and what followed it went through the ordinary parser.
+    assert type(body1) is bytes and (ident1, body1) == (2, small)
+
+
+def test_eof_inside_a_directly_received_frame_delivers_nothing():
+    stream = frame(b"whole") + HEADER.pack(1 << 20) + body_of(300 * 1024, 0)
+    sink = deliver(stream, [])
+    assert sink.snapshot() == [(0, b"whole")]
+    assert sink.close_reason is None and sink.closed_calls == 1
+
+
+def test_max_frame_is_enforced_before_the_buffer_exists():
+    tracemalloc.start()
+    try:
+        sink = deliver(HEADER.pack(32 << 20) + b"x" * 4096, [],
+                       max_frame=1 << 20)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(sink.close_reason, FrameError)
+    assert sink.snapshot() == [] and sink.closed_calls == 1
+    assert peak < (1 << 20), f"{peak} bytes allocated for a refused frame"
+
+
+def test_per_connection_frame_bound_is_lifted_from_inside_on_frame():
+    """``add_connection(max_frame=)`` + ``set_max_frame``: the HELLO gate."""
+    reactor = Reactor(max_frame=1 << 22)
+    ours, theirs = socket.socketpair()
+    sink = FrameSink()
+    conns = []
+
+    def on_frame(ident: int, body: bytes, wire: int) -> None:
+        sink.on_frame(ident, body, wire)
+        conns[0].set_max_frame(1 << 22)  # the peer has introduced itself
+
+    try:
+        conns.append(reactor.add_connection(
+            ours, on_frame, sink.on_closed, max_frame=1024))
+        big = body_of(1 << 20, 1)
+        theirs.sendall(frame(b"hello") + frame(big))
+        theirs.close()
+        assert sink.closed.wait(WAIT_S)
+        assert sink.close_reason is None
+        assert [bytes(b) for _i, b in sink.snapshot()] == [b"hello", big]
+        # Without the introduction the same second frame is refused.
+        ours2, theirs2 = socket.socketpair()
+        strict = FrameSink()
+        reactor.add_connection(ours2, strict.on_frame, strict.on_closed,
+                               max_frame=1024)
+        theirs2.sendall(HEADER.pack(1025))
+        assert strict.closed.wait(WAIT_S)
+        assert isinstance(strict.close_reason, FrameError)
+        theirs2.close()
+    finally:
+        theirs.close()
+        reactor.close()

@@ -309,6 +309,86 @@ class TestEnvelope:
             b"".join(bytes(p) for p in parts))
         assert bytes(decoded.payload.data) == BIG_BLOB
 
+    @staticmethod
+    def _body(message, as_type):
+        return as_type(b"".join(
+            bytes(p) for p in wirecodec.encode_envelope(message)))
+
+    @pytest.mark.parametrize("as_type", [bytes, bytearray])
+    def test_bulk_fields_decode_as_readonly_views_of_the_body(self, as_type):
+        big = bytes(range(256)) * 300  # > DIRECT_RECV_MIN
+        cases = [
+            (Message(kind=MessageKind.TRANSFER_CHUNK, src="a", dst="b",
+                     payload=protocol.TransferChunk("t", 0, memoryview(big))),
+             lambda m: m.payload.data),
+            (Message(kind=MessageKind.INVOKE, src="a", dst="b",
+                     payload=protocol.InvokeRequest("n", "m", big)),
+             lambda m: m.payload.args_blob),
+            (Message(kind=MessageKind.OBJECT_TRANSFER, src="a", dst="b",
+                     payload=protocol.ObjectTransfer(
+                         "n", "C", big, None, "h", "a", "t")),
+             lambda m: m.payload.state_blob),
+            (Message(kind=MessageKind.INVOKE, src="a", dst="b",
+                     payload=None).reply(ReplyPayload(value=big)),
+             lambda m: m.payload.value),
+        ]
+        for message, field in cases:
+            body = self._body(message, as_type)
+            got = field(wirecodec.decode_envelope(body))
+            assert type(got) is memoryview and got.readonly, message.kind
+            assert got.obj is body and got == big
+
+    @pytest.mark.parametrize("as_type", [bytes, bytearray])
+    def test_every_other_byte_field_decodes_as_bytes(self, as_type):
+        big = bytes(range(256)) * 300
+        small = b"s" * 100
+        cases = [
+            # raw payload for an arbitrary handler, and its reply
+            (Message(kind=MessageKind.PING, src="a", dst="b", payload=big),
+             lambda m: m.payload),
+            (Message(kind=MessageKind.PING, src="a", dst="b",
+                     payload=None).reply(ReplyPayload(value=big)),
+             lambda m: m.payload.value),
+            # a byte field nobody listed as bulk
+            (Message(kind=MessageKind.INSTANTIATE, src="a", dst="b",
+                     payload=protocol.InstantiateRequest("C", "n", big)),
+             lambda m: m.payload.args_blob),
+            # bulk fields under the threshold
+            (Message(kind=MessageKind.INVOKE, src="a", dst="b",
+                     payload=protocol.InvokeRequest("n", "m", small)),
+             lambda m: m.payload.args_blob),
+            (Message(kind=MessageKind.TRANSFER_CHUNK, src="a", dst="b",
+                     payload=protocol.TransferChunk("t", 0, small)),
+             lambda m: m.payload.data),
+            # bytes nested in a pickled value
+            (Message(kind=MessageKind.PING, src="a", dst="b",
+                     payload={"k": [big]}),
+             lambda m: m.payload["k"][0]),
+        ]
+        for message, field in cases:
+            got = field(wirecodec.decode_envelope(
+                self._body(message, as_type)))
+            assert type(got) is bytes, (message.kind, type(got))
+
+    @pytest.mark.parametrize("as_type", [bytes, bytearray])
+    def test_byte_field_longer_than_the_body_is_refused(self, as_type):
+        for payload in (protocol.InvokeRequest("n", "m", b"x" * 70_000),
+                        b"y" * 5000):
+            body = self._body(Message(kind=MessageKind.INVOKE, src="a",
+                                      dst="b", payload=payload), as_type)
+            with pytest.raises(ValueError, match="overruns the frame"):
+                wirecodec.decode_envelope(body[:-1])
+
+    def test_bulk_fields_keep_their_wire_layout(self):
+        """Only the decoder differs: a bulk field is written exactly as a
+        ``bytes`` / tagged field was, so envelope sizes do not move."""
+        chunk = protocol.TransferChunk("t", 0, b"abc")
+        assert wirecodec.encode_value(chunk)[-8:] == \
+            b"\x06" + (3).to_bytes(4, "big") + b"abc"
+        invoke = protocol.InvokeRequest("n", "m", b"abc")
+        assert wirecodec.encode_value(invoke)[-7:] == \
+            (3).to_bytes(4, "big") + b"abc"
+
     def test_small_messages_are_one_buffer(self):
         message = Message(kind=MessageKind.PING, src="a", dst="b")
         parts = wirecodec.encode_envelope(message)

@@ -55,6 +55,52 @@ class TestRoundTrip:
         assert marshalled_size(b"x" * 1000) > 1000
 
 
+class TestBlobForms:
+    """``unmarshal`` reads a blob where it lies: bytes, a view, or pieces."""
+
+    VALUE = {"big": bytes(range(256)) * 1200, "ba": bytearray(b"q" * 70_000),
+             "tree": [list(range(300)), "s" * 70_000], "n": None}
+
+    @pytest.mark.parametrize("wrap", [
+        bytes, bytearray, memoryview,
+        lambda blob: memoryview(bytearray(blob)).toreadonly(),
+    ], ids=["bytes", "bytearray", "memoryview", "readonly-view"])
+    def test_any_buffer(self, wrap):
+        assert unmarshal(wrap(marshal(self.VALUE))) == self.VALUE
+
+    @given(piece=st.integers(1, 400_000))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_pieces_of_any_size(self, piece):
+        blob = marshal(self.VALUE)
+        view = memoryview(blob)
+        pieces = [view[i:i + piece] for i in range(0, len(blob), piece)]
+        assert unmarshal(pieces) == self.VALUE
+        assert unmarshal(tuple(bytes(p) for p in pieces)) == self.VALUE
+
+    def test_result_never_aliases_the_blob(self):
+        frame = bytearray(marshal(self.VALUE))
+        value = unmarshal(memoryview(frame))
+        frame[:] = bytes(len(frame))  # the frame is reused or dropped
+        assert value == self.VALUE
+
+    def test_truncated_pieces_raise_with_the_total_size(self):
+        blob = marshal(self.VALUE)
+        with pytest.raises(MarshalError, match=f"{len(blob) - 3}-byte blob"):
+            unmarshal([blob[:1000], memoryview(blob)[1000:-3]])
+
+    def test_stubs_reattach_from_a_view(self):
+        stub = detached_stub(RemoteRef("beta", "counter"))
+        attached = []
+        out = unmarshal(memoryview(marshal([stub])),
+                        lambda ref: attached.append(ref) or "live")
+        assert out == ["live"] and attached == [stub.ref]
+
+    def test_text_protocol_pickles_read_through_readline(self):
+        # Not what marshal writes, but the reader is a complete file.
+        blob = pickle.dumps({"k": [1, 2.5, "s"]}, protocol=0)
+        assert unmarshal([blob[:7], blob[7:]]) == {"k": [1, 2.5, "s"]}
+
+
 class TestStubTransport:
     def test_stub_travels_as_ref(self):
         ref = RemoteRef(node_id="beta", name="counter")

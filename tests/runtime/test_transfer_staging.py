@@ -196,6 +196,66 @@ class TestStagingInvariants:
             TransferCommit(transfer_id=prepare.transfer_id, name="obj")
         ) == "ok"
 
+    @pytest.mark.parametrize("index", [-1, None, 10**6])
+    def test_chunk_index_outside_the_prepare_is_refused(self, pair, index):
+        beta = pair["beta"].namespace
+        prepare, chunks = _staged_parts(beta.mover)
+        beta.mover.prepare(prepare)
+        beta.mover.receive_chunk(chunks[0])
+        stray = TransferChunk(
+            transfer_id=prepare.transfer_id,
+            index=prepare.chunk_count if index is None else index,
+            data=b"x")
+        with pytest.raises(MigrationError, match="outside its"):
+            beta.mover.receive_chunk(stray)
+        # Nothing of the refused chunk was kept, and the stream's own
+        # abort still clears the slot.
+        beta.mover.abort(TransferAbort(transfer_id=prepare.transfer_id))
+        assert beta.mover.staging_count() == 0
+        assert not beta.store.contains("obj")
+
+    def test_chunk_past_the_prepared_byte_total_is_refused(self, pair):
+        beta = pair["beta"].namespace
+        prepare, chunks = _staged_parts(beta.mover)
+        beta.mover.prepare(prepare)
+        for chunk in chunks[:-1]:
+            beta.mover.receive_chunk(chunk)
+        last = chunks[-1]
+        fat = TransferChunk(transfer_id=last.transfer_id, index=last.index,
+                            data=bytes(last.data) + b"!")
+        with pytest.raises(MigrationError, match="overruns"):
+            beta.mover.receive_chunk(fat)
+        # The refusal stored nothing: the honest last chunk still fits.
+        beta.mover.receive_chunk(last)
+        beta.mover.abort(TransferAbort(transfer_id=prepare.transfer_id))
+        assert beta.mover.staging_count() == 0
+        assert not beta.store.contains("obj")
+
+    def test_chunk_that_is_not_bytes_is_refused(self, pair):
+        beta = pair["beta"].namespace
+        prepare, _chunks = _staged_parts(beta.mover)
+        beta.mover.prepare(prepare)
+        with pytest.raises(MigrationError, match="not bytes"):
+            beta.mover.receive_chunk(TransferChunk(
+                transfer_id=prepare.transfer_id, index=0, data=7))
+        beta.mover.abort(TransferAbort(transfer_id=prepare.transfer_id))
+        assert beta.mover.staging_count() == 0
+
+    def test_commit_reads_staged_views_without_joining_them(self, pair):
+        beta = pair["beta"].namespace
+        prepare, chunks = _staged_parts(beta.mover, payload=b"v" * 5000,
+                                        chunk_bytes=7)
+        beta.mover.prepare(prepare)
+        for chunk in reversed(chunks):  # out of order, as read-only views
+            beta.mover.receive_chunk(TransferChunk(
+                transfer_id=chunk.transfer_id, index=chunk.index,
+                data=memoryview(bytearray(chunk.data)).toreadonly()))
+        assert beta.mover.commit(
+            TransferCommit(transfer_id=prepare.transfer_id, name="obj")
+        ) == "ok"
+        assert beta.store.get("obj").payload == b"v" * 5000
+        assert beta.mover.staging_count() == 0
+
     def test_abort_discards_staging(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
