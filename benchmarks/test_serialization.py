@@ -27,7 +27,7 @@ import timeit
 import pytest
 
 from repro.net import wirecodec
-from repro.net.message import Message, MessageKind, ReplyPayload
+from repro.net.message import Batch, Message, MessageKind, ReplyPayload
 from repro.rmi import protocol
 from repro.rmi.stub import RemoteRef
 
@@ -100,6 +100,9 @@ SAMPLES: dict[type, object] = {
     ReplyPayload: ReplyPayload(value="pong"),
     RemoteRef: RemoteRef(node_id="n1", name="printer",
                          methods=("print_it",)),
+    Batch: Batch(subs=tuple(
+        Message(kind=MessageKind.PING, src="n1", dst="n2", payload=i)
+        for i in range(2)), sequential=False),
 }
 
 

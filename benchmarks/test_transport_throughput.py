@@ -15,7 +15,7 @@ The bench runs 8 concurrent callers against one node both ways, adds a
 both pipelined points with auto-batching disabled too, so the coalescing
 win is its own recorded number.  The server handler is declared
 ``inline_safe``: PING is on the inline allowlist, so the bench exercises
-the full fast path (client-side AUTO_BATCH frames, loop-thread dispatch,
+the full fast path (client-side coalesced BATCH frames, loop-thread dispatch,
 aggregated replies).  Results go to ``results/transport_throughput.txt``
 and a machine-readable ``results/BENCH_transport_throughput.json``
 (including the reactor's data-plane counters — batch-size histogram,
@@ -277,7 +277,7 @@ def test_transport_throughput(report, mode_samples):
     assert sequential_msgs == 16
     assert batched_msgs == 2
     # Coverage, not speed: 64 callers on one connection must actually
-    # form AUTO_BATCH frames, and the off-point must form none — if
+    # form coalesced BATCH frames, and the off-point must form none — if
     # either fails, the comparison above measured the wrong thing.
     assert wide_plane.get("auto_batches", 0) > 0, wide_plane
     assert (wide_nobatch.data_plane or {}).get("auto_batches", 0) == 0, \

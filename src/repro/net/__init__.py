@@ -18,9 +18,10 @@ Shared guarantees, regardless of transport:
   request replays its cached reply, and one arriving *while* the original
   is still executing waits for that execution instead of starting a second
   one.  Non-idempotent moves therefore never run twice for one message id.
-* **Batching** — ``Transport.call_many`` ships many independent requests
-  as one BATCH frame (one round trip), with each sub-request keeping its
-  own message id and at-most-once slot.
+* **Batching** — ``Transport.call_many`` ships a sequence of requests as
+  one BATCH frame (one round trip, run in order, stopped by the first
+  error), each sub-request keeping its own message id and at-most-once
+  slot; ``Transport.execute_batch`` is the one executor on both.
 * **Drop tracing** — an undeliverable one-way send is recorded in the
   :class:`repro.net.trace.MessageTrace` as a drop on both transports.
 

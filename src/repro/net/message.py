@@ -55,15 +55,12 @@ class MessageKind(enum.Enum):
     PING = "PING"                        # liveness probe
     JOIN = "JOIN"                        # membership: newcomer presents itself to a seed
     ANNOUNCE = "ANNOUNCE"                # membership: address-book propagation
-    BATCH = "BATCH"                      # several requests riding one frame
+    BATCH = "BATCH"                      # several requests riding one frame (see Batch)
 
     # --- Replies -----------------------------------------------------------
-    REPLY = "REPLY"                      # response envelope for any request
-
-    # --- Transport-internal aggregation ------------------------------------
     # (Definition order is the binary wire codec's kind-code table; it is
     # part of the wire-format digest, so any edit here changes the format.)
-    AUTO_BATCH = "AUTO_BATCH"            # transport-coalesced concurrent requests
+    REPLY = "REPLY"                      # response envelope for any request
 
 
 #: Kinds sent with ``Transport.cast`` — fire-and-forget, never answered.
@@ -255,3 +252,23 @@ class ReplyPayload:
     @property
     def is_error(self) -> bool:
         return self.error is not None
+
+
+@dataclass(frozen=True)
+class Batch:
+    """The payload of a BATCH frame: several requests, one reply.
+
+    ``subs`` are complete request messages — each keeps its own message
+    id, hence its own at-most-once slot and deadline admission at the
+    destination.  ``sequential`` is the one difference between the two
+    things that build a batch: ``call_many`` promises the behaviour of
+    the sequence of calls it replaces (run in order, stop after the
+    first error), while the TCP transport's auto-batcher coalesces calls
+    that know nothing of each other (every sub runs; the server may run
+    them side by side).  Either way the reply's value is one
+    ``(sub message id, ReplyPayload)`` pair per sub that ran, in request
+    order.
+    """
+
+    subs: tuple[Message, ...]
+    sequential: bool

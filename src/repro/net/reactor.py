@@ -3,9 +3,9 @@
 The thread-per-connection transport of earlier PRs spent its throughput
 budget on thread handoffs and per-frame syscalls: one reader thread per
 client channel, one serve thread per inbound connection, one ``sendall``
-per frame.  This module replaces all of that with a small pool of
-**reactor loops** (one by default), each running a ``selectors`` event
-loop that owns its sockets outright:
+per frame.  This module replaces all of that with one **reactor
+loop**: a ``selectors`` event loop on its own thread that owns every
+socket outright:
 
 * **Reads** are non-blocking and batched: one ``recv`` drains whatever
   burst arrived, and a per-connection receive state machine slices it
@@ -24,15 +24,14 @@ loop that owns its sockets outright:
   sliced out of the receive buffer.  ``on_frame`` therefore takes
   either; whoever keeps a view of a delivered ``bytearray`` keeps the
   whole frame alive, and nobody may write to it.
-* **Writes** go through a per-connection queue.  :meth:`Connection.send`
-  only enqueues (any thread, never blocks); the loop coalesces queued
-  frames into large ``send`` calls — *adaptive frame coalescing*.  A
-  queue flushes when the loop goes idle (end of an event round), when it
-  crosses ``coalesce_max_bytes``, or when the oldest queued frame has
-  waited ``coalesce_max_delay_s`` — whichever comes first.  With the
-  default zero delay every enqueue wakes the loop, so latency is one
-  loop round and batching still happens whenever the loop was busy (the
-  exact moments batching pays).
+* **Writes** never block and never wait.  :meth:`Connection.send` on an
+  idle connection writes the frame right there, on the caller's thread
+  (the direct-write fast path); otherwise it enqueues and wakes the
+  loop, which at the end of its event round writes each dirty
+  connection's whole queue with as few ``send`` calls as it takes —
+  *end-of-round write coalescing*.  There is one flush policy and no
+  timer: a queued frame waits at most one loop round, and frames batch
+  exactly when the loop was busy (the moments batching pays).
 * **Backpressure** is native: a partial ``send`` re-queues the remainder
   and arms ``EVENT_WRITE`` interest; nothing is lost and no thread is
   parked on a full socket buffer.
@@ -133,9 +132,6 @@ def _remainder(chunks: "list[bytes | memoryview]",
 #: How long a graceful teardown keeps trying to drain queued writes.
 _DRAIN_TIMEOUT_S = 1.0
 
-#: Default size watermark for the write coalescer.
-DEFAULT_COALESCE_MAX_BYTES = 64 * 1024
-
 #: A received frame body: ``bytes`` sliced from the receive buffer, or
 #: the ``bytearray`` a large frame was received into.
 FrameBody = bytes | bytearray
@@ -222,7 +218,7 @@ class DataPlaneStats:
 
 
 class ReactorMetrics:
-    """Thread-safe counters shared by every loop of one reactor."""
+    """Thread-safe counters of one reactor."""
 
     _LAG_ALPHA = 0.1
 
@@ -316,8 +312,6 @@ class Connection:
     def __init__(self, loop: "_Loop", sock: socket.socket,
                  on_frame: FrameCallback, on_closed: ClosedCallback, *,
                  max_frame: int,
-                 coalesce_max_bytes: int,
-                 coalesce_max_delay_s: float,
                  bytes_per_s: float | None,
                  metrics: ReactorMetrics) -> None:
         self._loop = loop
@@ -325,8 +319,6 @@ class Connection:
         self._on_frame = on_frame
         self._on_closed = on_closed
         self._max_frame = max_frame
-        self._coalesce_max_bytes = coalesce_max_bytes
-        self._coalesce_max_delay_s = coalesce_max_delay_s
         self._bytes_per_s = bytes_per_s
         self._metrics = metrics
         # Write side: guarded by ``self._lock``; socket syscalls always
@@ -335,7 +327,6 @@ class Connection:
         self._lock = threading.Lock()
         self._out: deque[bytes | list[bytes | memoryview]] = deque()
         self._out_bytes = 0
-        self._flush_at: float | None = None
         self._closed = False            # no further send() accepted
         self._writing = False           # a sender or the loop is mid-write
         self._registered = False
@@ -364,11 +355,10 @@ class Connection:
         returns normally, the frame is owned by the reactor and will be
         written unless the connection dies first.
 
-        Fast path: with an empty queue, no coalescing delay configured,
-        and no other sender mid-write, the frame goes out right here
-        with one non-blocking ``send`` — no loop handoff, no wake
-        syscall.  The loop takes over only for contention, coalescing,
-        or backpressure.
+        Fast path: with an empty queue and no other sender mid-write,
+        the frame goes out right here with one non-blocking ``send`` —
+        no loop handoff, no wake syscall.  The loop takes over only for
+        contention or backpressure.
         """
         if isinstance(payload, bytes):
             nbytes = len(payload)
@@ -380,24 +370,18 @@ class Connection:
             if self._closed:
                 raise ConnectionError("connection is closed")
             direct = (self._registered and not self._writing
-                      and not self._out
-                      and self._coalesce_max_delay_s <= 0.0)
+                      and not self._out)
             if direct:
                 self._writing = True
             else:
                 self._out.append(payload)
                 self._out_bytes += nbytes
                 depth = self._out_bytes
-                urgent = (self._coalesce_max_delay_s <= 0.0
-                          or depth >= self._coalesce_max_bytes)
-                if not urgent and self._flush_at is None:
-                    self._flush_at = (time.monotonic()
-                                      + self._coalesce_max_delay_s)
         if direct:
             self._direct_send(payload, nbytes)
             return
         self._metrics.note_queue_depth(depth)
-        self._loop._mark_dirty(self, urgent)
+        self._loop._mark_dirty(self)
 
     def _direct_send(self, payload: bytes | list[bytes | memoryview],
                      nbytes: int) -> None:
@@ -426,7 +410,7 @@ class Connection:
                 self._out_bytes += nbytes - sent
                 depth = self._out_bytes
             self._metrics.note_queue_depth(depth)
-            self._loop._mark_dirty(self, urgent=True)
+            self._loop._mark_dirty(self)
             return
         with self._lock:
             self._writing = False
@@ -435,7 +419,7 @@ class Connection:
             # Frames piled up behind us while we held the socket; the
             # loop may already have consumed their wake and yielded to
             # us, so re-arm it.
-            self._loop._mark_dirty(self, urgent=True)
+            self._loop._mark_dirty(self)
 
     def close(self, graceful: bool = True) -> None:
         """Close the connection; idempotent, never blocks.
@@ -555,20 +539,6 @@ class Connection:
 
     # -- write path (loop thread only) ----------------------------------------
 
-    def _flush_due(self, now: float) -> bool:
-        with self._lock:
-            if not self._out:
-                return False
-            if self._coalesce_max_delay_s <= 0.0:
-                return True
-            if self._out_bytes >= self._coalesce_max_bytes:
-                return True
-            return self._flush_at is not None and now >= self._flush_at
-
-    def _pending_flush_at(self) -> float | None:
-        with self._lock:
-            return self._flush_at if self._out else None
-
     def _handle_flush(self) -> None:
         """Write queued bytes until drained or the socket pushes back."""
         while not self._dead:
@@ -578,7 +548,6 @@ class Connection:
                     # connection dirty on exit if frames queued behind it.
                     return
                 if not self._out:
-                    self._flush_at = None
                     break
                 chunks: list[bytes | memoryview] = []
                 frames = 0
@@ -614,13 +583,10 @@ class Connection:
                 self._writing = False
                 if sent < total:
                     # Backpressure: keep the remainder at the queue head
-                    # and let EVENT_WRITE drive the rest out.  Disarm the
-                    # flush deadline — retrying before the socket drains
-                    # would just spin; writability is now the only useful
-                    # signal.
+                    # and let EVENT_WRITE drive the rest out — retrying
+                    # before the socket drains would just spin.
                     self._out.appendleft(_remainder(chunks, sent))
                     self._out_bytes += total - sent
-                    self._flush_at = None
             if sent < total:
                 self._set_write_interest(True)
                 return
@@ -748,7 +714,7 @@ _Deferred = tuple[float, int, Connection, int, FrameBody, int]
 
 
 class _Loop:
-    """One selector thread; owns a disjoint subset of the reactor's FDs."""
+    """The selector thread; owns every socket of its reactor."""
 
     def __init__(self, name: str, metrics: ReactorMetrics) -> None:
         self._selector = selectors.DefaultSelector()
@@ -763,7 +729,6 @@ class _Loop:
         self._dirty: set[Connection] = set()
         self._closing = False
         # Loop-thread-only state.
-        self._timed: set[Connection] = set()
         self._deferred: list[_Deferred] = []
         self._defer_seq = 0
         # Shared rosters (guarded by self._lock; mutated on the loop).
@@ -787,12 +752,10 @@ class _Loop:
         if wake:
             self._wake()
 
-    def _mark_dirty(self, conn: Connection, urgent: bool) -> None:
+    def _mark_dirty(self, conn: Connection) -> None:
         with self._lock:
-            new = conn not in self._dirty
-            if new:
-                self._dirty.add(conn)
-            wake = (new or urgent) and not self._wake_pending
+            self._dirty.add(conn)
+            wake = not self._wake_pending
             if wake:
                 self._wake_pending = True
         if wake:
@@ -857,7 +820,6 @@ class _Loop:
         with self._lock:
             self._conns.discard(conn)
             self._dirty.discard(conn)
-        self._timed.discard(conn)
         if conn._registered:
             with conn._lock:
                 conn._registered = False
@@ -906,34 +868,16 @@ class _Loop:
                 return
 
     def _next_timeout(self) -> float | None:
-        candidates: list[float] = []
-        for conn in self._timed:
-            flush_at = conn._pending_flush_at()
-            if flush_at is not None:
-                candidates.append(flush_at)
-        if self._deferred:
-            candidates.append(self._deferred[0][0])
-        if not candidates:
+        """Until the next bandwidth-deferred delivery (the only timer)."""
+        if not self._deferred:
             return None
-        return max(0.0, min(candidates) - time.monotonic())
+        return max(0.0, self._deferred[0][0] - time.monotonic())
 
     def _deliver_deferred(self, now: float) -> None:
         while self._deferred and self._deferred[0][0] <= now:
             _at, _seq, conn, ident, body, wire = heapq.heappop(self._deferred)
             if not conn._dead:
                 conn._deliver(ident, body, wire)
-
-    def _flush_round(self, dirty: list[Connection], now: float) -> None:
-        pending = set(dirty)
-        pending.update(self._timed)
-        self._timed.clear()
-        for conn in pending:
-            if conn._dead:
-                continue
-            if conn._flush_due(now):
-                conn._handle_flush()
-            if not conn._dead and conn._pending_flush_at() is not None:
-                self._timed.add(conn)  # deadline still armed: keep a timer
 
     def _run(self) -> None:
         while True:
@@ -980,9 +924,10 @@ class _Loop:
                     target._handle_flush()
                 if mask & selectors.EVENT_READ and not target._dead:
                     target._handle_readable()
-            now = time.monotonic()
-            self._deliver_deferred(now)
-            self._flush_round(dirty, now)
+            if self._deferred:
+                self._deliver_deferred(time.monotonic())
+            for conn in dirty:  # the flush round: whatever queued, goes
+                conn._handle_flush()  # (a dead connection's is a no-op)
             if closing:
                 self._finalize()
                 return
@@ -1016,47 +961,21 @@ class _Loop:
 
 
 class Reactor:
-    """A pool of selector loops plus the knobs that shape coalescing.
+    """One selector loop (thread ``<name>-loop-0``) and its counters.
 
-    ``threads`` sizes the loop pool (connections are spread round-robin;
-    one loop is right for almost every deployment — a loop saturating a
-    core is the signal to add another).  ``coalesce_max_bytes`` /
-    ``coalesce_max_delay_s`` set the flush watermarks described in the
-    module docstring.
+    ``max_frame`` bounds every incoming frame (a connection may start
+    under a smaller bound of its own, see :meth:`add_connection`).
+    There is nothing to tune: writes flush at the end of every loop
+    round, as the module docstring describes.
     """
 
-    def __init__(self, threads: int = 1, *, max_frame: int,
-                 coalesce_max_bytes: int = DEFAULT_COALESCE_MAX_BYTES,
-                 coalesce_max_delay_s: float = 0.0,
-                 name: str = "reactor") -> None:
-        if threads <= 0:
-            raise ValueError(f"reactor needs at least one thread: {threads}")
+    def __init__(self, *, max_frame: int, name: str = "reactor") -> None:
         if max_frame <= 0:
             raise ValueError(f"max_frame must be positive: {max_frame}")
-        if coalesce_max_bytes <= 0:
-            raise ValueError(
-                f"coalesce_max_bytes must be positive: {coalesce_max_bytes}"
-            )
-        if coalesce_max_delay_s < 0:
-            raise ValueError(
-                f"coalesce_max_delay_s cannot be negative: {coalesce_max_delay_s}"
-            )
         self._max_frame = max_frame
-        self._coalesce_max_bytes = coalesce_max_bytes
-        self._coalesce_max_delay_s = coalesce_max_delay_s
         self._metrics = ReactorMetrics()
-        self._loops = [
-            _Loop(f"{name}-loop-{i}", self._metrics) for i in range(threads)
-        ]
-        self._pick_lock = threading.Lock()
-        self._next_loop = 0
+        self._loop = _Loop(f"{name}-loop-0", self._metrics)
         self._closed = False
-
-    def _pick_loop(self) -> _Loop:
-        with self._pick_lock:
-            loop = self._loops[self._next_loop % len(self._loops)]
-            self._next_loop += 1
-        return loop
 
     def add_connection(self, sock: socket.socket, on_frame: FrameCallback,
                        on_closed: ClosedCallback, *,
@@ -1071,12 +990,10 @@ class Reactor:
         (an accepted socket whose peer has proved nothing yet); the
         owner lifts it with :meth:`Connection.set_max_frame`.
         """
-        loop = self._pick_loop()
+        loop = self._loop
         conn = Connection(
             loop, sock, on_frame, on_closed,
             max_frame=self._max_frame if max_frame is None else max_frame,
-            coalesce_max_bytes=self._coalesce_max_bytes,
-            coalesce_max_delay_s=self._coalesce_max_delay_s,
             bytes_per_s=bytes_per_s,
             metrics=self._metrics,
         )
@@ -1085,28 +1002,22 @@ class Reactor:
 
     def add_listener(self, sock: socket.socket,
                      on_accept: AcceptCallback) -> Listener:
-        """Adopt a bound+listening ``sock``; accepts run on a loop."""
-        loop = self._pick_loop()
+        """Adopt a bound+listening ``sock``; accepts run on the loop."""
+        loop = self._loop
         listener = Listener(loop, sock, on_accept)
         loop._call_soon(lambda: loop._attach_listener(listener))
         return listener
 
     def metrics(self) -> DataPlaneStats:
         """Snapshot flush batching, loop lag, and queue depths."""
-        queued = 0
-        connections = 0
-        for loop in self._loops:
-            loop_queued, loop_conns = loop._queue_census()
-            queued += loop_queued
-            connections += loop_conns
+        queued, connections = self._loop._queue_census()
         return self._metrics.snapshot(
             queued_bytes=queued, connections=connections
         )
 
     def close(self) -> None:
-        """Stop every loop, draining queued writes; idempotent."""
+        """Stop the loop, draining queued writes; idempotent."""
         if self._closed:
             return
         self._closed = True
-        for loop in self._loops:
-            loop.close()
+        self._loop.close()

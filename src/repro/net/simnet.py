@@ -18,9 +18,10 @@ Properties that matter for the reproduction:
   loss models exercise the recovery paths §4.3 demands.
 
 ``Transport.call_many`` needs no code here: the base class packs the batch
-into one BATCH envelope, and because this transport charges latency per
-*message*, a batch of N requests costs one round trip on the virtual
-clock — exactly the saving the pooled TCP transport realizes in real time.
+into one BATCH envelope and ``execute_handler`` hands it to the shared
+``execute_batch``; because this transport charges latency per *message*,
+a batch of N requests costs one round trip on the virtual clock —
+exactly the saving the TCP transport realizes in real time.
 
 ``Transport.call_async`` likewise needs no code: the base class completes
 the future *eagerly on the calling thread*, so a scatter-gather over this

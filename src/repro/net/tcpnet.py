@@ -42,24 +42,29 @@ many concurrent exchanges: submission enqueues the frame on the
 reactor's per-connection write queue, and incoming reply frames are
 demultiplexed to waiting callers by ``Message.reply_to_id``.  N threads
 calling into one destination share one socket and one round-trip
-pipeline.  ``call_async`` is native to this mechanism: submission writes
-the frame and parks a :class:`~repro.net.transport.CallFuture` that the
-reactor resolves, so one caller can scatter N requests (to one node or
-to N nodes) and overlap every round trip without extra threads.
+pipeline.  There is one way in: every request — ``call``, ``call_async``,
+``call_many``, a cast, a frame rescued from a dead channel — goes
+through :meth:`TcpNetwork._submit`, which parks a
+:class:`_PipelinedCallFuture` (the only kind of reply sink there is)
+and writes the frame; the reactor resolves the future, so one caller
+can scatter N requests (to one node or to N nodes) and overlap every
+round trip without extra threads, and ``call`` is that future's
+``result()``.
 ``CallFuture.cancel()`` and deadline expiry both *abandon* an in-flight
 exchange the way a timed-out waiter does: the pending reply slot is
 released, the late reply is dropped, and other waiters sharing the
 connection are untouched.  A request's deadline also caps every reply
 wait (io timeout or less) and is enforced server-side: a frame whose
 deadline expired in the worker queue is dropped at dequeue.  Concurrent
-calls to one peer coalesce into AUTO_BATCH frames (see
-:class:`_AutoBatcher`); ``auto_batch=False`` turns the client-side
-coalescing off for A/B measurement.
+calls to one peer coalesce into BATCH frames (see :class:`_AutoBatcher`)
+— the same frame ``call_many`` builds, marked independent rather than
+sequential (:class:`~repro.net.message.Batch`) and run by the same
+executor; ``auto_batch=False`` turns the client-side coalescing off for
+A/B measurement.
 
 **Data plane.**  Every socket — client channels, server-accepted
 connections, and listeners — is owned by a shared
-:class:`~repro.net.reactor.Reactor`: a small pool of ``selectors`` event
-loops (one by default, ``reactor_threads=`` scales it) doing
+:class:`~repro.net.reactor.Reactor`: one ``selectors`` event loop doing
 non-blocking reads through per-connection receive state machines and
 coalescing queued writes into large sends (see the reactor module
 docstring).  Only the client's HELLO exchange uses the socket in
@@ -117,6 +122,7 @@ from repro.net.message import (
     BULK_KINDS,
     INLINE_KINDS,
     ONEWAY_KINDS,
+    Batch,
     Message,
     MessageKind,
     ReplyPayload,
@@ -132,7 +138,6 @@ from repro.net.reactor import (
 )
 from repro.net.trace import MessageTrace
 from repro.net.transport import (
-    DEFAULT_RETRY_BUDGET,
     CallFuture,
     MessageHandler,
     ReplyCache,
@@ -170,16 +175,14 @@ _UDS_SUPPORTED = hasattr(socket, "AF_UNIX")
 #: Kinds the client-side auto-batcher never coalesces: bulk kinds carry
 #: large zero-copy payloads and must keep their dedicated server pool;
 #: one-way kinds have no reply to demultiplex; nested batches stay flat.
-_UNBATCHABLE_KINDS = BULK_KINDS | ONEWAY_KINDS | frozenset({
-    MessageKind.BATCH, MessageKind.AUTO_BATCH,
-})
+_UNBATCHABLE_KINDS = BULK_KINDS | ONEWAY_KINDS | {MessageKind.BATCH}
 
-#: Caps on one AUTO_BATCH frame: sub-calls, and estimated payload bytes.
+#: Caps on one coalesced BATCH frame: sub-calls, and estimated payload bytes.
 _BATCH_MAX_MSGS = 32
 _BATCH_MAX_BYTES = 64 * 1024
 
-#: Time budget for one inline (loop-thread) dispatch; an AUTO_BATCH of
-#: inline kinds gets this much per sub-call.
+#: Time budget for one inline (loop-thread) dispatch; a BATCH of inline
+#: kinds gets this much per sub-call.
 _INLINE_BUDGET_S = 0.001
 
 #: Consecutive over-budget inline dispatches before a server stops
@@ -196,25 +199,11 @@ _INLINE_DEMOTE_STRIKES = 8
 _BATCH_KICK_GRACE_S = 0.02
 
 
-def _fail_sink(sink, error: Exception) -> None:
-    """Fail a parked sink with ``error`` itself (not wrapped).
-
-    ``sink.fail`` is the channel-teardown path and wraps everything in
-    :class:`NodeUnreachableError`; encode failures and resolved
-    unreachability want the raw error, which ``CallFuture._fail`` gives.
-    """
-    fail_raw = getattr(sink, "_fail", None)
-    if fail_raw is not None:
-        fail_raw(error)
-    else:
-        sink.fail(error)
-
-
 def _estimate_nbytes(message: Message) -> int:
     """Cheap payload-size guess for the batch byte watermark.
 
-    Never serializes: the watermark only decides how many frames ride one
-    AUTO_BATCH envelope, so a flat estimate per payload shape is enough —
+    Never serializes: the watermark only decides how many calls ride one
+    BATCH envelope, so a flat estimate per payload shape is enough —
     blob-carrying invokes count their marshalled argument bytes, plain
     control payloads a fixed overhead.
     """
@@ -232,6 +221,12 @@ def _estimate_nbytes(message: Message) -> int:
     return 512
 
 
+def _is_failed_pair(sub: object) -> bool:
+    """Whether ``sub`` is a BATCH reply's ``(sub_id, failed payload)``."""
+    return (isinstance(sub, tuple) and len(sub) == 2
+            and isinstance(sub[1], ReplyPayload) and sub[1].is_error)
+
+
 def _transmittable_error_payload(payload: ReplyPayload) -> ReplyPayload:
     """Guarantee an error reply survives the *unpickle* on the client side.
 
@@ -246,29 +241,15 @@ def _transmittable_error_payload(payload: ReplyPayload) -> ReplyPayload:
     carries the original type and message.
     """
     if not payload.is_error:
-        # A BATCH reply nests sub-payloads; a failed sub needs the same
-        # guard (the later subs never ran, so at most one is an error).
-        # An AUTO_BATCH reply nests (sub_id, payload) pairs instead, and
-        # *any* number of subs may have failed independently.
+        # A BATCH reply nests (sub_id, payload) pairs, and any number of
+        # the subs may have failed; each needs the same guard.
         value = payload.value
-        if isinstance(value, tuple):
-            if any(isinstance(sub, ReplyPayload) and sub.is_error
-                   for sub in value):
-                return ReplyPayload(value=tuple(
-                    _transmittable_error_payload(sub)
-                    if isinstance(sub, ReplyPayload) else sub
-                    for sub in value
-                ))
-            if any(isinstance(sub, tuple) and len(sub) == 2
-                   and isinstance(sub[1], ReplyPayload) and sub[1].is_error
-                   for sub in value):
-                return ReplyPayload(value=tuple(
-                    (sub[0], _transmittable_error_payload(sub[1]))
-                    if (isinstance(sub, tuple) and len(sub) == 2
-                        and isinstance(sub[1], ReplyPayload))
-                    else sub
-                    for sub in value
-                ))
+        if isinstance(value, tuple) and any(map(_is_failed_pair, value)):
+            return ReplyPayload(value=tuple(
+                (sub[0], _transmittable_error_payload(sub[1]))
+                if _is_failed_pair(sub) else sub
+                for sub in value
+            ))
         return payload
     try:
         pickle.loads(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
@@ -410,40 +391,6 @@ class _ChannelClosedError(ConnectionError):
     """The channel died before this frame was written (safe to retry)."""
 
 
-class _Waiter:
-    """One caller parked on an in-flight request."""
-
-    __slots__ = ("_event", "_reply", "_error")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._reply: Message | None = None
-        self._error: Exception | None = None
-
-    def resolve(self, reply: Message) -> None:
-        self._reply = reply
-        self._event.set()
-
-    def fail(self, error: Exception) -> None:
-        self._error = error
-        self._event.set()
-
-    def wait(self, timeout_s: float, message: Message) -> Message:
-        if not self._event.wait(timeout_s):
-            raise CallTimeoutError(
-                f"{message.describe()}: no reply within {timeout_s}s"
-            )
-        if self._error is not None:
-            # The frame was already on the wire, so the handler may have
-            # executed; surfacing unreachability (instead of retrying into
-            # a replaced node's fresh reply cache) preserves at-most-once.
-            raise NodeUnreachableError(
-                message.dst, f"connection lost awaiting reply: {self._error}"
-            ) from self._error
-        assert self._reply is not None
-        return self._reply
-
-
 #: Stripe count for a channel's pending-waiter table.  Eight uncontended
 #: locks cover the realistic caller fan-in per destination; message-id
 #: hashes spread uniformly (they embed a process-wide counter).
@@ -451,7 +398,7 @@ _WAITER_SHARDS = 8
 
 
 class _WaiterShard:
-    """One stripe of a channel's ``msg_id -> FIFO of waiters`` table.
+    """One stripe of a channel's ``msg_id -> FIFO of parked futures`` table.
 
     A retransmission can put two frames of one id in flight; each
     incoming reply resolves the oldest waiter.  The ``closed`` flag
@@ -465,10 +412,10 @@ class _WaiterShard:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._waiters: dict[str, deque] = {}
+        self._waiters: dict[str, deque[_PipelinedCallFuture]] = {}
         self._closed = False
 
-    def park(self, msg_id: str, sink) -> bool:
+    def park(self, msg_id: str, sink: _PipelinedCallFuture) -> bool:
         """Append ``sink``; False when the channel already closed."""
         with self._lock:
             if self._closed:
@@ -476,7 +423,7 @@ class _WaiterShard:
             self._waiters.setdefault(msg_id, deque()).append(sink)
         return True
 
-    def pop(self, msg_id: str):
+    def pop(self, msg_id: str) -> _PipelinedCallFuture | None:
         """The oldest waiter parked under ``msg_id`` (None when absent)."""
         with self._lock:
             waiters = self._waiters.get(msg_id)
@@ -487,7 +434,7 @@ class _WaiterShard:
                 del self._waiters[msg_id]
         return sink
 
-    def discard(self, msg_id: str, sink) -> None:
+    def discard(self, msg_id: str, sink: _PipelinedCallFuture) -> None:
         with self._lock:
             waiters = self._waiters.get(msg_id)
             if waiters is None:
@@ -499,7 +446,7 @@ class _WaiterShard:
             if not waiters:
                 del self._waiters[msg_id]
 
-    def close_and_drain(self) -> list:
+    def close_and_drain(self) -> list[_PipelinedCallFuture]:
         """Refuse future parks and return everything parked; idempotent
         (a second drain returns empty)."""
         with self._lock:
@@ -532,9 +479,10 @@ class _Channel:
         #: The transport attaches an :class:`_AutoBatcher` right after
         #: construction when auto-batching is enabled.
         self._batcher: "_AutoBatcher | None" = None
-        #: batch msg_id -> its sub-call msg_ids, so a *whole-batch* error
-        #: reply (server-side control-flow abort) can fail every sub
-        #: sink.  Entries are removed when the aggregated reply arrives.
+        #: coalesced batch msg_id -> its sub-call msg_ids, so a
+        #: *whole-batch* error reply (the server could not run the frame
+        #: at all) can fail every sub's future.  Entries are removed when
+        #: the aggregated reply arrives.
         self._batch_lock = threading.Lock()
         self._batch_subs: dict[str, tuple[str, ...]] = {}
         self._shards = tuple(_WaiterShard() for _ in range(_WAITER_SHARDS))
@@ -550,22 +498,12 @@ class _Channel:
     def closed(self) -> bool:
         return self._closed
 
-    def request(self, message: Message, timeout_s: float) -> Message:
-        waiter = _Waiter()
-        self.submit(message, waiter)
-        try:
-            return waiter.wait(timeout_s, message)
-        finally:
-            self._discard_waiter(message.msg_id, waiter)
-
-    def submit(self, message: Message, sink) -> None:
+    def submit(self, message: Message, sink: _PipelinedCallFuture) -> None:
         """Park ``sink`` for the reply and enqueue the frame; never waits.
 
-        ``sink`` is anything with ``resolve(reply)`` / ``fail(error)`` — a
-        :class:`_Waiter` for the blocking path, a
-        :class:`_PipelinedCallFuture` for the asynchronous one.
-        ``resolve`` runs on the reactor loop, ``fail`` on whichever thread
-        closes the channel; neither may block.
+        ``sink`` is the call's future: ``sink.resolve(reply)`` runs on
+        the reactor loop, ``sink.fail(error)`` on whichever thread closes
+        the channel; neither blocks.
 
         Encoding happens *before* parking: a :class:`MarshalError` leaves
         the channel healthy with nothing parked, while a
@@ -585,20 +523,9 @@ class _Channel:
                 f"send to {self.dst!r} failed: {exc}"
             ) from exc
 
-    def submit_auto(self, message: Message, sink) -> None:
-        """:meth:`submit` through the transparent auto-batcher.
-
-        Routes to the coalescing layer only when the channel has one and
-        the kind is batchable; every other frame takes the plain path.
-        """
-        batcher = self._batcher
-        if batcher is None or message.kind in _UNBATCHABLE_KINDS:
-            self.submit(message, sink)
-            return
-        batcher.submit(message, sink)
-
-    def submit_batch(self, items: "list[tuple[Message, object]]") -> None:
-        """Coalesce several submissions into one AUTO_BATCH frame.
+    def submit_batch(
+            self, items: list[tuple[Message, _PipelinedCallFuture]]) -> None:
+        """Coalesce several submissions into one independent BATCH frame.
 
         Same contract as :meth:`submit`, for N frames at once: the batch
         envelope is encoded *before* any sink parks (a
@@ -609,10 +536,11 @@ class _Channel:
         """
         subs = tuple(message for message, _sink in items)
         batch = build_message(
-            MessageKind.AUTO_BATCH, subs[0].src, subs[0].dst, subs
+            MessageKind.BATCH, subs[0].src, subs[0].dst,
+            Batch(subs, sequential=False),
         )
         wire = _encode_frame(batch, self._codec_for)
-        parked: list[tuple[Message, object]] = []
+        parked: list[tuple[Message, _PipelinedCallFuture]] = []
         for message, sink in items:
             if not self._shard(message.msg_id).park(message.msg_id, sink):
                 for pm, psink in parked:
@@ -635,7 +563,8 @@ class _Channel:
                 f"send to {self.dst!r} failed: {exc}"
             ) from exc
 
-    def _discard_waiter(self, msg_id: str, waiter) -> None:
+    def _discard_waiter(self, msg_id: str,
+                        waiter: _PipelinedCallFuture) -> None:
         self._shard(msg_id).discard(msg_id, waiter)
 
     def send_oneway(self, message: Message) -> None:
@@ -648,10 +577,6 @@ class _Channel:
                 f"send to {self.dst!r} failed: {exc}"
             ) from exc
 
-    def queued_bytes(self) -> int:
-        """Bytes waiting in this channel's write queue (diagnostics)."""
-        return self._conn.queued_bytes()
-
     # -- reactor callbacks (loop thread; must not block) ----------------------
 
     def _on_frame(self, ident: int, body: FrameBody,
@@ -660,13 +585,13 @@ class _Channel:
         # propagates: the reactor tears the connection down with it, and
         # _on_closed fails every waiter.
         reply = _decode_frame(ident, body)
-        if reply.in_reply_to is MessageKind.AUTO_BATCH:
-            self._on_batch_reply(reply)
-        else:
-            sink = self._shard(reply.reply_to_id).pop(reply.reply_to_id)
-            if sink is not None:
-                sink.resolve(reply)
-            # An unmatched reply (its caller timed out and left) is dropped.
+        sink = self._shard(reply.reply_to_id).pop(reply.reply_to_id)
+        if sink is not None:
+            sink.resolve(reply)  # a call's own reply, call_many's included
+        elif reply.in_reply_to is MessageKind.BATCH:
+            self._on_batch_reply(reply)  # a frame the batcher coalesced
+        # Any other unmatched reply (its caller timed out and left) is
+        # dropped.
         batcher = self._batcher
         if batcher is not None:
             # Tick the reply clock *after* resolving: callers wake first,
@@ -675,14 +600,15 @@ class _Channel:
             batcher.note_reply()
 
     def _on_batch_reply(self, reply: Message) -> None:
-        """Demultiplex one aggregated reply to its parked sub-call sinks.
+        """Demultiplex a coalesced frame's reply to its parked sub-calls.
 
-        The payload value is a tuple of ``(sub_msg_id, ReplyPayload)``
-        pairs; each resolves its own waiter with a synthesized per-sub
+        Nothing is parked under the batch's own id (that is how
+        :meth:`_on_frame` tells this reply from a ``call_many``'s).  The
+        payload value is a tuple of ``(sub_msg_id, ReplyPayload)``
+        pairs; each resolves its own future with a synthesized per-sub
         REPLY so callers observe exactly what N individual replies would
-        have delivered.  A *whole-batch* error (the aggregate itself
-        failed server-side before any sub ran to completion — e.g. a
-        control-flow abort) fails every recorded sub sink instead.
+        have delivered.  A *whole-batch* error (the server could not run
+        the frame at all) fails every recorded sub instead.
         """
         with self._batch_lock:
             sub_ids = self._batch_subs.pop(reply.reply_to_id, ())
@@ -830,22 +756,25 @@ class _AutoBatcher:
     dispatch, and one aggregated reply — amortizing the per-message
     Python overhead that dominates once the wire itself is cheap.
 
-    Discipline mirrors the reactor's flush coalescer, one layer up, with
-    a reply-clocked twist borrowed from Nagle's algorithm: a submission
-    on an *idle* channel (nothing batcher-sent awaiting its reply) is
-    sent immediately on the submitting thread — **a lone call is never
-    delayed** (no timers, no waiting for company).  While a frame *is*
-    in flight, new submissions merely enqueue; every arriving reply
-    flushes whatever accumulated as one AUTO_BATCH frame.  The flush
-    clock is thus the round-trip itself: group size adapts to exactly
-    how many callers submitted during one server turnaround, with zero
-    added latency on an idle channel and no timer anywhere.  (If the
-    clock dies — the in-flight exchange hangs past its caller's
-    patience — waiting futures force a flush after a short grace:
-    :meth:`kick`.)  A group is capped by :data:`_BATCH_MAX_MSGS` /
-    :data:`_BATCH_MAX_BYTES` and always holds at least one call; a group
-    of one is sent as a plain frame and never pays the aggregation
-    envelope.
+    The discipline is reply-clocked, borrowed from Nagle's algorithm:
+    a submission on an *idle* channel (nothing batcher-sent awaiting
+    its reply) is sent immediately on the submitting thread — **a lone
+    call is never delayed** (no timers, no waiting for company).  While
+    a frame *is* in flight, new submissions merely enqueue; every
+    arriving reply flushes whatever accumulated as one BATCH frame of
+    independent subs (``Batch(subs, sequential=False)`` — the frame
+    ``call_many`` builds, minus the ordering promise).  The flush clock
+    is thus the round-trip itself: group size adapts to exactly how
+    many callers submitted during one server turnaround, with zero
+    added latency on an idle channel and no timer anywhere.  If the
+    clock dies — the in-flight exchange is a long one: a queued lock
+    request, a slow servant, a streamed megabyte — the first waiting
+    future forces a flush after a short grace and *resets the clock*
+    (:meth:`kick`), so the calls behind it go straight out again
+    instead of each waiting out the grace.  A group is capped by
+    :data:`_BATCH_MAX_MSGS` / :data:`_BATCH_MAX_BYTES` and always holds
+    at least one call; a group of one is sent as a plain frame and
+    never pays the aggregation envelope.
 
     Error discipline: nothing raises to the drainer, because the
     drainer is usually *not* the caller whose frame failed.  A dead
@@ -866,14 +795,14 @@ class _AutoBatcher:
         self._transport = transport
         self._metrics = metrics
         self._lock = threading.Lock()
-        self._queue: "deque[tuple[Message, object]]" = deque()
+        self._queue: deque[tuple[Message, _PipelinedCallFuture]] = deque()
         self._active = False
         #: Batcher-sent frames whose replies have not yet arrived — the
         #: Nagle-style gate: > 0 means the reply clock is running and
         #: submissions may coalesce behind it.
         self._inflight = 0
 
-    def submit(self, message: Message, sink) -> None:
+    def submit(self, message: Message, sink: _PipelinedCallFuture) -> None:
         with self._lock:
             self._queue.append((message, sink))
             if self._active:
@@ -888,8 +817,8 @@ class _AutoBatcher:
 
         Every incoming reply decrements the in-flight gate and flushes
         the accumulated queue.  Replies to frames the batcher never sent
-        (``call_many`` BATCH exchanges, unbatchable kinds) may tick it
-        early — harmless: an early flush only makes a smaller group.
+        (``call_many`` exchanges, unbatchable kinds) may tick it early —
+        harmless: an early flush only makes a smaller group.
         """
         with self._lock:
             if self._inflight > 0:
@@ -900,10 +829,20 @@ class _AutoBatcher:
         self._drain()
 
     def kick(self) -> None:
-        """Force a flush now (a waiting caller's stall safety valve)."""
+        """Force a flush now (a waiting caller's stall safety valve).
+
+        A kick that finds frames still queued *is* the verdict that the
+        reply clock is dead, so it also zeroes the in-flight gate: the
+        exchange holding it high may run for seconds, and every call
+        made meanwhile would otherwise queue, wait out the grace and be
+        kicked in turn.  The late reply's tick is a no-op through
+        :meth:`note_reply`'s ``> 0`` guard (or an early tick, which only
+        makes a smaller group).
+        """
         with self._lock:
             if self._active or not self._queue:
                 return
+            self._inflight = 0
             self._active = True
         self._drain()
 
@@ -926,23 +865,14 @@ class _AutoBatcher:
             if not self._send_group(group):
                 return  # channel died; leadership already released
 
-    def _send_group(self, group: "list[tuple[Message, object]]") -> bool:
+    def _send_group(
+            self, group: list[tuple[Message, _PipelinedCallFuture]]) -> bool:
         # The in-flight gate rises *before* the send: the reply can race
         # a post-send increment on the loop thread, and a tick lost that
         # way would leave the gate stuck high — every later call would
         # then stall into the kick grace.  Failure paths lower it again.
         if len(group) == 1:
-            message, sink = group[0]
-            self._note_sent()
-            try:
-                self._channel.submit(message, sink)
-            except _ChannelClosedError:
-                self._rescue(group)
-                return False
-            except Exception as exc:  # MarshalError while pickling
-                self._note_unsent()
-                _fail_sink(sink, exc)
-            return True
+            return self._submit_singly(group)  # a lone call: a plain frame
         self._note_sent()
         try:
             self._channel.submit_batch(group)
@@ -957,7 +887,8 @@ class _AutoBatcher:
         self._metrics.record_batch(len(group))
         return True
 
-    def _submit_singly(self, group: "list[tuple[Message, object]]") -> bool:
+    def _submit_singly(
+            self, group: list[tuple[Message, _PipelinedCallFuture]]) -> bool:
         for index, (message, sink) in enumerate(group):
             self._note_sent()
             try:
@@ -966,9 +897,9 @@ class _AutoBatcher:
                 self._note_unsent()
                 self._rescue(group[index:])
                 return False
-            except Exception as exc:
+            except Exception as exc:  # MarshalError while encoding
                 self._note_unsent()
-                _fail_sink(sink, exc)
+                sink._fail(exc)
         return True
 
     def _note_sent(self) -> None:
@@ -980,7 +911,8 @@ class _AutoBatcher:
             if self._inflight > 0:
                 self._inflight -= 1
 
-    def _rescue(self, items: "list[tuple[Message, object]]") -> None:
+    def _rescue(
+            self, items: list[tuple[Message, _PipelinedCallFuture]]) -> None:
         """The channel died with ``items`` provably unsent.
 
         Hand them — and everything still queued behind them — back to
@@ -1023,32 +955,33 @@ class _AutoBatcher:
             self._active = False
             self._inflight = 0
         for _message, sink in stranded:
-            # The teardown surface parked waiters see: wrapped in
-            # NodeUnreachableError by the sink itself.
+            # The teardown surface parked futures see: wrapped in
+            # NodeUnreachableError by the future itself.
             sink.fail(reason)
 
 
 class _PipelinedCallFuture(CallFuture):
     """A call future resolved by a channel's frame callback.
 
-    Doubles as the channel's parked sink: the reactor loop calls
-    :meth:`resolve` with the matched reply frame, channel teardown calls
-    :meth:`fail`.  ``result()``/``exception()`` default their timeout to
+    It is the channel's parked sink, and the only kind there is: the
+    reactor loop calls :meth:`resolve` with the matched reply frame,
+    channel teardown calls :meth:`fail` (which wraps the reason in
+    :class:`NodeUnreachableError`; a failure from *before* the frame
+    left — a refused dial, an encode error — goes to ``_fail`` raw).  ``result()``/``exception()`` default their timeout to
     the transport's io timeout *measured from submission* — a sweep that
     gathers N futures sequentially pays at most one io-timeout window in
     total, not one per hung host, because every future's clock has been
     running since its frame was sent.  (An explicit ``timeout_s`` stays
     relative to the ``result()`` call.)  An expired wait *abandons* the
-    exchange exactly as the blocking path does — the pending slot is
+    exchange, exactly as ``cancel()`` does — the pending slot is
     released (a late reply is dropped on arrival) and the future fails
     permanently with :class:`~repro.errors.CallTimeoutError`.
     """
 
-    def __init__(self, message: Message, batch: bool, timeout_s: float,
-                 transport: "TcpNetwork | None" = None) -> None:
+    def __init__(self, message: Message, timeout_s: float,
+                 transport: TcpNetwork) -> None:
         super().__init__(message.describe)
         self._message = message
-        self._batch = batch
         self._timeout_s = timeout_s
         self._submitted = time.monotonic()
         self._channel: _Channel | None = None
@@ -1057,14 +990,13 @@ class _PipelinedCallFuture(CallFuture):
     # -- sink protocol (called by the channel) --------------------------------
 
     def resolve(self, reply: Message) -> None:
-        if self._transport is not None:
-            # Submission-to-reply latency feeds the per-link EWMA that
-            # ranks hedge candidates; recorded before completion so a
-            # collector that reacts to this future sees fresh numbers.
-            self._transport.note_link_latency(
-                self._message.dst, time.monotonic() - self._submitted
-            )
-        self._complete_from_reply(reply, self._batch)
+        # Submission-to-reply latency feeds the per-link EWMA that ranks
+        # hedge candidates; recorded before completion so a collector
+        # that reacts to this future sees fresh numbers.
+        self._transport.note_link_latency(
+            self._message.dst, time.monotonic() - self._submitted
+        )
+        self._complete_from_reply(reply)
 
     def fail(self, error: Exception) -> None:
         # The frame was already on the wire, so the handler may have
@@ -1397,10 +1329,6 @@ class _NodeServer:
                 and self._inline_eligible(frame):
             self._dispatch_inline(state, frame)
             return
-        if frame.kind is MessageKind.AUTO_BATCH \
-                and isinstance(frame.payload, tuple) and frame.payload:
-            self._pool.submit(self._dispatch_batch, state, frame)
-            return
         pool = self._bulk_pool if frame.kind in BULK_KINDS else self._pool
         pool.submit(self._dispatch, state, frame)
 
@@ -1441,15 +1369,15 @@ class _NodeServer:
             state.conn.close()  # graceful: the answer drains first
 
     def _inline_eligible(self, frame: Message) -> bool:
-        """Only declared-inline kinds — or an auto-batch solely of them."""
+        """Only declared-inline kinds — or a batch solely of them."""
         kinds = self._inline_kinds
         if frame.kind in kinds:
             return True
-        if frame.kind is not MessageKind.AUTO_BATCH:
+        if frame.kind is not MessageKind.BATCH:
             return False
-        subs = frame.payload
-        return isinstance(subs, tuple) and all(
-            sub.kind in kinds for sub in subs
+        batch = frame.payload
+        return isinstance(batch, Batch) and all(
+            sub.kind in kinds for sub in batch.subs
         )
 
     def _dispatch_inline(self, state: _ServerConn, frame: Message) -> None:
@@ -1463,10 +1391,10 @@ class _NodeServer:
         to the pool rather than starve every connection on the loop.
         """
         budget = _INLINE_BUDGET_S
-        if frame.kind is MessageKind.AUTO_BATCH:
-            budget *= len(frame.payload)
+        if frame.kind is MessageKind.BATCH:
+            budget *= len(frame.payload.subs)
         start = time.monotonic()
-        self._dispatch(state, frame)
+        self._dispatch(state, frame, inline=True)
         elapsed = time.monotonic() - start
         self._call_metrics.record_inline()
         if elapsed <= budget:
@@ -1482,14 +1410,39 @@ class _NodeServer:
         with self._conn_lock:
             self._conns.discard(state)
 
-    def _dispatch(self, state: _ServerConn, message: Message) -> None:
+    def _dispatch(self, state: _ServerConn, message: Message,
+                  inline: bool = False) -> None:
+        """Execute one frame and send its reply (a worker, or the loop).
+
+        A pooled dispatch lets a batch of independent subs fan back out
+        across the pool (:meth:`Transport.execute_batch`); ``inline`` —
+        the loop thread — runs them in order where it stands.  The link
+        delay is charged once per frame.
+        """
         if self._latency_s > 0.0:
             # Emulated link delay (tc-netem style): charged on the worker,
             # after the reactor delivered the frame, so a slow link never
             # stalls later frames arriving on the same connection.
             time.sleep(self._latency_s)
+        if message.kind is MessageKind.BATCH \
+                and isinstance(message.payload, Batch):
+            Transport.execute_batch(
+                message, self._execute,
+                lambda payload: self._send_reply(state, message, payload),
+                None if inline else self._pool.submit,
+            )
+            return
+        # (A BATCH frame whose payload is not a Batch falls through: the
+        # shared path answers it with a whole-batch error.)
+        payload = self._execute(message)
+        if message.kind in ONEWAY_KINDS:
+            return  # one-way traffic carries no reply frame
+        self._send_reply(state, message, payload)
+
+    def _execute(self, message: Message) -> ReplyPayload:
+        """One request — a whole frame or a batch's sub — to its outcome."""
         try:
-            payload = Transport.execute_handler(
+            return Transport.execute_handler(
                 message, self.handler, self.reply_cache
             )
         except BaseException as exc:  # magelint: disable=MAGE003(deliberate: converts the abort into an uncached error reply on a worker thread; re-raising would only kill the worker without informing the caller)
@@ -1498,57 +1451,11 @@ class _NodeServer:
             # executes afresh.  Answer with an *uncached* transport error
             # so the caller fails fast instead of waiting out its reply
             # timeout — a KeyboardInterrupt itself cannot cross the wire.
-            payload = ReplyPayload(
+            return ReplyPayload(
                 error=TransportError(
                     f"handler aborted by {type(exc).__name__}"
                 )
             )
-        if message.kind in ONEWAY_KINDS:
-            return  # one-way traffic carries no reply frame
-        self._send_reply(state, message, payload)
-
-    def _dispatch_batch(self, state: _ServerConn, frame: Message) -> None:
-        """Execute an AUTO_BATCH's sub-calls across the pool, reply once.
-
-        The coalesced sub-calls are *independent* — each would have been
-        its own frame and its own worker task without batching — so they
-        must not serialize behind a slow sibling: the frame fans back out
-        to the worker pool (this task keeps the first sub for itself) and
-        the last sub to finish sends the single aggregated reply.  Each
-        sub runs through :meth:`Transport.execute_handler` individually,
-        so per-sub deadlines and the at-most-once reply cache keep the
-        exact semantics of unbatched dispatch.
-        """
-        if self._latency_s > 0.0:
-            time.sleep(self._latency_s)  # link delay: charged per frame
-        subs = frame.payload
-        results: list = [None] * len(subs)
-        lock = threading.Lock()
-        pending = [len(subs)]
-
-        def run_sub(index: int, sub: Message) -> None:
-            try:
-                payload = Transport.execute_handler(
-                    sub, self.handler, self.reply_cache
-                )
-            except BaseException as exc:  # magelint: disable=MAGE003(deliberate: same uncached-error conversion as _dispatch, per sub)
-                payload = ReplyPayload(
-                    error=TransportError(
-                        f"handler aborted by {type(exc).__name__}"
-                    )
-                )
-            results[index] = (sub.msg_id, payload)
-            with lock:
-                pending[0] -= 1
-                done = pending[0] == 0
-            if done:
-                self._send_reply(
-                    state, frame, ReplyPayload(value=tuple(results))
-                )
-
-        for index in range(1, len(subs)):
-            self._pool.submit(run_sub, index, subs[index])
-        run_sub(0, subs[0])
 
     def _send_reply(self, state: _ServerConn, message: Message,
                     payload: ReplyPayload) -> None:
@@ -1611,7 +1518,6 @@ class TcpNetwork(Transport):
 
     def __init__(self, clock: Clock | None = None, trace: MessageTrace | None = None,
                  connect_timeout_s: float = 5.0, io_timeout_s: float = 30.0,
-                 retry_budget: int = DEFAULT_RETRY_BUDGET,
                  server_workers: int = 8,
                  latency_ms: float = 0.0,
                  codecs: tuple[str, ...] | None = None,
@@ -1621,7 +1527,6 @@ class TcpNetwork(Transport):
                  advertise_host: str | None = None,
                  ports: dict[str, int] | None = None,
                  hello_timeout_s: float = 2.0,
-                 reactor_threads: int = 1,
                  auto_batch: bool = True,
                  uds: bool = True,
                  local_bypass: bool = True) -> None:
@@ -1655,13 +1560,10 @@ class TcpNetwork(Transport):
         ``hello_timeout_s`` bounds how long a new connection waits for
         the server's HELLO before the dial fails.
 
-        ``reactor_threads`` sizes the event-loop pool that owns every
-        socket (one is right until it saturates a core).
-
         ``auto_batch`` coalesces this transport's concurrent calls to
-        one peer into single AUTO_BATCH frames (adaptive — a lone call
-        is never delayed).  It is a client-side switch: every server
-        accepts AUTO_BATCH frames.
+        one peer into single BATCH frames (adaptive — a lone call is
+        never delayed).  It is a client-side switch: every server runs
+        the BATCH frames it is sent.
 
         Same-host fast paths: ``uds`` makes every node listener
         additionally bind an abstract Unix-domain socket, advertised
@@ -1678,7 +1580,6 @@ class TcpNetwork(Transport):
         super().__init__(
             clock=clock if clock is not None else WallClock(),
             trace=trace,
-            retry_budget=retry_budget,
         )
         if latency_ms < 0:
             raise ConfigurationError(f"latency cannot be negative: {latency_ms}")
@@ -1693,10 +1594,6 @@ class TcpNetwork(Transport):
         if hello_timeout_s <= 0:
             raise ConfigurationError(
                 f"hello timeout must be positive: {hello_timeout_s}"
-            )
-        if reactor_threads <= 0:
-            raise ConfigurationError(
-                f"reactor needs at least one thread: {reactor_threads}"
             )
         self.latency_ms = latency_ms
         self.connect_timeout_s = connect_timeout_s
@@ -1728,8 +1625,7 @@ class TcpNetwork(Transport):
         # path: staging writes and marshalled-state applies never queue
         # behind latency-sensitive calls, and vice versa.
         self._bulk_pool = _WorkerPool(max(2, server_workers // 2), "tcpnet-bulk")
-        self._reactor = Reactor(reactor_threads, max_frame=_MAX_FRAME,
-                                name="tcpnet")
+        self._reactor = Reactor(max_frame=_MAX_FRAME, name="tcpnet")
 
     # -- codec negotiation ----------------------------------------------------
 
@@ -1975,7 +1871,7 @@ class TcpNetwork(Transport):
             sock.close()
             raise
         if self.auto_batch:
-            # Assigned post-construction, but only submit_auto — called
+            # Assigned post-construction, but only _submit — called
             # after this method returns — reads it.
             channel._batcher = _AutoBatcher(channel, self, self._call_metrics)
         with self._chan_lock:
@@ -2046,14 +1942,25 @@ class TcpNetwork(Transport):
         if message.kind in ONEWAY_KINDS:
             self.trace.record(message, self.clock.now_ms(), dropped=True)
 
-    def _via_channel(self, message: Message, op):
-        """Send via the peer's channel, with one stale-channel retry.
+    def _submit(self, message: Message,
+                future: _PipelinedCallFuture | None = None,
+                coalesce: bool = True) -> None:
+        """Put one frame on the wire: the only way anything is sent.
 
-        A channel may have died since its last use (the peer
-        re-registered or unregistered).  ``_ChannelClosedError`` means the
-        frame provably never left this side, so reconnecting and resending
-        preserves at-most-once; any post-send failure surfaces from ``op``
-        as :class:`NodeUnreachableError` instead.
+        Gets (or dials) the peer's channel, parks ``future`` and submits
+        the frame — through the channel's auto-batcher when it has one,
+        the kind is batchable and ``coalesce`` is on; a one-way message
+        has no ``future`` and is simply written.  A
+        channel may have died since its last use (the peer re-registered
+        or unregistered): ``_ChannelClosedError`` means the frame
+        provably never left this side, so redialling once and resending
+        preserves at-most-once.  A refused dial, or a second dead
+        channel, raises (:class:`NodeUnreachableError` /
+        :class:`ProtocolMismatchError`) after tracing the drop of a
+        one-way send; an unencodable payload raises
+        :class:`MarshalError` with nothing parked.  Anything that goes
+        wrong *after* the frame left reaches the future instead, through
+        the channel.
         """
         for _ in range(2):
             try:
@@ -2062,30 +1969,34 @@ class TcpNetwork(Transport):
                 self._record_drop(message)
                 raise
             try:
-                return op(channel)
+                if future is None:
+                    channel.send_oneway(message)
+                    return
+                # Channel recorded *before* submission: the auto-batcher
+                # may queue the frame and send it from another caller's
+                # drain, and abandon/timeout paths need the channel
+                # either way.
+                future._channel = channel
+                batcher = channel._batcher if coalesce else None
+                if batcher is None or message.kind in _UNBATCHABLE_KINDS:
+                    channel.submit(message, future)
+                else:
+                    batcher.submit(message, future)
+                return
             except _ChannelClosedError:
-                continue
+                continue  # frame provably never left; reconnect and resend
         self._record_drop(message)
         raise NodeUnreachableError(message.dst, "connection lost before send")
 
-    def _transmit(self, message: Message) -> Message:
-        timeout_s = self.io_timeout_s
-        if message.deadline is not None:
-            timeout_s = min(timeout_s, message.deadline.remaining_s())
-        return self._via_channel(
-            message, lambda channel: channel.request(message, timeout_s)
-        )
-
-    def _transmit_async(self, message: Message, batch: bool) -> CallFuture:
+    def _transmit_async(self, message: Message) -> CallFuture:
         """Native futures on the channel's waiter mechanism.
 
-        The frame is written during submission (with the same
-        provably-unsent reconnect retry as the blocking path); the returned
-        future is resolved on the reactor loop when the matching reply
-        frame arrives.  Issuing N futures before collecting any puts N
-        round trips in flight on the shared connection.
+        The frame is written during submission; the returned future is
+        resolved on the reactor loop when the matching reply frame
+        arrives.  Issuing N futures before collecting any puts N round
+        trips in flight on the shared connection.
         """
-        future = _PipelinedCallFuture(message, batch, self.io_timeout_s,
+        future = _PipelinedCallFuture(message, self.io_timeout_s,
                                       transport=self)
         if message.deadline is not None and message.deadline.expired:
             # Budget already gone: never touch the wire.
@@ -2093,83 +2004,36 @@ class TcpNetwork(Transport):
                 f"{message.describe()}: deadline expired"
             ))
             return future
-        for _ in range(2):
-            try:
-                channel = self._channel(message.src, message.dst)
-            except TransportError as exc:  # refused dial
-                self._record_drop(message)
-                future._fail(exc)
-                return future
-            # Channel recorded *before* submission: the auto-batcher may
-            # queue the frame and send it from another caller's drain,
-            # and abandon/timeout paths need the channel either way.
-            future._channel = channel
-            try:
-                channel.submit_auto(message, future)
-            except _ChannelClosedError:
-                continue  # frame provably never left; reconnect and resend
-            except Exception as exc:  # e.g. MarshalError while encoding
-                future._fail(exc)
-                return future
-            return future
-        self._record_drop(message)
-        future._fail(NodeUnreachableError(message.dst, "connection lost before send"))
+        try:
+            self._submit(message, future)
+        except Exception as exc:  # refused dial, dead channel, MarshalError
+            future._fail(exc)
         return future
 
-    def _rescue_async(self, items: "list[tuple[Message, object]]") -> None:
-        """Queue a stranded-frame rescue on the worker pool.
-
-        Rescue dials a fresh connection, which may block — and the
-        thread asking for it may be a reactor loop (a reply-clocked
-        flush), which must never block.  After shutdown the pool drops
-        the job silently; the affected callers then time out against a
-        transport that is gone anyway.
-        """
-        if items:
-            self._pool.submit(self._resubmit_stranded, items)
-
-    def _resubmit_stranded(
-        self, items: "list[tuple[Message, object]]"
-    ) -> None:
+    def _rescue_async(
+            self, items: list[tuple[Message, _PipelinedCallFuture]]) -> None:
         """Re-route frames a dying batcher proved never left its channel.
 
-        Each is re-submitted on a *fresh* channel (plain :meth:`submit`
-        — the original coalescing opportunity is gone) with the same
-        one-retry discipline as the direct path; a frame that cannot be
-        placed fails its own sink, never its group.
+        Each goes back through :meth:`_submit` uncoalesced (the original
+        grouping opportunity is gone); a frame that cannot be placed
+        fails its own future, never its group.  On the worker pool:
+        rescue dials a fresh connection, which may block, and the thread
+        asking may be the reactor loop (a reply-clocked flush).  After
+        shutdown the pool drops the job silently; the affected callers
+        then time out against a transport that is gone anyway.
         """
-        for message, sink in items:
-            failure: Exception | None = None
-            for _ in range(2):
+        def resubmit() -> None:
+            for message, future in items:
                 try:
-                    channel = self._channel(message.src, message.dst)
-                except TransportError as exc:  # refused dial
-                    failure = exc
-                    break
-                if hasattr(sink, "_channel"):
-                    sink._channel = channel
-                try:
-                    channel.submit(message, sink)
-                except _ChannelClosedError as exc:
-                    failure = exc
-                    continue
-                except Exception as exc:  # MarshalError while encoding
-                    failure = exc
-                    break
-                failure = None
-                break
-            if failure is not None:
-                self._record_drop(message)
-                _fail_sink(sink, failure if not isinstance(
-                    failure, _ChannelClosedError
-                ) else NodeUnreachableError(
-                    message.dst, "connection lost before send"
-                ))
+                    self._submit(message, future, coalesce=False)
+                except Exception as exc:
+                    future._fail(exc)
+
+        if items:
+            self._pool.submit(resubmit)
 
     def _transmit_oneway(self, message: Message) -> None:
-        self._via_channel(
-            message, lambda channel: channel.send_oneway(message)
-        )
+        self._submit(message)
 
     # -- lifecycle -------------------------------------------------------------
 

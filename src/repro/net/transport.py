@@ -7,11 +7,15 @@ protocols:
 * ``call`` — synchronous request/response, the shape of an RMI call.  All
   of RPC/REV/COD/GREV/CLE traffic is built from calls.
 * ``call_many`` — a *batch* of request/response exchanges riding one
-  frame (one round trip).  Multi-step runtime operations whose requests
-  are independent — e.g. instantiate-then-publish — can collapse their
-  round trips without changing per-request semantics: each sub-request
-  keeps its own message id, its own at-most-once slot in the reply cache,
-  and its own marshalled result or exception.
+  BATCH frame (one round trip).  A multi-step runtime operation — e.g.
+  instantiate-then-publish — collapses its round trips without changing
+  per-request semantics: each sub-request keeps its own message id, its
+  own at-most-once slot in the reply cache, and its own marshalled
+  result or exception, and the steps run in order, stopping at the
+  first error.  The frame's payload is a
+  :class:`~repro.net.message.Batch`; :func:`Transport.execute_batch` is
+  the one place a batch is run, for every transport and for both things
+  that build one (``call_many`` here, the TCP auto-batcher).
 * ``cast`` — one-way, asynchronous.  Mobile-agent hops use casts: the
   paper's §3.5 distinguishes REV (single hop, synchronous) from MA
   (multi-hop, asynchronous).
@@ -77,6 +81,7 @@ from repro.net.deadline import (
 )
 from repro.net.endpoint import Endpoint
 from repro.net.message import (
+    Batch,
     Message,
     MessageKind,
     ReplyPayload,
@@ -165,13 +170,15 @@ class CallFuture:
         for callback in callbacks:
             callback(self)
 
-    def _complete_from_reply(self, reply: Message, batch: bool) -> None:
+    def _complete_from_reply(self, reply: Message) -> None:
         """Unwrap a reply envelope into this future's outcome.
 
-        Mirrors what the blocking path raises/returns: a marshalled handler
-        exception fails the future; a BATCH reply resolves to the list of
-        sub-request values, failing on the first sub-error (the later subs
-        never ran — the batch is fail-fast at the destination).
+        Mirrors what ``call`` raises/returns: a marshalled handler
+        exception fails the future; a reply to a BATCH (``call_many``)
+        holds ``(sub id, ReplyPayload)`` pairs in request order and
+        resolves to the list of sub-request values, failing on the first
+        sub-error (the later subs never ran and are absent — the batch is
+        sequential at the destination).
         """
         payload = reply.payload
         if isinstance(payload, ReplyPayload):
@@ -182,11 +189,11 @@ class CallFuture:
             value = payload.value
         else:
             value = payload
-        if not batch:
+        if reply.in_reply_to is not MessageKind.BATCH:
             self._resolve(value)
             return
         results = []
-        for sub_payload in value:
+        for _sub_id, sub_payload in value:
             sub_error = sub_payload.error
             if sub_error is not None:
                 self._fail(sub_error)
@@ -267,7 +274,7 @@ class CallFuture:
     def _on_wait_timeout(self, timeout_s: float | None) -> None:
         # The future may still complete later; waiting merely gave up.
         # (Natively asynchronous transports override this to abandon the
-        # exchange, matching their blocking call's timeout semantics.)
+        # exchange, which is what a timed-out ``call`` must do.)
         raise CallTimeoutError(
             f"{self._label()}: not completed within {timeout_s}s"
         )
@@ -773,14 +780,17 @@ class Transport(ABC):
 
     # -- delivery (one attempt; implemented per transport) -------------------
 
-    @abstractmethod
     def _transmit(self, message: Message) -> Message:
         """Deliver one request attempt and return the reply envelope.
 
+        The hook of an *eager* transport, called by the default
+        :meth:`_transmit_async` under its loss-retry loop; a transport
+        that overrides :meth:`_transmit_async` has no use for it.
         Raises :class:`MessageLostError` when the loss model ate either the
         request or the reply, and :class:`NodeUnreachableError` when the
         destination is gone.
         """
+        raise NotImplementedError
 
     @abstractmethod
     def _transmit_oneway(self, message: Message) -> None:
@@ -817,7 +827,7 @@ class Transport(ABC):
         """
         message = build_message(kind, src, dst, payload,
                                 effective_deadline(deadline))
-        return self._transmit_async(message, batch=False)
+        return self._transmit_async(message)
 
     def call_many(self, src: str, dst: str,
                   requests: Sequence[tuple[MessageKind, Any]],
@@ -828,11 +838,11 @@ class Transport(ABC):
         an individual ``call`` would — its own message id, its own
         at-most-once reply-cache slot — but the batch crosses the network as
         a single BATCH envelope, so N requests cost one round trip instead
-        of N.  Results return in request order.  Sub-requests execute
-        *sequentially*, and the first failure stops the batch — exactly the
-        behaviour of the sequence of ``call``s the batch replaces, where a
-        raised error prevents the later calls from ever being issued.  That
-        first error re-raises here.
+        of N.  Results return in request order.  The batch is built
+        ``sequential``: sub-requests execute in order and the first failure
+        stops the batch — exactly the behaviour of the sequence of ``call``s
+        the batch replaces, where a raised error prevents the later calls
+        from ever being issued.  That first error re-raises here.
         """
         return self.call_many_async(src, dst, requests, deadline).result()
 
@@ -854,8 +864,9 @@ class Transport(ABC):
             build_message(kind, src, dst, payload, deadline)
             for kind, payload in requests
         )
-        batch = build_message(MessageKind.BATCH, src, dst, subs, deadline)
-        return self._transmit_async(batch, batch=True)
+        batch = build_message(MessageKind.BATCH, src, dst,
+                              Batch(subs, sequential=True), deadline)
+        return self._transmit_async(batch)
 
     def stream(self, src: str, dst: str,
                requests: Iterable[tuple[MessageKind, Any]],
@@ -904,7 +915,7 @@ class Transport(ABC):
             raise
         return results
 
-    def _transmit_async(self, message: Message, batch: bool) -> CallFuture:
+    def _transmit_async(self, message: Message) -> CallFuture:
         """Issue one exchange as a future.
 
         Default: run the whole exchange (with loss retries) eagerly on the
@@ -918,7 +929,7 @@ class Transport(ABC):
         except Exception as exc:
             future._fail(exc)
         else:
-            future._complete_from_reply(reply, batch)
+            future._complete_from_reply(reply)
         return future
 
     def _transmit_with_retries(self, message: Message) -> Message:
@@ -1023,8 +1034,9 @@ class Transport(ABC):
         exceptions are marshalled into the reply; control-flow exceptions
         (``KeyboardInterrupt``/``SystemExit``) propagate uncached so they
         can actually stop the process instead of being replayed to callers
-        forever.  BATCH envelopes dispatch each sub-request through this
-        same path, so sub-requests get per-id deduplication too.
+        forever.  A BATCH envelope is handed to :meth:`execute_batch`,
+        which runs each sub-request through this same path, so
+        sub-requests get per-id deduplication and admission too.
 
         Admission control: a request whose deadline expired in flight or
         while queued behind busy workers is *dropped at dequeue* — the
@@ -1054,35 +1066,16 @@ class Transport(ABC):
                         f"{message.describe()}: deadline expired before dispatch"
                     ))
                 elif message.kind is MessageKind.BATCH:
-                    # Sequential, fail-fast: a failed step prevents the
-                    # later steps from running, like the sequence of calls
-                    # the batch replaces (an instantiate that raised must
-                    # not be followed by its publish).
-                    sub_payloads: list[ReplyPayload] = []
-                    for sub in message.payload:
-                        sub_payload = Transport.execute_handler(
-                            sub, handler, cache
-                        )
-                        sub_payloads.append(sub_payload)
-                        if sub_payload.is_error:
-                            break
-                    value = tuple(sub_payloads)
-                    payload = ReplyPayload(value=value)
-                elif message.kind is MessageKind.AUTO_BATCH:
-                    # Transport-coalesced *independent* calls: unlike BATCH
-                    # there is no sequencing contract between sub-calls, so
-                    # a failing sub must not shadow its siblings — every
-                    # sub executes and replies individually.  The reply
-                    # pairs each sub's message id with its outcome so the
-                    # sending transport can demultiplex replies back to
-                    # the right waiting callers.
-                    pairs: list[tuple[str, ReplyPayload]] = []
-                    for sub in message.payload:
-                        sub_payload = Transport.execute_handler(
-                            sub, handler, cache
-                        )
-                        pairs.append((sub.msg_id, sub_payload))
-                    payload = ReplyPayload(value=tuple(pairs))
+                    # No ``spawn``: the subs run in order on this thread,
+                    # so the outcome is in hand when the call returns.
+                    outcome: list[ReplyPayload] = []
+                    Transport.execute_batch(
+                        message,
+                        lambda sub: Transport.execute_handler(
+                            sub, handler, cache),
+                        outcome.append,
+                    )
+                    payload = outcome[0]
                 elif (message.deadline is None
                         and current_deadline() is None):
                     # Unbounded request on a thread with no ambient
@@ -1099,3 +1092,59 @@ class Transport(ABC):
             finally:
                 cache.finish(message.msg_id, payload)
             return payload
+
+    @staticmethod
+    def execute_batch(
+        message: Message,
+        run_sub: Callable[[Message], ReplyPayload],
+        done: Callable[[ReplyPayload], None],
+        spawn: Callable[..., None] | None = None,
+    ) -> None:
+        """Run a BATCH frame's sub-requests; the one batch executor.
+
+        ``run_sub`` executes one sub-request (through
+        :meth:`execute_handler`, so each keeps its own message id,
+        reply-cache slot, deadline admission and ambient deadline scope)
+        and ``done`` receives the single reply:
+        ``ReplyPayload(value=((sub_id, payload), ...))``, one pair per
+        sub that ran, in request order.
+
+        A ``sequential`` batch runs in order and stops after the first
+        error, like the sequence of calls it replaces (an instantiate
+        that raised must not be followed by its publish).  Otherwise the
+        subs are independent calls that happened to share a frame: none
+        shadows another, every one runs, and when the caller has a pool
+        (``spawn(fn, *args)``) they fan back out across it — this thread
+        runs the first, the last to finish calls ``done`` — so a slow
+        sub never serializes its siblings.  Without ``spawn`` everything
+        runs on the calling thread and ``done`` is called before this
+        returns.
+        """
+        batch: Batch = message.payload
+        subs = batch.subs
+        if batch.sequential or spawn is None or len(subs) < 2:
+            pairs: list[tuple[str, ReplyPayload]] = []
+            for sub in subs:
+                payload = run_sub(sub)
+                pairs.append((sub.msg_id, payload))
+                if batch.sequential and payload.is_error:
+                    break
+            done(ReplyPayload(value=tuple(pairs)))
+            return
+        results: list[tuple[str, ReplyPayload] | None] = [None] * len(subs)
+        lock = threading.Lock()
+        pending = len(subs)
+
+        def run(index: int) -> None:
+            nonlocal pending
+            sub = subs[index]
+            results[index] = (sub.msg_id, run_sub(sub))
+            with lock:
+                pending -= 1
+                last = pending == 0
+            if last:
+                done(ReplyPayload(value=tuple(results)))
+
+        for index in range(1, len(subs)):
+            spawn(run, index)
+        run(0)

@@ -4,7 +4,8 @@ Serialization is the per-call cost that remains once the data plane is
 off threads, so the control-plane hot path does not pickle: codecs are
 **compiled at import time from the payload dataclasses themselves**.
 For each class in :mod:`repro.rmi.protocol` (plus
-:class:`~repro.net.message.ReplyPayload`) the field list is read once
+:class:`~repro.net.message.ReplyPayload` and
+:class:`~repro.net.message.Batch`) the field list is read once
 via :func:`dataclasses.fields` and an encoder/decoder pair is generated
 (``exec``-compiled, no per-field dispatch loop at runtime) writing a
 tagged, length-prefixed binary layout.  A whole
@@ -54,8 +55,8 @@ copied between the socket and the unpickler.  Those are exactly the
 fields whose consumers (:func:`repro.rmi.marshal.unmarshal`, the
 mover's staging) read any bytes-like object; a raw ``bytes`` payload
 for an arbitrary handler still arrives as ``bytes``, and so do the
-results inside an aggregated AUTO_BATCH reply, whose decoder cannot
-tell which request each answers.  A view pins the whole frame body for
+results inside a BATCH reply, whose decoder cannot tell which request
+each answers.  A view pins the whole frame body for
 as long as it is referenced.  Every length is checked against the end
 of the body before it is sliced.
 """
@@ -70,7 +71,7 @@ from typing import Any, Callable
 
 from repro.net.deadline import Deadline
 from repro.net.endpoint import Hello
-from repro.net.message import Message, MessageKind, ReplyPayload
+from repro.net.message import Batch, Message, MessageKind, ReplyPayload
 from repro.net.reactor import DIRECT_RECV_MIN, FrameBody
 from repro.rmi import protocol
 from repro.rmi.stub import RemoteRef
@@ -215,7 +216,7 @@ def _r_strtuple(b: FrameBody, o: int) -> "tuple[tuple[str, ...], int]":
 #   11 (str, i64) pair — the (host, port) endpoint shape that fills
 #      membership payloads, written without per-element tags
 #   12 embedded Message — a full envelope body (no MAGIC byte) nested as
-#      a value; AUTO_BATCH frames carry a tuple of these as their payload
+#      a value; a BATCH frame's payload carries a tuple of these
 # Type checks are exact (``type(v) is``): subclasses keep their identity
 # by falling through to the pickle tag.
 
@@ -611,6 +612,7 @@ REGISTERED_PAYLOADS: tuple[type[Any], ...] = (
     # (invoke targets, registry bindings, reply values): a compiled
     # codec beats re-pickling the stub on every hop.
     RemoteRef,
+    Batch,
 )
 
 _ENC_BY_CLASS: dict[type[Any], tuple[int, _Encoder]] = {}
@@ -652,7 +654,7 @@ def _w_envelope(message: Message, buf: bytearray,
     """One message's envelope body (everything after the MAGIC byte).
 
     Shared by :func:`encode_envelope` (top level, MAGIC-prefixed) and the
-    tag-12 value encoding (an AUTO_BATCH sub-message nested as a payload
+    tag-12 value encoding (a BATCH sub-message nested as a payload
     value); both thread the same head buffer and out-of-band part list
     through, so blob flushing works at any nesting depth.
     """

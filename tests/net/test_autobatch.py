@@ -15,6 +15,7 @@ import pytest
 from repro.errors import CallTimeoutError
 from repro.net.deadline import Deadline
 from repro.net.message import (
+    Batch,
     Message,
     MessageKind,
     ReplyPayload,
@@ -104,11 +105,35 @@ class TestAutoBatchFormation:
         assert elapsed < 2.0
         gate.drain(hung)
 
+    def test_a_kick_resets_the_reply_clock(
+            self, net, monkeypatch):
+        """Behind one long-running exchange only the first lone call may
+        wait out the kick grace: that kick is the verdict that the reply
+        clock is dead, so it resets the gate and the calls after it go
+        straight out.  Counted, not timed: how many calls a kick had to
+        flush."""
+        flushed_by_kick = []
+        kick = tcpnet._AutoBatcher.kick
+
+        def counting_kick(batcher):
+            flushed_by_kick.append(len(batcher._queue))
+            kick(batcher)
+
+        monkeypatch.setattr(tcpnet._AutoBatcher, "kick", counting_kick)
+        gate = _Gate()
+        hung = gate.open(net)
+        for i in range(8):
+            assert net.call("a", "b", MessageKind.PING, i) == i + 10
+        assert not gate.release.is_set()  # the long exchange is still out
+        assert sum(1 for queued in flushed_by_kick if queued) <= 1
+        gate.drain(hung)
+
 
 class TestReplyIdUniqueness:
     def test_sub_reply_ids_are_derived_and_distinct(self):
         request = Message(
-            kind=MessageKind.AUTO_BATCH, src="a", dst="b", payload=()
+            kind=MessageKind.BATCH, src="a", dst="b",
+            payload=Batch((), sequential=False),
         )
         aggregate = request.reply(ReplyPayload(value=()))
         sub_ids = ("msg-1", "msg-2")
@@ -140,7 +165,8 @@ class TestReplyIdUniqueness:
             for payload in ("x", "y")
         )
         batch = Message(
-            kind=MessageKind.AUTO_BATCH, src="a", dst="b", payload=subs
+            kind=MessageKind.BATCH, src="a", dst="b",
+            payload=Batch(subs, sequential=False),
         )
         reply = Transport.execute_handler(batch, handler, cache)
         assert [sub_id for sub_id, _ in reply.value] == ["dup-id", "dup-id"]
@@ -215,7 +241,8 @@ class TestFailureIsolation:
             for p in (1, 2, 3)
         )
         batch = Message(
-            kind=MessageKind.AUTO_BATCH, src="a", dst="b", payload=subs
+            kind=MessageKind.BATCH, src="a", dst="b",
+            payload=Batch(subs, sequential=False),
         )
         first = Transport.execute_handler(batch, handler, cache)
         second = Transport.execute_handler(batch, handler, cache)
@@ -225,7 +252,7 @@ class TestFailureIsolation:
         assert executed == [1, 2, 3]  # each sub ran exactly once
 
     def test_failing_sub_does_not_stop_the_rest(self):
-        """Unlike BATCH (sequential, fail-fast), coalesced calls are
+        """Unlike a sequential batch (``call_many``), coalesced calls are
         independent: every sub runs, errors stay with their own sub."""
         cache = ReplyCache()
         executed = []
@@ -241,7 +268,8 @@ class TestFailureIsolation:
             for p in ("ok", "bad", "after")
         )
         batch = Message(
-            kind=MessageKind.AUTO_BATCH, src="a", dst="b", payload=subs
+            kind=MessageKind.BATCH, src="a", dst="b",
+            payload=Batch(subs, sequential=False),
         )
         reply = Transport.execute_handler(batch, handler, cache)
         assert [p.is_error for _, p in reply.value] == [False, True, False]
@@ -277,7 +305,7 @@ class TestAcrossTransports:
             self._pressure(client, "hub", "srv", gate)
             assert client.data_plane_metrics().auto_batches >= 1
             kinds = {e.kind for e in server.trace.events()}
-            assert "AUTO_BATCH" in kinds
+            assert "BATCH" in kinds
         finally:
             client.shutdown()
             server.shutdown()

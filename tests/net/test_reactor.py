@@ -1,10 +1,9 @@
-"""Reactor edge cases: backpressure, hard close, coalescing, shutdown.
+"""Reactor edge cases: backpressure, hard close, shutdown.
 
 The happy path of the event-loop data plane is exercised end-to-end by
 every TcpNetwork test; these tests pin the corners that only show up
 under adversity — a peer that stops reading (EAGAIN / partial writes), a
-peer that dies mid-frame, the coalescer's two flush triggers, and a
-reactor shutdown racing queued writes.  Each test drives a raw
+peer that dies mid-frame, and a reactor shutdown racing queued writes.  Each test drives a raw
 :class:`~repro.net.reactor.Reactor` over a socketpair so the scenarios
 are deterministic and need no TCP listener.
 """
@@ -12,7 +11,6 @@ are deterministic and need no TCP listener.
 from __future__ import annotations
 
 import os
-import select
 import socket
 import sys
 import threading
@@ -52,11 +50,6 @@ def read_exactly(sock: socket.socket, nbytes: int) -> bytes:
             )
         buf += chunk
     return bytes(buf)
-
-
-def readable_within(sock: socket.socket, timeout_s: float) -> bool:
-    ready, _, _ = select.select([sock], [], [], timeout_s)
-    return bool(ready)
 
 
 class FrameSink:
@@ -140,37 +133,13 @@ def test_peer_hard_close_mid_frame(reactor):
     assert sink.snapshot() == [(0, b"whole")]
 
 
-def test_coalesce_flush_on_size_vs_deadline(reactor):
-    """The coalescer flushes on the byte watermark or the delay deadline.
-
-    With a long delay and a small byte watermark, crossing the watermark
-    must flush promptly (well before the deadline); staying under it
-    must hold frames until the deadline passes.
-    """
-    r = reactor(coalesce_max_bytes=4096, coalesce_max_delay_s=0.6)
-    ours, theirs = socket.socketpair()
-    sink = FrameSink()
-    conn = r.add_connection(ours, sink.on_frame, sink.on_closed)
-    # Below the watermark: nothing may hit the wire before the deadline.
-    conn.send(frame(b"small"))
-    assert not readable_within(theirs, 0.1)
-    assert readable_within(theirs, WAIT_S)  # ... but the deadline flushes it
-    assert read_exactly(theirs, len(frame(b"small"))) == frame(b"small")
-    # Over the watermark: the size trigger flushes long before 0.6 s.
-    big = frame(b"y" * 8192)
-    start = time.monotonic()
-    conn.send(big)
-    assert readable_within(theirs, WAIT_S)
-    assert time.monotonic() - start < 0.5
-    assert read_exactly(theirs, len(big)) == big
-    theirs.close()
-
-
 def test_shutdown_drains_queued_writes_and_leaks_no_fds(reactor):
     """Closing the reactor drains queued replies and releases every FD."""
     before = len(os.listdir("/proc/self/fd"))
-    r = Reactor(max_frame=1 << 22, coalesce_max_delay_s=5.0)
+    r = Reactor(max_frame=1 << 22)
     ours, theirs = socket.socketpair()
+    ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    theirs.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     sink = FrameSink()
     conn = r.add_connection(ours, sink.on_frame, sink.on_closed)
     # Attachment is a loop task; wait for it, else close() wins the race
@@ -179,13 +148,17 @@ def test_shutdown_drains_queued_writes_and_leaks_no_fds(reactor):
     while not conn._registered and time.monotonic() < deadline:
         time.sleep(0.005)
     assert conn._registered
-    payloads = [frame(bytes([i]) * 1024) for i in range(16)]
+    payloads = [frame(bytes([i]) * 8192) for i in range(16)]
     for p in payloads:
-        conn.send(p)  # the 5 s coalescing delay keeps these queued
-    r.close()
+        conn.send(p)  # small buffers, peer not reading: these stay queued
+    assert conn.queued_bytes() > 0
+    closer = threading.Thread(target=r.close, daemon=True)
+    closer.start()
     # The graceful teardown must have pushed the queued frames out.
     wire = b"".join(payloads)
     assert read_exactly(theirs, len(wire)) == wire
+    closer.join(WAIT_S)
+    assert not closer.is_alive()
     assert sink.closed.wait(WAIT_S)
     with pytest.raises(ConnectionError):
         conn.send(frame(b"too late"))

@@ -103,22 +103,31 @@ class TestTcpDelivery:
 
 
 class TestConfig:
-    def test_retry_budget_is_forwarded(self):
-        net = TcpNetwork(retry_budget=3)
-        try:
-            assert net.retry_budget == 3
-        finally:
-            net.shutdown()
-
     @pytest.mark.parametrize("option", [
         "mode", "handshake", "protocol_version", "wire_formats",
         "coalesce_max_bytes", "coalesce_max_delay_ms", "batch_max_msgs",
         "batch_max_bytes", "inline_dispatch", "inline_budget_ms",
+        "retry_budget", "reactor_threads",
     ])
     def test_there_is_one_wire_dialect_and_no_option_to_pick_another(
             self, option):
         with pytest.raises(TypeError):
             TcpNetwork(**{option: None})
+
+    def test_there_is_one_of_each(self):
+        """The census of things that used to exist twice: one batch frame
+        kind, no blocking send path beside the future one, and no knob
+        that nothing sets."""
+        import inspect
+
+        from repro.net.reactor import Reactor
+
+        assert [k.name for k in MessageKind if "BATCH" in k.name] == ["BATCH"]
+        assert "_transmit" not in vars(TcpNetwork)
+        tcp_args = list(inspect.signature(TcpNetwork.__init__).parameters)[1:]
+        assert len(tcp_args) <= 16, tcp_args
+        reactor_args = list(inspect.signature(Reactor.__init__).parameters)[1:]
+        assert reactor_args == ["max_frame", "name"]
 
 
 class TestDropTracing:
@@ -151,7 +160,7 @@ class TestAtMostOnce:
         replies = []
 
         def transmit():
-            replies.append(net._transmit(message))
+            replies.append(net._transmit_async(message).result())
 
         original = threading.Thread(target=transmit)
         original.start()
@@ -163,7 +172,7 @@ class TestAtMostOnce:
         original.join(5)
         retransmission.join(5)
         assert len(calls) == 1
-        assert [r.payload.value for r in replies] == ["slow", "slow"]
+        assert replies == ["slow", "slow"]
 
 
 class TestControlFlowAbort:
@@ -172,7 +181,6 @@ class TestControlFlowAbort:
         an uncached TransportError immediately (no reply-timeout hang);
         a retransmission of the same message id executes afresh."""
         from repro.errors import TransportError
-        from repro.net.transport import Transport
 
         calls = []
 
@@ -186,12 +194,11 @@ class TestControlFlowAbort:
         net.register("b", interrupted_once)
         message = Message(kind=MessageKind.PING, src="a", dst="b")
         start = time.time()
-        reply = net._transmit(message)
-        with pytest.raises(TransportError, match="aborted by KeyboardInterrupt"):
-            Transport._unwrap(reply)
+        error = net._transmit_async(message).exception()
+        assert isinstance(error, TransportError)
+        assert "aborted by KeyboardInterrupt" in str(error)
         assert time.time() - start < 5  # failed fast, no timeout wait
-        retry = net._transmit(message)
-        assert Transport._unwrap(retry) == "recovered"
+        assert net._transmit_async(message).result() == "recovered"
         assert len(calls) == 2
 
 
@@ -236,14 +243,6 @@ class TestRegisterReplacement:
 
 
 class TestCallMany:
-    def test_batch_over_tcp(self, net):
-        net.register("a", lambda m: None)
-        net.register("b", lambda m: ("echo", m.payload))
-        values = net.call_many(
-            "a", "b", [(MessageKind.PING, i) for i in range(4)]
-        )
-        assert values == [("echo", i) for i in range(4)]
-
     def test_batch_rides_one_frame(self, net):
         net.register("a", lambda m: None)
         net.register("b", lambda m: m.payload)

@@ -3,7 +3,7 @@
 import threading
 import time
 
-from repro.net.message import Message, MessageKind, ReplyPayload
+from repro.net.message import Batch, Message, MessageKind, ReplyPayload
 from repro.net.transport import ReplyCache, Transport
 
 import pytest
@@ -245,7 +245,8 @@ class TestBatchRetransmission:
             Message(kind=MessageKind.PING, src="a", dst="b", payload=p)
             for p in payloads
         )
-        return Message(kind=MessageKind.BATCH, src="a", dst="b", payload=subs)
+        return Message(kind=MessageKind.BATCH, src="a", dst="b",
+                       payload=Batch(subs, sequential=True))
 
     def test_retransmitted_batch_replays_cached_subreplies(self):
         cache = ReplyCache()
@@ -258,8 +259,11 @@ class TestBatchRetransmission:
         batch = self._batch([1, 2, 3])
         first = Transport.execute_handler(batch, handler, cache)
         second = Transport.execute_handler(batch, handler, cache)
-        assert [p.value for p in first.value] == [10, 20, 30]
-        assert [p.value for p in second.value] == [10, 20, 30]
+        subs = batch.payload.subs
+        for reply in (first, second):  # (sub id, payload) pairs, in order
+            assert [sub_id for sub_id, _ in reply.value] == [
+                sub.msg_id for sub in subs]
+            assert [p.value for _, p in reply.value] == [10, 20, 30]
         assert executed == [1, 2, 3]  # each sub-request ran exactly once
 
     def test_subrequests_survive_batch_entry_eviction(self):
@@ -280,7 +284,7 @@ class TestBatchRetransmission:
         with shard._lock:
             del shard._entries[batch.msg_id]
         replay = Transport.execute_handler(batch, handler, cache)
-        assert [p.value for p in replay.value] == ["x", "y"]
+        assert [p.value for _, p in replay.value] == ["x", "y"]
         assert executed == ["x", "y"]
 
     def test_partially_failed_batch_does_not_reexecute_on_retry(self):
@@ -297,7 +301,7 @@ class TestBatchRetransmission:
         first = Transport.execute_handler(batch, handler, cache)
         second = Transport.execute_handler(batch, handler, cache)
         for payload in (first, second):
-            assert [p.is_error for p in payload.value] == [False, True]
+            assert [p.is_error for _, p in payload.value] == [False, True]
         # The failing sub stopped the batch; the retry replayed the cached
         # partial outcome without running anything again.
         assert executed == ["ok", "bad"]

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.net import wirecodec
 from repro.net.deadline import Deadline
 from repro.net.endpoint import PROTOCOL_VERSION, Hello
-from repro.net.message import Message, MessageKind, ReplyPayload
+from repro.net.message import Batch, Message, MessageKind, ReplyPayload
 from repro.net.tcpnet import TcpNetwork
 from repro.rmi import protocol
 from repro.rmi.stub import RemoteRef
@@ -139,6 +139,14 @@ SAMPLES = {
     RemoteRef: [
         RemoteRef(node_id="n1", name="printer"),
         RemoteRef(node_id="n2", name="acct", methods=("debit", "credit")),
+    ],
+    Batch: [
+        Batch(subs=(
+            Message(kind=MessageKind.PING, src="n1", dst="n2", payload=1),
+            Message(kind=MessageKind.FIND, src="n1", dst="n2",
+                    payload=protocol.FindRequest(name="acct")),
+        ), sequential=True),
+        Batch(subs=(), sequential=False),
     ],
 }
 

@@ -9,13 +9,12 @@ from magelint.findings import Finding
 from magelint.rules.base import ModuleContext, ProgramFacts, Rule, attr_chain
 
 #: Kinds the node dispatcher never sees: REPLY is the response envelope
-#: (matched to waiters by msg id at the transport) and BATCH/AUTO_BATCH
-#: are unpacked into their sub-requests by ``Transport.execute_handler``
-#: itself (AUTO_BATCH is transport-coalesced and never user-built).
-DISPATCH_EXEMPT = frozenset({"REPLY", "BATCH", "AUTO_BATCH"})
+#: (matched to waiters by msg id at the transport) and BATCH is unpacked
+#: into its sub-requests by ``Transport.execute_batch`` itself.
+DISPATCH_EXEMPT = frozenset({"REPLY", "BATCH"})
 
 #: Kinds that legitimately travel with no protocol payload dataclass.
-PAYLOAD_EXEMPT = frozenset({"PING", "REPLY", "BATCH", "AUTO_BATCH"})
+PAYLOAD_EXEMPT = frozenset({"PING", "REPLY", "BATCH"})
 
 #: Where the payload vocabulary must live.
 PROTOCOL_MODULES = ("rmi/protocol.py", "net/message.py")
