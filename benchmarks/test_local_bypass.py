@@ -10,9 +10,9 @@ Three comparisons, all at 8 concurrent callers:
 * **Same-host UDS** — two separate transports on one machine (stand-ins
   for two processes), dialling each other over the tier-2 Unix-domain
   socket vs plain loopback TCP.  The payload is a compressible ~15 KB
-  tree, the case the same-host codec policy targets: the TCP leg pays
-  the negotiated zlib pass both ways, the UDS leg provably shares the
-  machine and skips it.  Must clear **1.2x**.
+  list whose envelope (14 797 bytes) sits just under the 16 KiB
+  compression minimum, so neither leg compresses: the comparison is
+  the socket family alone.  Must clear **1.2x**.
 * **Migrate-then-call** — a servant starts remote, the stub's first call
   takes the wire, the object migrates to the caller's node, and the next
   call rides the bypass: the tier upgrade MAGE's whole migrate-toward-
@@ -45,8 +45,8 @@ WARMUP_CALLS = 5
 BLOCKS = 2
 REPS = 3
 
-#: The UDS comparison payload: compressible and over the negotiated
-#: compression threshold, so the TCP leg pays zlib in both directions.
+#: The UDS comparison payload: compressible, but its envelope is just
+#: under ``codec.COMPRESS_MIN_BYTES``, so both legs ship it raw.
 UDS_PAYLOAD = list(range(5000))
 
 
@@ -108,7 +108,8 @@ def _best(a: LadderSample, b: LadderSample) -> LadderSample:
 def measure_colocated(local_bypass: bool,
                       calls: int = COLOCATED_CALLS) -> LadderSample:
     """Stub-call rate against a servant in the caller's own store."""
-    net = TcpNetwork(local_bypass=local_bypass)
+    net = TcpNetwork()
+    net.supports_local_bypass = local_bypass
     try:
         ns = Namespace("bench", net)
 
@@ -276,7 +277,7 @@ def test_local_bypass(report, ladder):
 @pytest.mark.perf
 def test_local_bypass_bars(ladder):
     """The acceptance shape: the bypass collapses the loopback stack, and
-    the Unix socket (plus its same-host codec policy) beats TCP."""
+    the Unix socket beats TCP."""
     bypass, wire, uds, tcp = ladder
     assert bypass.calls_per_s / wire.calls_per_s >= 5.0
     assert uds.calls_per_s / tcp.calls_per_s >= 1.2

@@ -5,7 +5,7 @@ path.  §3.5's weak migration shipped ``(class descriptor, marshalled
 state)`` as one monolithic pickled frame: a large object serialized,
 transmitted, and applied as a single blocking unit.  The streamed
 pipeline cuts that three ways — chunked frames pipeline over the pooled
-socket, the negotiated frame codec shrinks what crosses the (bandwidth-
+socket, zlib frame compression shrinks what crosses the (bandwidth-
 limited) link, and the PREPARE/CHUNK/COMMIT handshake defers apply so
 the write side can be hedged.
 
@@ -14,9 +14,12 @@ emulated link bandwidth (the regime where an 8 MB frame costs ~320 ms of
 transmission).  Two workloads:
 
 * ``throughput`` — an 8 MB (compressible) object moves between two
-  nodes: the pre-PR monolithic OBJECT_TRANSFER (codecs disabled, single
-  frame) vs chunked-raw vs chunked+zlib.  Bar: chunked+compressed ≥ 2x
-  the monolithic throughput.
+  nodes: the pre-PR monolithic OBJECT_TRANSFER (uncompressed, single
+  frame) vs chunked-raw vs chunked+zlib.  The transport compresses every
+  large TCP frame by one rule (:mod:`repro.net.codec`); the two raw
+  arms raise ``codec.COMPRESS_MIN_BYTES`` past the frame bound for
+  their duration.  Bar: chunked+compressed ≥ 2x the monolithic
+  throughput.
 * ``hedged write`` — the same object must leave its host while the
   preferred target's dispatcher stalls 500 ms per message: plain
   ``move`` to the stalled target vs ``move(hedge=True,
@@ -41,8 +44,9 @@ import time
 import pytest
 
 from repro.cluster import Cluster
+from repro.net import codec
 from repro.net.deadline import Deadline
-from repro.net.tcpnet import TcpNetwork
+from repro.net.tcpnet import _MAX_FRAME, TcpNetwork
 
 LINK_LATENCY_MS = 2.0
 BANDWIDTH_MBPS = 200.0
@@ -101,20 +105,29 @@ class StagingProbe:
         self._thread.join(2.0)
 
 
-def _cluster(codecs, stream_threshold, chunk_bytes=256 * 1024,
+def _cluster(stream_threshold, chunk_bytes=256 * 1024,
              node_ids=("n0", "n1", "n2")):
+    # uds=False: every node shares this host, and a same-host Unix
+    # socket never compresses; the bench is about the TCP link.
     net = TcpNetwork(latency_ms=LINK_LATENCY_MS, io_timeout_s=IO_TIMEOUT_S,
-                     bandwidth_mbps=BANDWIDTH_MBPS, codecs=codecs,
-                     server_workers=16)
+                     bandwidth_mbps=BANDWIDTH_MBPS, server_workers=16,
+                     uds=False)
     cluster = Cluster(list(node_ids), transport=net,
                       stream_threshold=stream_threshold,
                       chunk_bytes=chunk_bytes)
     return cluster, net
 
 
-def measure_throughput(codecs, stream_threshold, label):
+def measure_throughput(compress, stream_threshold, label):
     """Seconds per 8 MB move, one arm; staging invariant asserted."""
-    cluster, _net = _cluster(codecs, stream_threshold, node_ids=("n0", "n1"))
+    with pytest.MonkeyPatch.context() as patch:
+        if not compress:  # no frame reaches the compression minimum
+            patch.setattr(codec, "COMPRESS_MIN_BYTES", _MAX_FRAME + 1)
+        return _timed_moves(stream_threshold, label)
+
+
+def _timed_moves(stream_threshold, label):
+    cluster, _net = _cluster(stream_threshold, node_ids=("n0", "n1"))
     samples = []
     try:
         receivers = [cluster["n1"]]
@@ -135,7 +148,7 @@ def measure_throughput(codecs, stream_threshold, label):
 
 def measure_hedged_write():
     """(plain_s, hedged_s) move times with the preferred target stalled."""
-    cluster, net = _cluster(codecs=None, stream_threshold=256 * 1024,
+    cluster, net = _cluster(stream_threshold=256 * 1024,
                             chunk_bytes=1024 * 1024)
     plain, hedged = [], []
     release = threading.Event()
@@ -189,10 +202,10 @@ def measure_hedged_write():
 
 @pytest.mark.slow
 def test_transfer_pipeline(report):
-    mono = measure_throughput((), stream_threshold=1 << 30, label="mono")
-    chunked_raw = measure_throughput((), stream_threshold=256 * 1024,
+    mono = measure_throughput(False, stream_threshold=1 << 30, label="mono")
+    chunked_raw = measure_throughput(False, stream_threshold=256 * 1024,
                                      label="raw")
-    chunked_zlib = measure_throughput(None, stream_threshold=256 * 1024,
+    chunked_zlib = measure_throughput(True, stream_threshold=256 * 1024,
                                       label="zlib")
     plain, hedged = measure_hedged_write()
 

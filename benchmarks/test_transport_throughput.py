@@ -105,14 +105,15 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 def measure_throughput(strategy: str, workers: int = WORKERS,
                        calls: int = CALLS_PER_WORKER,
-                       **net_kwargs) -> ThroughputSample:
+                       auto_batch: bool = True) -> ThroughputSample:
     """Rate and latency spread for ``workers`` concurrent callers.
 
-    ``strategy`` picks the client (:data:`STRATEGIES`); ``net_kwargs``
-    reach the :class:`TcpNetwork` constructor — the auto-batch
-    comparison points pass ``auto_batch=False`` here.
+    ``strategy`` picks the client (:data:`STRATEGIES`); the auto-batch
+    comparison points pass ``auto_batch=False``, which clears the
+    transport's :attr:`TcpNetwork.auto_batch` before its first dial.
     """
-    net = TcpNetwork(**net_kwargs)
+    net = TcpNetwork()
+    net.auto_batch = auto_batch
     try:
         net.register("client", lambda m: None)
         # inline_safe: PING is allowlisted, so declaring the echo handler
@@ -158,10 +159,11 @@ def measure_throughput(strategy: str, workers: int = WORKERS,
 
 
 def best_of(samples: int, strategy: str, workers: int = WORKERS,
-            calls: int = CALLS_PER_WORKER, **net_kwargs) -> ThroughputSample:
+            calls: int = CALLS_PER_WORKER,
+            auto_batch: bool = True) -> ThroughputSample:
     """Best-rate sample of ``samples`` runs (damps box noise)."""
     return max(
-        (measure_throughput(strategy, workers, calls, **net_kwargs)
+        (measure_throughput(strategy, workers, calls, auto_batch)
          for _ in range(samples)),
         key=lambda sample: sample.calls_per_s,
     )

@@ -6,11 +6,13 @@ Run with::
 
 A 4-node cluster over real TCP sockets with a 2 ms emulated link delay
 and a 200 Mbit/s emulated link bandwidth — the regime where moving an
-8 MB object actually costs something.  Three acts:
+8 MB object actually costs something.  Every frame of 16 KiB or more
+crossing a TCP link is zlib-compressed (:mod:`repro.net.codec`).  Three
+acts:
 
 1. **Monolithic baseline** — the paper's single OBJECT_TRANSFER frame
-   (codecs off, streaming off): the whole marshalled state serializes,
-   crosses the link, and applies as one blocking unit.
+   (compression off, streaming off): the whole marshalled state
+   serializes, crosses the link, and applies as one blocking unit.
 2. **Streamed + compressed** — the same object with the PR-4 pipeline:
    TRANSFER_PREPARE reserves a staging slot, zlib-compressed
    TRANSFER_CHUNK frames pipeline over the pooled socket (windowed,
@@ -28,8 +30,9 @@ import threading
 import time
 
 from repro.cluster import Cluster
+from repro.net import codec
 from repro.net.deadline import Deadline
-from repro.net.tcpnet import TcpNetwork
+from repro.net.tcpnet import _MAX_FRAME, TcpNetwork
 
 NODE_IDS = ["archive", "lab", "field", "backup"]
 WEDGED = "field"
@@ -54,19 +57,26 @@ def timed_move(cluster, name, src, dst, **kwargs):
 
 
 def main():
+    # uds=False throughout: the nodes share this host, and a same-host
+    # Unix socket never compresses; the example is about the TCP link.
     print(f"== 1. monolithic baseline ({STATE_MB} MB, one frame) ==")
     baseline_net = TcpNetwork(latency_ms=2.0, bandwidth_mbps=200.0,
-                              codecs=(), server_workers=12)
-    with Cluster(NODE_IDS, transport=baseline_net,
-                 stream_threshold=1 << 30) as cluster:
-        cluster["archive"].register("survey", SurveyData())
-        _, took = timed_move(cluster, "survey", "archive", "lab")
-        print(f"   archive -> lab: {took * 1000:7.1f} ms  "
-              f"({STATE_MB / took:.0f} MB/s effective)")
+                              server_workers=12, uds=False)
+    min_bytes = codec.COMPRESS_MIN_BYTES
+    codec.COMPRESS_MIN_BYTES = _MAX_FRAME + 1  # no frame is compressed
+    try:
+        with Cluster(NODE_IDS, transport=baseline_net,
+                     stream_threshold=1 << 30) as cluster:
+            cluster["archive"].register("survey", SurveyData())
+            _, took = timed_move(cluster, "survey", "archive", "lab")
+            print(f"   archive -> lab: {took * 1000:7.1f} ms  "
+                  f"({STATE_MB / took:.0f} MB/s effective)")
+    finally:
+        codec.COMPRESS_MIN_BYTES = min_bytes
 
     print(f"== 2. streamed + compressed (256 KiB chunks, window 8) ==")
     fast_net = TcpNetwork(latency_ms=2.0, bandwidth_mbps=200.0,
-                          server_workers=12)  # codecs: all available
+                          server_workers=12, uds=False)
     with Cluster(NODE_IDS, transport=fast_net,
                  stream_threshold=256 * 1024) as cluster:
         cluster["archive"].register("survey", SurveyData())

@@ -14,11 +14,11 @@ endpoint layer:
    hub's endpoint, passed on its command line).  Its JOIN carries its
    own endpoint; the hub records it in its address book and answers
    with the cluster roster.
-2. **HELLO-negotiated wire** — the first connection in each direction
-   opens with a HELLO exchange: protocol version, node id, codec
-   advertisement.  No ``advertise_codecs`` registry call exists between
-   the processes, yet large frames compress — negotiation happened on
-   the wire.
+2. **HELLO-checked wire** — the first connection in each direction
+   opens with a HELLO exchange: protocol version, node id, wire-format
+   digest.  Two processes of one build agree on everything else by
+   construction.  The server's HELLO also offers its same-host Unix
+   socket for later dials.
 3. **The paper's operations, cross-process** — a remote invocation, a
    stay/move lock served by the other process, and a large object
    *streamed* to the worker as TRANSFER_PREPARE / CHUNK / COMMIT.
@@ -129,8 +129,6 @@ def main() -> None:
               f"{where!r} in {elapsed_ms:.1f} ms "
               f"(threshold {STREAM_THRESHOLD // 1024} KiB, "
               f"chunks {CHUNK_BYTES // 1024} KiB)")
-        print(f"[parent] codecs   : hub->worker negotiated "
-              f"{net.negotiated_codecs('hub', 'worker')} on the wire")
 
         # Act 4: kill the child; the heartbeat notices, balancing reacts.
         balancer = LoadBalancer(cluster, membership=hub.membership,

@@ -114,12 +114,11 @@ two-phase TRANSFER_PREPARE / TRANSFER_CHUNK / TRANSFER_COMMIT /
 TRANSFER_ABORT migration pipeline in :mod:`repro.runtime.mover` — rides
 it.
 
-The TCP transport additionally carries a **negotiated per-frame codec**
-(:mod:`repro.net.codec`): frames at or above a size threshold are
-compressed (zlib by default, lz4 when importable) toward peers whose
-HELLO advertises the codec; everything else — all small control traffic
-— ships raw, and mixed-codec deployments degrade to raw rather than
-failing.
+The TCP transport additionally **compresses large frames by one rule**
+(:mod:`repro.net.codec`): a frame of at least 16 KiB is zlib-compressed
+unless its connection is a same-host Unix socket; everything else — all
+small control traffic — ships raw.  Nothing is negotiated: every
+admitted peer runs the same build, so every peer decodes zlib.
 ``TcpNetwork(bandwidth_mbps=...)`` emulates link throughput the way
 ``latency_ms`` emulates delay, so benches can price what compression
 and chunking buy.
@@ -133,8 +132,8 @@ endpoint)`` / ``endpoint_of`` / ``known_peers`` / ``forget_peer``) for
 peers hosted by *other processes or machines*.  ``TcpNetwork(bind=...,
 advertise_host=..., ports=...)`` opens the listeners beyond loopback,
 and every connection starts with a mandatory **HELLO handshake**
-(:class:`repro.net.endpoint.Hello`): protocol version, node id, wire
-format digest, and codec advertisement cross the wire.  A peer that
+(:class:`repro.net.endpoint.Hello`): protocol version, node id and
+wire format digest cross the wire.  A peer that
 answers no HELLO in time fails the dial
 (:class:`~repro.errors.NodeUnreachableError`); one that states another
 protocol version or wire format is refused with

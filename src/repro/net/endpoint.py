@@ -8,15 +8,15 @@ The vocabulary that lets the stack span real machines:
   never locally registered; the cluster layer's membership service
   propagates the book via JOIN/ANNOUNCE.
 * :class:`Hello` — the first frame each side of a new TCP connection
-  sends: protocol version, node identity, codec advertisement, and a
-  settings map that carries the wire-format digest.  The handshake is
-  mandatory and strict: both sides must state the same
-  :data:`PROTOCOL_VERSION` and the same wire format, or the dial is
-  refused with :class:`~repro.errors.ProtocolMismatchError` before any
-  request is written (see :mod:`repro.net.tcpnet` for the full
-  contract).  Codec negotiation happens **on the wire**: a sender
-  compresses toward a peer only per what that peer's HELLO advertised,
-  so two processes that share nothing but a socket still negotiate.
+  sends: protocol version, node identity, and a settings map that
+  carries the wire-format digest.  The handshake is mandatory and
+  strict: both sides must state the same :data:`PROTOCOL_VERSION` and
+  the same wire format, or the dial is refused with
+  :class:`~repro.errors.ProtocolMismatchError` before any request is
+  written (see :mod:`repro.net.tcpnet` for the full contract).  Nothing
+  else is negotiated: peers of one build share every codec, so frame
+  compression is decided by the sender's link alone
+  (:mod:`repro.net.codec`).
 
 HELLO frames are wire-level: they are not :class:`~repro.net.message.
 Message` envelopes, never reach a node's dispatcher, and are invisible
@@ -30,9 +30,9 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 
-#: Version of the frame-level wire protocol spoken after the HELLO
-#: exchange.  A peer stating any other version is refused.
-PROTOCOL_VERSION = 1
+#: Version of the HELLO exchange and the frame-level wire protocol
+#: spoken after it.  A peer stating any other version is refused.
+PROTOCOL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -111,20 +111,13 @@ class Hello:
         Who is speaking: the client's source node, or the node the
         contacted listener serves.  Lets a server attribute a
         connection to a peer it never registered locally.
-    ``codecs``
-        The frame codecs the *sender* can decode — i.e. what the other
-        side may compress toward it
-        (:meth:`~repro.net.tcpnet.TcpNetwork.advertise_codecs` overrides
-        a local node's).
     ``settings``
         Sender configuration.  ``"wire"`` is required: the sender's
         :data:`repro.net.wirecodec.WIRE_FORMAT`, which must equal the
         receiver's.  ``"uds"`` (a server's same-host Unix-socket facet)
-        and ``"max_frame"`` are informational; receivers ignore keys
-        they do not know.
+        is informational; receivers ignore keys they do not know.
     """
 
     version: int
     node_id: str
-    codecs: tuple[str, ...] = ()
     settings: dict[str, Any] = field(default_factory=dict)

@@ -33,9 +33,10 @@ envelope — a second HELLO, or any frame that does not open with
 :data:`wirecodec.MAGIC`, closes the connection without being unpickled.
 HELLO frames are wire-level only: a small pickled ``Hello``, decoded
 only by the handshake code, never traced and never dispatched.  The
-HELLO also carries each side's frame-codec advertisement (what the
-*other* side may compress toward it) and the server's same-host
-Unix-socket facet.
+server's HELLO also carries its same-host Unix-socket facet.  Nothing
+about compression is negotiated: each side zlib-compresses a large
+frame unless its connection is a same-host Unix socket (one rule, in
+:mod:`repro.net.codec`), and the frame header says which it did.
 
 **The channel.**  One persistent connection per (src, dst) pair carries
 many concurrent exchanges: submission enqueues the frame on the
@@ -59,8 +60,7 @@ deadline expired in the worker queue is dropped at dequeue.  Concurrent
 calls to one peer coalesce into BATCH frames (see :class:`_AutoBatcher`)
 — the same frame ``call_many`` builds, marked independent rather than
 sequential (:class:`~repro.net.message.Batch`) and run by the same
-executor; ``auto_batch=False`` turns the client-side coalescing off for
-A/B measurement.
+executor.
 
 **Data plane.**  Every socket — client channels, server-accepted
 connections, and listeners — is owned by a shared
@@ -172,6 +172,12 @@ _UDS_SETTING = "uds"
 #: inside restricted sandboxes) — every failure degrades to TCP.
 _UDS_SUPPORTED = hasattr(socket, "AF_UNIX")
 
+
+def _is_unix(sock: socket.socket) -> bool:
+    """Whether ``sock`` is a Unix-domain socket, i.e. provably same-host."""
+    return _UDS_SUPPORTED and sock.family == socket.AF_UNIX
+
+
 #: Kinds the client-side auto-batcher never coalesces: bulk kinds carry
 #: large zero-copy payloads and must keep their dedicated server pool;
 #: one-way kinds have no reply to demultiplex; nested batches stay flat.
@@ -266,7 +272,7 @@ def _transmittable_error_payload(payload: ReplyPayload) -> ReplyPayload:
 
 
 def _encode_frame(message: Message,
-                  codec_for=None) -> "bytes | list[bytes | memoryview]":
+                  compress: bool) -> "bytes | list[bytes | memoryview]":
     """One wire-ready frame: header word + binary envelope.
 
     The envelope comes from :func:`wirecodec.encode_envelope`.  Large
@@ -274,10 +280,10 @@ def _encode_frame(message: Message,
     segments) that the reactor writes with one gather syscall; small
     frames collapse to contiguous bytes.
 
-    ``codec_for`` maps the serialized size to a codec id (``None`` keeps
-    every frame raw).  A frame the codec fails to shrink is sent raw —
-    the header is self-describing, so the receiver never needs to know
-    what the sender attempted.
+    ``compress`` is the connection's flag (off for a same-host Unix
+    socket); :func:`codec.choose` applies the size rule.  A frame the
+    codec fails to shrink is sent raw — the header is self-describing,
+    so the receiver never needs to know what the sender attempted.
     """
     try:
         parts = wirecodec.encode_envelope(message)
@@ -287,7 +293,7 @@ def _encode_frame(message: Message,
     nbytes = sum(len(part) for part in parts)
     if nbytes > _MAX_FRAME:
         raise MarshalError(f"message too large: {nbytes} bytes")
-    ident = codec.RAW if codec_for is None else codec_for(nbytes)
+    ident = codec.choose(nbytes, compress)
     if ident != codec.RAW:
         body = codec.encode(ident, b"".join(parts))
         if len(body) < nbytes:  # compression beats zero-copy
@@ -340,7 +346,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def _encode_hello(hello: Hello) -> bytes:
-    """One HELLO frame (always raw: codecs are not yet negotiated)."""
+    """One HELLO frame (always raw, whatever the link)."""
     blob = pickle.dumps(hello, protocol=pickle.HIGHEST_PROTOCOL)
     return _LENGTH_PREFIX.pack(len(blob)) + blob
 
@@ -349,7 +355,9 @@ def _decode_hello(ident: int, body: FrameBody) -> Hello:
     """The first frame of a connection: a raw, bounded, pickled HELLO.
 
     The only place a frame body is unpickled; a body that is oversized,
-    compressed, or opens like a binary envelope is refused first.
+    compressed, or opens like a binary envelope is refused first.  A
+    ``Hello`` with a field missing or of the wrong type is refused too,
+    so every failure here is a :class:`MarshalError`.
     """
     if len(body) > _HELLO_MAX_BYTES:
         raise MarshalError(f"HELLO frame too large: {len(body)} bytes")
@@ -362,8 +370,9 @@ def _decode_hello(ident: int, body: FrameBody) -> Hello:
     if not isinstance(hello, Hello):
         raise MarshalError(
             f"expected a HELLO frame, got {type(hello).__name__}")
-    if not (isinstance(hello.node_id, str) and isinstance(hello.codecs, tuple)
-            and isinstance(hello.settings, dict)):
+    if not (type(getattr(hello, "version", None)) is int
+            and isinstance(getattr(hello, "node_id", None), str)
+            and isinstance(getattr(hello, "settings", None), dict)):
         raise MarshalError("malformed HELLO frame")
     return hello
 
@@ -394,12 +403,14 @@ class _ChannelClosedError(ConnectionError):
 class _Channel:
     """One persistent client connection to a destination node.
 
-    Built only from a completed handshake: ``peer_hello`` is the
-    server's HELLO, already checked for version and wire format.  The
-    socket lives on the shared reactor: submission encodes the frame and
-    enqueues it on the connection's write queue (no send lock, no
-    blocking), and the reactor's frame callback demultiplexes reply
-    frames to parked callers by ``reply_to_id``.
+    Built only from a completed handshake, whose server HELLO was
+    already checked for version and wire format.  ``compress`` is fixed
+    by the socket's family at dial time: off on a same-host Unix socket,
+    on otherwise (see :mod:`repro.net.codec`).  The socket lives on the
+    shared reactor: submission encodes the frame and enqueues it on the
+    connection's write queue (no send lock, no blocking), and the
+    reactor's frame callback demultiplexes reply frames to parked
+    callers by ``reply_to_id``.
 
     The channel's state — ``msg_id -> FIFO of parked futures``, the batch
     records and the ``closed`` refusal — lives under one lock, so parking
@@ -410,12 +421,9 @@ class _Channel:
     """
 
     def __init__(self, dst: str, sock: socket.socket, reactor: Reactor,
-                 peer_hello: Hello, codec_for=None) -> None:
+                 compress: bool) -> None:
         self.dst = dst
-        self.peer_hello = peer_hello
-        #: The frame codecs the peer's HELLO says it decodes.
-        self.negotiated_codecs = peer_hello.codecs
-        self._codec_for = codec_for
+        self.compress = compress
         #: The transport attaches an :class:`_AutoBatcher` right after
         #: construction when auto-batching is enabled.
         self._batcher: "_AutoBatcher | None" = None
@@ -447,7 +455,7 @@ class _Channel:
         :class:`_ChannelClosedError` means the frame provably never
         reached the write queue (safe to retry on a fresh channel).
         """
-        wire = _encode_frame(message, self._codec_for)
+        wire = _encode_frame(message, self.compress)
         with self._lock:
             if self._closed:
                 raise _ChannelClosedError(
@@ -478,7 +486,7 @@ class _Channel:
             MessageKind.BATCH, subs[0].src, subs[0].dst,
             Batch(subs, sequential=False),
         )
-        wire = _encode_frame(batch, self._codec_for)
+        wire = _encode_frame(batch, self.compress)
         with self._lock:
             if self._closed:
                 raise _ChannelClosedError(
@@ -523,7 +531,7 @@ class _Channel:
         return sink
 
     def send_oneway(self, message: Message) -> None:
-        wire = _encode_frame(message, self._codec_for)
+        wire = _encode_frame(message, self.compress)
         try:
             self._conn.send(wire)
         except ConnectionError as exc:
@@ -1135,21 +1143,19 @@ class _WorkerPool:
 class _ServerConn:
     """Reactor-side state for one accepted server connection."""
 
-    __slots__ = ("conn", "hello", "codec_for", "same_host")
+    __slots__ = ("conn", "hello", "compress")
 
-    def __init__(self) -> None:
+    def __init__(self, compress: bool) -> None:
         self.conn: Connection | None = None
         #: The peer's accepted HELLO; ``None`` until the handshake
         #: completes — no frame is dispatched before that.
         self.hello: Hello | None = None
-        #: Reply compression toward this peer, per its HELLO's codec
-        #: advertisement (``None`` = every reply raw).
-        self.codec_for = None
-        #: The connection arrived over the Unix-domain listener, so the
-        #: peer is provably on this machine: replies skip compression
-        #: (it exists to save network bandwidth, which a same-host
-        #: socket does not consume — the zlib pass is pure CPU cost).
-        self.same_host = False
+        #: Whether large replies are compressed: off when the connection
+        #: arrived over the Unix-domain listener, so the peer is provably
+        #: on this machine (compression saves network bandwidth, which a
+        #: same-host socket does not consume — the zlib pass is pure CPU
+        #: cost).
+        self.compress = compress
 
 
 class _NodeServer:
@@ -1165,9 +1171,8 @@ class _NodeServer:
     Replies are enqueued on the connection's coalescing write queue.
 
     A connection's first frame must be a wire-level :class:`Hello` of
-    this build's protocol version and wire format; the server records
-    the peer's codec advertisement for that connection's replies and
-    answers with this node's own HELLO before any request is dispatched.
+    this build's protocol version and wire format; the server answers
+    with this node's own HELLO before any request is dispatched.
     Every other opening — and every later frame that is not a binary
     envelope — closes the connection (see the module docstring).
     """
@@ -1175,7 +1180,6 @@ class _NodeServer:
     def __init__(self, node_id: str, handler: MessageHandler, trace: MessageTrace,
                  clock: Clock, pool: _WorkerPool, bulk_pool: _WorkerPool,
                  reactor: Reactor, call_metrics: _CallPathMetrics,
-                 codec_chooser,
                  latency_s: float = 0.0,
                  bytes_per_s: float | None = None,
                  bind_host: str = "127.0.0.1",
@@ -1185,10 +1189,6 @@ class _NodeServer:
         self.node_id = node_id
         self.handler = handler
         self.reply_cache = ReplyCache()
-        #: The frame codecs this node's HELLO advertises (what peers may
-        #: compress toward it); :meth:`TcpNetwork.advertise_codecs`
-        #: overrides it for connections established afterwards.
-        self.hello_codecs: tuple[str, ...] = codec.available_codecs()
         self._trace = trace
         self._clock = clock
         self._pool = pool
@@ -1196,7 +1196,6 @@ class _NodeServer:
         self._reactor = reactor
         self._latency_s = latency_s
         self._bytes_per_s = bytes_per_s
-        self._codec_chooser = codec_chooser
         #: Inline dispatch runs INLINE_KINDS handlers straight on the
         #: reactor loop thread — only when the handler itself declared
         #: those kinds non-blocking (:func:`~repro.net.message.inline_safe`)
@@ -1249,9 +1248,7 @@ class _NodeServer:
                 )
 
     def _on_accept(self, sock: socket.socket) -> None:
-        state = _ServerConn()
-        if _UDS_SUPPORTED and sock.family == socket.AF_UNIX:
-            state.same_host = True
+        state = _ServerConn(compress=not _is_unix(sock))
         conn = self._reactor.add_connection(
             sock,
             lambda ident, body, wire: self._on_frame(state, ident, body, wire),
@@ -1310,15 +1307,12 @@ class _NodeServer:
                 self._advertise_host, self.port, self.uds_name
             )
         answer = _encode_hello(Hello(
-            version=PROTOCOL_VERSION, node_id=self.node_id,
-            codecs=self.hello_codecs, settings=settings,
+            version=PROTOCOL_VERSION, node_id=self.node_id, settings=settings,
         ))
         admitted = _same_dialect(hello)
         if admitted:
             state.hello = hello
             state.conn.set_max_frame(_MAX_FRAME)
-            if not state.same_host:
-                state.codec_for = self._codec_chooser(hello.codecs)
         try:
             state.conn.send(answer)
         except ConnectionError:
@@ -1419,7 +1413,7 @@ class _NodeServer:
                     payload: ReplyPayload) -> None:
         reply = message.reply(_transmittable_error_payload(payload))
         try:
-            wire = _encode_frame(reply, state.codec_for)
+            wire = _encode_frame(reply, state.compress)
         except MarshalError:
             self._trace.record(reply, self._clock.now_ms())
             raise
@@ -1434,10 +1428,10 @@ class _NodeServer:
         """Sever accepted connections whose HELLO identified ``peer``.
 
         Eviction-time hygiene: a forgotten peer's half-open inbound
-        connections — and the codec negotiation state riding them — must
-        not survive into its re-join, which starts from a fresh
-        handshake.  Connections still mid-handshake cannot be attributed
-        and are left alone (they carry no per-peer state to go stale).
+        connections must not survive into its re-join, which starts from
+        a fresh handshake.  Connections still mid-handshake cannot be
+        attributed and are left alone (they carry no per-peer state to
+        go stale).
         """
         with self._conn_lock:
             stale = [
@@ -1474,20 +1468,30 @@ class TcpNetwork(Transport):
 
     track_link_latency = True  # reply latencies feed hedge-candidate ranking
 
+    #: Coalesce this transport's concurrent calls to one peer into single
+    #: BATCH frames (adaptive: a lone call is never delayed).  Client-side
+    #: only — every server runs the BATCH frames it is sent.  Read at
+    #: dial time, so a test may clear it on an instance before its first
+    #: call to measure the uncoalesced path.
+    auto_batch = True
+
+    #: RMI stubs on this transport short-circuit invokes to servants
+    #: hosted *in this process* without touching the wire (see
+    #: :class:`repro.rmi.bypass.LocalDispatch`).  Read when a
+    #: :class:`~repro.runtime.namespace.Namespace` is built on the
+    #: transport; a test clears it on an instance to force the wire path.
+    supports_local_bypass = True
+
     def __init__(self, clock: Clock | None = None, trace: MessageTrace | None = None,
                  connect_timeout_s: float = 5.0, io_timeout_s: float = 30.0,
                  server_workers: int = 8,
                  latency_ms: float = 0.0,
-                 codecs: tuple[str, ...] | None = None,
-                 compress_threshold: int = codec.DEFAULT_COMPRESS_THRESHOLD,
                  bandwidth_mbps: float | None = None,
                  bind: str = "127.0.0.1",
                  advertise_host: str | None = None,
                  ports: dict[str, int] | None = None,
                  hello_timeout_s: float = 2.0,
-                 auto_batch: bool = True,
-                 uds: bool = True,
-                 local_bypass: bool = True) -> None:
+                 uds: bool = True) -> None:
         """``latency_ms`` emulates a slower link (tc-netem style): every
         request is delayed that long at the destination before dispatch.
         Loopback's ~0.1 ms round trip hides latency effects entirely;
@@ -1498,14 +1502,8 @@ class TcpNetwork(Transport):
         received frame charges its *on-wire* bytes against the link
         rate, so bulk transfers pay a transmission time loopback would
         otherwise hide (and compressed frames pay only for their
-        compressed bytes).
-
-        ``codecs`` is the sender-side compression preference order
-        (default: every codec this process supports, ``()`` disables
-        compression entirely).  A frame is compressed only when it
-        reaches ``compress_threshold`` serialized bytes *and* the
-        destination's HELLO advertises a shared codec; everything else
-        ships raw.
+        compressed bytes — see :mod:`repro.net.codec` for which frames
+        are compressed).
 
         Cross-host knobs: ``bind`` is the interface node listeners bind
         (``"0.0.0.0"`` accepts other machines); ``advertise_host`` is
@@ -1518,22 +1516,12 @@ class TcpNetwork(Transport):
         ``hello_timeout_s`` bounds how long a new connection waits for
         the server's HELLO before the dial fails.
 
-        ``auto_batch`` coalesces this transport's concurrent calls to
-        one peer into single BATCH frames (adaptive — a lone call is
-        never delayed).  It is a client-side switch: every server runs
-        the BATCH frames it is sent.
-
-        Same-host fast paths: ``uds`` makes every node listener
-        additionally bind an abstract Unix-domain socket, advertised
-        through HELLO settings and the membership roster; a peer whose
-        own ``advertise_host`` matches dials the Unix socket instead of
+        ``uds`` (on by default) makes every node listener additionally
+        bind an abstract Unix-domain socket, advertised through HELLO
+        settings and the membership roster; a peer whose own
+        ``advertise_host`` matches dials the Unix socket instead of
         loopback TCP, degrading to TCP on any mismatch or dial failure
         (and entirely on platforms without ``AF_UNIX``).
-        ``local_bypass`` lets RMI stubs on this transport short-circuit
-        invokes to servants hosted *in this process* without touching
-        the wire at all (see :class:`repro.rmi.bypass.LocalDispatch`).
-        ``auto_batch``, ``uds`` and ``local_bypass`` default on and
-        exist as off-switches for A/B measurement.
         """
         super().__init__(
             clock=clock if clock is not None else WallClock(),
@@ -1544,10 +1532,6 @@ class TcpNetwork(Transport):
         if bandwidth_mbps is not None and bandwidth_mbps <= 0:
             raise ConfigurationError(
                 f"bandwidth must be positive: {bandwidth_mbps}"
-            )
-        if compress_threshold < 0:
-            raise ConfigurationError(
-                f"compress threshold cannot be negative: {compress_threshold}"
             )
         if hello_timeout_s <= 0:
             raise ConfigurationError(
@@ -1562,15 +1546,8 @@ class TcpNetwork(Transport):
         )
         self._ports = dict(ports) if ports else {}
         self.hello_timeout_s = hello_timeout_s
-        self.auto_batch = auto_batch
         self.uds = uds and _UDS_SUPPORTED
-        self.supports_local_bypass = bool(local_bypass)
         self._call_metrics = _CallPathMetrics()
-        write_codecs = codec.available_codecs() if codecs is None else tuple(codecs)
-        for name in write_codecs:
-            codec.codec_id(name)  # validate eagerly, not on the hot path
-        self.write_codecs = write_codecs
-        self.compress_threshold = compress_threshold
         self._bytes_per_s = (
             bandwidth_mbps * 1e6 / 8.0 if bandwidth_mbps is not None else None
         )
@@ -1585,41 +1562,6 @@ class TcpNetwork(Transport):
         self._bulk_pool = _WorkerPool(max(2, server_workers // 2), "tcpnet-bulk")
         self._reactor = Reactor(max_frame=_MAX_FRAME, name="tcpnet")
 
-    # -- codec negotiation ----------------------------------------------------
-
-    def advertise_codecs(self, node_id: str, codecs: tuple[str, ...]) -> None:
-        """Override which codecs the local node ``node_id`` accepts.
-
-        A registered node's HELLO advertises every locally supported
-        codec; this models a mixed-codec deployment (a peer built
-        without lz4, or with none at all via ``()``) — senders then fall
-        back to raw toward that node rather than failing.  The override
-        rides the node's HELLOs, so it applies to connections
-        established after the call, and lasts until the node is
-        re-registered (replaced, not resumed).
-        """
-        for name in codecs:
-            codec.codec_id(name)
-        self._server(node_id).hello_codecs = tuple(codecs)
-
-    def _codec_chooser(self, advertised: tuple[str, ...]):
-        """``nbytes -> codec id`` toward a peer that decodes ``advertised``."""
-        write_codecs, threshold = self.write_codecs, self.compress_threshold
-        return lambda nbytes: codec.choose_codec(
-            nbytes, write_codecs, advertised, threshold)
-
-    def negotiated_codecs(self, src: str, dst: str) -> tuple[str, ...] | None:
-        """What the live ``src -> dst`` channel's peer HELLO advertised.
-
-        ``None`` when no live channel exists.  Diagnostic: lets tests
-        and operators confirm what crossed the wire in the handshake.
-        """
-        with self._chan_lock:
-            channel = self._channels.get((src, dst))
-        if channel is None or channel.closed:
-            return None
-        return channel.negotiated_codecs
-
     # -- node management ----------------------------------------------------
 
     def register(self, node_id: str, handler: MessageHandler) -> None:
@@ -1628,7 +1570,7 @@ class TcpNetwork(Transport):
         # never a missing node.
         server = _NodeServer(node_id, handler, self.trace, self.clock, self._pool,
                              self._bulk_pool, self._reactor,
-                             self._call_metrics, self._codec_chooser,
+                             self._call_metrics,
                              latency_s=self.latency_ms / 1000.0,
                              bytes_per_s=self._bytes_per_s,
                              bind_host=self.bind,
@@ -1693,8 +1635,7 @@ class TcpNetwork(Transport):
         self._drop_channels(node_id, rescue=False)
         # Server side of the same hygiene: sever accepted connections
         # the forgotten peer opened toward locally served nodes, so a
-        # re-join starts from a fresh handshake (no stale codec
-        # negotiation state).
+        # re-join starts from a fresh handshake.
         with self._lock:
             servers = list(self._servers.values())
         for server in servers:
@@ -1781,15 +1722,10 @@ class TcpNetwork(Transport):
         version or wire format raises :class:`ProtocolMismatchError`.
         The caller closes the socket on either.
         """
-        with self._lock:
-            server = self._servers.get(src)
         hello = Hello(
             version=PROTOCOL_VERSION,
             node_id=src,
-            codecs=(server.hello_codecs if server is not None
-                    else codec.available_codecs()),
-            settings={"max_frame": _MAX_FRAME,
-                      wirecodec.WIRE_SETTING: wirecodec.WIRE_FORMAT},
+            settings={wirecodec.WIRE_SETTING: wirecodec.WIRE_FORMAT},
         )
         try:
             sock.settimeout(self.hello_timeout_s)
@@ -1819,11 +1755,8 @@ class TcpNetwork(Transport):
             # Same-machine channel: compression saves bandwidth a Unix
             # socket does not consume, so every frame goes raw and the
             # compressor's CPU cost goes with it.
-            same_host = _UDS_SUPPORTED and sock.family == socket.AF_UNIX
             channel = _Channel(
-                dst, sock, self._reactor, peer_hello,
-                codec_for=(None if same_host
-                           else self._codec_chooser(peer_hello.codecs)),
+                dst, sock, self._reactor, compress=not _is_unix(sock),
             )  # from here the reactor owns the socket
         except BaseException:
             sock.close()

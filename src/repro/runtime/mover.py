@@ -570,12 +570,13 @@ class Mover:
                          deadline: Deadline | None) -> str:
         """Speculative streams to every candidate; first staged wins.
 
-        PREPARE and every CHUNK go to all candidates (distinct
-        ``transfer_id`` each, chunks interleaved round-robin, all frames
-        zero-copy views of one blob).  Candidates race to finish staging:
-        the first whose every frame is acked gets the COMMIT and becomes
-        the object's new host; the losers' outstanding exchanges are
-        cancelled and their staging ABORTed.  Safe precisely because
+        PREPARE goes to all candidates at once (distinct ``transfer_id``
+        each); a candidate's CHUNKs follow as soon as its own PREPARE is
+        acked, so a slow candidate never holds back a fast one, and every
+        chunk is a zero-copy view of one blob.  Candidates race to finish
+        staging: the first whose every frame is acked gets the COMMIT and
+        becomes the object's new host; the losers' outstanding exchanges
+        are cancelled and their staging ABORTed.  Safe precisely because
         nothing applies before COMMIT — at most one candidate ever
         materializes the object.  Falls back through the completion order
         if the leader's COMMIT fails; raises
@@ -595,27 +596,18 @@ class Mover:
                     name, shared, desc, len(state_blob), chunk_count,
                     ship_class, deadline,
                 )
-            # Scatter every frame speculatively: PREPARE first, then the
-            # chunk streams interleaved round-robin so no candidate waits
-            # for another's bytes.  No windowing here — hedging trades the
-            # window's backpressure for never letting a slow candidate
-            # throttle the fast one, and the frames are zero-copy views so
-            # sender memory stays flat.
+            # PREPARE to everyone now; each candidate's chunks go out from
+            # the collector once its PREPARE is acked.  No windowing here —
+            # hedging trades the window's backpressure for never letting a
+            # slow candidate throttle the fast one, and the frames are
+            # zero-copy views so sender memory stays flat.
             for target in ranked:
                 futures[target] = [self._transport.call_async(
                     self.node_id, target, MessageKind.TRANSFER_PREPARE,
                     preps[target], deadline=deadline,
                 )]
-            for request_pair in zip(*(
-                list(self._chunk_requests(preps[t].transfer_id, view))
-                for t in ranked
-            )):
-                for target, (kind, payload) in zip(ranked, request_pair):
-                    futures[target].append(self._transport.call_async(
-                        self.node_id, target, kind, payload, deadline=deadline,
-                    ))
             winner = self._commit_first_staged(
-                name, ranked, preps, futures, deadline,
+                name, ranked, preps, futures, view, deadline,
             )
         except BaseException:
             self._locks.abort_departure(name)
@@ -631,16 +623,26 @@ class Mover:
     def _commit_first_staged(self, name: str, ranked: Sequence[str],
                              preps: dict[str, TransferPrepare],
                              futures: dict[str, list[CallFuture]],
+                             view: memoryview,
                              deadline: Deadline | None) -> str:
         """Collect staging acks in completion order; COMMIT the first full
-        set, ABORT everyone else.  Raises when nobody stages in budget."""
+        set, ABORT everyone else.  Raises when nobody stages in budget.
+
+        ``futures`` starts as each candidate's PREPARE; its CHUNKs (slices
+        of ``view``) are sent when that PREPARE is acked — the receiver
+        dispatches frames concurrently, so a chunk sent earlier could run
+        before the staging slot it belongs to exists."""
         completions: "queue.Queue[tuple[str, CallFuture]]" = queue.Queue()
         remaining = {t: set(fs) for t, fs in futures.items()}
         alive = set(ranked)
+
+        def watch(target: str, future: CallFuture) -> None:
+            future.add_done_callback(
+                lambda f, t=target: completions.put((t, f)))
+
         for target, fs in futures.items():
             for future in fs:
-                future.add_done_callback(
-                    lambda f, t=target: completions.put((t, f)))
+                watch(target, future)
         failure: Exception | None = None
         while alive:
             wait_s = None
@@ -676,6 +678,15 @@ class Mover:
                                    "stream failed")
                 continue
             remaining[target].discard(future)
+            if future is futures[target][0]:  # PREPARE acked: stream now
+                for kind, payload in self._chunk_requests(
+                        preps[target].transfer_id, view):
+                    chunk = self._transport.call_async(
+                        self.node_id, target, kind, payload, deadline=deadline,
+                    )
+                    futures[target].append(chunk)
+                    remaining[target].add(chunk)
+                    watch(target, chunk)
             if remaining[target]:
                 continue
             # Fully staged: commit this candidate, abort the rest.

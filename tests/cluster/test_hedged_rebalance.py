@@ -1,10 +1,15 @@
 """LoadBalancer hedged writes + streamed migration over real sockets."""
 
+import threading
+import time
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.cluster.load import LoadBalancer
 from repro.errors import MageError
+from repro.net.deadline import Deadline
+from repro.net.message import MessageKind
 from repro.net.tcpnet import TcpNetwork
 
 
@@ -89,9 +94,9 @@ class TestHedgedRebalance:
 
 class TestStreamedMoveOverTcp:
     def test_streamed_hedged_move_on_real_sockets(self):
-        """The whole pipeline — codec frames, windowed chunks, staging,
-        hedged commit — over the pipelined TCP transport."""
-        net = TcpNetwork(compress_threshold=8 * 1024)
+        """The whole pipeline — windowed chunks, staging, hedged
+        commit — over the pipelined TCP transport."""
+        net = TcpNetwork()
         cluster = Cluster(["n0", "n1", "n2"], transport=net,
                           stream_threshold=4 * 1024, chunk_bytes=16 * 1024)
         try:
@@ -112,4 +117,40 @@ class TestStreamedMoveOverTcp:
             for node in cluster:
                 assert node.namespace.mover.staging_count() == 0
         finally:
+            cluster.shutdown()
+
+    def test_hedged_chunks_wait_for_their_prepare(self):
+        """A server runs frames concurrently, so a candidate's chunks must
+        not be sent before its PREPARE is acked: a chunk dispatched ahead
+        of its staging slot is refused and sinks that candidate.  Here the
+        healthy candidate is slow only to PREPARE, and must still win
+        against a wedged one."""
+        net = TcpNetwork()
+        cluster = Cluster(["n0", "n1", "n2"], transport=net,
+                          stream_threshold=4 * 1024, chunk_bytes=16 * 1024)
+        release = threading.Event()
+        wedged = cluster["n1"].namespace.external.handle
+        healthy = cluster["n2"].namespace.external.handle
+
+        def wedged_dispatch(message):
+            release.wait(5.0)
+            return wedged(message)
+
+        def slow_prepare(message):
+            if message.kind is MessageKind.TRANSFER_PREPARE:
+                time.sleep(0.2)
+            return healthy(message)
+
+        net.register("n1", wedged_dispatch)
+        net.register("n2", slow_prepare)
+        try:
+            cluster["n0"].register("bulk", Bulk(size=256 * 1024))
+            landed = cluster["n0"].namespace.move(
+                "bulk", "n1", hedge=True, alternates=("n2",),
+                deadline=Deadline.after_s(20))
+            assert landed == "n2"
+            assert cluster["n2"].namespace.store.contains("bulk")
+            assert not cluster["n1"].namespace.store.contains("bulk")
+        finally:
+            release.set()
             cluster.shutdown()

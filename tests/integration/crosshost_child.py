@@ -55,9 +55,6 @@ class TraceProbe:
     def summary(self) -> dict[str, int]:
         return dict(self._net.trace.summary())
 
-    def negotiated(self, src: str, dst: str):
-        return self._net.negotiated_codecs(src, dst)
-
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)

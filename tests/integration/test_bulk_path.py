@@ -158,8 +158,7 @@ def tiers():
     return [
         pytest.param({}, False, id="uds"),
         pytest.param({"uds": False}, False, id="tcp"),
-        pytest.param({"uds": False, "compress_threshold": 1024}, True,
-                     id="tcp-compressed"),
+        pytest.param({"uds": False}, True, id="tcp-compressed"),
     ]
 
 

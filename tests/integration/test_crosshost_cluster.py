@@ -153,13 +153,6 @@ def test_two_process_cluster_end_to_end(two_process):
     assert "TRANSFER_COMMIT" in seen
     assert probe.summary()["TRANSFER_CHUNK"] >= len(blob) // CHUNK_BYTES
 
-    # -- codec negotiation happened on the wire, not via any registry ------
-    # (the two processes share no in-process advertisement state, and no
-    # advertise_codecs call was ever made between them)
-    negotiated = net.negotiated_codecs("hub", "worker")
-    assert negotiated is not None and "zlib" in negotiated
-    assert probe.negotiated("worker", "hub") is not None  # child side too
-
     # -- failure: kill the child; the heartbeat must notice ----------------
     # A forwarding hint now points at the dead host; it must be evicted.
     assert hub.namespace.registry.forwarding_hint("payload") == "worker"

@@ -1,9 +1,9 @@
-"""HELLO handshake, wire-level codec negotiation, and the address book.
+"""HELLO handshake, the wire contract, and the address book.
 
 Two ``TcpNetwork`` instances in one test process stand in for two
 *processes*: they share no node registry, so anything that works between
-them — dialing, codec negotiation, reply routing — provably happened on
-the wire, not through in-process state.
+them — dialing, compression, reply routing — provably happened on the
+wire, not through in-process state.
 
 The wire contract's refusals are driven by *fake peers* — raw sockets
 speaking deliberately wrong protocol at a real ``TcpNetwork`` — from
@@ -26,6 +26,7 @@ import pytest
 
 from repro.errors import (
     ConfigurationError,
+    MarshalError,
     NodeUnreachableError,
     ProtocolMismatchError,
 )
@@ -44,7 +45,6 @@ def nets():
     created = []
 
     def factory(**kwargs):
-        kwargs.setdefault("compress_threshold", 1024)
         net = TcpNetwork(**kwargs)
         created.append(net)
         return net
@@ -126,21 +126,15 @@ class TestAddressBook:
         assert a.open_channels() == 0
 
     def test_unregister_prunes_link_state(self, nets):
-        """Deregistration of a local node leaves no EWMA or codec
-        advertisement behind (a long-lived transport must not leak)."""
+        """Deregistration of a local node leaves no EWMA behind (a
+        long-lived transport must not leak)."""
         net = nets()
         net.register("a", lambda m: "ok")
         net.register("b", lambda m: "pong")
         assert net.call("a", "b", MessageKind.PING) == "pong"
         assert net.link_latency_s("b") is not None
-        net.advertise_codecs("b", ())
         net.unregister("b")
         assert net.link_latency_s("b") is None
-        # The HELLO override went with the node: a re-registration
-        # advertises everything again.
-        net.register("b", lambda m: "pong")
-        assert net.call("a", "b", MessageKind.PING) == "pong"
-        assert net.negotiated_codecs("a", "b") == codec.available_codecs()
 
     def test_fixed_port_pinning(self, nets):
         import socket
@@ -155,13 +149,14 @@ class TestAddressBook:
 
 
 class TestHandshake:
-    def test_codec_negotiation_happens_on_the_wire(self, nets, monkeypatch):
-        """Two transports that share no registry still compress toward
-        each other — the advertisement crossed in the HELLO frames.
-        (uds=False: a same-host Unix-socket channel would skip
-        compression outright; force TCP to observe the negotiated path.)"""
+    def test_two_transports_compress_toward_each_other_over_tcp(
+            self, nets, monkeypatch):
+        """Two transports that share no registry compress large frames
+        toward each other, each direction on its own connection — nothing
+        was negotiated, the link decided.  (uds=False: a same-host
+        Unix-socket channel would skip compression outright.)"""
         a, b = nets(uds=False), nets(uds=False)
-        a.register("hub", lambda m: "ok")
+        a.register("hub", lambda m: len(m.payload))
         b.register("worker", lambda m: len(m.payload))
         link(a, "hub", b, "worker")
         compressions = []
@@ -171,26 +166,8 @@ class TestHandshake:
             lambda ident, blob: compressions.append(ident) or real_encode(ident, blob),
         )
         assert a.call("hub", "worker", MessageKind.INVOKE, BIG) == len(BIG)
-        assert codec.ZLIB in compressions
-        assert a.negotiated_codecs("hub", "worker") == codec.available_codecs()
-
-    def test_advertise_codecs_override_rides_the_hello(self, nets, monkeypatch):
-        """An explicit empty advertisement (``()``) crosses the wire:
-        the *other transport* falls back to raw toward that node."""
-        a, b = nets(), nets()
-        a.register("hub", lambda m: "ok")
-        b.register("worker", lambda m: len(m.payload))
-        b.advertise_codecs("worker", ())  # a build with no codecs
-        link(a, "hub", b, "worker")
-        compressions = []
-        real_encode = codec.encode
-        monkeypatch.setattr(
-            codec, "encode",
-            lambda ident, blob: compressions.append(ident) or real_encode(ident, blob),
-        )
-        assert a.call("hub", "worker", MessageKind.INVOKE, BIG) == len(BIG)
-        assert compressions == []
-        assert a.negotiated_codecs("hub", "worker") == ()
+        assert b.call("worker", "hub", MessageKind.INVOKE, BIG) == len(BIG)
+        assert compressions == [codec.ZLIB, codec.ZLIB]
 
     def test_hello_frames_do_not_appear_in_traces(self, nets):
         a, b = nets(), nets()
@@ -216,7 +193,7 @@ class TestHandshake:
 
     def test_hello_settings_are_forward_compatible(self):
         hello = Hello(version=PROTOCOL_VERSION, node_id="n",
-                      codecs=("zlib",), settings={"unknown-key": 42})
+                      settings={"unknown-key": 42})
         assert hello.settings["unknown-key"] == 42  # carried, never interpreted
 
 
@@ -237,6 +214,28 @@ def hello_frame(version=PROTOCOL_VERSION, wire=wirecodec.WIRE_FORMAT,
         version=version, node_id=node_id,
         settings={wirecodec.WIRE_SETTING: wire},
     )))
+
+
+def malformed_hello(**fields) -> bytes:
+    """A pickled ``Hello`` carrying only ``fields`` (the rest absent)."""
+    hello = object.__new__(Hello)
+    for name, value in fields.items():
+        object.__setattr__(hello, name, value)
+    return frame(pickle.dumps(hello))
+
+
+GOOD_SETTINGS = {wirecodec.WIRE_SETTING: wirecodec.WIRE_FORMAT}
+
+#: HELLOs with a field missing or of the wrong type: refused as malformed.
+MALFORMED_HELLOS = [
+    pytest.param(malformed_hello(version=PROTOCOL_VERSION, node_id="fake"),
+                 id="no-settings"),
+    pytest.param(malformed_hello(node_id="fake", settings=GOOD_SETTINGS),
+                 id="no-version"),
+    pytest.param(malformed_hello(version=str(PROTOCOL_VERSION),
+                                 node_id="fake", settings=GOOD_SETTINGS),
+                 id="version-not-an-int"),
+]
 
 
 def envelope_frame(message: Message) -> bytes:
@@ -264,6 +263,21 @@ def read_until_eof(sock) -> list[bytes]:
             frames.append(read_frame(sock))
     except (EOFError, ConnectionError):
         return frames
+
+
+def close_reasons(net, monkeypatch) -> list:
+    """Every reason the reactor gives for closing ``net``'s connections."""
+    reasons = []
+    adopt = net._reactor.add_connection
+
+    def spy(sock, on_frame, on_closed, **kwargs):
+        def closed(reason):
+            reasons.append(reason)
+            on_closed(reason)
+        return adopt(sock, on_frame, closed, **kwargs)
+
+    monkeypatch.setattr(net._reactor, "add_connection", spy)
+    return reasons
 
 
 class Bomb:
@@ -446,6 +460,12 @@ class TestClientRefusesABadServer:
         # Waiting for the (never sent) body would have read "timed out".
         assert "HELLO frame too large" in text
 
+    @pytest.mark.parametrize("answer", MALFORMED_HELLOS)
+    def test_malformed_hello(self, client, fake_server, answer):
+        text = self.refused(client, fake_server(answers(answer)),
+                            NodeUnreachableError)
+        assert "handshake failed: malformed HELLO frame" in text
+
     def test_pickled_frame_after_a_good_handshake(self, client, fake_server):
         server = fake_server(pickles_after_handshake)
         client.connect("fake", server.endpoint)
@@ -536,6 +556,9 @@ class TestServerRefusesABadClient:
     @pytest.mark.parametrize("violation", [
         pytest.param(frame(pickle.dumps(Bomb())), id="pickled-frame"),
         pytest.param(hello_frame(), id="second-hello"),
+        # The retired id 2, and the highest id the header can carry.
+        pytest.param(frame(pickle.dumps(Bomb()), ident=2), id="codec-id-2"),
+        pytest.param(frame(pickle.dumps(Bomb()), ident=7), id="codec-id-7"),
     ])
     def test_violation_after_a_good_handshake(self, served, violation):
         _net, dial, _calls = served
@@ -554,16 +577,7 @@ class TestServerRefusesABadClient:
         """
         net = nets(uds=False)
         net.register("worker", lambda m: "pong")
-        reasons = []
-        adopt = net._reactor.add_connection
-
-        def spy(sock, on_frame, on_closed, **kwargs):
-            def closed(reason):
-                reasons.append(reason)
-                on_closed(reason)
-            return adopt(sock, on_frame, closed, **kwargs)
-
-        monkeypatch.setattr(net._reactor, "add_connection", spy)
+        reasons = close_reasons(net, monkeypatch)
         tracemalloc.start()
         try:
             with socket.create_connection(
@@ -596,6 +610,28 @@ class TestServerRefusesABadClient:
         net.register("echo", lambda m: len(m.payload))
         other.connect("echo", net.endpoint_of("echo"))
         assert other.call("hub", "echo", MessageKind.PING, big) == len(big)
+
+    @pytest.mark.parametrize("opening", MALFORMED_HELLOS)
+    def test_malformed_hello(self, nets, monkeypatch, opening):
+        """Refused as a protocol error: the connection closes with a
+        :class:`MarshalError`, nothing behind the HELLO is unpickled or
+        run, and a healthy client is served afterwards."""
+        net = nets(uds=False)
+        calls = []
+        net.register("worker", lambda m: calls.append(m.payload) or "pong")
+        reasons = close_reasons(net, monkeypatch)
+        with socket.create_connection(
+                net.endpoint_of("worker").address()) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(opening + frame(pickle.dumps(Bomb())) + REQUEST)
+            assert read_until_eof(sock) == []  # closed, nothing answered
+        assert _settles_to(lambda: len(reasons), 1) == 1
+        assert isinstance(reasons[0], MarshalError), reasons
+        assert calls == [] and len(net.trace) == 0
+        other = nets(uds=False)
+        other.register("hub", lambda m: "ok")
+        other.connect("worker", net.endpoint_of("worker"))
+        assert other.call("hub", "worker", MessageKind.PING) == "pong"
 
     def test_silent_client_holds_nothing_up(self, nets):
         net = nets(uds=False)

@@ -109,6 +109,7 @@ class TestConfig:
         "coalesce_max_bytes", "coalesce_max_delay_ms", "batch_max_msgs",
         "batch_max_bytes", "inline_dispatch", "inline_budget_ms",
         "retry_budget", "reactor_threads",
+        "codecs", "compress_threshold", "auto_batch", "local_bypass",
     ])
     def test_there_is_one_wire_dialect_and_no_option_to_pick_another(
             self, option):
@@ -118,14 +119,18 @@ class TestConfig:
     def test_there_is_one_of_each(self):
         """The census of things that used to exist more than once: one
         batch frame kind, no blocking send path beside the future one, no
-        knob that nothing sets, and no hash-striped table under
-        ``src/repro`` — no shard class, no stripe-count constant, one lock
-        per channel, and a reply cache whose only knob is its capacity."""
+        knob that nothing sets, one compression codec and no codec list in
+        the HELLO, and no hash-striped table under ``src/repro`` — no
+        shard class, no stripe-count constant, one lock per channel, and a
+        reply cache whose only knob is its capacity."""
         import ast
+        import dataclasses
         import inspect
         from pathlib import Path
 
         import repro
+        from repro.net import codec
+        from repro.net.endpoint import Hello
         from repro.net.reactor import Reactor
         from repro.net.tcpnet import _Channel
         from repro.net.transport import ReplyCache
@@ -133,7 +138,10 @@ class TestConfig:
         assert [k.name for k in MessageKind if "BATCH" in k.name] == ["BATCH"]
         assert "_transmit" not in vars(TcpNetwork)
         tcp_args = list(inspect.signature(TcpNetwork.__init__).parameters)[1:]
-        assert len(tcp_args) <= 16, tcp_args
+        assert len(tcp_args) <= 12, tcp_args
+        assert [f.name for f in dataclasses.fields(Hello)] == \
+            ["version", "node_id", "settings"]
+        assert not [name for name in vars(codec) if "lz4" in name.lower()]
         reactor_args = list(inspect.signature(Reactor.__init__).parameters)[1:]
         assert reactor_args == ["max_frame", "name"]
         for path in Path(repro.__file__).parent.rglob("*.py"):

@@ -411,7 +411,7 @@ class TestEnvelope:
 class TestNegotiation:
     def hello(self, **overrides):
         values = dict(
-            version=PROTOCOL_VERSION, node_id="peer", codecs=(),
+            version=PROTOCOL_VERSION, node_id="peer",
             settings={wirecodec.WIRE_SETTING: wirecodec.WIRE_FORMAT},
         )
         values.update(overrides)

@@ -2,11 +2,11 @@
 
 The heart of this file is the parametrized semantic-equivalence suite:
 every test in :class:`TestInvokeSemantics` runs the same invoke matrix
-through the classic wire path (``local_bypass=False`` — loopback TCP to
-this node's own listener, the pre-bypass behaviour) and through the
-tier-1 bypass, asserting *identical observable outcomes* — by-value
-argument/result isolation, failure envelopes, deadline admission and
-propagation, cancellation.  A fixture postcondition then proves each leg
+through the classic wire path (``supports_local_bypass`` cleared on the
+transport — loopback TCP to this node's own listener, the pre-bypass
+behaviour) and through the tier-1 bypass, asserting *identical
+observable outcomes* — by-value argument/result isolation, failure
+envelopes, deadline admission and propagation, cancellation.  A fixture postcondition then proves each leg
 actually took the path it claims to cover.
 """
 
@@ -70,7 +70,8 @@ class MatrixServant:
 @pytest.fixture(params=["wire", "bypass"])
 def path(request):
     """One namespace on real TCP, with the bypass off ("wire") or on."""
-    net = TcpNetwork(local_bypass=(request.param == "bypass"))
+    net = TcpNetwork()
+    net.supports_local_bypass = request.param == "bypass"
     ns = Namespace("n1", net)
     servant = MatrixServant()
     ns.register("subject", servant)
@@ -302,7 +303,8 @@ class TestBypassDisabled:
         assert ns.client.local_hits == 0
 
     def test_local_bypass_knob_off(self):
-        net = TcpNetwork(local_bypass=False)
+        net = TcpNetwork()
+        net.supports_local_bypass = False
         try:
             ns = Namespace("n1", net)
             ns.register("subject", MatrixServant())
