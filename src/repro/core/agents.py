@@ -29,6 +29,7 @@ from typing import Any
 from repro.errors import ClassTransferError, LockError, MageError, NoSuchObjectError
 from repro.net.message import MessageKind
 from repro.rmi.classdesc import ClassDescriptor
+from repro.rmi.marshal import join_pieces
 from repro.rmi.protocol import AgentHopPayload, AgentLaunch, ClassRequest
 from repro.runtime.namespace import Namespace
 from repro.util.ids import fresh_token
@@ -135,11 +136,11 @@ class AgentManager:
         mover = self.ns.mover
         desc = mover.descriptor_for(agent)
         probe = mover.begin_class_probe(next_node, desc)
-        state_blob = mover.pack_state(agent)  # overlaps the probe's round trip
+        pieces = mover.pack_state(agent)  # overlaps the probe's round trip
         payload = AgentHopPayload(
             name=name,
             class_name=desc.class_name,
-            state_blob=state_blob,
+            state_blob=join_pieces(pieces),
             class_desc=desc if mover.resolve_class_probe(
                 probe, next_node, desc
             ) else None,

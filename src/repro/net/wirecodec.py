@@ -51,7 +51,9 @@ with one exception: the *bulk fields* listed in :data:`_BULK_FIELDS`,
 plus the result blob of an INVOKE reply, decode to a read-only
 ``memoryview`` of the frame body once they are at least
 ``DIRECT_RECV_MIN`` long, so a megabyte of marshalled state is not
-copied between the socket and the unpickler.  Those are exactly the
+copied between the socket and the unpickler.  A bulk field holding a
+tuple of byte strings (a streamed chunk that spans pieces of its blob)
+decodes each item that way.  Those are exactly the
 fields whose consumers (:func:`repro.rmi.marshal.unmarshal`, the
 mover's staging) read any bytes-like object; a raw ``bytes`` payload
 for an arbitrary handler still arrives as ``bytes``, and so do the
@@ -88,6 +90,10 @@ WIRE_SETTING = "wire"
 #: buffers (one iovec each) instead of being copied into the frame's
 #: head buffer; below it the extra iovec costs more than the copy.
 OOB_THRESHOLD = 4096
+
+#: Items a tuple carries in its tagged form (tag 9): one count byte.  A
+#: longer tuple is pickled, and a ``memoryview`` item cannot be.
+MAX_TUPLE_ITEMS = 255
 
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -169,9 +175,19 @@ def _r_bytes(b: FrameBody, o: int,
 
 
 def _r_anybulk(b: FrameBody, o: int) -> tuple[Any, int]:
-    """A tagged value whose ``bytes`` form (tag 6) is a bulk byte field."""
-    if b[o] == 6:
+    """A tagged value whose ``bytes`` form (tag 6) is a bulk byte field,
+    and so is each ``bytes`` item of its tuple form (tag 9)."""
+    tag = b[o]
+    if tag == 6:
         return _r_bytes(b, o + 1, True)
+    if tag == 9:
+        count = b[o + 1]
+        o += 2
+        items = []
+        for _ in range(count):
+            item, o = _r_anybulk(b, o)
+            items.append(item)
+        return tuple(items), o
     return _r_any(b, o)
 
 
@@ -254,7 +270,7 @@ def _w_any(value: Any, buf: bytearray,
                 _w_str(first, buf)
                 buf += _I64.pack(second)
                 return
-        if n < 256:
+        if n <= MAX_TUPLE_ITEMS:
             buf.append(9)
             buf.append(n)
             for item in value:

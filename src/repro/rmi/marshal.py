@@ -30,10 +30,21 @@ and no size threshold — a ``persistent_id`` hook, by contrast, runs for
 Python walk that proves a tree hook-free costs more than the pickling.
 A stub is emitted as a reduce to one sentinel global, which the
 unpickler's ``find_class`` binds to the per-call stub factory.  The
-pickler and its buffer are reused per thread (memo cleared, buffer
-rewound): building both afresh costs more than encoding a small argument
-list.  Out-of-band buffer handling for ``*_blob``-bearing payloads lives
-one layer down in :mod:`repro.net.wirecodec`.
+pickler and the sink it writes to are reused per thread (memo cleared,
+sink emptied): building both afresh costs more than encoding a small
+argument list.  Out-of-band buffer handling for ``*_blob``-bearing
+payloads lives one layer down in :mod:`repro.net.wirecodec`.
+
+The sink does not copy a large ``bytes`` value.  CPython's pickler (C
+and pure-Python alike) writes a ``bytes`` payload of at least 64 KiB —
+its frame target — with one ``write`` of the object itself, and
+:class:`_PieceSink` keeps that object by reference as a piece of its
+own.  So :func:`marshal_pieces` gives a blob as its pieces in order, and
+the megabyte of a large servant's state *is* the servant's own ``bytes``
+until the wire codec gathers it into ``sendmsg``.  :func:`marshal` joins
+the pieces, which is the one copy a single-frame blob takes.  For a
+value without stubs the pieces concatenate to exactly what
+``pickle.dumps(value, 5)`` returns.
 
 The inverse direction copies as little: :func:`unmarshal` reads a blob
 in whatever form it arrived — ``bytes``, a view of a received frame, or
@@ -207,55 +218,127 @@ def isolate(value: Any, stub_factory: StubFactory | None = None) -> Any:
     return unmarshal(marshal(value), stub_factory)
 
 
-class _MarshalScratch(threading.local):
-    """Per-thread reused pickler + growable buffer."""
+#: An exact ``bytes`` write at least this long is kept by reference: the
+#: pickler's frame target, at and above which it writes a ``bytes``
+#: payload as the object itself instead of through its own buffer.
+KEEP_MIN_BYTES = 64 * 1024
+
+
+class _PieceSink:
+    """The file the marshal pickler writes to: a blob as pieces in order.
+
+    * An exact ``bytes`` write of at least :data:`KEEP_MIN_BYTES` is kept
+      by reference as a piece of its own.  ``bytes`` cannot change, so
+      the piece is the value's own object (or a full frame the pickler
+      gave away) and nothing is copied.
+    * A ``bytearray`` or ``memoryview`` write is copied on arrival.  It
+      is mutable — the pickler hands over the servant's own
+      ``bytearray`` — so a servant that changes it after packing cannot
+      tear the blob in flight.
+    * Consecutive small writes merge into one piece: a run of one
+      ``bytes`` is kept as it is, a longer run is joined.
+    """
+
+    __slots__ = ("_pieces", "_run")
 
     def __init__(self) -> None:
-        self.buffer = io.BytesIO()
-        self.pickler = _MagePickler(self.buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        self._pieces: list[bytes] = []
+        self._run: list[bytes] = []     # small writes since the last piece
+
+    def write(self, data: Buffer) -> int:
+        piece = data if type(data) is bytes else bytes(data)
+        if len(piece) >= KEEP_MIN_BYTES:
+            self._end_run()
+            self._pieces.append(piece)
+        else:
+            self._run.append(piece)
+        return len(piece)
+
+    def _end_run(self) -> None:
+        run = self._run
+        if run:
+            self._pieces.append(run[0] if len(run) == 1 else b"".join(run))
+            run.clear()
+
+    def take(self) -> tuple[bytes, ...]:
+        """Everything written since the last take, and empty the sink."""
+        self._end_run()
+        pieces = tuple(self._pieces)
+        self._pieces.clear()
+        return pieces
+
+    def clear(self) -> None:
+        self._pieces.clear()
+        self._run.clear()
+
+
+class _MarshalScratch(threading.local):
+    """Per-thread reused pickler + the sink it writes to."""
+
+    def __init__(self) -> None:
+        self.sink = _PieceSink()
+        self.pickler = _MagePickler(self.sink, protocol=pickle.HIGHEST_PROTOCOL)
         self.busy = False
 
 
 _scratch = _MarshalScratch()
 
 
-def _dump(pickler: _MagePickler, buffer: io.BytesIO, value: Any) -> bytes:
+def _dump(pickler: _MagePickler, sink: _PieceSink,
+          value: Any) -> tuple[bytes, ...]:
     try:
         pickler.dump(value)
     except MarshalError:
         raise
     except Exception as exc:
         raise MarshalError(f"cannot marshal {type(value).__name__}: {exc}") from exc
-    return buffer.getvalue()
+    return sink.take()
 
 
-def marshal(value: Any) -> bytes:
-    """Serialize ``value`` for the wire.
+def marshal_pieces(value: Any) -> tuple[bytes, ...]:
+    """Serialize ``value`` for the wire, as the blob's pieces in order.
 
-    Raises :class:`MarshalError` for unpicklable values and for mobile
-    instances (which must travel via the mover).
+    Each ``bytes`` of at least :data:`KEEP_MIN_BYTES` inside ``value`` is
+    a piece of its own and *is* that object; the pieces between are
+    fresh.  Their concatenation is what :func:`marshal` returns.  Raises
+    like :func:`marshal`.
     """
     scratch = _scratch
     if scratch.busy:
         # Reentrant marshal (a payload's __reduce__ marshalling nested
         # state): fresh objects rather than corrupting the in-flight
         # stream.
-        buffer = io.BytesIO()
-        return _dump(_MagePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL),
-                     buffer, value)
+        sink = _PieceSink()
+        return _dump(_MagePickler(sink, protocol=pickle.HIGHEST_PROTOCOL),
+                     sink, value)
     scratch.busy = True
-    buffer = scratch.buffer
+    sink = scratch.sink
     pickler = scratch.pickler
     try:
-        return _dump(pickler, buffer, value)
+        return _dump(pickler, sink, value)
     finally:
-        # Rewind for the next call, failed or not (a failed dump may have
-        # flushed a partial frame), and drop the memo's references to
-        # what was just marshalled.
-        buffer.seek(0)
-        buffer.truncate()
+        # Empty the sink for the next call, failed or not (a failed dump
+        # may have written a partial frame), and drop the memo's
+        # references to what was just marshalled.
+        sink.clear()
         pickler.clear_memo()
         scratch.busy = False
+
+
+def join_pieces(pieces: Sequence[bytes]) -> bytes:
+    """One ``bytes`` of a blob's pieces: the lone piece itself, or a join."""
+    return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+
+
+def marshal(value: Any) -> bytes:
+    """Serialize ``value`` for the wire, as one ``bytes``.
+
+    The joined :func:`marshal_pieces`: byte for byte what
+    ``pickle.dumps(value, 5)`` gives for a value without stubs.  Raises
+    :class:`MarshalError` for unpicklable values and for mobile instances
+    (which must travel via the mover).
+    """
+    return join_pieces(marshal_pieces(value))
 
 
 def unmarshal(blob: Blob, stub_factory: StubFactory | None = None) -> Any:

@@ -161,17 +161,22 @@ class TransferPrepare:
 class TransferChunk:
     """One slice of a streamed transfer's marshalled state.
 
-    ``data`` is a ``memoryview`` at both ends, and no end copies it.  The
-    sender slices it out of its state blob and the wire codec gathers it
-    into ``sendmsg`` from there; the receiver gets a read-only view of
-    the frame it arrived in (plain ``bytes`` when the chunk is under
-    :data:`repro.net.reactor.DIRECT_RECV_MIN`), which the mover stages
-    as it is — so a staged chunk keeps its whole frame alive until
-    COMMIT, ABORT or the staging reaper drops it.  On the in-process
-    simulated network the payload crosses by reference and the receiver
-    stages the sender's view.
+    The slice is a run of the blob's pieces
+    (:func:`repro.rmi.marshal.marshal_pieces`) taken as if they were
+    joined, and ``data`` holds it without a copy at either end: one
+    ``memoryview`` when the run lies inside one piece, or a tuple of
+    them, one per piece it spans (at most
+    :data:`repro.net.wirecodec.MAX_TUPLE_ITEMS`).  The sender's views
+    are of the pieces, so a large ``bytes`` in the state goes from the
+    servant's own object into ``sendmsg``.  The receiver gets read-only
+    views of the frame the chunk arrived in (plain ``bytes`` for an item
+    under :data:`repro.net.reactor.DIRECT_RECV_MIN`), which the mover
+    stages as they are — so a staged chunk keeps its whole frame alive
+    until COMMIT, ABORT or the staging reaper drops it.  On the
+    in-process simulated network the payload crosses by reference and
+    the receiver stages the sender's views.
 
-    Pickling (see ``__reduce__``) wraps the view in a *transient*
+    Pickling (see ``__reduce__``) wraps each view in a *transient*
     :class:`pickle.PickleBuffer`, which protocol 5 serializes in-band
     straight from the original bytes.  The PickleBuffer must not live on
     the dataclass itself: it holds a buffer export on the view, and a
@@ -182,12 +187,16 @@ class TransferChunk:
 
     transfer_id: str
     index: int
-    data: "object"  # bytes | memoryview (kept loose: the wire tags it)
+    data: "object"  # bytes | memoryview | a tuple of them (the wire tags it)
 
     def __reduce__(self):
         data = self.data
         if isinstance(data, memoryview):
             data = pickle.PickleBuffer(data)
+        elif type(data) is tuple:
+            data = tuple(pickle.PickleBuffer(segment)
+                         if isinstance(segment, memoryview) else segment
+                         for segment in data)
         return (TransferChunk, (self.transfer_id, self.index, data))
 
 

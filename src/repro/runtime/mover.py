@@ -29,10 +29,14 @@ stream as a **two-phase pipeline** instead:
     ``transfer_id``); nothing touches the hot store.
 ``TRANSFER_CHUNK`` × N
     windowed, pipelined slices of the marshalled state
-    (:meth:`Transport.stream`), each a zero-copy ``memoryview`` view of
-    the blob on the send path.  Chunks accumulate in the staging slot
+    (:meth:`Transport.stream`).  The state is packed as pieces — a
+    ``bytes`` of at least 64 KiB in it is a piece of its own and is the
+    servant's own object — and a chunk is a run of at most
+    ``chunk_bytes`` of their concatenation: one ``memoryview`` of a
+    piece, or a tuple of views when it spans pieces.  Nothing on the
+    send path copies the state.  Chunks accumulate in the staging slot
     in the form they arrived in — views of their received frames — and
-    COMMIT unpickles from that sequence without joining it.
+    COMMIT unpickles from their segments in order without joining them.
 ``TRANSFER_COMMIT``
     atomically verifies completeness, unpacks, registers, and acks; only
     now does the object exist at the target, and only on this ack does
@@ -68,8 +72,16 @@ from repro.errors import (
 from repro.net.deadline import Deadline, effective_deadline
 from repro.net.message import MessageKind
 from repro.net.transport import CallFuture, Transport
+from repro.net.wirecodec import MAX_TUPLE_ITEMS
 from repro.rmi.classdesc import ClassDescriptor, describe_class
-from repro.rmi.marshal import Blob, StubFactory, marshal, unmarshal
+from repro.rmi.marshal import (
+    Blob,
+    Buffer,
+    StubFactory,
+    join_pieces,
+    marshal_pieces,
+    unmarshal,
+)
 from repro.rmi.protocol import (
     ClassPush,
     ClassRequest,
@@ -102,15 +114,47 @@ DEFAULT_STREAM_WINDOW = 8
 DEFAULT_STAGING_TTL_MS = 30_000.0
 
 
-def _zero_copy_slice(view: memoryview, start: int, end: int) -> Any:
-    """A chunk payload over ``view[start:end]`` that never copies on send.
+def _chunk_payloads(pieces: Sequence[bytes],
+                    chunk_bytes: int) -> Iterator["Buffer | tuple[Buffer, ...]"]:
+    """The chunk data of a blob given as ``pieces``, without a copy.
 
-    A plain ``memoryview`` slice: :class:`TransferChunk.__reduce__` wraps
-    it in a transient ``pickle.PickleBuffer`` at dump time, which protocol
-    5 serializes in-band straight from the original blob — so chunking an
-    8 MB state costs zero intermediate copies on the send path.
+    Each chunk is the next ``chunk_bytes`` (or the rest) of the pieces'
+    concatenation: a ``memoryview`` slice of one piece, or a tuple of
+    slices when it spans several, so the chunk count is that of the
+    joined blob.  A chunk that would span more than
+    :data:`MAX_TUPLE_ITEMS` pieces joins its tail into one ``bytes``: the
+    wire's tuple form counts items in a byte.
     """
-    return view[start:end]
+    segments: list[Buffer] = []
+    room = chunk_bytes
+    for piece in pieces:
+        view = memoryview(piece)
+        start = 0
+        while start < len(view):
+            end = min(len(view), start + room)
+            segments.append(view[start:end])
+            room -= end - start
+            start = end
+            if not room:
+                yield _chunk_data(segments)
+                segments = []
+                room = chunk_bytes
+    if segments:
+        yield _chunk_data(segments)
+
+
+def _chunk_data(segments: list[Buffer]) -> "Buffer | tuple[Buffer, ...]":
+    if len(segments) == 1:
+        return segments[0]
+    if len(segments) > MAX_TUPLE_ITEMS:
+        keep = MAX_TUPLE_ITEMS - 1
+        segments[keep:] = [b"".join(segments[keep:])]
+    return tuple(segments)
+
+
+def _segments(data: Any) -> "tuple[Any, ...]":
+    """A chunk's data as its segments in order (see :class:`TransferChunk`)."""
+    return data if type(data) is tuple else (data,)
 
 
 @dataclass
@@ -120,8 +164,14 @@ class _StagedTransfer:
 
     prepare: TransferPrepare
     expires_at: float                       # monotonic reap point
-    chunks: "dict[int, bytes | memoryview]" = field(default_factory=dict)
+    chunks: "dict[int, Buffer | tuple[Buffer, ...]]" = field(
+        default_factory=dict)
     received_bytes: int = 0
+
+    def pieces(self) -> list[Buffer]:
+        """Every staged segment, in chunk order: the blob's pieces."""
+        return [segment for index in range(self.prepare.chunk_count)
+                for segment in _segments(self.chunks[index])]
 
 
 #: Dedup tombstones kept for applied and for aborted transfer ids (each).
@@ -192,17 +242,22 @@ class _Transfers:
     def add_chunk(self, chunk: TransferChunk, node_id: str) -> None:
         """Stage ``chunk.data`` as it arrived, within the PREPARE's bounds.
 
-        A staged view pins the frame it arrived in, so a stream must not
-        be able to stage more than it declared: an index outside the
-        PREPARE's chunk count, or data past its byte total, is refused
-        here rather than at COMMIT.
+        The data is a buffer or a tuple of them; every segment must be
+        bytes-like, and the byte count is over all of them.  A staged
+        view pins the frame it arrived in, so a stream must not be able
+        to stage more than it declared: an index outside the PREPARE's
+        chunk count, or data past its byte total, is refused here rather
+        than at COMMIT.
         """
         data = chunk.data
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise MigrationError(
-                f"transfer {chunk.transfer_id!r}: chunk {chunk.index} "
-                f"carries {type(data).__name__}, not bytes"
-            )
+        nbytes = 0
+        for segment in _segments(data):
+            if not isinstance(segment, (bytes, bytearray, memoryview)):
+                raise MigrationError(
+                    f"transfer {chunk.transfer_id!r}: chunk {chunk.index} "
+                    f"carries {type(segment).__name__}, not bytes"
+                )
+            nbytes += len(segment)
         with self._lock:
             if chunk.transfer_id in self._seen:
                 return  # committed already; late retransmission
@@ -220,14 +275,14 @@ class _Transfers:
                     f"transfer {chunk.transfer_id!r}: chunk index "
                     f"{chunk.index} outside its {prep.chunk_count} chunks"
                 )
-            if entry.received_bytes + len(data) > prep.total_bytes:
+            if entry.received_bytes + nbytes > prep.total_bytes:
                 raise MigrationError(
                     f"transfer {chunk.transfer_id!r}: chunk {chunk.index} "
-                    f"({len(data)} bytes) overruns its {prep.total_bytes} "
+                    f"({nbytes} bytes) overruns its {prep.total_bytes} "
                     f"bytes ({entry.received_bytes} staged)"
                 )
             entry.chunks[chunk.index] = data
-            entry.received_bytes += len(data)
+            entry.received_bytes += nbytes
 
     def claim_commit(self, commit: TransferCommit,
                      node_id: str) -> _StagedTransfer:
@@ -353,17 +408,26 @@ class Mover:
             return self._classcache.descriptor(cls.__name__)
         return self._classcache.register_native(cls)
 
-    def pack_state(self, obj: Any) -> bytes:
-        """Marshal the heap state of ``obj`` (honours ``__getstate__``)."""
+    def pack_state(self, obj: Any) -> tuple[bytes, ...]:
+        """Marshal the heap state of ``obj`` (honours ``__getstate__``).
+
+        Returns the blob as its pieces in order
+        (:func:`~repro.rmi.marshal.marshal_pieces`): each ``bytes`` of at
+        least 64 KiB in the state is a piece of its own and is the
+        object's own ``bytes``, not a copy; a mutable ``bytearray`` is
+        copied, so changing it afterwards does not change the blob.  A
+        single frame joins the pieces; a stream sends views of them.
+        """
         getstate = getattr(obj, "__getstate__", None)
         state = getstate() if callable(getstate) else dict(obj.__dict__)
-        return marshal(state)
+        return marshal_pieces(state)
 
     def unpack(self, cls: type, state_blob: Blob) -> Any:
         """Rebuild an instance from migrated state (honours ``__setstate__``).
 
         ``state_blob`` is anything :func:`~repro.rmi.marshal.unmarshal`
-        reads: the blob, a view of it, or its staged chunks in order.
+        reads: the blob, a view of it, its pieces from :meth:`pack_state`,
+        or the segments of its staged chunks in order.
         """
         obj = cls.__new__(cls)
         state = unmarshal(state_blob, self._stub_factory)
@@ -421,21 +485,21 @@ class Mover:
             )
         desc = self.descriptor_for(record.obj)
         probe = self.begin_class_probe(target, desc)
-        state_blob = self.pack_state(record.obj)  # overlaps the probe's round trip
+        pieces = self.pack_state(record.obj)  # overlaps the probe's round trip
         ship_class = self.resolve_class_probe(probe, target, desc)
-        if len(state_blob) >= self.stream_threshold:
+        if sum(map(len, pieces)) >= self.stream_threshold:
             candidates = [target]
             for alt in alternates:
                 if alt not in candidates and alt != self.node_id:
                     candidates.append(alt)
             return self._move_out_streamed(
-                name, record.shared, desc, state_blob, ship_class,
+                name, record.shared, desc, pieces, ship_class,
                 candidates, deadline,
             )
         transfer = ObjectTransfer(
             name=name,
             class_name=desc.class_name,
-            state_blob=state_blob,
+            state_blob=join_pieces(pieces),
             class_desc=desc if ship_class else None,
             class_hash=desc.source_hash,
             origin=self.node_id,
@@ -494,18 +558,13 @@ class Mover:
         )
 
     def _chunk_requests(
-        self, transfer_id: str, view: memoryview
+        self, transfer_id: str, pieces: Sequence[bytes]
     ) -> Iterator[tuple[MessageKind, TransferChunk]]:
-        """Lazy ``(kind, payload)`` chunk stream over a zero-copy view."""
-        for index, start in enumerate(range(0, len(view), self.chunk_bytes)):
-            end = min(start + self.chunk_bytes, len(view))
+        """Lazy ``(kind, payload)`` chunk stream over views of ``pieces``."""
+        for index, data in enumerate(_chunk_payloads(pieces, self.chunk_bytes)):
             yield (
                 MessageKind.TRANSFER_CHUNK,
-                TransferChunk(
-                    transfer_id=transfer_id,
-                    index=index,
-                    data=_zero_copy_slice(view, start, end),
-                ),
+                TransferChunk(transfer_id=transfer_id, index=index, data=data),
             )
 
     def _chunk_count(self, nbytes: int) -> int:
@@ -523,17 +582,18 @@ class Mover:
             pass  # the staging GC reaps what the abort cannot reach
 
     def _move_out_streamed(self, name: str, shared: bool,
-                           desc: ClassDescriptor, state_blob: bytes,
+                           desc: ClassDescriptor, pieces: Sequence[bytes],
                            ship_class: bool, targets: Sequence[str],
                            deadline: Deadline | None) -> str:
         """Two-phase streamed transfer; hedged when several targets given."""
         if len(targets) > 1:
-            return self._move_out_hedged(name, shared, desc, state_blob,
+            return self._move_out_hedged(name, shared, desc, pieces,
                                          targets, deadline)
         target = targets[0]
-        chunk_count = self._chunk_count(len(state_blob))
-        prep = self._prepare_for(name, shared, desc, len(state_blob),
-                                 chunk_count, ship_class, deadline)
+        nbytes = sum(map(len, pieces))
+        prep = self._prepare_for(name, shared, desc, nbytes,
+                                 self._chunk_count(nbytes), ship_class,
+                                 deadline)
         self._locks.begin_departure(name)
         try:
             self._transport.call(
@@ -542,7 +602,7 @@ class Mover:
             )
             self._transport.stream(
                 self.node_id, target,
-                self._chunk_requests(prep.transfer_id, memoryview(state_blob)),
+                self._chunk_requests(prep.transfer_id, pieces),
                 window=self.stream_window, deadline=deadline,
             )
             ack = self._transport.call(
@@ -566,15 +626,15 @@ class Mover:
         return target
 
     def _move_out_hedged(self, name: str, shared: bool, desc: ClassDescriptor,
-                         state_blob: bytes, targets: Sequence[str],
+                         pieces: Sequence[bytes], targets: Sequence[str],
                          deadline: Deadline | None) -> str:
         """Speculative streams to every candidate; first staged wins.
 
         PREPARE goes to all candidates at once (distinct ``transfer_id``
         each); a candidate's CHUNKs follow as soon as its own PREPARE is
         acked, so a slow candidate never holds back a fast one, and every
-        chunk is a zero-copy view of one blob.  Candidates race to finish
-        staging: the first whose every frame is acked gets the COMMIT and
+        chunk is made of views of the one packed state.  Candidates race
+        to finish staging: the first whose every frame is acked gets the COMMIT and
         becomes the object's new host; the losers' outstanding exchanges
         are cancelled and their staging ABORTed.  Safe precisely because
         nothing applies before COMMIT — at most one candidate ever
@@ -585,15 +645,15 @@ class Mover:
         """
         ranked = self._transport.rank_by_latency(list(targets))
         preps: dict[str, TransferPrepare] = {}
-        chunk_count = self._chunk_count(len(state_blob))
-        view = memoryview(state_blob)
+        nbytes = sum(map(len, pieces))
+        chunk_count = self._chunk_count(nbytes)
         self._locks.begin_departure(name)
         futures: dict[str, list[CallFuture]] = {}
         try:
             for target in ranked:
                 ship_class = self._must_ship(target, desc)
                 preps[target] = self._prepare_for(
-                    name, shared, desc, len(state_blob), chunk_count,
+                    name, shared, desc, nbytes, chunk_count,
                     ship_class, deadline,
                 )
             # PREPARE to everyone now; each candidate's chunks go out from
@@ -607,7 +667,7 @@ class Mover:
                     preps[target], deadline=deadline,
                 )]
             winner = self._commit_first_staged(
-                name, ranked, preps, futures, view, deadline,
+                name, ranked, preps, futures, pieces, deadline,
             )
         except BaseException:
             self._locks.abort_departure(name)
@@ -623,13 +683,13 @@ class Mover:
     def _commit_first_staged(self, name: str, ranked: Sequence[str],
                              preps: dict[str, TransferPrepare],
                              futures: dict[str, list[CallFuture]],
-                             view: memoryview,
+                             pieces: Sequence[bytes],
                              deadline: Deadline | None) -> str:
         """Collect staging acks in completion order; COMMIT the first full
         set, ABORT everyone else.  Raises when nobody stages in budget.
 
-        ``futures`` starts as each candidate's PREPARE; its CHUNKs (slices
-        of ``view``) are sent when that PREPARE is acked — the receiver
+        ``futures`` starts as each candidate's PREPARE; its CHUNKs (views
+        of ``pieces``) are sent when that PREPARE is acked — the receiver
         dispatches frames concurrently, so a chunk sent earlier could run
         before the staging slot it belongs to exists."""
         completions: "queue.Queue[tuple[str, CallFuture]]" = queue.Queue()
@@ -680,7 +740,7 @@ class Mover:
             remaining[target].discard(future)
             if future is futures[target][0]:  # PREPARE acked: stream now
                 for kind, payload in self._chunk_requests(
-                        preps[target].transfer_id, view):
+                        preps[target].transfer_id, pieces):
                     chunk = self._transport.call_async(
                         self.node_id, target, kind, payload, deadline=deadline,
                     )
@@ -860,9 +920,7 @@ class Mover:
             entry = self._transfers.claim_commit(commit, self.node_id)
             prep = entry.prepare
             cls = self._class_for(prep)
-            obj = self.unpack(
-                cls, [entry.chunks[i] for i in range(prep.chunk_count)]
-            )
+            obj = self.unpack(cls, entry.pieces())
             self._apply(prep.name, obj, prep.shared, commit.transfer_id)
         finally:
             self._transfers.end_apply(commit.transfer_id)

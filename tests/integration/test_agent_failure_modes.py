@@ -12,6 +12,7 @@ from repro.core.agents import Agent
 from repro.errors import ComponentNotFoundError, MageError
 from repro.net.conditions import DeterministicLoss
 from repro.bench.workloads import Counter
+from repro.rmi.marshal import join_pieces
 
 
 class TestLostHops:
@@ -79,7 +80,7 @@ class TestDedup:
         payload = AgentHopPayload(
             name="dup",
             class_name=desc.class_name,
-            state_blob=alpha.mover.pack_state(record.obj),
+            state_blob=join_pieces(alpha.mover.pack_state(record.obj)),
             class_desc=desc,
             class_hash=desc.source_hash,
             origin="alpha",

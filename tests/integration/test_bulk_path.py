@@ -4,10 +4,11 @@ Each node gets a ``TcpNetwork`` of its own, so everything that passes
 between two of them crossed a socket.  Two kinds of test live here:
 
 * **structural** — the megabyte that reaches :meth:`Mover.receive_chunk`
-  (and the quarter megabyte that reaches ``Invoker.handle``) is a
-  read-only ``memoryview`` *of the very buffer the reactor handed to
-  ``on_frame``*.  A regression to copying anywhere between the socket
-  and the consumer fails here by name, not as a slower benchmark.
+  (a segment of its chunk) and the quarter megabyte that reaches
+  ``Invoker.handle`` are read-only ``memoryview`` slices *of the very
+  buffer the reactor handed to ``on_frame``*.  A regression to copying anywhere
+  between the socket and the consumer fails here by name, not as a
+  slower benchmark.
 * **equivalence** — echoes around the direct-receive threshold over
   every tier (UDS, TCP, compressed TCP, the in-process bypass), streamed
   moves at the default and at one chunk, a hedged write's loser, and a
@@ -21,6 +22,7 @@ import pytest
 
 from repro.net.reactor import DIRECT_RECV_MIN
 from repro.net.tcpnet import TcpNetwork
+from repro.net.wirecodec import MAX_TUPLE_ITEMS
 from repro.rmi.invoker import Invoker
 from repro.runtime.namespace import Namespace
 
@@ -109,9 +111,15 @@ class TestAViewNotACopy:
         ns["src"].register("vault", Vault(data))
         assert ns["src"].move("vault", "dst") == "dst"
         (chunk_data,) = staged
-        assert len(chunk_data) > MIB
-        assert is_view_of_a_delivered_body(chunk_data, bodies)
-        assert type(chunk_data.obj) is bytearray
+        # One chunk spanning the state's pieces: the pickle head, the
+        # servant's own megabyte, the tail.
+        assert type(chunk_data) is tuple
+        assert sum(len(segment) for segment in chunk_data) > MIB
+        large = [s for s in chunk_data if len(s) >= DIRECT_RECV_MIN]
+        assert [len(s) for s in large] == [MIB]
+        for segment in large:
+            assert is_view_of_a_delivered_body(segment, bodies)
+            assert type(segment.obj) is bytearray
         # ... and what was unpickled from the views is the object.
         assert ns["dst"].store.get("vault").data == data
         assert ns["dst"].mover.staging_count() == 0
@@ -205,6 +213,23 @@ class TestSameBytes:
         expected_chunks = 5 if chunk_bytes is None else 1  # 1 MiB + pickle head
         assert kinds.count("TRANSFER_CHUNK") == 2 * expected_chunks
         assert all(space.mover.staging_count() == 0 for space in ns.values())
+
+    def test_a_chunk_spanning_more_pieces_than_a_tuple_holds(
+            self, cluster, monkeypatch):
+        """130 large fields pack into over 255 pieces, and one 16 MiB
+        chunk spans them all: it goes out as at most 255 segments."""
+        ns = cluster("a", "b", ns={"chunk_bytes": 16 * MIB})
+        staged = []
+        receive_chunk = ns["b"].mover.receive_chunk
+        monkeypatch.setattr(
+            ns["b"].mover, "receive_chunk",
+            lambda chunk: staged.append(chunk.data) or receive_chunk(chunk))
+        fields = {f"f{i}": bytes([i]) * DIRECT_RECV_MIN for i in range(130)}
+        ns["a"].register("vault", Vault(fields))
+        assert ns["a"].move("vault", "b") == "b"
+        (chunk_data,) = staged
+        assert len(chunk_data) == MAX_TUPLE_ITEMS
+        assert ns["b"].store.get("vault").data == fields
 
     def test_a_hedged_write_leaves_nothing_staged_on_the_loser(self, cluster):
         ns = cluster("a", "b", "c")

@@ -224,13 +224,6 @@ class TestCallMany:
         net.register("b", echo_handler)
         return net
 
-    def test_results_in_request_order(self):
-        net = self._net()
-        values = net.call_many(
-            "a", "b", [(MessageKind.PING, i) for i in range(5)]
-        )
-        assert values == [("echo", i) for i in range(5)]
-
     def test_empty_batch_sends_nothing(self):
         net = self._net()
         assert net.call_many("a", "b", []) == []
@@ -258,31 +251,6 @@ class TestCallMany:
                 "a", "b",
                 [(MessageKind.PING, "ok"), (MessageKind.PING, "bad")],
             )
-
-    def test_failed_subrequest_stops_the_batch(self):
-        """Fail-fast like the sequence of calls the batch replaces: steps
-        after the failing one never execute."""
-        executed = []
-
-        def picky(message):
-            executed.append(message.payload)
-            if message.payload == "bad":
-                raise KeyError("nope")
-            return message.payload
-
-        net = SimNetwork()
-        net.register("a", lambda m: None)
-        net.register("b", picky)
-        with pytest.raises(KeyError):
-            net.call_many(
-                "a", "b",
-                [
-                    (MessageKind.PING, "ok"),
-                    (MessageKind.PING, "bad"),
-                    (MessageKind.PING, "after"),
-                ],
-            )
-        assert executed == ["ok", "bad"]
 
     def test_batch_retransmission_is_at_most_once(self):
         calls = []

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from repro.errors import MarshalError
 from repro.rmi.classdesc import describe_class, load_class
 from repro.rmi.marshal import (
+    KEEP_MIN_BYTES,
     _MagePickler,
     _scratch,
     marshal,
     marshal_call,
+    marshal_pieces,
     marshalled_size,
     unmarshal,
     unmarshal_call,
@@ -99,6 +101,64 @@ class TestBlobForms:
         # Not what marshal writes, but the reader is a complete file.
         blob = pickle.dumps({"k": [1, 2.5, "s"]}, protocol=0)
         assert unmarshal([blob[:7], blob[7:]]) == {"k": [1, 2.5, "s"]}
+
+
+KEEP = KEEP_MIN_BYTES
+
+
+class TestPieces:
+    """``marshal_pieces``: large ``bytes`` by reference, the rest copied,
+    and the same bytes as ``pickle.dumps`` either way."""
+
+    @pytest.mark.parametrize("n", [KEEP - 1, KEEP, KEEP + 1, 4 * KEEP])
+    def test_same_bytes_as_pickle_around_the_boundary(self, n):
+        data = bytes(range(256)) * (n // 256) + b"x" * (n % 256)
+        for value in (data, {"data": data, "n": 1}, [data, data],
+                      bytearray(data), ("s" * n, memoryview(data).tobytes())):
+            assert marshal(value) == pickle.dumps(value, 5)
+            assert b"".join(marshal_pieces(value)) == marshal(value)
+
+    def test_same_bytes_as_pickle_with_several_large_fields(self):
+        value = {f"f{i}": bytes([i]) * (KEEP + 17 * i) for i in range(6)}
+        value["ba"] = bytearray(b"b" * (2 * KEEP))
+        value["tree"] = [list(range(5000)), "t" * (KEEP + 3)]
+        pieces = marshal_pieces(value)
+        assert b"".join(pieces) == pickle.dumps(value, 5)
+        kept = [p for p in pieces if any(p is v for v in value.values())]
+        assert len(kept) == 6
+
+    def test_a_large_bytes_is_its_own_piece_by_reference(self):
+        big = bytes(KEEP)
+        pieces = marshal_pieces({"big": big, "small": b"s" * 100})
+        assert len(pieces) == 3
+        assert pieces[1] is big
+        assert all(type(p) is bytes for p in pieces)
+
+    def test_a_bytes_under_the_threshold_is_not_kept(self):
+        data = bytes(KEEP - 1)
+        assert all(p is not data for p in marshal_pieces({"data": data}))
+        (piece,) = marshal_pieces({"data": bytes(100), "tag": "t"})
+        assert type(piece) is bytes
+
+    def test_a_bytearray_is_copied_and_later_changes_do_not_show(self):
+        buf = bytearray(b"a" * (2 * KEEP))
+        pieces = marshal_pieces({"buf": buf})
+        assert all(type(p) is bytes for p in pieces)
+        buf[:] = b"z" * len(buf)
+        assert unmarshal(pieces) == {"buf": bytearray(b"a" * (2 * KEEP))}
+
+    def test_the_sink_is_empty_after_a_failure(self):
+        with pytest.raises(MarshalError):
+            marshal_pieces([bytes(2 * KEEP), lambda: None])
+        assert marshal_pieces(b"ok") == (pickle.dumps(b"ok", 5),)
+
+    def test_a_reentrant_marshal_keeps_its_pieces_apart(self):
+        inner = bytes(range(256)) * 512
+        busy_inside = []
+        value = ["x", _Nested(inner, busy_inside), bytes(KEEP)]
+        assert unmarshal(marshal_pieces(value)) == ["x", inner, bytes(KEEP)]
+        assert busy_inside == [True]
+        assert not _scratch.busy
 
 
 class TestStubTransport:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import LockError, ObjectPinnedError
 from repro.bench.workloads import Counter, GeoDataFilterImpl
+from repro.rmi.marshal import join_pieces
 
 
 class StatefulServant:
@@ -163,7 +164,7 @@ class TestIdempotency:
         transfer = ObjectTransfer(
             name="c",
             class_name=desc.class_name,
-            state_blob=alpha_ns.mover.pack_state(record.obj),
+            state_blob=join_pieces(alpha_ns.mover.pack_state(record.obj)),
             class_desc=desc,
             class_hash=desc.source_hash,
             origin="alpha",

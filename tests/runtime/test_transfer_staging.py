@@ -13,6 +13,7 @@ import pytest
 from repro.bench.workloads import Counter
 from repro.errors import MigrationError
 from repro.net.deadline import Deadline
+from repro.rmi.marshal import join_pieces
 from repro.rmi.protocol import (
     ObjectTransfer,
     TransferAbort,
@@ -44,7 +45,7 @@ def _staged_parts(mover, name="obj", transfer_id="xfer-test",
     """Hand-built PREPARE + CHUNK frames targeting ``mover`` directly."""
     obj = BigStateLike(payload)
     desc = mover.descriptor_for(obj)
-    state_blob = mover.pack_state(obj)
+    state_blob = join_pieces(mover.pack_state(obj))
     chunks = [
         TransferChunk(transfer_id=transfer_id, index=i,
                       data=state_blob[start:start + chunk_bytes])
@@ -241,6 +242,51 @@ class TestStagingInvariants:
         beta.mover.abort(TransferAbort(transfer_id=prepare.transfer_id))
         assert beta.mover.staging_count() == 0
 
+    def test_a_chunk_of_several_segments_stages_and_commits(self, pair):
+        beta = pair["beta"].namespace
+        prepare, chunks = _staged_parts(beta.mover, payload=b"m" * 5000,
+                                        chunk_bytes=900)
+        beta.mover.prepare(prepare)
+        for chunk in chunks:
+            view = memoryview(chunk.data)
+            beta.mover.receive_chunk(TransferChunk(
+                transfer_id=chunk.transfer_id, index=chunk.index,
+                data=(bytes(view[:100]), view[100:400], view[400:])))
+        assert beta.mover.commit(
+            TransferCommit(transfer_id=prepare.transfer_id, name="obj")
+        ) == "ok"
+        assert beta.store.get("obj").payload == b"m" * 5000
+
+    def test_a_segment_that_is_not_bytes_is_refused(self, pair):
+        beta = pair["beta"].namespace
+        prepare, chunks = _staged_parts(beta.mover)
+        beta.mover.prepare(prepare)
+        with pytest.raises(MigrationError, match="carries int, not bytes"):
+            beta.mover.receive_chunk(TransferChunk(
+                transfer_id=prepare.transfer_id, index=0,
+                data=(chunks[0].data, 7)))
+        # Nothing of the refused chunk was kept: the honest one stages.
+        beta.mover.receive_chunk(chunks[0])
+        beta.mover.abort(TransferAbort(transfer_id=prepare.transfer_id))
+        assert beta.mover.staging_count() == 0
+
+    def test_segments_past_the_prepared_byte_total_are_refused(self, pair):
+        beta = pair["beta"].namespace
+        prepare, chunks = _staged_parts(beta.mover)
+        beta.mover.prepare(prepare)
+        for chunk in chunks[:-1]:
+            beta.mover.receive_chunk(chunk)
+        last = chunks[-1]
+        fat = TransferChunk(transfer_id=last.transfer_id, index=last.index,
+                            data=(last.data, memoryview(b"!")))
+        with pytest.raises(MigrationError, match="overruns"):
+            beta.mover.receive_chunk(fat)
+        beta.mover.receive_chunk(last)
+        assert beta.mover.commit(
+            TransferCommit(transfer_id=prepare.transfer_id, name="obj")
+        ) == "ok"
+        assert beta.store.get("obj").payload == b"p" * 1000
+
     def test_commit_reads_staged_views_without_joining_them(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover, payload=b"v" * 5000,
@@ -381,7 +427,7 @@ class TestReceiveDedupRace:
         transfer = ObjectTransfer(
             name="c",
             class_name=desc.class_name,
-            state_blob=alpha.mover.pack_state(record.obj),
+            state_blob=join_pieces(alpha.mover.pack_state(record.obj)),
             class_desc=desc,
             class_hash=desc.source_hash,
             origin="alpha",
@@ -424,7 +470,7 @@ class TestReceiveDedupRace:
         transfer = ObjectTransfer(
             name="c",
             class_name=desc.class_name,
-            state_blob=alpha.mover.pack_state(record.obj),
+            state_blob=join_pieces(alpha.mover.pack_state(record.obj)),
             class_desc=desc,
             class_hash=desc.source_hash,
             origin="alpha",
@@ -455,7 +501,7 @@ class TestTombstoneWindow:
         alpha.register("c", Counter(5))
         record = alpha.store.record("c")
         desc = alpha.mover.descriptor_for(record.obj)
-        state_blob = alpha.mover.pack_state(record.obj)
+        state_blob = join_pieces(alpha.mover.pack_state(record.obj))
         transfers = [
             ObjectTransfer(
                 name="c",
