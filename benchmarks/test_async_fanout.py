@@ -80,7 +80,7 @@ class ParPayload:
 def _lan_cluster() -> Cluster:
     return Cluster(
         NODE_IDS,
-        transport=TcpNetwork(latency_ms=LINK_LATENCY_MS, server_workers=NODES * 2),
+        transport=TcpNetwork(latency_ms=LINK_LATENCY_MS),
     )
 
 

@@ -72,8 +72,7 @@ def p99(samples_s: list[float]) -> float:
 
 
 def _build() -> tuple[Cluster, TcpNetwork, threading.Event]:
-    net = TcpNetwork(latency_ms=LINK_LATENCY_MS, io_timeout_s=IO_TIMEOUT_S,
-                     server_workers=NODES * 2)
+    net = TcpNetwork(latency_ms=LINK_LATENCY_MS, io_timeout_s=IO_TIMEOUT_S)
     cluster = Cluster(NODE_IDS, transport=net)
     # History: the object originated at ORIGIN, passed through STALLED,
     # and settled at HOME.  A verified find from ORIGIN collapses its

@@ -110,8 +110,7 @@ def _cluster(stream_threshold, chunk_bytes=256 * 1024,
     # uds=False: every node shares this host, and a same-host Unix
     # socket never compresses; the bench is about the TCP link.
     net = TcpNetwork(latency_ms=LINK_LATENCY_MS, io_timeout_s=IO_TIMEOUT_S,
-                     bandwidth_mbps=BANDWIDTH_MBPS, server_workers=16,
-                     uds=False)
+                     bandwidth_mbps=BANDWIDTH_MBPS, uds=False)
     cluster = Cluster(list(node_ids), transport=net,
                       stream_threshold=stream_threshold,
                       chunk_bytes=chunk_bytes)

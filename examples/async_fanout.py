@@ -35,7 +35,7 @@ class ShardWorker:
 
 def main():
     node_ids = [f"host{i}" for i in range(8)]
-    transport = TcpNetwork(latency_ms=2.0, server_workers=16)
+    transport = TcpNetwork(latency_ms=2.0)
     with Cluster(node_ids, transport=transport) as cluster:
         controller = cluster["host0"]
         controller.register_class(ShardWorker)

@@ -45,8 +45,7 @@ class SensorFeed:
 
 
 def main():
-    transport = TcpNetwork(latency_ms=2.0, io_timeout_s=10.0,
-                           server_workers=12)
+    transport = TcpNetwork(latency_ms=2.0, io_timeout_s=10.0)
     with Cluster(NODE_IDS, transport=transport) as cluster:
         controller = cluster["host0"]
 

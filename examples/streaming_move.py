@@ -61,7 +61,7 @@ def main():
     # Unix socket never compresses; the example is about the TCP link.
     print(f"== 1. monolithic baseline ({STATE_MB} MB, one frame) ==")
     baseline_net = TcpNetwork(latency_ms=2.0, bandwidth_mbps=200.0,
-                              server_workers=12, uds=False)
+                              uds=False)
     min_bytes = codec.COMPRESS_MIN_BYTES
     codec.COMPRESS_MIN_BYTES = _MAX_FRAME + 1  # no frame is compressed
     try:
@@ -75,8 +75,7 @@ def main():
         codec.COMPRESS_MIN_BYTES = min_bytes
 
     print(f"== 2. streamed + compressed (256 KiB chunks, window 8) ==")
-    fast_net = TcpNetwork(latency_ms=2.0, bandwidth_mbps=200.0,
-                          server_workers=12, uds=False)
+    fast_net = TcpNetwork(latency_ms=2.0, bandwidth_mbps=200.0, uds=False)
     with Cluster(NODE_IDS, transport=fast_net,
                  stream_threshold=256 * 1024) as cluster:
         cluster["archive"].register("survey", SurveyData())

@@ -119,9 +119,9 @@ The TCP transport additionally **compresses large frames by one rule**
 unless its connection is a same-host Unix socket; everything else — all
 small control traffic — ships raw.  Nothing is negotiated: every
 admitted peer runs the same build, so every peer decodes zlib.
-``TcpNetwork(bandwidth_mbps=...)`` emulates link throughput the way
-``latency_ms`` emulates delay, so benches can price what compression
-and chunking buy.
+``TcpNetwork(latency_ms=..., bandwidth_mbps=...)`` emulates one slower
+link, a reactor timer at the receiving node server, so benches can
+price what pipelining, compression and chunking buy.
 
 Cross-host endpoints
 --------------------

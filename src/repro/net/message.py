@@ -69,9 +69,8 @@ ONEWAY_KINDS = frozenset({MessageKind.AGENT_HOP})
 
 #: Kinds whose handlers move object state (marshalled payloads, staging
 #: writes, migration commits) rather than running quick control logic.
-#: The server dispatches these to a dedicated background pool so a bulk
-#: transfer can never queue behind — or starve — latency-sensitive
-#: request handling on the hot path.
+#: The TCP client's auto-batcher never coalesces them: their large
+#: payloads would only hold up the small calls batched beside them.
 BULK_KINDS = frozenset({
     MessageKind.OBJECT_TRANSFER,
     MessageKind.TRANSFER_PREPARE,

@@ -30,15 +30,16 @@ socket outright:
   loop, which at the end of its event round writes each dirty
   connection's whole queue with as few ``send`` calls as it takes —
   *end-of-round write coalescing*.  There is one flush policy and no
-  timer: a queued frame waits at most one loop round, and frames batch
-  exactly when the loop was busy (the moments batching pays).
+  flush timer: a queued frame waits at most one loop round, and frames
+  batch exactly when the loop was busy (the moments batching pays).
 * **Backpressure** is native: a partial ``send`` re-queues the remainder
   and arms ``EVENT_WRITE`` interest; nothing is lost and no thread is
   parked on a full socket buffer.
-* **Bandwidth emulation** moves off sleeping threads: a connection with
-  ``bytes_per_s`` set *defers* each parsed frame's delivery to the time
-  a link of that rate would have finished transmitting it, serializing
-  per-connection like a physical wire, driven by the loop timer.
+* **One timer.**  :meth:`Reactor.call_at` runs ``fn(*args)`` on the
+  loop thread once a ``time.monotonic()`` instant has passed; ``select``
+  sleeps no longer than until the earliest one.  The reactor does not
+  know what its owner schedules (the TCP transport holds received
+  frames on an emulated link with it).
 
 Lock discipline: the loop thread is the only thread that touches a
 socket.  Every queue mutation holds the owning lock, and every syscall
@@ -47,8 +48,8 @@ module by construction).
 
 The module knows framing (the 32-bit header word: top
 :data:`CODEC_SHIFT` bits = codec id, low bits = body length) but not
-message semantics — pickling, codec negotiation, HELLOs, dispatch and
-reply matching all live in :mod:`repro.net.tcpnet`.
+message semantics or links — envelopes, HELLOs, dispatch, reply
+matching and link emulation all live in :mod:`repro.net.tcpnet`.
 """
 
 from __future__ import annotations
@@ -312,14 +313,12 @@ class Connection:
     def __init__(self, loop: "_Loop", sock: socket.socket,
                  on_frame: FrameCallback, on_closed: ClosedCallback, *,
                  max_frame: int,
-                 bytes_per_s: float | None,
                  metrics: ReactorMetrics) -> None:
         self._loop = loop
         self._sock = sock
         self._on_frame = on_frame
         self._on_closed = on_closed
         self._max_frame = max_frame
-        self._bytes_per_s = bytes_per_s
         self._metrics = metrics
         # Write side: guarded by ``self._lock``; socket syscalls always
         # happen outside it (the loop thread, or a sender holding the
@@ -333,7 +332,6 @@ class Connection:
         # Read side: loop thread only.
         self._in = bytearray()
         self._direct: _DirectFrame | None = None  # large frame in progress
-        self._rx_ready_at = 0.0         # bandwidth-emulation clock
         self._dead = False              # torn down
         self._write_interest = False
         sock.setblocking(False)
@@ -479,8 +477,8 @@ class Connection:
                 if got == want:
                     self._direct = None
                     direct.view.release()
-                    self._accept_frame(direct.ident, direct.body,
-                                       HEADER.size + len(direct.body))
+                    self._deliver(direct.ident, direct.body,
+                                  HEADER.size + len(direct.body))
             else:
                 self._in += chunk
                 self._parse_frames()
@@ -515,21 +513,9 @@ class Connection:
                 break
             body = bytes(buf[offset + header:offset + header + length])
             offset += header + length
-            self._accept_frame(ident, body, header + length)
+            self._deliver(ident, body, header + length)
         if offset:
             del buf[:offset]
-
-    def _accept_frame(self, ident: int, body: FrameBody, wire: int) -> None:
-        if self._bytes_per_s is None:
-            self._deliver(ident, body, wire)
-            return
-        # Emulated link bandwidth (tc-netem style): deliver when a link
-        # of this rate would have finished transmitting the frame, with
-        # per-connection serialization exactly like one physical wire.
-        now = time.monotonic()
-        ready_at = max(now, self._rx_ready_at) + wire / self._bytes_per_s
-        self._rx_ready_at = ready_at
-        self._loop._defer(ready_at, self, ident, body, wire)
 
     def _deliver(self, ident: int, body: FrameBody, wire: int) -> None:
         try:
@@ -709,8 +695,9 @@ class Listener:
                     pass
 
 
-#: A bandwidth-deferred frame: (ready_at, seq, connection, codec, body, wire).
-_Deferred = tuple[float, int, Connection, int, FrameBody, int]
+#: A pending :meth:`Reactor.call_at`: (when, seq, fn, args).  ``seq``
+#: keeps timers due at one instant in the order they were set.
+_Timer = tuple[float, int, Callable[..., object], tuple[object, ...]]
 
 
 class _Loop:
@@ -729,8 +716,8 @@ class _Loop:
         self._dirty: set[Connection] = set()
         self._closing = False
         # Loop-thread-only state.
-        self._deferred: list[_Deferred] = []
-        self._defer_seq = 0
+        self._timers: list[_Timer] = []
+        self._timer_seq = 0
         # Shared rosters (guarded by self._lock; mutated on the loop).
         self._conns: set[Connection] = set()
         self._listeners: set[Listener] = set()
@@ -850,12 +837,10 @@ class _Loop:
         except OSError:
             pass
 
-    def _defer(self, ready_at: float, conn: Connection, ident: int,
-               body: FrameBody, wire: int) -> None:
-        self._defer_seq += 1
-        heapq.heappush(
-            self._deferred, (ready_at, self._defer_seq, conn, ident, body, wire)
-        )
+    def _call_at(self, when: float, fn: Callable[..., object],
+                 args: tuple[object, ...]) -> None:
+        self._timer_seq += 1
+        heapq.heappush(self._timers, (when, self._timer_seq, fn, args))
 
     def _drain_wake(self) -> None:
         while True:
@@ -868,16 +853,18 @@ class _Loop:
                 return
 
     def _next_timeout(self) -> float | None:
-        """Until the next bandwidth-deferred delivery (the only timer)."""
-        if not self._deferred:
+        """Until the earliest :meth:`Reactor.call_at` falls due."""
+        if not self._timers:
             return None
-        return max(0.0, self._deferred[0][0] - time.monotonic())
+        return max(0.0, self._timers[0][0] - time.monotonic())
 
-    def _deliver_deferred(self, now: float) -> None:
-        while self._deferred and self._deferred[0][0] <= now:
-            _at, _seq, conn, ident, body, wire = heapq.heappop(self._deferred)
-            if not conn._dead:
-                conn._deliver(ident, body, wire)
+    def _run_timers(self, now: float) -> None:
+        while self._timers and self._timers[0][0] <= now:
+            _when, _seq, fn, args = heapq.heappop(self._timers)
+            try:
+                fn(*args)
+            except Exception:
+                pass  # a timer callback must never kill the loop
 
     def _run(self) -> None:
         while True:
@@ -924,8 +911,8 @@ class _Loop:
                     target._handle_flush()
                 if mask & selectors.EVENT_READ and not target._dead:
                     target._handle_readable()
-            if self._deferred:
-                self._deliver_deferred(time.monotonic())
+            if self._timers:
+                self._run_timers(time.monotonic())
             for conn in dirty:  # the flush round: whatever queued, goes
                 conn._handle_flush()  # (a dead connection's is a no-op)
             if closing:
@@ -979,26 +966,32 @@ class Reactor:
 
     def add_connection(self, sock: socket.socket, on_frame: FrameCallback,
                        on_closed: ClosedCallback, *,
-                       bytes_per_s: float | None = None,
                        max_frame: int | None = None) -> Connection:
         """Adopt ``sock``; frames flow through the callbacks immediately.
 
         The returned connection accepts :meth:`Connection.send` at once
         (writes queue until the loop registers the socket, preserving
-        order).  ``bytes_per_s`` enables bandwidth-emulated delivery.
-        ``max_frame`` starts this connection under a bound of its own
-        (an accepted socket whose peer has proved nothing yet); the
-        owner lifts it with :meth:`Connection.set_max_frame`.
+        order).  ``max_frame`` starts this connection under a bound of
+        its own (an accepted socket whose peer has proved nothing yet);
+        the owner lifts it with :meth:`Connection.set_max_frame`.
         """
         loop = self._loop
         conn = Connection(
             loop, sock, on_frame, on_closed,
             max_frame=self._max_frame if max_frame is None else max_frame,
-            bytes_per_s=bytes_per_s,
             metrics=self._metrics,
         )
         loop._call_soon(lambda: loop._attach(conn))
         return conn
+
+    def call_at(self, when: float, fn: Callable[..., object],
+                *args: object) -> None:
+        """Run ``fn(*args)`` on the loop thread once ``time.monotonic()``
+        reaches ``when``; call it only from the loop thread.  Timers run
+        in ``when`` order (ties in the order set), before the round's
+        flush; one pending at close never runs, one that raises is dropped.
+        """
+        self._loop._call_at(when, fn, args)
 
     def add_listener(self, sock: socket.socket,
                      on_accept: AcceptCallback) -> Listener:

@@ -70,17 +70,16 @@ coalescing queued writes into large sends (see the reactor module
 docstring).  Only the client's HELLO exchange uses the socket in
 blocking mode, before the reactor adopts it.
 
-Handler execution never blocks a reactor loop: frames are dispatched to
-a bounded worker pool, and *bulk* kinds (streamed migration:
-OBJECT_TRANSFER and the PREPARE/CHUNK/COMMIT/ABORT family) go to a
-separate background pool so staging writes and marshalled-state applies
-cannot queue behind — or starve — latency-sensitive calls.  When every
-resident worker is busy a submission runs on a temporary overflow
-thread, so a nested call made by a blocked handler (moves trigger
-OBJECT_TRANSFER, finds walk forwarding chains) can always be dispatched
-and the pool cannot deadlock on its own queue.  Handlers declared
-:func:`~repro.net.message.inline_safe` run their allowlisted kinds on
-the loop thread itself, under a per-call time budget.
+Handler execution never blocks a reactor loop: frames of every kind are
+dispatched to one bounded worker pool.  When every resident worker is
+busy a submission runs on a temporary overflow thread, so no job — a
+streamed migration's staging write included — waits behind a busy one,
+and a nested call made by a blocked handler (moves trigger
+OBJECT_TRANSFER, finds walk forwarding chains) can always be dispatched.
+Handlers declared :func:`~repro.net.message.inline_safe` run their
+allowlisted kinds on the loop thread itself, under a per-call time
+budget.  An emulated link (``latency_ms``, ``bandwidth_mbps``) holds
+each decoded frame on a reactor timer, never on a thread.
 
 TCP provides reliable, ordered delivery, so no loss model applies here —
 loss/retry behaviour is exercised on the simulated network.  An
@@ -102,7 +101,6 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import socket
-import struct
 import threading
 import time
 from collections import deque
@@ -129,6 +127,9 @@ from repro.net.message import (
     build_message,
 )
 from repro.net.reactor import (
+    CODEC_SHIFT,
+    HEADER,
+    LENGTH_MASK,
     Connection,
     DataPlaneStats,
     FrameBody,
@@ -145,8 +146,10 @@ from repro.net.transport import (
 )
 from repro.util.clock import Clock, WallClock
 
-_LENGTH_PREFIX = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024  # 64 MiB: a generous bound on one message
+
+_SERVER_WORKERS = 8  # resident dispatch workers; overflow threads beyond
+_CONNECT_TIMEOUT_S = 5.0
 
 #: Bound on a HELLO frame's body.  The HELLO comes from a peer nothing
 #: has verified yet, so it gets its own small bound instead of the
@@ -156,12 +159,6 @@ _MAX_FRAME = 64 * 1024 * 1024  # 64 MiB: a generous bound on one message
 #: connection under this frame bound (lifted to :data:`_MAX_FRAME` once
 #: the HELLO is admitted).
 _HELLO_MAX_BYTES = 64 * 1024
-
-# The frame header is one 32-bit word: the top 3 bits carry the codec id
-# (see repro.net.codec), the low 29 bits the on-wire body length.  Raw
-# frames use codec id 0.
-_CODEC_SHIFT = 29
-_LENGTH_MASK = (1 << _CODEC_SHIFT) - 1
 
 #: ``Hello.settings`` key advertising a server's same-host Unix-domain
 #: listener: ``(advertise_host, port, uds_name)``.
@@ -179,8 +176,9 @@ def _is_unix(sock: socket.socket) -> bool:
 
 
 #: Kinds the client-side auto-batcher never coalesces: bulk kinds carry
-#: large zero-copy payloads and must keep their dedicated server pool;
-#: one-way kinds have no reply to demultiplex; nested batches stay flat.
+#: large zero-copy payloads that would only delay the calls batched with
+#: them; one-way kinds have no reply to demultiplex; nested batches stay
+#: flat.
 _UNBATCHABLE_KINDS = BULK_KINDS | ONEWAY_KINDS | {MessageKind.BATCH}
 
 #: Caps on one coalesced BATCH frame: sub-calls, and estimated payload bytes.
@@ -297,9 +295,8 @@ def _encode_frame(message: Message,
     if ident != codec.RAW:
         body = codec.encode(ident, b"".join(parts))
         if len(body) < nbytes:  # compression beats zero-copy
-            return _LENGTH_PREFIX.pack(
-                len(body) | (ident << _CODEC_SHIFT)) + body
-    head = _LENGTH_PREFIX.pack(nbytes)
+            return HEADER.pack(len(body) | (ident << CODEC_SHIFT)) + body
+    head = HEADER.pack(nbytes)
     first = parts[0]
     if isinstance(first, bytes):
         if len(parts) == 1:
@@ -348,7 +345,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 def _encode_hello(hello: Hello) -> bytes:
     """One HELLO frame (always raw, whatever the link)."""
     blob = pickle.dumps(hello, protocol=pickle.HIGHEST_PROTOCOL)
-    return _LENGTH_PREFIX.pack(len(blob)) + blob
+    return HEADER.pack(len(blob)) + blob
 
 
 def _decode_hello(ident: int, body: FrameBody) -> Hello:
@@ -383,11 +380,11 @@ def _recv_hello(sock: socket.socket) -> Hello:
     The length is checked against :data:`_HELLO_MAX_BYTES` before any of
     the body is read.
     """
-    (word,) = _LENGTH_PREFIX.unpack(_recv_exact(sock, _LENGTH_PREFIX.size))
-    length = word & _LENGTH_MASK
+    (word,) = HEADER.unpack(_recv_exact(sock, HEADER.size))
+    length = word & LENGTH_MASK
     if length > _HELLO_MAX_BYTES:
         raise MarshalError(f"HELLO frame too large: {length} bytes")
-    return _decode_hello(word >> _CODEC_SHIFT, _recv_exact(sock, length))
+    return _decode_hello(word >> CODEC_SHIFT, _recv_exact(sock, length))
 
 
 def _same_dialect(peer: Hello) -> bool:
@@ -1143,7 +1140,7 @@ class _WorkerPool:
 class _ServerConn:
     """Reactor-side state for one accepted server connection."""
 
-    __slots__ = ("conn", "hello", "compress")
+    __slots__ = ("conn", "hello", "compress", "closed", "link_free_at")
 
     def __init__(self, compress: bool) -> None:
         self.conn: Connection | None = None
@@ -1156,19 +1153,19 @@ class _ServerConn:
         #: same-host socket does not consume — the zlib pass is pure CPU
         #: cost).
         self.compress = compress
+        self.closed = False  # torn down: frames still on the link are dropped
+        self.link_free_at = 0.0  # emulated wire busy until (loop thread)
 
 
 class _NodeServer:
-    """Listener for one node: reactor-delivered frames feed the pools.
+    """Listener for one node: reactor-delivered frames feed the pool.
 
     The listening socket and every accepted connection live on the
     shared reactor; the frame callback (loop thread) does only cheap
-    work — decode, trace, route — and hands handler execution to a
-    worker pool.  Request kinds split across two pools: *bulk* kinds
-    (streamed migration frames, whose handlers do staging writes and
-    marshalled-state applies) run on a dedicated background pool so they
-    can never queue behind — or starve — latency-sensitive calls.
-    Replies are enqueued on the connection's coalescing write queue.
+    work — decode, trace, route (on an emulated link, once the link
+    would have delivered the frame) — and hands handler execution to
+    the worker pool.  Replies are enqueued on the connection's
+    coalescing write queue.
 
     A connection's first frame must be a wire-level :class:`Hello` of
     this build's protocol version and wire format; the server answers
@@ -1178,7 +1175,7 @@ class _NodeServer:
     """
 
     def __init__(self, node_id: str, handler: MessageHandler, trace: MessageTrace,
-                 clock: Clock, pool: _WorkerPool, bulk_pool: _WorkerPool,
+                 clock: Clock, pool: _WorkerPool,
                  reactor: Reactor, call_metrics: _CallPathMetrics,
                  latency_s: float = 0.0,
                  bytes_per_s: float | None = None,
@@ -1192,18 +1189,15 @@ class _NodeServer:
         self._trace = trace
         self._clock = clock
         self._pool = pool
-        self._bulk_pool = bulk_pool
         self._reactor = reactor
         self._latency_s = latency_s
         self._bytes_per_s = bytes_per_s
+        self._emulated = latency_s > 0.0 or bytes_per_s is not None
         #: Inline dispatch runs INLINE_KINDS handlers straight on the
         #: reactor loop thread — only when the handler itself declared
-        #: those kinds non-blocking (:func:`~repro.net.message.inline_safe`)
-        #: and no emulated link latency is charged (the sleep would stall
-        #: the loop for everyone).
-        declared = frozenset(getattr(handler, "inline_kinds", ()))
+        #: those kinds non-blocking (:func:`~repro.net.message.inline_safe`).
         self._inline_kinds = (
-            declared & INLINE_KINDS if latency_s == 0.0 else frozenset()
+            frozenset(getattr(handler, "inline_kinds", ())) & INLINE_KINDS
         )
         self._inline_strikes = 0     # loop thread only
         self._inline_demoted = False
@@ -1253,7 +1247,6 @@ class _NodeServer:
             sock,
             lambda ident, body, wire: self._on_frame(state, ident, body, wire),
             lambda reason: self._on_conn_closed(state),
-            bytes_per_s=self._bytes_per_s,
             max_frame=_HELLO_MAX_BYTES,  # until _accept_hello admits the peer
         )
         state.conn = conn
@@ -1269,10 +1262,6 @@ class _NodeServer:
         # Loop thread: decode, trace, route — never execute handlers.
         # A decode failure (or protocol violation) propagates and the
         # reactor closes the connection.
-        # (Link *bandwidth* is already charged: the reactor defers frame
-        # delivery by wire_bytes/rate, serializing per connection like a
-        # physical link; dispatch *latency* stays on the workers —
-        # propagation delay and transmission time are independent.)
         if state.hello is None:
             self._accept_hello(state, ident, body)
             return
@@ -1280,12 +1269,31 @@ class _NodeServer:
         # The reactor measured the frame; thread that through so the
         # trace never pays a second serialization to size the payload.
         self._trace.record(frame, self._clock.now_ms(), nbytes=wire_bytes)
+        if self._emulated:
+            self._reactor.call_at(self._arrival(state, wire_bytes),
+                                  self._route, state, frame)
+        else:
+            self._route(state, frame)
+
+    def _arrival(self, state: _ServerConn, wire_bytes: int) -> float:
+        """When the emulated link delivers a frame received just now:
+        transmission serialized per connection like one wire, then the
+        latency.  The deadline, anchored at decode, runs meanwhile."""
+        at = time.monotonic()
+        if self._bytes_per_s is not None:
+            at = max(at, state.link_free_at) + wire_bytes / self._bytes_per_s
+            state.link_free_at = at
+        return at + self._latency_s
+
+    def _route(self, state: _ServerConn, frame: Message) -> None:
+        """Hand a delivered frame to the loop thread or the pool."""
+        if state.closed:
+            return  # the connection died while the frame was on the link
         if self._inline_kinds and not self._inline_demoted \
                 and self._inline_eligible(frame):
             self._dispatch_inline(state, frame)
             return
-        pool = self._bulk_pool if frame.kind in BULK_KINDS else self._pool
-        pool.submit(self._dispatch, state, frame)
+        self._pool.submit(self._dispatch, state, frame)
 
     def _accept_hello(self, state: _ServerConn, ident: int,
                       body: FrameBody) -> None:
@@ -1359,6 +1367,7 @@ class _NodeServer:
         self._call_metrics.record_overrun(demoted)
 
     def _on_conn_closed(self, state: _ServerConn) -> None:
+        state.closed = True
         with self._conn_lock:
             self._conns.discard(state)
 
@@ -1368,14 +1377,8 @@ class _NodeServer:
 
         A pooled dispatch lets a batch of independent subs fan back out
         across the pool (:meth:`Transport.execute_batch`); ``inline`` —
-        the loop thread — runs them in order where it stands.  The link
-        delay is charged once per frame.
+        the loop thread — runs them in order where it stands.
         """
-        if self._latency_s > 0.0:
-            # Emulated link delay (tc-netem style): charged on the worker,
-            # after the reactor delivered the frame, so a slow link never
-            # stalls later frames arriving on the same connection.
-            time.sleep(self._latency_s)
         if message.kind is MessageKind.BATCH \
                 and isinstance(message.payload, Batch):
             Transport.execute_batch(
@@ -1483,8 +1486,7 @@ class TcpNetwork(Transport):
     supports_local_bypass = True
 
     def __init__(self, clock: Clock | None = None, trace: MessageTrace | None = None,
-                 connect_timeout_s: float = 5.0, io_timeout_s: float = 30.0,
-                 server_workers: int = 8,
+                 io_timeout_s: float = 30.0,
                  latency_ms: float = 0.0,
                  bandwidth_mbps: float | None = None,
                  bind: str = "127.0.0.1",
@@ -1492,18 +1494,13 @@ class TcpNetwork(Transport):
                  ports: dict[str, int] | None = None,
                  hello_timeout_s: float = 2.0,
                  uds: bool = True) -> None:
-        """``latency_ms`` emulates a slower link (tc-netem style): every
-        request is delayed that long at the destination before dispatch.
-        Loopback's ~0.1 ms round trip hides latency effects entirely;
-        setting a LAN/WAN-scale delay lets benches and tests measure what
-        scatter-gather and pipelining buy on a real network.
-
-        ``bandwidth_mbps`` emulates link throughput the same way: each
-        received frame charges its *on-wire* bytes against the link
-        rate, so bulk transfers pay a transmission time loopback would
-        otherwise hide (and compressed frames pay only for their
-        compressed bytes — see :mod:`repro.net.codec` for which frames
-        are compressed).
+        """``latency_ms`` and ``bandwidth_mbps`` emulate a slower link
+        (tc-netem style): a request frame reaches its handler once a
+        link of that rate would have transmitted its *on-wire* bytes
+        (compressed frames pay only for their compressed bytes), plus
+        ``latency_ms``.  Loopback's ~0.1 ms round trip hides link
+        effects entirely; a LAN/WAN-scale link lets benches and tests
+        measure what pipelining, compression and chunking buy.
 
         Cross-host knobs: ``bind`` is the interface node listeners bind
         (``"0.0.0.0"`` accepts other machines); ``advertise_host`` is
@@ -1538,7 +1535,6 @@ class TcpNetwork(Transport):
                 f"hello timeout must be positive: {hello_timeout_s}"
             )
         self.latency_ms = latency_ms
-        self.connect_timeout_s = connect_timeout_s
         self.io_timeout_s = io_timeout_s
         self.bind = bind
         self.advertise_host = advertise_host if advertise_host is not None else (
@@ -1555,11 +1551,7 @@ class TcpNetwork(Transport):
         self._lock = threading.Lock()
         self._channels: dict[tuple[str, str], _Channel] = {}
         self._chan_lock = threading.Lock()
-        self._pool = _WorkerPool(server_workers, "tcpnet")
-        # Bulk-kind handlers (streamed migration) run off the request
-        # path: staging writes and marshalled-state applies never queue
-        # behind latency-sensitive calls, and vice versa.
-        self._bulk_pool = _WorkerPool(max(2, server_workers // 2), "tcpnet-bulk")
+        self._pool = _WorkerPool(_SERVER_WORKERS, "tcpnet")
         self._reactor = Reactor(max_frame=_MAX_FRAME, name="tcpnet")
 
     # -- node management ----------------------------------------------------
@@ -1569,7 +1561,7 @@ class TcpNetwork(Transport):
         # racing the re-registration sees either the old or the new server,
         # never a missing node.
         server = _NodeServer(node_id, handler, self.trace, self.clock, self._pool,
-                             self._bulk_pool, self._reactor,
+                             self._reactor,
                              self._call_metrics,
                              latency_s=self.latency_ms / 1000.0,
                              bytes_per_s=self._bytes_per_s,
@@ -1685,7 +1677,7 @@ class TcpNetwork(Transport):
             # partitioned from this process (container boundaries).
         try:
             sock = socket.create_connection(
-                endpoint.address(), timeout=self.connect_timeout_s
+                endpoint.address(), timeout=_CONNECT_TIMEOUT_S
             )
         except OSError as exc:
             raise NodeUnreachableError(dst, f"connect failed: {exc}") from exc
@@ -1702,7 +1694,7 @@ class TcpNetwork(Transport):
         back on, so a same-host dial can only ever *add* a fast path.
         """
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.connect_timeout_s)
+        sock.settimeout(_CONNECT_TIMEOUT_S)
         try:
             sock.connect("\0" + name)
         except OSError:
@@ -1941,5 +1933,4 @@ class TcpNetwork(Transport):
         for server in servers:
             server.close()
         self._pool.close()
-        self._bulk_pool.close()
         self._reactor.close()

@@ -532,11 +532,13 @@ class Transport(ABC):
     #: EWMA smoothing factor for per-link latency estimates.
     LINK_EWMA_ALPHA = 0.2
 
-    def __init__(self, clock: Clock, trace: MessageTrace | None = None,
-                 retry_budget: int = DEFAULT_RETRY_BUDGET) -> None:
+    #: Retransmissions ``call`` makes after a loss before giving up; a
+    #: test that needs another budget sets it on one instance.
+    retry_budget = DEFAULT_RETRY_BUDGET
+
+    def __init__(self, clock: Clock, trace: MessageTrace | None = None) -> None:
         self.clock = clock
         self.trace = trace if trace is not None else MessageTrace()
-        self.retry_budget = retry_budget
         # The peer book: one record per peer under one lock.
         self._peer_lock = threading.Lock()
         self._peers: dict[str, _PeerRecord] = {}

@@ -335,13 +335,18 @@ class TestInlineDispatch:
             assert net.call("a", "b", MessageKind.FIND, i) == i
         assert net.data_plane_metrics().inline_dispatches == 0
 
-    def test_emulated_latency_disables_inline(self):
-        net = TcpNetwork(latency_ms=1.0)
+    def test_emulated_latency_keeps_inline_and_is_still_paid(self):
+        """The link delay is a loop timer, not a sleeping thread, so a
+        declared-inline handler still runs on the loop — after the
+        frame has spent the link latency in flight."""
+        net = TcpNetwork(latency_ms=20.0)
         try:
             net.register("a", lambda m: None)
             net.register("b", inline_safe(lambda m: m.payload))
+            start = time.monotonic()
             assert net.call("a", "b", MessageKind.PING, 7) == 7
-            assert net.data_plane_metrics().inline_dispatches == 0
+            assert time.monotonic() - start >= 0.020
+            assert net.data_plane_metrics().inline_dispatches == 1
         finally:
             net.shutdown()
 

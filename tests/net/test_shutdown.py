@@ -2,7 +2,7 @@
 
 A pair of nodes, each on its own transport, does the two kinds of work
 that start threads and open connections — an invoke, and a streamed
-move (the bulk pool) — and is shut down.  Afterwards no ``tcpnet``
+move — and is shut down.  Afterwards no ``tcpnet``
 thread may survive and the process holds no more file descriptors than
 before the pair was built.
 """

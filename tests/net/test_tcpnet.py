@@ -1,5 +1,6 @@
 """The real TCP loopback transport."""
 
+import socket
 import sys
 import threading
 import time
@@ -110,26 +111,42 @@ class TestConfig:
         "batch_max_bytes", "inline_dispatch", "inline_budget_ms",
         "retry_budget", "reactor_threads",
         "codecs", "compress_threshold", "auto_batch", "local_bypass",
+        "server_workers", "connect_timeout_s", "bytes_per_s",
     ])
     def test_there_is_one_wire_dialect_and_no_option_to_pick_another(
             self, option):
         with pytest.raises(TypeError):
             TcpNetwork(**{option: None})
 
+    def test_the_reactor_knows_framing_not_links(self):
+        from repro.net.reactor import Reactor
+
+        reactor = Reactor(max_frame=1024)
+        a, b = socket.socketpair()
+        try:
+            with pytest.raises(TypeError):
+                reactor.add_connection(a, lambda *frame: None,
+                                       lambda reason: None, bytes_per_s=1.0)
+        finally:
+            reactor.close()
+            a.close()
+            b.close()
+
     def test_there_is_one_of_each(self):
         """The census of things that used to exist more than once: one
         batch frame kind, no blocking send path beside the future one, no
         knob that nothing sets, one compression codec and no codec list in
         the HELLO, and no hash-striped table under ``src/repro`` — no
-        shard class, no stripe-count constant, one lock per channel, and a
-        reply cache whose only knob is its capacity."""
+        shard class, no stripe-count constant, one lock per channel, a
+        reply cache whose only knob is its capacity, and one link model
+        served by one worker pool with no thread asleep on the link."""
         import ast
         import dataclasses
         import inspect
         from pathlib import Path
 
         import repro
-        from repro.net import codec
+        from repro.net import codec, tcpnet
         from repro.net.endpoint import Hello
         from repro.net.reactor import Reactor
         from repro.net.tcpnet import _Channel
@@ -138,7 +155,10 @@ class TestConfig:
         assert [k.name for k in MessageKind if "BATCH" in k.name] == ["BATCH"]
         assert "_transmit" not in vars(TcpNetwork)
         tcp_args = list(inspect.signature(TcpNetwork.__init__).parameters)[1:]
-        assert len(tcp_args) <= 12, tcp_args
+        assert len(tcp_args) <= 10, tcp_args
+        tcp_source = inspect.getsource(tcpnet)
+        assert "time.sleep" not in tcp_source
+        assert tcp_source.count("_WorkerPool(") == 1
         assert [f.name for f in dataclasses.fields(Hello)] == \
             ["version", "node_id", "settings"]
         assert not [name for name in vars(codec) if "lz4" in name.lower()]
