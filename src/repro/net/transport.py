@@ -61,11 +61,12 @@ trace-identical to the pre-deadline behaviour.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import (
     CallCancelledError,
@@ -410,6 +411,86 @@ def gather(futures: Sequence[CallFuture], timeout_s: float | None = None,
                 if not future.done():
                     future.cancel("gather abandoned this straggler")
     return results
+
+
+class race:
+    """Yield ``(key, future)`` pairs as their exchanges complete.
+
+    The first-wins collector (a chase over several hosts, a hedged write
+    racing its candidates): one hung destination cannot stand in front
+    of a fast one.  :meth:`add` works while iterating — how a chase asks
+    the next host and a hedged write sends a candidate's chunks once its
+    PREPARE is acked; keys need not be unique.
+    Iteration stops when nothing is pending or ``deadline`` expires; what
+    is left in :attr:`pending` is then the caller's to cancel.
+
+    One wait never outlasts the pending futures' own transport bound, and
+    futures that outlive it are forced through their timeout path, so a
+    race never out-waits a blocking ``result()``.  A lone pending future
+    is waited on directly — no queue, no done-callback — so a one-host
+    chase costs what ``call`` costs.  On the eagerly completing simulated
+    network completion order *is* insertion order.
+    """
+
+    def __init__(self, deadline: Deadline | None = None) -> None:
+        self.deadline = deadline
+        #: Added and not yet yielded: future -> key, in insertion order.
+        self.pending: dict[CallFuture, Any] = {}
+        self._completions: "queue.Queue[CallFuture] | None" = None
+
+    def add(self, key: Any, future: CallFuture) -> None:
+        """Enter ``future`` under ``key`` (also while iterating)."""
+        self.pending[future] = key
+        if self._completions is not None:
+            future.add_done_callback(self._completions.put)
+
+    def __iter__(self) -> Iterator[tuple[Any, CallFuture]]:
+        while self.pending:
+            future = self._next()
+            if future is None:
+                return  # the deadline expired; the caller cancels the rest
+            yield self.pending.pop(future), future
+
+    def _next(self) -> CallFuture | None:
+        while True:
+            wait_s = self._wait_s()
+            if self._completions is None and len(self.pending) == 1:
+                [future] = self.pending
+                try:
+                    future.exception(wait_s)
+                except CallTimeoutError:
+                    pass  # a bare future's wait gave up; it is still pending
+                if future.done():
+                    return future
+            else:
+                if self._completions is None:
+                    self._completions = queue.Queue()
+                    for future in self.pending:
+                        future.add_done_callback(self._completions.put)
+                try:
+                    return self._completions.get(timeout=wait_s)
+                except queue.Empty:
+                    pass
+            if self.deadline is not None and self.deadline.expired:
+                return None
+            # Every pending future out-waited its own transport bound (not
+            # the deadline): time them out rather than hang.
+            for future in self.pending:
+                if not future.done():
+                    try:
+                        future.exception(0)
+                    except Exception:
+                        future.cancel("race: wait bound exhausted")
+
+    def _wait_s(self) -> float | None:
+        """The deadline's remainder, capped by the pending futures' bounds."""
+        wait_s = self.deadline.remaining_s() if self.deadline is not None else None
+        bounds = [bound for future in self.pending
+                  if (bound := future._wait_bound_s()) is not None]
+        if len(bounds) == len(self.pending):
+            cap = max(bounds) + 0.05
+            wait_s = cap if wait_s is None else min(wait_s, cap)
+        return wait_s
 
 
 class ReplyCache:

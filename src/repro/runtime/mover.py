@@ -55,7 +55,6 @@ first to finish staging, and ABORTs the losers before anything applied.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
@@ -71,7 +70,7 @@ from repro.errors import (
 )
 from repro.net.deadline import Deadline, effective_deadline
 from repro.net.message import MessageKind
-from repro.net.transport import CallFuture, Transport
+from repro.net.transport import CallFuture, Transport, race
 from repro.net.wirecodec import MAX_TUPLE_ITEMS
 from repro.rmi.classdesc import ClassDescriptor, describe_class
 from repro.rmi.marshal import (
@@ -488,10 +487,8 @@ class Mover:
         pieces = self.pack_state(record.obj)  # overlaps the probe's round trip
         ship_class = self.resolve_class_probe(probe, target, desc)
         if sum(map(len, pieces)) >= self.stream_threshold:
-            candidates = [target]
-            for alt in alternates:
-                if alt not in candidates and alt != self.node_id:
-                    candidates.append(alt)
+            candidates = [node for node in dict.fromkeys((target, *alternates))
+                          if node != self.node_id]
             return self._move_out_streamed(
                 name, record.shared, desc, pieces, ship_class,
                 candidates, deadline,
@@ -572,12 +569,11 @@ class Mover:
 
     def _abort_remote(self, target: str, transfer_id: str, reason: str) -> None:
         """Best-effort TRANSFER_ABORT; never blocks on a sick target."""
-        try:
-            future = self._transport.call_async(
+        try:  # the outcome is advisory: nobody waits for it
+            self._transport.call_async(
                 self.node_id, target, MessageKind.TRANSFER_ABORT,
                 TransferAbort(transfer_id=transfer_id, reason=reason),
             )
-            future.add_done_callback(lambda _f: None)  # outcome is advisory
         except Exception:
             pass  # the staging GC reaps what the abort cannot reach
 
@@ -631,123 +627,92 @@ class Mover:
         """Speculative streams to every candidate; first staged wins.
 
         PREPARE goes to all candidates at once (distinct ``transfer_id``
-        each); a candidate's CHUNKs follow as soon as its own PREPARE is
-        acked, so a slow candidate never holds back a fast one, and every
-        chunk is made of views of the one packed state.  Candidates race
-        to finish staging: the first whose every frame is acked gets the COMMIT and
-        becomes the object's new host; the losers' outstanding exchanges
-        are cancelled and their staging ABORTed.  Safe precisely because
-        nothing applies before COMMIT — at most one candidate ever
-        materializes the object.  Falls back through the completion order
-        if the leader's COMMIT fails; raises
+        each); a candidate's CHUNKs — views of the one packed state —
+        follow as soon as its own PREPARE is acked, and every frame joins
+        one :class:`~repro.net.transport.race`, so a slow candidate never
+        holds back a fast one.  The first candidate whose every frame is
+        acked gets the COMMIT and becomes the object's new host; the
+        losers' exchanges are cancelled and their staging ABORTed.  Safe
+        because nothing applies before COMMIT.  Falls back through the
+        completion order if the leader's COMMIT fails; raises
         :class:`~repro.errors.MigrationError` when every candidate fails
         or the deadline lapses first.
         """
-        ranked = self._transport.rank_by_latency(list(targets))
-        preps: dict[str, TransferPrepare] = {}
         nbytes = sum(map(len, pieces))
-        chunk_count = self._chunk_count(nbytes)
+        preps = {
+            target: self._prepare_for(name, shared, desc, nbytes,
+                                      self._chunk_count(nbytes),
+                                      self._must_ship(target, desc), deadline)
+            for target in self._transport.rank_by_latency(list(targets))
+        }
+        staging = race(deadline)
         self._locks.begin_departure(name)
-        futures: dict[str, list[CallFuture]] = {}
         try:
-            for target in ranked:
-                ship_class = self._must_ship(target, desc)
-                preps[target] = self._prepare_for(
-                    name, shared, desc, nbytes, chunk_count,
-                    ship_class, deadline,
-                )
             # PREPARE to everyone now; each candidate's chunks go out from
             # the collector once its PREPARE is acked.  No windowing here —
             # hedging trades the window's backpressure for never letting a
             # slow candidate throttle the fast one, and the frames are
             # zero-copy views so sender memory stays flat.
-            for target in ranked:
-                futures[target] = [self._transport.call_async(
-                    self.node_id, target, MessageKind.TRANSFER_PREPARE,
-                    preps[target], deadline=deadline,
-                )]
-            winner = self._commit_first_staged(
-                name, ranked, preps, futures, pieces, deadline,
-            )
+            for target, prep in preps.items():
+                staging.add(target, self._transport.call_async(
+                    self.node_id, target, MessageKind.TRANSFER_PREPARE, prep,
+                    deadline=deadline,
+                ))
+            winner = self._commit_first_staged(name, preps, staging, pieces,
+                                               deadline)
         except BaseException:
             self._locks.abort_departure(name)
+            for future in staging.pending:
+                future.cancel("hedged write abandoned")
             for target, prep in preps.items():
-                for future in futures.get(target, ()):
-                    if not future.done():
-                        future.cancel("hedged write abandoned")
                 self._abort_remote(target, prep.transfer_id, "hedge aborted")
             raise
         self._finish_departure(name, winner, desc)
         return winner
 
-    def _commit_first_staged(self, name: str, ranked: Sequence[str],
+    def _commit_first_staged(self, name: str,
                              preps: dict[str, TransferPrepare],
-                             futures: dict[str, list[CallFuture]],
-                             pieces: Sequence[bytes],
+                             staging: race, pieces: Sequence[bytes],
                              deadline: Deadline | None) -> str:
         """Collect staging acks in completion order; COMMIT the first full
-        set, ABORT everyone else.  Raises when nobody stages in budget.
+        set, ABORT the other candidates.  Raises when nobody stages in
+        budget (the caller then aborts whatever is left).
 
-        ``futures`` starts as each candidate's PREPARE; its CHUNKs (views
+        ``staging`` starts with each candidate's PREPARE; its CHUNKs (views
         of ``pieces``) are sent when that PREPARE is acked — the receiver
         dispatches frames concurrently, so a chunk sent earlier could run
         before the staging slot it belongs to exists."""
-        completions: "queue.Queue[tuple[str, CallFuture]]" = queue.Queue()
-        remaining = {t: set(fs) for t, fs in futures.items()}
-        alive = set(ranked)
-
-        def watch(target: str, future: CallFuture) -> None:
-            future.add_done_callback(
-                lambda f, t=target: completions.put((t, f)))
-
-        for target, fs in futures.items():
-            for future in fs:
-                watch(target, future)
+        unacked = dict.fromkeys(preps, 0)  # live candidates' chunks in flight
         failure: Exception | None = None
-        while alive:
-            wait_s = None
-            if deadline is not None:
-                wait_s = deadline.remaining_s()
-                if wait_s <= 0:
-                    break
-            pending = [f for t in alive for f in remaining[t]]
-            bounds = [f._wait_bound_s() for f in pending]
-            if bounds and all(b is not None for b in bounds):
-                cap = max(bounds) + 0.05
-                wait_s = cap if wait_s is None else min(wait_s, cap)
-            try:
-                target, future = completions.get(timeout=wait_s)
-            except queue.Empty:
-                if deadline is not None and deadline.expired:
-                    break
-                for f in pending:  # out-waited their own transport bound
-                    if not f.done():
-                        f.cancel("hedged write: transport bound exhausted")
-                continue
-            if target not in alive:
-                continue
-            if future.exception(0) is not None:
+
+        def drop(target: str, reason: str) -> None:
+            del unacked[target]
+            for future, key in list(staging.pending.items()):
+                if key == target:
+                    future.cancel(f"hedged write: {reason}")
+            self._abort_remote(target, preps[target].transfer_id, reason)
+
+        for target, future in staging:
+            if target not in unacked:
+                continue  # a dropped candidate's cancelled frame
+            error = future.exception(0)
+            if error is not None:
                 # One frame failed: this candidate's stream is dead.  Cut
                 # its remaining exchanges loose and drop its partial
                 # staging now rather than leaving it to the TTL reaper.
-                failure = failure or future.exception(0)
-                alive.discard(target)
-                for straggler in remaining[target]:
-                    straggler.cancel("hedged write: a sibling frame failed")
-                self._abort_remote(target, preps[target].transfer_id,
-                                   "stream failed")
+                failure = failure or error
+                drop(target, "stream failed")
                 continue
-            remaining[target].discard(future)
-            if future is futures[target][0]:  # PREPARE acked: stream now
+            if not unacked[target]:  # its PREPARE was acked: stream now
                 for kind, payload in self._chunk_requests(
                         preps[target].transfer_id, pieces):
-                    chunk = self._transport.call_async(
+                    staging.add(target, self._transport.call_async(
                         self.node_id, target, kind, payload, deadline=deadline,
-                    )
-                    futures[target].append(chunk)
-                    remaining[target].add(chunk)
-                    watch(target, chunk)
-            if remaining[target]:
+                    ))
+                    unacked[target] += 1
+                continue
+            unacked[target] -= 1
+            if unacked[target]:
                 continue
             # Fully staged: commit this candidate, abort the rest.
             try:
@@ -757,40 +722,25 @@ class Mover:
                                    name=name),
                     deadline=deadline,
                 )
+                if ack != "ok":
+                    raise MigrationError(
+                        f"target {target!r} rejected commit of {name!r}: "
+                        f"{ack!r}")
             except Exception as exc:
                 failure = failure or exc
-                alive.discard(target)
-                self._abort_remote(target, preps[target].transfer_id,
-                                   "commit failed")
+                drop(target, "commit failed")
                 continue
-            if ack != "ok":
-                failure = failure or MigrationError(
-                    f"target {target!r} rejected commit of {name!r}: {ack!r}"
-                )
-                alive.discard(target)
-                self._abort_remote(target, preps[target].transfer_id,
-                                   f"bad ack {ack!r}")
-                continue
-            for loser in alive:
-                if loser == target:
-                    continue
-                for future in remaining[loser]:
-                    future.cancel(f"hedged write: {target!r} staged first")
-                self._abort_remote(loser, preps[loser].transfer_id,
-                                   f"lost the hedge to {target!r}")
+            del unacked[target]
+            for loser in list(unacked):
+                drop(loser, f"lost the hedge to {target!r}")
             return target
-        for target in alive:  # deadline lapsed with candidates mid-stream
-            for future in remaining[target]:
-                future.cancel("hedged write: deadline expired")
-            self._abort_remote(target, preps[target].transfer_id,
-                               "deadline expired")
         if failure is not None:
             raise MigrationError(
-                f"hedged write of {name!r} to {list(ranked)} failed"
+                f"hedged write of {name!r} to {list(preps)} failed"
             ) from failure
         raise MigrationError(
             f"hedged write of {name!r}: deadline expired before any of "
-            f"{list(ranked)} finished staging"
+            f"{list(preps)} finished staging"
         )
 
     def _must_ship(self, target: str, desc: ClassDescriptor) -> bool:

@@ -210,6 +210,8 @@ class Namespace:
              deadline=None, hedge: bool = False, alternates=()) -> str:
         """Weakly migrate ``name`` to ``target``; returns the new location.
 
+        A remote object is reached through the server's one chase (a fast
+        hint, then one verified walk if that host no longer has it).
         ``deadline`` bounds the find + chase + transfer end to end;
         ``hedge=True`` sends speculative MOVE_REQUESTs to the last-known
         host and the origin hint in parallel (first host wins) and, with
@@ -240,6 +242,8 @@ class Namespace:
              hedge: bool = False):
         """§4.4 bracket: acquire the stay/move lock before binding.
 
+        The request follows the object through the server's one chase
+        (a verified find, then each *moved to X* answer).
         ``timeout_ms``/``deadline`` are one cumulative budget for the whole
         chase (not per hop); ``hedge=True`` races speculative LOCK_REQUESTs
         to the last-known host and the origin hint, first grant wins.

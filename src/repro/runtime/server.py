@@ -28,25 +28,22 @@ Every operation a mobility attribute's ``bind`` needs is here:
 Multi-node operations are *scatter-gather* over the transport's
 future-returning calls (``call_async``/``call_many_async``):
 ``push_class_many`` fans a class out to N targets, ``query_load_many`` and
-``ping_many`` sweep N hosts, and ``locate_any`` probes N forwarding chains
-in parallel — each priced at one round-trip latency (plus straggler time)
-instead of N on the pipelined TCP transport, and executing as the exact
-sequential message sequence on the deterministic simulated network.
-
-Every multi-node operation takes one optional
+``ping_many`` sweep N hosts — each priced at one round-trip latency (plus
+straggler time) instead of N on the pipelined TCP transport, and executing
+as the exact sequential message sequence on the deterministic simulated
+network.  ``lock``, ``move`` and ``locate_any`` reach a moving object one
+way, :func:`chase`: one host at a time it is the paper's sequential chase;
+hedged (or over N ``candidates``) it asks them at once, takes the first
+answer and **cancels** the losers, so one hung host costs a round trip,
+not an io-timeout window.  Every multi-node operation takes one optional
 :class:`~repro.net.deadline.Deadline` — a single end-to-end budget for
-the whole fan-out or chase, carried hop to hop in the message headers —
-and the operations that only need their *first* useful answer
-(``locate_any``, hedged ``lock``/``move``) collect in completion order
-and **cancel** their losing probes, so one hung host costs a round trip,
-not an io-timeout window.
+the whole fan-out or chase, carried hop to hop in the message headers.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import (
     CallCancelledError,
@@ -58,10 +55,11 @@ from repro.errors import (
     LockTimeoutError,
     MigrationError,
     NoSuchObjectError,
+    TransportError,
 )
 from repro.net.deadline import Deadline, effective_deadline
 from repro.net.message import MessageKind
-from repro.net.transport import CallFuture, Transport, gather
+from repro.net.transport import CallFuture, Transport, gather, race
 from repro.rmi.classdesc import ClassDescriptor
 from repro.rmi.client import RmiClient
 from repro.rmi.marshal import marshal_call
@@ -85,91 +83,86 @@ from repro.runtime.mover import Mover
 from repro.runtime.registry import MageRegistry
 from repro.runtime.store import ObjectStore
 
-#: How many times a lock request chases a moving object before giving up.
+#: How many hosts one chase may ask before it gives up on an object that
+#: keeps moving (it may always ask every one of its first hosts).
 MAX_LOCK_CHASES = 8
 
 
-def _collection_wait_s(pending, deadline: Deadline | None) -> float | None:
-    """How long one completion-order wait may block (``None`` = unbounded).
+def chase(name: str, ask: Callable[[str], CallFuture], first: Sequence[str],
+          width: int, deadline: Deadline | None, *,
+          walk: Callable[[], str] | None = None,
+          timeout: Callable[[str], Exception] = MigrationError,
+          on_moved: Callable[[str], None] | None = None,
+          on_loser: Callable[[CallFuture], None] | None = None) -> Any:
+    """Ask hosts for ``name`` until one answers (DESIGN.md, "The chase").
 
-    The tighter of the deadline's remainder and the pending futures' own
-    transport wait bounds (a pipelined exchange times itself out after
-    its io window) — so a collector never out-waits what the equivalent
-    blocking ``result()`` call would have, even under a generous deadline.
+    ``ask(node)`` sends FIND, LOCK_REQUEST or MOVE_REQUEST and returns its
+    future; a host answers *done* (returned), *moved to X*
+    (``LockMovedError``: X is asked next, ``on_moved(X)`` told) or *not
+    here*.  The chase starts at ``first`` (or ``walk()``, a verified chain
+    walk, if empty), walks once more on a cold trail, keeps ``width``
+    requests in flight, and sends at most :data:`MAX_LOCK_CHASES`.  It
+    raises ``timeout(detail)`` on an expired deadline or only hung hosts,
+    ``LockError`` if the object kept moving, else the last *not here*;
+    other errors are answers.  Losers are cancelled after ``on_loser``.
     """
-    wait_s = deadline.remaining_s() if deadline is not None else None
-    bounds = [future._wait_bound_s() for future in pending]
-    if bounds and all(bound is not None for bound in bounds):
-        cap = max(bounds) + 0.05
-        wait_s = cap if wait_s is None else min(wait_s, cap)
-    return wait_s
-
-
-def _force_timeouts(pending) -> None:
-    """Drive still-pending futures through their transport timeout path.
-
-    Called when a collection wait outlived every pending future's own
-    bound: nudging ``exception(0)`` makes a pipelined future abandon its
-    exchange and complete (its done-callback then lands in the collector's
-    queue); a bare future that merely raises on the wait is cancelled to
-    reach a terminal state.
-    """
-    for future in pending:
-        if future.done():
-            continue
+    def walked() -> str:
         try:
-            future.exception(0)
-        except Exception:
-            future.cancel("collection wait bound exhausted")
+            return walk()
+        except CallTimeoutError as exc:
+            raise timeout(f"{name!r}: budget spent locating it ({exc})") from exc
 
+    todo = list(dict.fromkeys(first))
+    can_walk = walk is not None
+    if not todo and can_walk:
+        todo, can_walk = [walked()], False
+    limit = max(MAX_LOCK_CHASES, len(todo))
+    asks = 0
+    moved = False
+    miss: Exception | None = None
+    hung: Exception | None = None
+    answers = race(deadline)
 
-def _completion_order(futures: dict[str, CallFuture],
-                      deadline: Deadline | None):
-    """Yield ``(key, future)`` pairs as their exchanges complete.
+    def launch() -> None:
+        nonlocal asks
+        while todo and len(answers.pending) < width and asks < limit \
+                and not (deadline is not None and deadline.expired):
+            asks += 1
+            node = todo.pop(0)
+            answers.add(node, ask(node))
 
-    The hedging primitive: a fan-out that only needs its *first* useful
-    answer collects in completion order instead of submission order, so
-    one hung destination cannot stand in front of a fast one.  ``futures``
-    may be a *live* dict — entries added (or replaced) while the caller
-    processes a yield are picked up, which is how a hedged chase launches
-    a fresh probe mid-collection; a completion whose slot was superseded
-    by a relaunch is skipped (the replacement gets its own turn).
-
-    Stops early (futures still pending) when ``deadline`` expires; without
-    a deadline a stalled exchange is timed out by its own transport bound,
-    exactly as a blocking ``result()`` would have been.  On the eagerly
-    completing simulated network every future is done before this runs, so
-    completion order *is* dict order — deterministic.
-    """
-    completions: "queue.Queue[tuple[str, CallFuture]]" = queue.Queue()
-    registered: dict[str, CallFuture] = {}
-    waiting: dict[str, CallFuture] = {}
-
-    def register_new() -> None:
-        for key, future in list(futures.items()):
-            if registered.get(key) is not future:
-                registered[key] = future
-                waiting[key] = future
-                future.add_done_callback(
-                    lambda f, k=key: completions.put((k, f)))
-
-    register_new()
-    while waiting:
-        wait_s = _collection_wait_s(waiting.values(), deadline)
-        try:
-            key, future = completions.get(timeout=wait_s)
-        except queue.Empty:
-            if deadline is not None and deadline.expired:
-                return  # deadline expired; the caller cancels what's pending
-            # Every pending probe out-waited its own transport bound
-            # (not the deadline): time them out rather than hanging.
-            _force_timeouts(waiting.values())
-            continue  # the forced completions arrive through the queue
-        if waiting.get(key) is not future:
-            continue  # superseded by a relaunch; the replacement has its turn
-        del waiting[key]
-        yield key, future
-        register_new()  # pick up probes the caller launched while processing
+    try:
+        launch()
+        for _, future in answers:
+            try:
+                return future.result(0)
+            except LockMovedError as exc:
+                moved = True
+                if on_moved is not None:
+                    on_moved(exc.new_location)
+                if exc.new_location not in (*answers.pending.values(), *todo):
+                    todo.append(exc.new_location)
+            except (NoSuchObjectError, ComponentNotFoundError) as exc:
+                miss = exc
+            except (TransportError, LockTimeoutError) as exc:
+                hung = exc  # a hung or dead host; a lock wait that ran out
+            if not answers.pending and not todo and miss is not None \
+                    and can_walk:
+                todo, can_walk, miss = [walked()], False, None  # a cold trail
+            launch()
+    finally:
+        for future in answers.pending:
+            if on_loser is not None:
+                future.add_done_callback(on_loser)
+            future.cancel(f"the chase for {name!r} is over")
+    if deadline is not None and deadline.expired:
+        raise timeout(f"{name!r}: deadline expired mid-chase")
+    if todo or (moved and miss is None):
+        raise LockError(
+            f"object {name!r} kept moving; gave up after {asks} requests")
+    if miss is not None:
+        raise miss
+    raise timeout(f"{name!r}: every host asked hung or died ({hung})") from hung
 
 
 class MageServer:
@@ -259,13 +252,14 @@ class MageServer:
                    deadline: Deadline | None = None) -> str:
         """Parallel forwarding-chain probes: ask every candidate at once.
 
-        Scatters one FIND to each candidate registry (each walks its own
-        forwarding chain to termination; ``verify=False`` lets candidates
-        answer from their possibly-stale forwarding tables instead).  The
-        first successful answer *to complete* wins, is recorded in the
-        local forwarding table, and returns immediately; the losing probes
-        are **cancelled** — a hung registry's probe stops costing anything
-        the moment a winner verified, instead of dangling for a full io
+        A :func:`chase` as wide as ``candidates`` that sends one FIND to
+        each candidate registry (each walks its own forwarding chain to
+        termination; ``verify=False`` lets candidates answer from their
+        possibly-stale forwarding tables instead).  The first successful
+        answer *to complete* wins, is recorded in the local forwarding
+        table, and returns immediately; the losing probes are
+        **cancelled** — a hung registry's probe stops costing anything the
+        moment a winner verified, instead of dangling for a full io
         timeout.  One ``deadline`` bounds the whole fan-out.  On the
         eagerly completing simulated network completion order *is*
         candidate order and cancellation is a no-op, so the deterministic
@@ -281,32 +275,20 @@ class MageServer:
         # record no latencies (the simulated network) preserve input
         # order, keeping deterministic traces unchanged.
         candidates = self.transport.rank_by_latency(list(candidates))
-        futures = {
-            node: self.transport.call_async(
+        answer = chase(
+            name,
+            lambda node: self.transport.call_async(
                 self.node_id, node, MessageKind.FIND,
                 FindRequest(name=name, origin_hint=origin_hint or "",
                             verify=verify),
                 deadline=deadline,
-            )
-            for node in candidates
-        }
-        pending = dict(futures)
-        for node, future in _completion_order(futures, deadline):
-            pending.pop(node, None)
-            try:
-                answer = future.result(0)
-            except Exception:  # cold chain / dead candidate; others may know
-                continue
-            for straggler in pending.values():
-                straggler.cancel(f"locate {name!r}: {node!r} answered first")
-            self.registry.note_location(name, answer)
-            return answer
-        detail = f"none of {list(candidates)} could resolve it"
-        if pending:  # the deadline expired with probes still in flight
-            for straggler in pending.values():
-                straggler.cancel(f"locate {name!r}: deadline expired")
-            detail += " before the deadline"
-        raise ComponentNotFoundError(name, detail)
+            ),
+            candidates, len(candidates), deadline,
+            timeout=lambda detail: ComponentNotFoundError(
+                name, f"none of {candidates} could resolve it: {detail}"),
+        )
+        self.registry.note_location(name, answer)
+        return answer
 
     def is_shared(self, name: str) -> bool:
         """Whether ``name`` may be moved by other threads between uses.
@@ -334,13 +316,16 @@ class MageServer:
 
         Local objects ship directly; remote ones via MOVE_REQUEST to their
         host (which performs the transfer and answers when done — Figure
-        7's messages 3–5).  Returns the component's new location.
+        7's messages 3–5), reached by a :func:`chase` from the local
+        registry's fast answer.  Returns the component's new location.
 
         ``location`` lets a caller that just found the component skip the
-        redundant lookup; a stale value is healed by the retry below.
+        redundant lookup; a stale value is healed by the chase's walk.
+        Only a location the caller gave or a walk verified may end the
+        move unasked; a fast hint naming ``target`` is walked first.
 
-        ``deadline`` bounds the whole operation — find, chase retry, and
-        the transfer the host performs on our behalf (the budget rides the
+        ``deadline`` bounds the whole operation — find, chase, and the
+        transfer the host performs on our behalf (the budget rides the
         MOVE_REQUEST header and the host's nested transfer inherits it).
         ``hedge=True`` speculates on both ends of the move.  On the *read*
         side, MOVE_REQUESTs go to the last-known host and the origin hint
@@ -355,102 +340,49 @@ class MageServer:
         The default keeps the paper's exact message sequence.
         """
         deadline = effective_deadline(deadline)
-        hedge_alternates = tuple(alternates) if hedge else ()
+        alternates = tuple(alternates) if hedge else ()
         if self.store.contains(name):
             return self.mover.move_out(name, target, lock_token,
                                        deadline=deadline,
-                                       alternates=hedge_alternates)
-        if hedge and location is None:
-            return self._move_hedged(name, target, origin_hint, lock_token,
-                                     deadline, hedge_alternates)
-        if location is None or location == self.node_id:
-            location = self.find(name, origin_hint, verify=False,
-                                 deadline=deadline)
-        for attempt in (1, 2):
-            if location == target:
-                return location
-            if deadline is not None and deadline.expired:
-                raise MigrationError(
-                    f"moving {name!r}: deadline expired mid-chase"
-                )
-            try:
-                new_location = self.transport.call(
-                    self.node_id, location, MessageKind.MOVE_REQUEST,
-                    MoveRequest(name=name, target=target, lock_token=lock_token,
-                                alternates=hedge_alternates),
-                    deadline=deadline,
-                )
-            except NoSuchObjectError:
-                if attempt == 2:
-                    raise
-                # The fast find was stale; walk the chain and retry once.
-                location = self.find(name, origin_hint, verify=True,
-                                     deadline=deadline)
-                continue
-            self.registry.note_location(name, new_location)
-            return new_location
-        raise MigrationError(f"unreachable retry state moving {name!r}")
+                                       alternates=alternates)
+        # Only where the caller or a walk verified it may a move end unasked.
+        vouched = set() if location in (None, self.node_id) else {location}
+        first = list(vouched) or (self._hints(name, origin_hint) if hedge
+                                  else [])
+        if not first:
+            fast = self.find(name, origin_hint, verify=False, deadline=deadline)
+            first = [] if fast == target else [fast]
 
-    def _move_hedged(self, name: str, target: str, origin_hint: str | None,
-                     lock_token: str, deadline: Deadline | None,
-                     alternates: tuple[str, ...] = ()) -> str:
-        """Speculative MOVE_REQUESTs to every plausible host at once.
+        def walk() -> str:
+            node = self.find(name, origin_hint, verify=True, deadline=deadline)
+            vouched.add(node)
+            return node
 
-        Only the node actually hosting the object can perform the move
-        (any other candidate answers ``NoSuchObjectError`` from its store
-        without touching anything), so hedging cannot double-move; the
-        first successful transfer wins and the misses are discarded.  When
-        every candidate missed, falls back to a verified find + single
-        chase, all under the same deadline.  Candidates are probed in
-        expected-link-latency order (per the transport's per-destination
-        EWMAs) — on transports that record none, hint order is preserved.
-        """
-        candidates: list[str] = []
-        for hint in (self.registry.forwarding_hint(name), origin_hint):
-            if hint and hint != self.node_id and hint not in candidates:
-                candidates.append(hint)
-        if len(candidates) < 2:
-            # Nothing to hedge the *request* against: resolve a location
-            # and take the plain chase (which still carries the write-side
-            # ``alternates`` so a streamed transfer can hedge its targets).
-            location = candidates[0] if candidates else self.find(
-                name, origin_hint, verify=False, deadline=deadline)
-            return self.move(name, target, origin_hint, lock_token,
-                             location=location, deadline=deadline,
-                             hedge=True, alternates=alternates)
-        candidates = self.transport.rank_by_latency(candidates)
-        futures = {
-            node: self.transport.call_async(
+        def ask(node: str) -> CallFuture:
+            if node == target and node in vouched:
+                return CallFuture.completed(None)  # already there
+            return self.transport.call_async(
                 self.node_id, node, MessageKind.MOVE_REQUEST,
                 MoveRequest(name=name, target=target, lock_token=lock_token,
                             alternates=alternates),
                 deadline=deadline,
             )
-            for node in candidates
-        }
-        pending = dict(futures)
-        for node, future in _completion_order(futures, deadline):
-            pending.pop(node, None)
-            try:
-                new_location = future.result(0)
-            except Exception:  # not the host (or dead/expired); others may be
-                continue
-            for straggler in pending.values():
-                straggler.cancel(f"hedged move: {node!r} performed it")
-            self.registry.note_location(name, new_location)
-            return new_location
-        if pending:
-            for straggler in pending.values():
-                straggler.cancel(f"hedged move of {name!r}: deadline expired")
-            raise MigrationError(
-                f"moving {name!r}: deadline expired awaiting "
-                f"{sorted(pending)}"
-            )
-        # Every candidate missed: the trail is colder than our hints.
-        location = self.find(name, origin_hint, verify=True, deadline=deadline)
-        return self.move(name, target, origin_hint, lock_token,
-                         location=location, deadline=deadline,
-                         hedge=True, alternates=alternates)
+
+        new_location = chase(name, ask, first, MAX_LOCK_CHASES if hedge else 1,
+                             deadline, walk=walk)
+        if new_location is None:
+            return target
+        self.registry.note_location(name, new_location)
+        return new_location
+
+    def _hints(self, name: str, origin_hint: str | None) -> list[str]:
+        """A hedged chase's first hosts: this one if it hosts ``name``, else
+        the last-known host and the origin hint in expected-latency order."""
+        if self.store.contains(name):
+            return [self.node_id]
+        hints = (self.registry.forwarding_hint(name), origin_hint)
+        return self.transport.rank_by_latency(list(dict.fromkeys(
+            hint for hint in hints if hint and hint != self.node_id)))
 
     # -- class mobility --------------------------------------------------------------
 
@@ -644,8 +576,8 @@ class MageServer:
 
         §4.4's bracket: ``lock("geoData", cod.get_target())`` before the
         bind, ``unlock`` after the invocation.  If the object moves while
-        the request waits, the request chases it to the new host (bounded
-        by ``MAX_LOCK_CHASES`` *and* by wall clock).
+        the request waits, the :func:`chase` follows it to the new host
+        (bounded by ``MAX_LOCK_CHASES`` *and* by wall clock).
 
         ``timeout_ms``/``deadline`` are one **cumulative** budget for the
         whole chase — find, every LOCK_REQUEST hop, and the server-side
@@ -666,38 +598,28 @@ class MageServer:
             effective_deadline(deadline),
             Deadline.after_ms(timeout_ms) if timeout_ms is not None else None,
         )
-        if hedge:
-            return self._lock_hedged(name, target, origin_hint, deadline)
-        location = self._find_for_lock(name, origin_hint, deadline)
-        for _ in range(MAX_LOCK_CHASES):
-            if deadline is not None and deadline.expired:
-                raise LockTimeoutError(
-                    f"lock on {name!r}: budget spent chasing it mid-flight"
-                )
-            try:
-                return self._confirm_grant(self.transport.call(
-                    self.node_id, location, MessageKind.LOCK_REQUEST,
-                    LockRequestPayload(
-                        name=name,
-                        target=target,
-                        requester=self.node_id,
-                        wait_ms=self._lock_wait_ms(deadline),
-                    ),
-                    deadline=deadline,
-                ))
-            except LockMovedError as exc:
-                location = exc.new_location
-                # Feed the redirect to the location listeners (tier-3
-                # cache) without writing the hint table — the sequential
-                # chase never did, and find behaviour must not change.
-                self.registry.observe_location(name, location)
-            except CallTimeoutError as exc:
-                raise LockTimeoutError(
-                    f"lock on {name!r} at {location!r}: {exc}"
-                ) from exc
-        raise LockError(
-            f"object {name!r} kept moving; gave up after {MAX_LOCK_CHASES} chases"
+        first = self._hints(name, origin_hint) if hedge else []
+        grant = chase(
+            name,
+            lambda node: self.transport.call_async(
+                self.node_id, node, MessageKind.LOCK_REQUEST,
+                LockRequestPayload(name=name, target=target,
+                                   requester=self.node_id,
+                                   wait_ms=self._lock_wait_ms(deadline)),
+                deadline=deadline,
+            ),
+            first, MAX_LOCK_CHASES if hedge else 1, deadline,
+            walk=lambda: self.find(name, origin_hint, deadline=deadline),
+            timeout=LockTimeoutError,
+            # The sequential chase feeds each redirect to the location
+            # listeners (tier-3 cache) without writing the hint table.
+            on_moved=None if hedge else (
+                lambda node: self.registry.observe_location(name, node)),
+            on_loser=self._release_stray_grant,
         )
+        if hedge:
+            self.registry.note_location(name, grant.location)
+        return self._confirm_grant(grant)
 
     def _lock_wait_ms(self, deadline: Deadline | None) -> float | None:
         """The server-side queue wait a LOCK_REQUEST may ask for.
@@ -713,130 +635,8 @@ class MageServer:
         bound_s = self.transport.max_reply_wait_s()
         return bound_s * 1000.0 if bound_s is not None else None
 
-    def _find_for_lock(self, name: str, origin_hint: str | None,
-                       deadline: Deadline | None) -> str:
-        """``find`` for a lock chase: budget expiry reads as a lock timeout."""
-        try:
-            return self.find(name, origin_hint, deadline=deadline)
-        except CallTimeoutError as exc:
-            raise LockTimeoutError(
-                f"lock on {name!r}: budget spent locating it ({exc})"
-            ) from exc
-
-    def _lock_hedged(self, name: str, target: str, origin_hint: str | None,
-                     deadline: Deadline | None) -> LockGrant:
-        """Speculative parallel LOCK_REQUESTs; first grant wins.
-
-        Fires one LOCK_REQUEST per plausible host (local store, last-known
-        location, origin hint — deduplicated) and collects in completion
-        order: the actual host grants, every other candidate answers fast
-        with :class:`LockMovedError` (a fresh hint) or
-        :class:`NoSuchObjectError`.  A fresh hint launches its probe
-        *immediately* — a hung candidate left behind cannot serialize the
-        chase — and on a grant every outstanding probe is cancelled.  At
-        most one candidate can grant (the object has exactly one host and
-        a grant pins it there), but a grant racing its own cancellation is
-        still collected by a done-callback and released, so no host is
-        left holding a phantom lock.  Total probes are bounded by
-        ``MAX_LOCK_CHASES`` and the whole chase by the deadline.
-        """
-        if self.store.contains(name):
-            initial = [self.node_id]
-        else:
-            initial = []
-            for hint in (self.registry.forwarding_hint(name), origin_hint):
-                if hint and hint not in initial:
-                    initial.append(hint)
-            if not initial:
-                initial = [self._find_for_lock(name, origin_hint, deadline)]
-            else:
-                # Expected-latency order (per-link EWMAs): probe the host
-                # most likely to answer fast first; identity on transports
-                # that record nothing.
-                initial = self.transport.rank_by_latency(initial)
-
-        futures: dict[str, CallFuture] = {}  # live; _completion_order tracks it
-        pending: dict[str, CallFuture] = {}  # launched but not yet collected
-        probed: set[str] = set()
-        stale_hints: list[str] = []  # hints naming already-probed hosts
-        timed_out: list[str] = []    # candidates whose probe hit a timeout
-        saw_moved = False
-        launches = 0
-        used_find = False
-
-        def launch(node: str) -> None:
-            nonlocal launches
-            launches += 1
-            probed.add(node)
-            futures[node] = pending[node] = self.transport.call_async(
-                self.node_id, node, MessageKind.LOCK_REQUEST,
-                LockRequestPayload(
-                    name=name, target=target, requester=self.node_id,
-                    wait_ms=self._lock_wait_ms(deadline),
-                ),
-                deadline=deadline,
-            )
-
-        for node in initial:
-            launch(node)
-        for node, future in _completion_order(futures, deadline):
-            pending.pop(node, None)
-            try:
-                grant = future.result(0)
-            except LockMovedError as exc:
-                saw_moved = True
-                fresh = exc.new_location
-                if fresh not in probed and launches < MAX_LOCK_CHASES:
-                    launch(fresh)  # hedge forward without waiting for losers
-                elif fresh not in stale_hints:
-                    stale_hints.append(fresh)
-            except (CallTimeoutError, LockTimeoutError, CallCancelledError):
-                timed_out.append(node)  # hung candidate; others may grant
-            except Exception:
-                pass  # miss or dead candidate; others may grant
-            else:
-                for straggler in pending.values():
-                    straggler.add_done_callback(self._release_stray_grant)
-                    straggler.cancel(f"hedged lock: {node!r} granted first")
-                self.registry.note_location(name, grant.location)
-                return self._confirm_grant(grant)
-            if not pending and launches < MAX_LOCK_CHASES:
-                if stale_hints:
-                    # Every hint named a probed host: the object may have
-                    # looped back; re-probe (still counted against the cap).
-                    relaunch, stale_hints = stale_hints, []
-                    for hint in relaunch:
-                        if launches < MAX_LOCK_CHASES:
-                            launch(hint)
-                elif not used_find:
-                    # The trail went cold; one verified walk restarts it.
-                    used_find = True
-                    launch(self._find_for_lock(name, origin_hint, deadline))
-        if pending:  # the deadline expired with probes still in flight
-            for straggler in pending.values():
-                # Same insurance as the grant-win path: a grant that races
-                # this cancellation must still be released.
-                straggler.add_done_callback(self._release_stray_grant)
-                straggler.cancel(f"hedged lock on {name!r}: deadline expired")
-            raise LockTimeoutError(
-                f"lock on {name!r}: deadline expired awaiting "
-                f"{sorted(pending)}"
-            )
-        if timed_out and not saw_moved:
-            # Nothing ever reported the object in motion: the chase ended
-            # because candidates hung, which is a timeout, not churn —
-            # the same taxonomy the sequential path raises.
-            raise LockTimeoutError(
-                f"lock on {name!r}: candidates {sorted(set(timed_out))} "
-                "timed out"
-            )
-        raise LockError(
-            f"object {name!r} kept moving; gave up after {launches} "
-            "hedged probes"
-        )
-
     def _release_stray_grant(self, future: CallFuture) -> None:
-        """Done-callback insurance for hedged locks: a grant that raced its
+        """The lock chase's loser hook: a grant that raced its
         cancellation is released (on a fresh thread — this callback may run
         on a transport reader thread, which must never issue calls)."""
         try:

@@ -1,8 +1,11 @@
-"""The asynchronous invocation core: CallFuture, gather, and both transports.
+"""The asynchronous invocation core: CallFuture, gather, race, and both
+transports.
 
 Covers the contract the runtime's scatter-gather operations build on:
 
 * ``call_async(...).result()`` is exactly ``call(...)`` on both transports;
+* ``race`` yields in completion order, stops at its deadline, never
+  out-waits a future's own bound, and waits on a lone future directly;
 * the simulated network completes futures eagerly and deterministically
   (same messages, same traces as the blocking loop);
 * the pipelined TCP transport genuinely overlaps outstanding round trips;
@@ -16,15 +19,17 @@ import time
 import pytest
 
 from repro.errors import (
+    CallCancelledError,
     CallTimeoutError,
     MessageLostError,
     NodeUnreachableError,
 )
 from repro.net.conditions import DeterministicLoss
+from repro.net.deadline import Deadline
 from repro.net.message import MessageKind
 from repro.net.simnet import SimNetwork
 from repro.net.tcpnet import TcpNetwork
-from repro.net.transport import CallFuture, gather
+from repro.net.transport import CallFuture, gather, race
 
 
 @pytest.fixture
@@ -137,6 +142,78 @@ class TestCallFuture:
         results = gather([ok, bad], return_exceptions=True)
         assert results[0] == 1
         assert isinstance(results[1], ValueError)
+
+
+def resolve_later(future, value, delay_s, seen=None):
+    """Resolve ``future`` from another thread after ``delay_s``; when
+    ``seen`` is a list, first record the future's done-callbacks in it."""
+    def run():
+        time.sleep(delay_s)
+        if seen is not None:
+            seen.append(list(future._callbacks))
+        future._resolve(value)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+class TestRace:
+    def test_completion_order_picks_up_futures_added_mid_race(self):
+        slow, fast, late = (CallFuture(label) for label in ("slow", "fast",
+                                                            "late"))
+        answers = race()
+        answers.add("slow", slow)
+        answers.add("fast", fast)
+        threads = [resolve_later(slow, 1, 0.2), resolve_later(fast, 2, 0.02)]
+        order = []
+        for key, future in answers:
+            order.append((key, future.result(0)))
+            if key == "fast":
+                answers.add("late", late)  # a fresh probe, mid-race
+                threads.append(resolve_later(late, 3, 0.05))
+        assert order == [("fast", 2), ("late", 3), ("slow", 1)]
+        for thread in threads:
+            thread.join()
+
+    def test_deadline_stops_the_race_and_leaves_the_rest_pending(self):
+        done, hung = CallFuture("done"), CallFuture("hung")
+        done._resolve("ok")
+        answers = race(Deadline.after_ms(100))
+        answers.add("done", done)
+        answers.add("hung", hung)
+        start = time.perf_counter()
+        assert [key for key, _ in answers] == ["done"]
+        assert time.perf_counter() - start < 1.0
+        assert list(answers.pending.values()) == ["hung"]
+        assert not hung.done()  # the caller's to cancel
+        hung.cancel("test over")
+
+    def test_a_future_past_its_own_bound_is_forced_to_complete(self):
+        class Bounded(CallFuture):
+            def _wait_bound_s(self):
+                return 0.0  # its transport window is already spent
+
+        stalled = Bounded("stalled")
+        answers = race()
+        answers.add("stalled", stalled)
+        start = time.perf_counter()
+        [(key, future)] = list(answers)
+        assert key == "stalled" and future is stalled
+        assert stalled.done()
+        assert isinstance(stalled.exception(0), CallCancelledError)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_lone_future_is_waited_on_without_a_done_callback(self):
+        lone = CallFuture("lone")
+        seen = []
+        thread = resolve_later(lone, "answer", 0.05, seen)
+        answers = race(Deadline.after_s(5))
+        answers.add("lone", lone)
+        assert [(key, future.result(0)) for key, future in answers] == \
+            [("lone", "answer")]
+        thread.join()
+        assert seen == [[]]  # no queue, no callback: what ``call`` costs
 
 
 class TestSimAsync:

@@ -181,6 +181,51 @@ class TestConfig:
         with pytest.raises(TypeError):
             ReplyCache(shards=8)
 
+    def test_there_is_one_chase_and_one_race(self):
+        """The census of the ways to reach a moving object: ``lock``,
+        ``move`` and ``locate_any`` each call ``chase``, no other runtime
+        function loops over FIND, LOCK_REQUEST or MOVE_REQUEST futures,
+        and every first-wins collection goes through ``race`` — the only
+        place a completion queue is built."""
+        import ast
+        import inspect
+        from pathlib import Path
+
+        import repro.runtime
+        from repro.net import transport
+        from repro.runtime.server import MageServer
+
+        for gone in ("_lock_hedged", "_move_hedged", "_completion_order"):
+            assert not hasattr(MageServer, gone), gone
+        chased = ("FIND", "LOCK_REQUEST", "MOVE_REQUEST")
+        loops = (ast.For, ast.While, ast.comprehension)
+        runtime = Path(repro.runtime.__file__).parent
+        for path in runtime.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                inner = list(ast.walk(node))
+                kinds = {n.attr for n in inner if isinstance(n, ast.Attribute)
+                         and isinstance(n.value, ast.Name)
+                         and n.value.id == "MessageKind"} & set(chased)
+                calls_chase = any(isinstance(n, ast.Call)
+                                  and isinstance(n.func, ast.Name)
+                                  and n.func.id == "chase" for n in inner)
+                if path.name == "server.py" and node.name in (
+                        "lock", "move", "locate_any"):
+                    assert calls_chase, node.name
+                if kinds:
+                    assert not [n for n in inner if isinstance(n, loops)], \
+                        (path.name, node.name, kinds)
+            imported = {alias.name for n in ast.walk(tree)
+                        if isinstance(n, ast.Import) for alias in n.names}
+            if path.name in ("server.py", "mover.py"):
+                assert "queue" not in imported, path.name
+        source = inspect.getsource(transport)
+        assert source.count("queue.Queue(") == 1
+        assert "queue.Queue(" in inspect.getsource(transport.race)
+
 
 class TestDropTracing:
     def test_cast_to_unknown_destination_traces_a_drop(self, net):

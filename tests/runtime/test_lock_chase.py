@@ -3,7 +3,10 @@ bounds, and the hedged (speculative-parallel) variants.
 
 The §4.4 chase path: a LOCK_REQUEST that arrives after its object moved
 gets a ``LockMovedError`` carrying the new location and re-requests there.
-This file covers:
+``lock``, ``move`` and ``locate_any`` all run through the one
+``runtime.server.chase`` — one host at a time by default, hedged with
+``hedge=True`` or ``candidates`` — so each case below holds for every
+width it names.  This file covers:
 
 * the chase under *concurrent* migration — the object moves between the
   requester's ``find`` and its LOCK_REQUEST, repeatedly;
@@ -13,6 +16,7 @@ This file covers:
   and the origin hint in parallel, first grant/host wins, losers
   cancelled — deterministic on the simulated network, genuinely
   concurrent (and straggler-cancelling) on pipelined TCP;
+* a stale hint that names the move target, sequential and hedged;
 * ``locate_any`` straggler cancellation on both transports.
 """
 
@@ -323,15 +327,18 @@ class TestHedgedMove:
                                    hedge=True) == "beta"
         assert beta.namespace.store.contains("obj")
 
-    def test_stale_hint_equal_to_target_cannot_fake_the_move(self, make_cluster):
-        """A non-host probed on a stale hint that happens to *be* the move
-        target must answer NoSuchObjectError, not claim the object already
-        stayed — the real host performs the move."""
+    @pytest.mark.parametrize("hedge", [False, True])
+    def test_stale_hint_equal_to_target_cannot_fake_the_move(self, make_cluster,
+                                                             hedge):
+        """A stale hint that happens to *be* the move target must not end
+        the move unasked: a non-host probed on it answers
+        NoSuchObjectError, and a plain move verifies it with a walk — the
+        real host performs the move either way."""
         cluster = make_cluster(["a", "b", "c"])
         cluster["c"].register("obj", Payload(), shared=True)
         issuer = cluster["a"].namespace
         issuer.registry.note_location("obj", "b")  # stale, and == target
-        assert issuer.move("obj", "b", origin_hint="c", hedge=True) == "b"
+        assert issuer.move("obj", "b", origin_hint="c", hedge=hedge) == "b"
         assert cluster["b"].namespace.store.contains("obj")
         assert not cluster["c"].namespace.store.contains("obj")
 
