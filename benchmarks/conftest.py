@@ -58,7 +58,6 @@ def make_cluster():
     created: list[Cluster] = []
 
     def factory(node_ids, **kwargs) -> Cluster:
-        kwargs.setdefault("synchronous_casts", True)
         cluster = Cluster(node_ids, **kwargs)
         created.append(cluster)
         return cluster

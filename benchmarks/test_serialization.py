@@ -81,10 +81,6 @@ SAMPLES: dict[type, object] = {
         name="acct", target="n2", requester="n1", wait_ms=250.0),
     protocol.UnlockPayload: protocol.UnlockPayload(name="acct", token="t"),
     protocol.LockConfirm: protocol.LockConfirm(name="acct", token="t"),
-    protocol.AgentHopPayload: protocol.AgentHopPayload(
-        name="agent", class_name="Crawler", state_blob=b"state" * 4,
-        class_desc=None, class_hash="h2", origin="n1", tour_id="tour-1",
-        itinerary=("n2", "n3"), shared=True),
     protocol.AgentLaunch: protocol.AgentLaunch(
         name="agent", itinerary=("n1", "n2"), lock_token="tok"),
     protocol.LoadQuery: protocol.LoadQuery(),

@@ -46,7 +46,6 @@ def all_series(request):
     created = []
 
     def factory(node_ids, **kwargs):
-        kwargs.setdefault("synchronous_casts", True)
         cluster = Cluster(node_ids, **kwargs)
         created.append(cluster)
         return cluster

@@ -19,6 +19,7 @@ from typing import Any, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.cluster.node import Node
+from repro.core.agents import wait_for_tours
 from repro.net.conditions import LatencyModel, LossModel
 from repro.net.deadline import Deadline
 from repro.net.message import MessageKind
@@ -42,19 +43,14 @@ class Cluster:
         fair_locks: bool = False,
         class_cache: bool = True,
         path_collapsing: bool = True,
-        always_ship_class: bool = False,
-        probe_classes: bool = False,
         stream_threshold: int | None = None,
         chunk_bytes: int | None = None,
-        synchronous_casts: bool = False,
     ) -> None:
         if not node_ids:
             raise ConfigurationError("a cluster needs at least one node")
         if len(set(node_ids)) != len(node_ids):
             raise ConfigurationError(f"duplicate node ids: {sorted(node_ids)}")
-        self.transport = self._build_transport(
-            transport, latency, loss, clock, synchronous_casts
-        )
+        self.transport = self._build_transport(transport, latency, loss, clock)
         self._nodes: dict[str, Node] = {}
         for node_id in node_ids:
             self._nodes[node_id] = Node(
@@ -63,8 +59,6 @@ class Cluster:
                 fair_locks=fair_locks,
                 class_cache=class_cache,
                 path_collapsing=path_collapsing,
-                always_ship_class=always_ship_class,
-                probe_classes=probe_classes,
                 stream_threshold=stream_threshold,
                 chunk_bytes=chunk_bytes,
             )
@@ -75,7 +69,6 @@ class Cluster:
         latency: LatencyModel | None,
         loss: LossModel | None,
         clock: Clock | None,
-        synchronous_casts: bool,
     ) -> Transport:
         if isinstance(transport, Transport):
             if latency is not None or loss is not None or clock is not None:
@@ -85,10 +78,7 @@ class Cluster:
                 )
             return transport
         if transport == "sim":
-            return SimNetwork(
-                clock=clock, latency=latency, loss=loss,
-                synchronous_casts=synchronous_casts,
-            )
+            return SimNetwork(clock=clock, latency=latency, loss=loss)
         if transport == "tcp":
             if latency is not None or loss is not None:
                 raise ConfigurationError(
@@ -142,9 +132,11 @@ class Cluster:
         return node
 
     def quiesce(self, timeout_s: float = 30.0) -> None:
-        """Wait for in-flight asynchronous work (agent tours) to settle."""
-        if isinstance(self.transport, SimNetwork):
-            self.transport.drain_casts(timeout_s)
+        """Wait until no agent tour step is queued or running on any node
+        of this cluster's transport (§3.5's asynchrony: each node's agent
+        runner carries a tour on after its first hop returned).  Raises
+        :class:`~repro.errors.MageError` after ``timeout_s``."""
+        wait_for_tours(self.transport, timeout_s)
 
     # -- scatter-gather fan-out ----------------------------------------------------
 

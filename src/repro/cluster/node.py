@@ -29,8 +29,6 @@ class Node:
         fair_locks: bool = False,
         class_cache: bool = True,
         path_collapsing: bool = True,
-        always_ship_class: bool = False,
-        probe_classes: bool = False,
         stream_threshold: int | None = None,
         chunk_bytes: int | None = None,
         initial_load: float = 0.0,
@@ -42,8 +40,6 @@ class Node:
             fair_locks=fair_locks,
             class_cache=class_cache,
             path_collapsing=path_collapsing,
-            always_ship_class=always_ship_class,
-            probe_classes=probe_classes,
             stream_threshold=stream_threshold,
             chunk_bytes=chunk_bytes,
             load_provider=self.load_monitor.get_load,
@@ -101,7 +97,8 @@ class Node:
         return self.membership.join(seed, seed_endpoint)
 
     def shutdown(self) -> None:
-        """Detach this node from the transport."""
+        """Stop the agent runner, then detach this node from the transport."""
+        self.agents.shutdown()
         self.membership.stop()
         self.namespace.shutdown()
 

@@ -14,25 +14,29 @@ agent is any component whose class defines (optionally) the hooks
   steer the tour via ``ctx.go(node)`` / ``ctx.stay()``;
 * ``on_complete(ctx)`` — runs when the itinerary is exhausted.
 
-Each hop is a one-way AGENT_HOP cast carrying the agent's state (and class,
-when the receiver lacks it); the receiving manager reconstructs the agent,
-runs its hook on the cast thread, and forwards it — the paper's
-asynchronous, multi-hop contrast to REV.
+A tour is a sequence of moves (DESIGN.md, "Agents").  Each hop is
+:meth:`Mover.move_out` with the remaining stops riding in the transfer,
+so it is acked, deduplicated, retried and streamed like any move, and a
+hop that fails leaves the agent where it is.  The receiving mover hands
+``(name, tour)`` to that node's :class:`AgentManager`, which queues the
+agent's step — its arrival hook, then its next hop or its completion
+hook — for its one runner thread.  That queue is MA's asynchrony: a hop
+returns once the agent has landed, not once the tour is over.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ClassTransferError, LockError, MageError, NoSuchObjectError
+from repro.errors import LockError, MageError
 from repro.net.message import MessageKind
-from repro.rmi.classdesc import ClassDescriptor
-from repro.rmi.marshal import join_pieces
-from repro.rmi.protocol import AgentHopPayload, AgentLaunch, ClassRequest
+from repro.net.transport import Transport
+from repro.rmi.protocol import AgentLaunch
 from repro.runtime.namespace import Namespace
-from repro.util.ids import fresh_token
 
 
 class Agent:
@@ -78,16 +82,71 @@ class AgentContext:
         return self.runtime.query_load(node_id)
 
 
+class _Steps:
+    """The tour steps queued or running on every manager of one transport.
+
+    One count, not one per runner: a receiver counts its step before it
+    acks and the sender's step ends only after the ack, so the count
+    cannot read zero between two stops of a tour.
+    """
+
+    def __init__(self) -> None:
+        self._idle = threading.Condition()
+        self._count = 0
+
+    def begin(self) -> None:
+        with self._idle:
+            self._count += 1
+
+    def end(self) -> None:
+        with self._idle:
+            self._count -= 1
+            if not self._count:
+                self._idle.notify_all()
+
+    def wait_idle(self, timeout_s: float) -> bool:
+        with self._idle:
+            return self._idle.wait_for(lambda: not self._count, timeout_s)
+
+
+#: Each transport's count, created with its first manager and dropped
+#: with the transport: the nodes of one cluster share it, nothing else.
+_STEPS: "weakref.WeakKeyDictionary[Transport, _Steps]" = weakref.WeakKeyDictionary()
+_STEPS_LOCK = threading.Lock()
+
+
+def _steps_on(transport: Transport) -> _Steps:
+    with _STEPS_LOCK:
+        return _STEPS.setdefault(transport, _Steps())
+
+
+def wait_for_tours(transport: Transport, timeout_s: float = 30.0) -> None:
+    """Block until no tour step is queued or running on any node of
+    ``transport`` (``Cluster.quiesce``); raises :class:`MageError` after
+    ``timeout_s``."""
+    if not _steps_on(transport).wait_idle(timeout_s):
+        raise MageError(f"agent tours still running after {timeout_s}s")
+
+
+#: A queued step: agent name, stops after this one, lock token.
+_Step = tuple[str, tuple[str, ...], str]
+
+
 class AgentManager:
-    """Per-namespace service running the AGENT_HOP / AGENT_LAUNCH protocol."""
+    """Per-namespace tour runner: the first hop of each tour started here,
+    and the step of each agent that arrives here (module docstring)."""
 
     def __init__(self, namespace: Namespace) -> None:
         self.ns = namespace
-        self._seen_tours: set[str] = set()
-        self._lock = threading.Lock()
-        self.hops_in = 0
-        self.hops_out = 0
-        namespace.external.install_agent_handlers(self._on_hop, self._on_launch)
+        #: Tours that ended early here: a hop or an arrival hook failed.
+        self.tours_failed = 0
+        self._steps = _steps_on(namespace.transport)
+        self._queue: queue.SimpleQueue[_Step | None] = queue.SimpleQueue()
+        self._runner: threading.Thread | None = None
+        self._runner_lock = threading.Lock()
+        self._closed = False
+        namespace.external.install_agent_handlers(self._on_launch)
+        namespace.mover.tour_hook = self._enqueue
 
     # -- initiating tours -------------------------------------------------------
 
@@ -111,7 +170,13 @@ class AgentManager:
 
     def start_tour(self, name: str, itinerary: tuple[str, ...],
                    lock_token: str = "") -> None:
-        """Pack the locally hosted agent and hop it to ``itinerary[0]``."""
+        """Hop the locally hosted ``name`` to ``itinerary[0]``; the rest of
+        the tour goes on from there without the caller.  A first stop
+        here runs its step on the caller's thread.
+
+        Raises what the first hop (or that step) raises, and the agent
+        then stays here.
+        """
         if not itinerary:
             return
         if self.ns.locks.has_activity(name) and not self.ns.locks.holds_move_lock(
@@ -121,69 +186,54 @@ class AgentManager:
                 f"starting a tour for {name!r} requires its move lock "
                 "(object is contended)"
             )
-        record = self.ns.store.record(name)
-        self._hop_out(record.obj, name, tuple(itinerary), shared=record.shared)
-
-    # -- the hop protocol ----------------------------------------------------------
-
-    def _hop_out(self, agent: Any, name: str, itinerary: tuple[str, ...],
-                 shared: bool) -> None:
-        next_node, rest = itinerary[0], itinerary[1:]
-        if next_node == self.ns.node_id:
-            # Degenerate hop to self: just continue the tour locally.
-            self._arrive_locally(agent, name, rest, shared)
-            return
-        mover = self.ns.mover
-        desc = mover.descriptor_for(agent)
-        probe = mover.begin_class_probe(next_node, desc)
-        pieces = mover.pack_state(agent)  # overlaps the probe's round trip
-        payload = AgentHopPayload(
-            name=name,
-            class_name=desc.class_name,
-            state_blob=join_pieces(pieces),
-            class_desc=desc if mover.resolve_class_probe(
-                probe, next_node, desc
-            ) else None,
-            class_hash=desc.source_hash,
-            origin=self.ns.node_id,
-            tour_id=fresh_token("tour"),
-            itinerary=rest,
-            shared=shared,
-        )
-        if self.ns.store.contains(name):
-            self.ns.store.remove(name)
-        self.ns.registry.record_departure(name, next_node)
-        self.ns.locks.mark_moved(name, next_node)
-        self.hops_out += 1
-        self.ns.transport.cast(
-            self.ns.node_id, next_node, MessageKind.AGENT_HOP, payload
-        )
+        first, rest = itinerary[0], tuple(itinerary[1:])
+        if first != self.ns.node_id:
+            self.ns.mover.move_out(name, first, lock_token, tour=rest)
+        else:
+            self._step(name, rest, lock_token)
 
     def _on_launch(self, payload: AgentLaunch) -> str:
-        if not self.ns.store.contains(payload.name):
-            raise NoSuchObjectError(payload.name, self.ns.node_id)
         self.start_tour(payload.name, payload.itinerary, payload.lock_token)
         return "touring"
 
-    def _on_hop(self, payload: AgentHopPayload) -> None:
-        with self._lock:
-            if payload.tour_id in self._seen_tours:
-                return
-            self._seen_tours.add(payload.tour_id)
-        agent = self._reconstruct(payload)
-        self.hops_in += 1
-        self._arrive_locally(
-            agent, payload.name, payload.itinerary, payload.shared
-        )
+    # -- the runner ------------------------------------------------------------------
 
-    def _arrive_locally(self, agent: Any, name: str,
-                        remaining: tuple[str, ...], shared: bool) -> None:
-        self.ns.store.add(name, agent, shared=shared)
-        self.ns.registry.record_arrival(name)
-        self.ns.locks.mark_arrived(name)
-        ctx = AgentContext(
-            node_id=self.ns.node_id, runtime=self.ns, remaining=remaining
-        )
+    def _enqueue(self, name: str, tour: tuple[str, ...],
+                 lock_token: str = "") -> None:
+        """Queue ``name``'s step, starting the runner on first use.
+
+        The mover calls this inside the transfer handler, after the agent
+        landed, so it never raises.  After :meth:`shutdown` the step is
+        dropped and the agent stays hosted here.
+        """
+        with self._runner_lock:
+            if self._closed:
+                return
+            if self._runner is None:
+                self._runner = threading.Thread(
+                    target=self._run, daemon=True,
+                    name=f"agent-runner-{self.ns.node_id}",
+                )
+                self._runner.start()
+            self._steps.begin()
+            self._queue.put((name, tour, lock_token))
+
+    def _run(self) -> None:
+        while (item := self._queue.get()) is not None:
+            try:
+                if not self._closed:
+                    self._step(*item)
+            except Exception:
+                self.tours_failed += 1
+            finally:
+                self._steps.end()
+
+    def _step(self, name: str, tour: tuple[str, ...], lock_token: str) -> None:
+        """One stop of a tour: the arrival hook, then the next hop (or the
+        completion hook at the last stop)."""
+        agent = self.ns.store.get(name)
+        ctx = AgentContext(node_id=self.ns.node_id, runtime=self.ns,
+                           remaining=tour)
         on_arrival = getattr(agent, "on_arrival", None)
         if callable(on_arrival):
             try:
@@ -194,34 +244,29 @@ class AgentManager:
                     f"{self.ns.node_id!r}: {exc}"
                 ) from exc
         if ctx._stopped:
-            remaining = ()
+            tour = ()
         elif ctx._next_override is not None:
-            remaining = (ctx._next_override,) + remaining
-        if remaining:
-            self._hop_out(agent, name, remaining, shared)
-            return
-        on_complete = getattr(agent, "on_complete", None)
-        if callable(on_complete):
-            on_complete(ctx)
-
-    def _reconstruct(self, payload: AgentHopPayload) -> Any:
-        cache = self.ns.classcache
-        if payload.class_desc is not None:
-            cls = cache.load(payload.class_desc)
-        elif cache.has_hash(payload.class_hash):
-            cls = cache.clone_by_hash(payload.class_hash)
+            tour = (ctx._next_override,) + tour
+        if not tour:
+            on_complete = getattr(agent, "on_complete", None)
+            if callable(on_complete):
+                on_complete(ctx)
+        elif tour[0] == self.ns.node_id:
+            self._enqueue(name, tour[1:], lock_token)
         else:
-            desc = self.ns.transport.call(
-                self.ns.node_id, payload.origin, MessageKind.CLASS_REQUEST,
-                ClassRequest(class_name=payload.class_name),
-            )
-            if not isinstance(desc, ClassDescriptor):
-                raise ClassTransferError(
-                    f"origin {payload.origin!r} served no descriptor for "
-                    f"{payload.class_name!r}"
-                )
-            cls = cache.load(desc)
-        return self.ns.mover.unpack(cls, payload.state_blob)
+            self.ns.mover.move_out(name, tour[0], lock_token, tour=tour[1:])
+
+    def shutdown(self) -> None:
+        """Stop the runner after its current step (idempotent).  Steps
+        still queued are dropped; their agents stay hosted here."""
+        with self._runner_lock:
+            self._closed = True
+            runner = self._runner
+        if runner is None:
+            return
+        self._queue.put(None)
+        if runner is not threading.current_thread():
+            runner.join()
 
 
 def agent_manager_for(namespace: Namespace) -> AgentManager:

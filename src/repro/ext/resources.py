@@ -7,8 +7,8 @@ without hosts being overrun.
 
 A :class:`ResourceBudget` tracks named capacities (slots, memory units,
 whatever the deployment measures).  A :class:`MeteredNamespace` wraps a
-namespace's dispatcher: inbound object transfers, instantiations, and
-agent hops must fit the budget or fail with
+namespace's dispatcher: inbound object transfers (an agent's hop is
+one) and instantiations must fit the budget or fail with
 :class:`~repro.errors.ResourceExhaustedError`; departures and
 unregistrations release their share.
 """
@@ -78,27 +78,27 @@ class ResourceBudget:
             self._used[resource] = max(0.0, used - amount)
 
 
-#: Inbound kinds that consume an object slot on success.
+#: Inbound kinds that materialize an object: a single-frame transfer, the
+#: COMMIT of a streamed one, an instantiation.  Each takes a slot.
 _ADMITTING_KINDS = frozenset({
     MessageKind.OBJECT_TRANSFER,
+    MessageKind.TRANSFER_COMMIT,
     MessageKind.INSTANTIATE,
-    MessageKind.AGENT_HOP,
 })
-
-#: Kinds whose success means an object left this namespace.
-_RELEASING_KINDS = frozenset({MessageKind.MOVE_REQUEST})
 
 
 class MeteredNamespace:
     """Wraps a namespace's inbound dispatcher with admission control.
 
-    Occupancy accounting: an arrival (transfer / instantiate / agent hop)
-    that the inner handler accepts consumes one ``object_slots`` unit; a
-    completed MOVE_REQUEST (the object left) releases one.  Agent hops
-    that immediately depart again release their slot through the same
-    accounting because the hop-out path raises MOVE_REQUEST-free — so the
-    wrapper also re-syncs to the store's true census after every gated
-    message.
+    Occupancy accounting: an arrival (a transfer or its COMMIT, an
+    instantiation) takes one ``object_slots`` unit before the inner
+    handler runs, gives it back if the handler fails, and otherwise
+    makes its object a *tenant* holding that slot.  Objects leave by
+    many paths — a MOVE_REQUEST, an agent's next hop from the agent
+    runner, an unregistration — so before each admission the tenants no
+    longer in the store give their slots back.  Only tenants do: a local
+    resident never held a slot, and an admission still in its handler
+    keeps its own.
     """
 
     def __init__(self, namespace: Namespace, budget: ResourceBudget) -> None:
@@ -106,37 +106,42 @@ class MeteredNamespace:
         self.budget = budget
         self.rejections = 0
         self._lock = threading.Lock()
+        #: Names of the admitted objects; each holds one slot.
+        self._tenants: set[str] = set()
         self._inner_handle = namespace.external.handle
         namespace.transport.register(namespace.node_id, self.handle)
 
     def handle(self, message: Message) -> Any:
         """Meter one inbound message, then delegate to the real dispatcher."""
-        if message.kind in _ADMITTING_KINDS and not message.is_local:
+        if message.kind not in _ADMITTING_KINDS or message.is_local:
+            return self._inner_handle(message)
+        with self._lock:
+            self._release_departed()
             try:
                 self.budget.admit(OBJECT_SLOTS, 1.0)
             except ResourceExhaustedError:
-                with self._lock:
-                    self.rejections += 1
+                self.rejections += 1
                 raise
-            try:
-                result = self._inner_handle(message)
-            except BaseException:
-                self.budget.release(OBJECT_SLOTS, 1.0)
-                raise
-            self._resync()
-            return result
-        result = self._inner_handle(message)
-        if message.kind in _RELEASING_KINDS:
+        try:
+            result = self._inner_handle(message)
+        except BaseException:
             self.budget.release(OBJECT_SLOTS, 1.0)
+            raise
+        name = message.payload.name
+        with self._lock:
+            if name in self._tenants:
+                # A retransmission, or a tenant back before its departure
+                # was counted: the name holds one slot, not two.
+                self.budget.release(OBJECT_SLOTS, 1.0)
+            self._tenants.add(name)
         return result
 
-    def _resync(self) -> None:
-        """Clamp usage to the store's actual census (agents may hop away
-        inside the handler, freeing their slot immediately)."""
-        actual = float(len(self.ns.store))
-        used = self.budget.used(OBJECT_SLOTS)
-        if used > actual:
-            self.budget.release(OBJECT_SLOTS, used - actual)
+    def _release_departed(self) -> None:
+        """Give back the slots of tenants that left the store."""
+        gone = {name for name in self._tenants
+                if not self.ns.store.contains(name)}
+        self._tenants -= gone
+        self.budget.release(OBJECT_SLOTS, float(len(gone)))
 
 
 def meter(namespace: Namespace, capacities: dict[str, float]) -> MeteredNamespace:

@@ -1,7 +1,7 @@
 """Wire messages.
 
 Every interaction in the system — RMI invocations, registry lookups, object
-and class transfers, lock traffic, agent hops — travels as a
+and class transfers (an agent's hop is one), lock traffic — travels as a
 :class:`Message` envelope through a transport.  This uniformity is what lets
 the figure-reproduction benches read protocols straight off the message
 trace: the GREV protocol of the paper's Figure 7, for instance, appears as
@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, ClassVar, TypeVar
 
 from repro.net.deadline import Deadline
 from repro.util.ids import fresh_token
@@ -49,7 +49,6 @@ class MessageKind(enum.Enum):
     LOCK_REQUEST = "LOCK_REQUEST"        # stay/move lock acquisition
     LOCK_CONFIRM = "LOCK_CONFIRM"        # acknowledge a provisional (leased) grant
     UNLOCK = "UNLOCK"                    # lock release
-    AGENT_HOP = "AGENT_HOP"              # one-way mobile-agent hop
     AGENT_LAUNCH = "AGENT_LAUNCH"        # start an itinerary at the agent's host
     LOAD_QUERY = "LOAD_QUERY"            # host load for migration policies
     PING = "PING"                        # liveness probe
@@ -62,10 +61,6 @@ class MessageKind(enum.Enum):
     # part of the wire-format digest, so any edit here changes the format.)
     REPLY = "REPLY"                      # response envelope for any request
 
-
-#: Kinds sent with ``Transport.cast`` — fire-and-forget, never answered.
-#: Mobile-agent hops are the paper's one asynchronous interaction (§3.5).
-ONEWAY_KINDS = frozenset({MessageKind.AGENT_HOP})
 
 #: Kinds whose handlers move object state (marshalled payloads, staging
 #: writes, migration commits) rather than running quick control logic.
@@ -129,7 +124,13 @@ class Message:
     in flight or in queue, and makes the deadline ambient while the
     handler runs so nested calls inherit it.  Replies carry no deadline —
     the waiting caller enforces its own budget.
+
+    ``oneway`` marks a cast (:meth:`~repro.net.transport.Transport.cast`
+    sets it in ``__dict__``; the wire carries it as an envelope flag): the
+    receiver sends no reply.  Every other message reads the class default.
     """
+
+    oneway: ClassVar[bool] = False
 
     kind: MessageKind
     src: str

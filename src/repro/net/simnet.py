@@ -8,8 +8,10 @@ model's cost to the shared virtual clock and a loss-model check.
 Properties that matter for the reproduction:
 
 * **Determinism** — with the default ``NoLoss``/``ConstantLatency`` models
-  and synchronous casts, a run produces an identical message trace every
-  time, which the figure benches rely on.
+  a run produces an identical message trace every time, which the figure
+  benches rely on.  Every delivery, a cast's included, runs its handler
+  on the sender's thread; the one asynchrony in the runtime — an agent's
+  tour — lives in :mod:`repro.core.agents`, not here.
 * **Calibration** — the default latency (10 ms one-way) makes a
   request/reply pair cost 20 virtual ms, matching the paper's amortized
   RMI round trip, so Table 3's shape reproduces from first principles
@@ -56,10 +58,8 @@ rankings.
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
-from repro.errors import MessageLostError, NodeUnreachableError, TransportError
+from repro.errors import MessageLostError, NodeUnreachableError
 from repro.net.conditions import ConstantLatency, LatencyModel, LossModel, NoLoss
 from repro.net.message import Message
 from repro.net.trace import MessageTrace
@@ -84,19 +84,15 @@ class SimNetwork(Transport):
         latency: LatencyModel | None = None,
         loss: LossModel | None = None,
         trace: MessageTrace | None = None,
-        synchronous_casts: bool = False,
     ) -> None:
         super().__init__(clock=clock if clock is not None else SimClock(), trace=trace)
         self.latency = latency if latency is not None else ConstantLatency()
         self.loss = loss if loss is not None else NoLoss()
-        self.synchronous_casts = synchronous_casts
         self._endpoints: dict[str, _Endpoint] = {}
         self._crashed: set[str] = set()
         self._partitions: set[frozenset[str]] = set()
         self._state_lock = threading.RLock()
-        self._cast_pool: ThreadPoolExecutor | None = None
         self._attempt_counts: dict[str, int] = {}
-        self._outstanding_casts: set = set()
 
     # -- node management ----------------------------------------------------
 
@@ -197,62 +193,12 @@ class SimNetwork(Transport):
             self.trace.record(message, self.clock.now_ms(), dropped=True)
             raise
         self._send_one(message)
-        if self.synchronous_casts:
-            self._run_cast(endpoint, message)
-            return
-        if self._cast_pool is None:
-            with self._state_lock:
-                if self._cast_pool is None:
-                    self._cast_pool = ThreadPoolExecutor(
-                        max_workers=8, thread_name_prefix="simnet-cast"
-                    )
-        future = self._cast_pool.submit(self._run_cast, endpoint, message)
-        with self._state_lock:
-            self._outstanding_casts.add(future)
-        future.add_done_callback(self._cast_done)
-
-    def _cast_done(self, future) -> None:
-        with self._state_lock:
-            self._outstanding_casts.discard(future)
-
-    @staticmethod
-    def _run_cast(endpoint: _Endpoint, message: Message) -> None:
         try:
             endpoint.handler(message)
         except Exception:
             # One-way messages have no reply channel; a failed cast is the
-            # receiver's problem (mirrors a UDP datagram into a dead agent).
+            # receiver's problem (mirrors a UDP datagram into a dead node).
             pass
 
-    def drain_casts(self, timeout_s: float = 30.0) -> None:
-        """Block until all in-flight casts (and casts they spawn) finish.
-
-        Gives tests and benches a determinism point after asynchronous
-        agent tours: a hop handler enqueues its next hop before returning,
-        so looping until the outstanding set empties observes whole tours.
-        """
-        deadline = time.monotonic() + timeout_s
-        while True:
-            with self._state_lock:
-                pending = list(self._outstanding_casts)
-            if not pending:
-                return
-            if time.monotonic() > deadline:
-                raise TransportError(
-                    f"{len(pending)} casts still in flight after {timeout_s}s"
-                )
-            for future in pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    future.result(timeout=remaining)
-                except Exception:
-                    pass  # cast failures are the receiver's problem
-
     def shutdown(self) -> None:
-        """Stop background cast workers (idempotent)."""
-        with self._state_lock:
-            pool, self._cast_pool = self._cast_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Nothing to release: every delivery runs on its sender's thread."""

@@ -119,7 +119,6 @@ from repro.net.endpoint import PROTOCOL_VERSION, Endpoint, Hello
 from repro.net.message import (
     BULK_KINDS,
     INLINE_KINDS,
-    ONEWAY_KINDS,
     Batch,
     Message,
     MessageKind,
@@ -177,9 +176,9 @@ def _is_unix(sock: socket.socket) -> bool:
 
 #: Kinds the client-side auto-batcher never coalesces: bulk kinds carry
 #: large zero-copy payloads that would only delay the calls batched with
-#: them; one-way kinds have no reply to demultiplex; nested batches stay
-#: flat.
-_UNBATCHABLE_KINDS = BULK_KINDS | ONEWAY_KINDS | {MessageKind.BATCH}
+#: them; nested batches stay flat.  (A cast never reaches the batcher: it
+#: has no reply to demultiplex, so ``_submit`` writes it directly.)
+_UNBATCHABLE_KINDS = BULK_KINDS | {MessageKind.BATCH}
 
 #: Caps on one coalesced BATCH frame: sub-calls, and estimated payload bytes.
 _BATCH_MAX_MSGS = 32
@@ -1390,8 +1389,8 @@ class _NodeServer:
         # (A BATCH frame whose payload is not a Batch falls through: the
         # shared path answers it with a whole-batch error.)
         payload = self._execute(message)
-        if message.kind in ONEWAY_KINDS:
-            return  # one-way traffic carries no reply frame
+        if message.oneway:
+            return  # a cast carries no reply frame
         self._send_reply(state, message, payload)
 
     def _execute(self, message: Message) -> ReplyPayload:
@@ -1822,7 +1821,7 @@ class TcpNetwork(Transport):
         """Trace an undeliverable *one-way* send, matching the simulated
         network's accounting (two-way failures raise instead; recording
         them here would skew cross-transport trace comparisons)."""
-        if message.kind in ONEWAY_KINDS:
+        if message.oneway:
             self.trace.record(message, self.clock.now_ms(), dropped=True)
 
     def _submit(self, message: Message,

@@ -16,9 +16,8 @@ protocols:
   :class:`~repro.net.message.Batch`; :func:`Transport.execute_batch` is
   the one place a batch is run, for every transport and for both things
   that build one (``call_many`` here, the TCP auto-batcher).
-* ``cast`` — one-way, asynchronous.  Mobile-agent hops use casts: the
-  paper's §3.5 distinguishes REV (single hop, synchronous) from MA
-  (multi-hop, asynchronous).
+* ``cast`` — one-way, best-effort, never answered.  MA's ``send`` uses
+  it: "the result stays at the remote host" (Table 3).
 
 Each request/response style also exists as a *future-returning* form —
 ``call_async`` / ``call_many_async`` — which is the primitive every
@@ -988,11 +987,14 @@ class Transport(ABC):
 
         Fire-and-forget semantics all the way down: a cast lost in flight
         or aimed at an unreachable node vanishes silently (the trace still
-        records drops), exactly like a datagram.  Mobile-agent hops ride
-        this — §3.5's asynchrony — so an agent sent into a dead node is
-        lost, and the registry's verified find reports it missing.
+        records drops), exactly like a datagram, and the envelope is
+        marked :attr:`Message.oneway` so the receiver sends no reply.
+        MA's ``send`` rides this — "the result stays at the remote host"
+        (Table 3).  Nothing that must arrive does: an agent's hop is a
+        move (:mod:`repro.core.agents`).
         """
         message = build_message(kind, src, dst, payload)
+        message.__dict__["oneway"] = True
         try:
             self._transmit_oneway(message)
         except (MessageLostError, NodeUnreachableError):

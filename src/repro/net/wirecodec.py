@@ -617,7 +617,6 @@ REGISTERED_PAYLOADS: tuple[type[Any], ...] = (
     protocol.LockRequestPayload,
     protocol.UnlockPayload,
     protocol.LockConfirm,
-    protocol.AgentHopPayload,
     protocol.AgentLaunch,
     protocol.LoadQuery,
     protocol.JoinRequest,
@@ -662,6 +661,7 @@ _KIND_CODE: dict[MessageKind, int] = {k: i for i, k in enumerate(_KINDS)}
 _FLAG_IN_REPLY_TO = 1
 _FLAG_REPLY_TO_ID = 2
 _FLAG_DEADLINE = 4
+_FLAG_ONEWAY = 8  # a cast: the receiving server sends no reply
 _INVOKE = MessageKind.INVOKE
 
 
@@ -684,6 +684,8 @@ def _w_envelope(message: Message, buf: bytearray,
         flags |= _FLAG_REPLY_TO_ID
     if deadline is not None:
         flags |= _FLAG_DEADLINE
+    if message.oneway:
+        flags |= _FLAG_ONEWAY
     buf.append(_KIND_CODE[message.kind])
     buf.append(flags)
     # Header strings (node ids, message tokens) are short; their writes
@@ -807,6 +809,8 @@ def _r_envelope(b: FrameBody, o: int) -> tuple[Message, int]:
     d["in_reply_to"] = in_reply_to
     d["reply_to_id"] = reply_to_id
     d["deadline"] = deadline
+    if flags & _FLAG_ONEWAY:
+        d["oneway"] = True
     return message, o
 
 

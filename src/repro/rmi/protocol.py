@@ -117,6 +117,9 @@ class ObjectTransfer:
     class descriptor may be omitted when the sender believes the receiver
     caches the class (``class_hash`` lets the receiver validate; a cache
     miss makes it pull the class from ``origin``).
+
+    ``tour`` makes the transfer an agent's hop (:mod:`repro.core.agents`):
+    the stops still to visit after this one, ``()`` at the last stop.
     """
 
     name: str
@@ -127,14 +130,16 @@ class ObjectTransfer:
     origin: str                  # node the object departed
     transfer_id: str             # dedup token: retries must not double-apply
     shared: bool = True          # public (lockable) vs private object
+    tour: tuple[str, ...] | None = None  # an agent's remaining stops
 
 
 @dataclass(frozen=True)
 class TransferPrepare:
     """Phase one of a streamed transfer: reserve a staging slot.
 
-    Carries everything :class:`ObjectTransfer` carries *except* the state
-    blob, which follows as :class:`TransferChunk` slices.  PREPARE is
+    Carries everything :class:`ObjectTransfer` carries (``tour`` too)
+    *except* the state blob, which follows as
+    :class:`TransferChunk` slices.  PREPARE is
     idempotent per ``transfer_id`` (a retransmission re-reserves the same
     slot) and reserves only *staging* space: nothing touches the object
     store, the registry, or the lock manager until TRANSFER_COMMIT, so a
@@ -155,6 +160,7 @@ class TransferPrepare:
     chunk_count: int
     shared: bool = True
     ttl_ms: float = 30_000.0
+    tour: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -322,31 +328,12 @@ class LockConfirm:
 
 
 @dataclass(frozen=True)
-class AgentHopPayload:
-    """One-way mobile-agent hop: agent state + remaining itinerary.
-
-    MA is "multi-hop and asynchronous" (§3.5): each hop is a cast, the
-    receiver runs the agent's arrival hook, then forwards it to the next
-    namespace on the itinerary.
-    """
-
-    name: str
-    class_name: str
-    state_blob: bytes
-    class_desc: "object | None"
-    class_hash: str
-    origin: str                       # node the agent departed (class pulls)
-    tour_id: str                      # dedup token for retransmitted hops
-    itinerary: tuple[str, ...] = ()   # remaining namespaces to visit
-    shared: bool = False              # agents default to private objects
-
-
-@dataclass(frozen=True)
 class AgentLaunch:
     """Ask the node hosting ``name`` to start an itinerary tour.
 
-    Synchronous control message; the tour itself proceeds asynchronously
-    via AGENT_HOP casts.
+    Synchronous control message: the host performs the tour's first hop
+    before it answers, and the rest proceeds asynchronously as moves
+    whose transfers carry the remaining itinerary.
     """
 
     name: str

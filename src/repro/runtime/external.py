@@ -6,8 +6,10 @@ classes, as well as forward registry requests."
 
 This is each node's single inbound dispatcher: the transport delivers every
 request here, and the handler routes it to the registry, invoker, mover,
-class cache, or lock manager.  Agent arrivals (one-way AGENT_HOP casts) are
-forwarded to a pluggable handler installed by the agent manager.
+class cache, or lock manager.  An agent arrives as an ordinary object
+transfer (the mover hands it to the agent manager); only AGENT_LAUNCH,
+the request to start a tour where the agent lives, goes to a handler the
+agent manager installs.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from repro.runtime.mover import Mover
 from repro.runtime.registry import MageRegistry
 from repro.runtime.store import ObjectStore
 
-#: Signature of the agent-arrival handler the agent manager installs.
-AgentHandler = Callable[[Any], None]
+#: Signature of the AGENT_LAUNCH handler the agent manager installs.
+AgentHandler = Callable[[Any], Any]
 
 
 class MageExternalServer:
@@ -83,7 +85,6 @@ class MageExternalServer:
         self._stub_factory = stub_factory
         self._load_provider = load_provider
         self._invoker = Invoker(node_id, self._lookup_servant, stub_factory)
-        self._agent_handler: AgentHandler | None = None
         self._agent_launcher: AgentHandler | None = None
         self._join_handler: Callable[[JoinRequest], Any] | None = None
         self._announce_handler: Callable[[AnnouncePayload], Any] | None = None
@@ -106,7 +107,6 @@ class MageExternalServer:
             MessageKind.LOCK_REQUEST: self._on_lock,
             MessageKind.LOCK_CONFIRM: self._on_lock_confirm,
             MessageKind.UNLOCK: self._on_unlock,
-            MessageKind.AGENT_HOP: self._on_agent_hop,
             MessageKind.AGENT_LAUNCH: self._on_agent_launch,
             MessageKind.LOAD_QUERY: self._on_load_query,
             MessageKind.PING: self._on_ping,
@@ -119,9 +119,8 @@ class MageExternalServer:
         """This node's dispatch invoker (shared with the local bypass)."""
         return self._invoker
 
-    def install_agent_handlers(self, hop: AgentHandler, launch: AgentHandler) -> None:
+    def install_agent_handlers(self, launch: AgentHandler) -> None:
         """Called by the agent manager when it attaches to this node."""
-        self._agent_handler = hop
         self._agent_launcher = launch
 
     def install_membership_handlers(self, join, announce) -> None:
@@ -265,11 +264,6 @@ class MageExternalServer:
 
     def _on_unlock(self, request: UnlockPayload) -> None:
         self._locks.release(request.name, request.token)
-
-    def _on_agent_hop(self, payload: Any) -> None:
-        if self._agent_handler is None:
-            raise MageError(f"node {self.node_id!r} accepts no agents")
-        self._agent_handler(payload)
 
     def _on_agent_launch(self, payload: Any) -> Any:
         if self._agent_launcher is None:

@@ -349,6 +349,23 @@ class LockManager:
             state = self._names.setdefault(name, _NameLock())
             state.departing = True
 
+    def wait_departed(self, name: str, deadline: Deadline | None = None) -> bool:
+        """Block while a departure of ``name`` from here is under way.
+
+        An arrival of the same name must wait it out: the object may come
+        straight back before the sender evicted its copy (the receiver of
+        an agent's hop queues the next step before it acks), and storing
+        it earlier would let that eviction remove the copy that just came
+        back.  Returns ``False`` if ``deadline`` ran out first.
+        """
+        with self._cond:
+            while (state := self._names.get(name)) is not None and state.departing:
+                remaining = None if deadline is None else deadline.remaining_s()
+                if remaining is not None and remaining <= 0:
+                    return False
+                self._cond.wait(timeout=remaining)
+            return True
+
     def abort_departure(self, name: str) -> None:
         """The streamed transfer failed: the object stays; grants resume."""
         with self._cond:

@@ -51,6 +51,11 @@ never materialize a half-built object, and the same property makes
 **hedged writes** safe: :meth:`Mover.move_out` with ``alternates`` streams
 PREPARE+CHUNKs speculatively to several candidate targets, COMMITs the
 first to finish staging, and ABORTs the losers before anything applied.
+
+An agent's hop is a move whose transfer carries the remaining itinerary
+(``move_out(..., tour=rest)``); the receiver hands ``(name, tour)`` to
+:attr:`Mover.tour_hook` (:mod:`repro.core.agents`) once the object is in
+its store.
 """
 
 from __future__ import annotations
@@ -59,18 +64,19 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import (
     ClassTransferError,
     LockError,
+    MageError,
     MigrationError,
     NoSuchObjectError,
     ObjectPinnedError,
 )
 from repro.net.deadline import Deadline, effective_deadline
 from repro.net.message import MessageKind
-from repro.net.transport import CallFuture, Transport, race
+from repro.net.transport import Transport, race
 from repro.net.wirecodec import MAX_TUPLE_ITEMS
 from repro.rmi.classdesc import ClassDescriptor, describe_class
 from repro.rmi.marshal import (
@@ -82,7 +88,6 @@ from repro.rmi.marshal import (
     unmarshal,
 )
 from repro.rmi.protocol import (
-    ClassPush,
     ClassRequest,
     ObjectTransfer,
     TransferAbort,
@@ -354,8 +359,6 @@ class Mover:
         locks: LockManager,
         transport: Transport,
         stub_factory: StubFactory,
-        always_ship_class: bool = False,
-        probe_classes: bool = False,
         stream_threshold: int = DEFAULT_STREAM_THRESHOLD,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         stream_window: int = DEFAULT_STREAM_WINDOW,
@@ -368,16 +371,10 @@ class Mover:
         self._locks = locks
         self._transport = transport
         self._stub_factory = stub_factory
-        #: Ablation knob: ship the full class body on every move instead of
-        #: trusting the receiver's cache.
-        self.always_ship_class = always_ship_class
-        #: Overlap a remote class-cache probe with state packing before a
-        #: transfer to a target this mover has never shipped the class to.
-        #: A hit (the target got the class from a third node) saves the
-        #: class body on the wire; the probe's round trip hides behind the
-        #: marshalling work.  Off by default: the probe adds a message, and
-        #: the figure benches pin the paper's exact sequences.
-        self.probe_classes = probe_classes
+        #: ``(name, tour)`` of each touring arrival goes here (the agent
+        #: manager's queue): it runs inside the transfer handler, before
+        #: the ack, so it must not run the agent's code itself.
+        self.tour_hook: Callable[[str, tuple[str, ...]], None] | None = None
         #: Streaming knobs (see module docstring); ``stream_threshold`` of
         #: ``None``/huge effectively forces the monolithic fast path.
         self.stream_threshold = stream_threshold
@@ -441,7 +438,8 @@ class Mover:
 
     def move_out(self, name: str, target: str, lock_token: str = "",
                  deadline: Deadline | None = None,
-                 alternates: Sequence[str] = ()) -> str:
+                 alternates: Sequence[str] = (),
+                 tour: tuple[str, ...] | None = None) -> str:
         """Ship the locally hosted object ``name`` to ``target``.
 
         Returns the node the object landed on.  A move to the current
@@ -460,6 +458,9 @@ class Mover:
         the COMMIT (and becomes the returned location), and the losers
         are ABORTed before anything applied.  Sub-threshold objects
         ignore alternates — hedging a single small frame buys nothing.
+
+        ``tour`` makes the move an agent's hop (module docstring): the
+        stops still to visit after ``target``, carried in the transfer.
         """
         if target == self.node_id:
             # The stay case — but only a node actually hosting the object
@@ -483,15 +484,14 @@ class Mover:
                 f"moving {name!r} requires its move lock (object is contended)"
             )
         desc = self.descriptor_for(record.obj)
-        probe = self.begin_class_probe(target, desc)
-        pieces = self.pack_state(record.obj)  # overlaps the probe's round trip
-        ship_class = self.resolve_class_probe(probe, target, desc)
+        pieces = self.pack_state(record.obj)
+        ship_class = self._must_ship(target, desc)
         if sum(map(len, pieces)) >= self.stream_threshold:
             candidates = [node for node in dict.fromkeys((target, *alternates))
                           if node != self.node_id]
             return self._move_out_streamed(
                 name, record.shared, desc, pieces, ship_class,
-                candidates, deadline,
+                candidates, deadline, tour,
             )
         transfer = ObjectTransfer(
             name=name,
@@ -502,6 +502,7 @@ class Mover:
             origin=self.node_id,
             transfer_id=fresh_token("xfer"),
             shared=record.shared,
+            tour=tour,
         )
         self._locks.begin_departure(name)
         try:
@@ -535,7 +536,8 @@ class Mover:
 
     def _prepare_for(self, name: str, shared: bool, desc: ClassDescriptor,
                      nbytes: int, chunk_count: int, ship_class: bool,
-                     deadline: Deadline | None) -> TransferPrepare:
+                     deadline: Deadline | None,
+                     tour: tuple[str, ...] | None) -> TransferPrepare:
         ttl_ms = self.staging_ttl_ms
         if deadline is not None:
             # The sender aborts (or is dead) once its budget lapses; the
@@ -552,6 +554,7 @@ class Mover:
             chunk_count=chunk_count,
             shared=shared,
             ttl_ms=ttl_ms,
+            tour=tour,
         )
 
     def _chunk_requests(
@@ -580,16 +583,17 @@ class Mover:
     def _move_out_streamed(self, name: str, shared: bool,
                            desc: ClassDescriptor, pieces: Sequence[bytes],
                            ship_class: bool, targets: Sequence[str],
-                           deadline: Deadline | None) -> str:
+                           deadline: Deadline | None,
+                           tour: tuple[str, ...] | None) -> str:
         """Two-phase streamed transfer; hedged when several targets given."""
         if len(targets) > 1:
             return self._move_out_hedged(name, shared, desc, pieces,
-                                         targets, deadline)
+                                         targets, deadline, tour)
         target = targets[0]
         nbytes = sum(map(len, pieces))
         prep = self._prepare_for(name, shared, desc, nbytes,
                                  self._chunk_count(nbytes), ship_class,
-                                 deadline)
+                                 deadline, tour)
         self._locks.begin_departure(name)
         try:
             self._transport.call(
@@ -623,7 +627,8 @@ class Mover:
 
     def _move_out_hedged(self, name: str, shared: bool, desc: ClassDescriptor,
                          pieces: Sequence[bytes], targets: Sequence[str],
-                         deadline: Deadline | None) -> str:
+                         deadline: Deadline | None,
+                         tour: tuple[str, ...] | None) -> str:
         """Speculative streams to every candidate; first staged wins.
 
         PREPARE goes to all candidates at once (distinct ``transfer_id``
@@ -642,7 +647,8 @@ class Mover:
         preps = {
             target: self._prepare_for(name, shared, desc, nbytes,
                                       self._chunk_count(nbytes),
-                                      self._must_ship(target, desc), deadline)
+                                      self._must_ship(target, desc), deadline,
+                                      tour)
             for target in self._transport.rank_by_latency(list(targets))
         }
         staging = race(deadline)
@@ -744,49 +750,12 @@ class Mover:
         )
 
     def _must_ship(self, target: str, desc: ClassDescriptor) -> bool:
-        if self.always_ship_class:
-            return True
         with self._lock:
             return target not in self._known_at.get(desc.source_hash, set())
 
     def _note_known(self, node: str, source_hash: str) -> None:
         with self._lock:
             self._known_at.setdefault(source_hash, set()).add(node)
-
-    def begin_class_probe(self, target: str,
-                          desc: ClassDescriptor) -> CallFuture | None:
-        """Start the class-cache probe that overlaps with state packing.
-
-        Returns ``None`` when no probe is worth sending (probing disabled,
-        always-ship ablation, local move, or this mover already shipped
-        the class there).  Otherwise the returned future's round trip runs
-        while the caller marshals the object's state; hand it to
-        :meth:`resolve_class_probe` for the ship/skip decision.
-        """
-        if not self.probe_classes or self.always_ship_class or target == self.node_id:
-            return None
-        with self._lock:
-            if target in self._known_at.get(desc.source_hash, set()):
-                return None
-        return self._transport.call_async(
-            self.node_id, target, MessageKind.CLASS_TRANSFER,
-            ClassPush(class_name=desc.class_name, source_hash=desc.source_hash),
-        )
-
-    def resolve_class_probe(self, probe: CallFuture | None, target: str,
-                            desc: ClassDescriptor) -> bool:
-        """Whether the class body must ship, once packing has finished."""
-        if probe is None:
-            return self._must_ship(target, desc)
-        try:
-            have = bool(probe.result())
-        except Exception:
-            # An unreachable target fails the transfer itself in a moment;
-            # fall back to local knowledge rather than failing early here.
-            return self._must_ship(target, desc)
-        if have:
-            self._note_known(target, desc.source_hash)
-        return not have
 
     # -- receiving side --------------------------------------------------------------
 
@@ -808,19 +777,35 @@ class Mover:
             cls = self._class_for(transfer)
             obj = self.unpack(cls, transfer.state_blob)
             self._apply(transfer.name, obj, transfer.shared,
-                        transfer.transfer_id)
+                        transfer.transfer_id, transfer.tour)
         finally:
             self._transfers.end_apply(transfer.transfer_id)
         return "ok"
 
-    def _apply(self, name: str, obj: Any, shared: bool, transfer_id: str) -> None:
-        """Materialize an arrived object; the single door into the store."""
+    def _apply(self, name: str, obj: Any, shared: bool, transfer_id: str,
+               tour: tuple[str, ...] | None) -> None:
+        """Materialize an arrived object; the single door into the store.
+
+        A touring arrival goes to :attr:`tour_hook` once it is in the
+        store; a namespace without one refuses the transfer before
+        anything materializes, so the agent stays with its sender.  An
+        arrival of an object still departing from here waits for that
+        departure to end (:meth:`LockManager.wait_departed`).
+        """
+        if tour is not None and self.tour_hook is None:
+            raise MageError(f"node {self.node_id!r} accepts no agents")
+        if not self._locks.wait_departed(name, effective_deadline(None)):
+            raise MigrationError(
+                f"{name!r} is still departing {self.node_id!r}"
+            )
         self._store.add(name, obj, shared=shared)
         self._registry.record_arrival(name)
         self._locks.mark_arrived(name)
         self._transfers.record_applied(transfer_id)
         with self._lock:
             self.moves_in += 1
+        if tour is not None:
+            self.tour_hook(name, tour)
 
     # -- receiving side: streamed transfers -------------------------------------
 
@@ -871,7 +856,8 @@ class Mover:
             prep = entry.prepare
             cls = self._class_for(prep)
             obj = self.unpack(cls, entry.pieces())
-            self._apply(prep.name, obj, prep.shared, commit.transfer_id)
+            self._apply(prep.name, obj, prep.shared, commit.transfer_id,
+                        prep.tour)
         finally:
             self._transfers.end_apply(commit.transfer_id)
         return "ok"

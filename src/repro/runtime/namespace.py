@@ -43,11 +43,6 @@ class Namespace:
       stay preference (§4.4);
     * ``class_cache`` — retain class clones between migrations (§4.2);
     * ``path_collapsing`` — rewrite forwarding addresses on find (§4.1);
-    * ``always_ship_class`` — ship class bodies on every move;
-    * ``probe_classes`` — overlap an async class-cache probe with state
-      packing before transfers/hops, skipping the class body when the
-      target already caches it (off by default: the figure benches pin
-      the paper's exact message sequences);
     * ``stream_threshold`` / ``chunk_bytes`` — state blobs at or above
       the threshold migrate as the chunked two-phase
       PREPARE/CHUNK/COMMIT pipeline instead of one monolithic
@@ -62,8 +57,6 @@ class Namespace:
         fair_locks: bool = False,
         class_cache: bool = True,
         path_collapsing: bool = True,
-        always_ship_class: bool = False,
-        probe_classes: bool = False,
         stream_threshold: int | None = None,
         chunk_bytes: int | None = None,
         load_provider: Callable[[], float] | None = None,
@@ -93,8 +86,6 @@ class Namespace:
             self.locks,
             transport,
             stub_factory=self.client.stub_for,
-            always_ship_class=always_ship_class,
-            probe_classes=probe_classes,
             **mover_kwargs,
         )
         self.server = MageServer(

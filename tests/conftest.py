@@ -9,15 +9,10 @@ from repro.cluster import Cluster
 
 @pytest.fixture
 def make_cluster():
-    """Factory for simulated-network clusters, torn down after the test.
-
-    Casts run synchronously by default so agent tours are deterministic;
-    async-specific tests pass ``synchronous_casts=False`` explicitly.
-    """
+    """Factory for simulated-network clusters, torn down after the test."""
     created: list[Cluster] = []
 
     def factory(node_ids, **kwargs) -> Cluster:
-        kwargs.setdefault("synchronous_casts", True)
         cluster = Cluster(node_ids, **kwargs)
         created.append(cluster)
         return cluster

@@ -121,9 +121,8 @@ class TestRemoteLaunch:
         pair["alpha"].namespace.unlock(grant)
 
     def test_async_tours_complete(self, make_cluster):
-        """The real asynchronous path (thread-pool casts)."""
-        cluster = make_cluster(["alpha", "beta", "gamma"],
-                               synchronous_casts=False)
+        """The real asynchronous path (each node's agent runner)."""
+        cluster = make_cluster(["alpha", "beta", "gamma"])
         cluster["alpha"].agents.launch(Collector(), "async-agent",
                                        ("beta", "gamma"))
         cluster.quiesce(timeout_s=10.0)

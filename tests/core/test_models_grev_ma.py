@@ -1,5 +1,7 @@
 """GREV (§3.3) and the mobile-agent attribute (§3.5)."""
 
+import time
+
 import pytest
 
 from repro.core.coercion import Action
@@ -112,9 +114,12 @@ class TestMAgentDeployMode:
         # The effect happened remotely even though nothing came back.
         assert pair["beta"].stub("worker", location="beta").get() == 1
 
-    def test_rev_vs_ma_message_asymmetry(self, pair):
+    @pytest.mark.parametrize("transport", ["sim", "tcp"])
+    def test_rev_vs_ma_message_asymmetry(self, make_cluster, transport):
         """§3.5: 'REV is single hop and synchronous, while MA is multi-hop
-        and asynchronous' — visible as the one-way INVOKE on the wire."""
+        and asynchronous' — visible as the one-way INVOKE on the wire, on
+        either transport: one-way is a property of the send."""
+        pair = make_cluster(["alpha", "beta"], transport=transport)
         pair["alpha"].register_class(Counter)
         ma = MAgent("worker2", "beta", class_name="Counter",
                     runtime=pair["alpha"].namespace)
@@ -122,6 +127,16 @@ class TestMAgentDeployMode:
         before = len(pair.trace)
         ma.send("increment")
         pair.quiesce()
+        # Over TCP the INVOKE runs on beta's worker pool: wait for its
+        # effect, then make one round trip on the same connection, which
+        # a reply to the INVOKE, were one sent, would precede.
+        servant = pair["beta"].namespace.store.get("worker2")
+        deadline = time.monotonic() + 5.0
+        while servant.value != 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert servant.value == 1
+        assert pair["alpha"].namespace.server.ping("beta")
         new_events = pair.trace.events()[before:]
         kinds = [e.kind for e in new_events if not e.local]
-        assert kinds == ["INVOKE"]  # no REPLY(INVOKE): the result stayed
+        # No REPLY(INVOKE): the result stayed.
+        assert kinds == ["INVOKE", "PING", "REPLY(PING)"]

@@ -5,6 +5,19 @@ import pytest
 from repro.errors import AccessDeniedError
 from repro.ext.access import ANY, AccessPolicy, guard
 from repro.bench.workloads import Counter
+from repro.core.agents import Agent
+
+#: One object that ships as a single OBJECT_TRANSFER frame, and one that
+#: streams as PREPARE/CHUNK/COMMIT (the stream threshold is 256 KiB).
+SIZES = pytest.mark.parametrize("size", [1000, 1 << 20], ids=["1KB", "1MiB"])
+
+
+class Cargo(Agent):
+    """A mobile servant (and agent) carrying ``size`` bytes."""
+
+    def __init__(self, size):
+        super().__init__()
+        self.data = bytes(size)
 
 
 class TestPolicy:
@@ -81,18 +94,36 @@ class TestGuardedNamespace:
         guard(pair["beta"].namespace, policy)
         assert pair["alpha"].stub("c", location="beta").get() == 0
 
-    def test_denied_move_in(self, pair):
-        pair["alpha"].register("c", Counter())
+    @SIZES
+    def test_denied_move_in(self, pair, size):
+        pair["alpha"].register("c", Cargo(size))
         policy = AccessPolicy().restrict()
         policy.trust_domain = False
         policy.allow("alpha", "invoke")  # but not move_in
-        guard(pair["beta"].namespace, policy)
+        guarded = guard(pair["beta"].namespace, policy)
         from repro.errors import MageError
 
         with pytest.raises((AccessDeniedError, MageError)):
             pair["alpha"].namespace.move("c", "beta")
-        # The object must still be safely at home.
+        # The object must still be safely at home, refused at the door.
         assert pair["alpha"].namespace.store.contains("c")
+        assert not pair["beta"].namespace.store.contains("c")
+        assert guarded.denials == 1
+        assert pair["beta"].namespace.mover.staging_count() == 0
+
+    @SIZES
+    def test_denied_move_in_stops_a_tour(self, pair, size):
+        """An agent's hop is a move: the same gate refuses it, and the
+        agent stays where it was launched."""
+        policy = AccessPolicy().restrict()
+        policy.trust_domain = False
+        guarded = guard(pair["beta"].namespace, policy)
+        with pytest.raises(AccessDeniedError):
+            pair["alpha"].agents.launch(Cargo(size), "tourist", ("beta",))
+        pair.quiesce()
+        assert pair["alpha"].namespace.store.contains("tourist")
+        assert not pair["beta"].namespace.store.contains("tourist")
+        assert guarded.denials == 1
 
     def test_denied_move_out(self, pair):
         pair["beta"].register("c", Counter())

@@ -1,10 +1,13 @@
 """Resource allocation (§7 future work): budgets and admission control."""
 
+import threading
+
 import pytest
 
 from repro.errors import ResourceExhaustedError
 from repro.ext.resources import OBJECT_SLOTS, ResourceBudget, meter
 from repro.bench.workloads import Counter
+from repro.core.agents import Agent
 
 
 class TestBudget:
@@ -76,6 +79,60 @@ class TestMeteredNamespace:
         trio["alpha"].namespace.move("a", "beta")
         trio["alpha"].namespace.move("b", "gamma")
         assert trio["gamma"].namespace.store.contains("b")
+
+    def test_a_touring_agent_gives_its_slot_back(self, trio):
+        """An agent passing through leaves from the agent runner, which
+        the meter never sees; its slot still comes back."""
+        metered = meter(trio["beta"].namespace, {OBJECT_SLOTS: 1})
+        trio["alpha"].agents.launch(Agent(), "tourist", ("beta", "gamma"))
+        trio.quiesce()
+        assert trio["gamma"].namespace.store.contains("tourist")
+        trio["alpha"].register("c", Counter())
+        assert trio["alpha"].namespace.move("c", "beta") == "beta"
+        assert metered.rejections == 0
+
+    def test_concurrent_arrivals_share_one_slot(self, trio):
+        """An admission still in its handler keeps its slot: a second
+        arrival meanwhile is refused."""
+        metered = meter(trio["gamma"].namespace, {OBJECT_SLOTS: 1})
+        entered, proceed = threading.Event(), threading.Event()
+        handle = metered._inner_handle
+
+        def held_open(message):
+            if not entered.is_set():
+                entered.set()
+                proceed.wait(5.0)
+            return handle(message)
+
+        metered._inner_handle = held_open
+        trio["alpha"].register("a", Counter())
+        trio["beta"].register("b", Counter())
+        first = threading.Thread(
+            target=trio["alpha"].namespace.move, args=("a", "gamma"))
+        first.start()
+        try:
+            assert entered.wait(5.0)
+            with pytest.raises(ResourceExhaustedError):
+                trio["beta"].namespace.move("b", "gamma")
+        finally:
+            proceed.set()
+            first.join()
+        assert metered.rejections == 1
+        assert [name for name in ("a", "b")
+                if trio["gamma"].namespace.store.contains(name)] == ["a"]
+
+    def test_a_departing_resident_frees_no_slot(self, pair):
+        """Only admitted objects hold slots: a local resident moving away
+        gives none back."""
+        meter(pair["beta"].namespace, {OBJECT_SLOTS: 1})
+        pair["beta"].register("resident", Counter())
+        pair["alpha"].register("a", Counter())
+        pair["alpha"].register("b", Counter())
+        pair["alpha"].namespace.move("a", "beta")
+        pair["alpha"].namespace.move("resident", "alpha", origin_hint="beta")
+        with pytest.raises(ResourceExhaustedError):
+            pair["alpha"].namespace.move("b", "beta")
+        assert pair["alpha"].namespace.store.contains("b")
 
     def test_instantiate_is_metered(self, pair):
         meter(pair["beta"].namespace, {OBJECT_SLOTS: 1})

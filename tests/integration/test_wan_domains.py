@@ -16,6 +16,13 @@ from repro.ext.resources import OBJECT_SLOTS, meter
 from repro.bench.workloads import Counter
 
 
+class Cargo:
+    """A mobile servant carrying ``size`` bytes."""
+
+    def __init__(self, size):
+        self.data = bytes(size)
+
+
 @pytest.fixture
 def wan(make_cluster):
     """Two domains: labnet {lab1, lab2} and partnernet {partner}."""
@@ -71,7 +78,10 @@ class TestDomainIsolation:
 
 
 class TestDomainResources:
-    def test_budgeted_domain_gateway(self, wan):
+    # One size ships as a single OBJECT_TRANSFER, the other streams as
+    # PREPARE/CHUNK/COMMIT: both must meet the same budget.
+    @pytest.mark.parametrize("size", [1000, 1 << 20], ids=["1KB", "1MiB"])
+    def test_budgeted_domain_gateway(self, wan, size):
         """partnernet accepts labnet components, but only two at a time."""
         wan["partner"].namespace._policy.allow(
             "labnet", "move_in", "load_class", "invoke", "move_out"
@@ -80,12 +90,14 @@ class TestDomainResources:
         wan["lab1"].namespace._policy.allow("partnernet", "move_in")
         metered = meter(wan["partner"].namespace, {OBJECT_SLOTS: 2})
         for i in range(2):
-            wan["lab1"].register(f"job{i}", Counter())
+            wan["lab1"].register(f"job{i}", Cargo(size))
             wan["lab1"].namespace.move(f"job{i}", "partner")
-        wan["lab1"].register("job2", Counter())
+        wan["lab1"].register("job2", Cargo(size))
         with pytest.raises(ResourceExhaustedError):
             wan["lab1"].namespace.move("job2", "partner")
         assert metered.rejections == 1
+        assert len(wan["partner"].namespace.store) == 2
+        assert wan["lab1"].namespace.store.contains("job2")
         # Work finishes and leaves; capacity frees up.
         wan["lab1"].namespace.move("job0", "lab1", origin_hint="lab1")
         assert wan["lab1"].namespace.move("job2", "partner") == "partner"

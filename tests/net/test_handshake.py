@@ -480,7 +480,7 @@ class TestClientRefusesABadServer:
         server = fake_server(answers(hello_frame(wire=DRIFTED_FORMAT)))
         client.connect("fake", server.endpoint)
         with pytest.raises(ProtocolMismatchError):
-            client.cast("hub", "fake", MessageKind.AGENT_HOP)
+            client.cast("hub", "fake", MessageKind.INVOKE)
         assert [e.dropped for e in client.trace.events()] == [True]
 
 

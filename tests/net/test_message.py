@@ -1,6 +1,6 @@
 """Message envelopes and reply construction."""
 
-from repro.net.message import Message, MessageKind, ONEWAY_KINDS, ReplyPayload
+from repro.net.message import Message, MessageKind, ReplyPayload
 
 
 class TestMessage:
@@ -29,12 +29,10 @@ class TestMessage:
         reply = Message(kind=MessageKind.INVOKE, src="a", dst="b").reply(1)
         assert reply.describe() == "b -> a: REPLY(INVOKE)"
 
-    def test_agent_hop_is_oneway(self):
-        assert MessageKind.AGENT_HOP in ONEWAY_KINDS
-
     def test_requests_are_not_oneway(self):
-        assert MessageKind.INVOKE not in ONEWAY_KINDS
-        assert MessageKind.MOVE_REQUEST not in ONEWAY_KINDS
+        assert not Message(kind=MessageKind.INVOKE, src="a", dst="b").oneway
+        assert not Message(kind=MessageKind.INVOKE, src="a",
+                           dst="b").reply(1).oneway
 
 
 class TestReplyPayload:

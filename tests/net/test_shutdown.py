@@ -4,7 +4,8 @@ A pair of nodes, each on its own transport, does the two kinds of work
 that start threads and open connections — an invoke, and a streamed
 move — and is shut down.  Afterwards no ``tcpnet``
 thread may survive and the process holds no more file descriptors than
-before the pair was built.
+before the pair was built.  A cluster that ran an agent tour leaves no
+agent runner behind either.
 """
 
 import os
@@ -14,6 +15,8 @@ import time
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.core.agents import Agent
 from repro.net.tcpnet import TcpNetwork
 from repro.runtime.namespace import Namespace
 
@@ -35,6 +38,11 @@ def _tcpnet_threads(besides=()):
     return [t.name for t in threading.enumerate()
             if (t.name == "tcpnet" or t.name.startswith("tcpnet-"))
             and t not in besides]
+
+
+def _agent_runners(besides=()):
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("agent-runner") and t not in besides]
 
 
 def _open_fds():
@@ -80,3 +88,15 @@ def test_every_socket_is_closed_by_shutdown():
     before = _open_fds()
     _run_pair()
     assert _poll(lambda: _open_fds() <= before), (_open_fds(), before)
+
+
+def test_no_agent_runner_survives_shutdown():
+    before = set(threading.enumerate())
+    with Cluster(["a", "b", "c"], transport="tcp") as cluster:
+        cluster["a"].agents.launch(Agent(), "walker", ("b", "c"))
+        cluster.quiesce(timeout_s=10.0)
+        assert cluster["c"].namespace.store.contains("walker")
+        assert sorted(_agent_runners(before)) == [
+            "agent-runner-b", "agent-runner-c"]
+    assert not _agent_runners(before)
+    assert _poll(lambda: not _tcpnet_threads(before)), _tcpnet_threads(before)

@@ -1,7 +1,5 @@
 """The simulated network: delivery, latency, loss+retry, faults, casts."""
 
-import threading
-
 import pytest
 
 from repro.errors import MessageLostError, NodeUnreachableError
@@ -166,54 +164,30 @@ class TestFaultInjection:
 class TestCasts:
     def test_synchronous_cast_executes_inline(self):
         received = []
-        net = SimNetwork(synchronous_casts=True)
+        net = SimNetwork()
         net.register("a", lambda m: None)
         net.register("b", lambda m: received.append(m.payload))
-        net.cast("a", "b", MessageKind.AGENT_HOP, "state")
+        net.cast("a", "b", MessageKind.INVOKE, "state")
         assert received == ["state"]
-
-    def test_async_cast_executes_eventually(self):
-        done = threading.Event()
-        net = SimNetwork()
-        net.register("a", lambda m: None)
-        net.register("b", lambda m: done.set())
-        net.cast("a", "b", MessageKind.AGENT_HOP)
-        assert done.wait(timeout=5.0)
-        net.shutdown()
-
-    def test_drain_casts_waits_for_chains(self):
-        order = []
-        net = SimNetwork()
-
-        def relay(message):
-            order.append("b")
-            net.cast("b", "c", MessageKind.AGENT_HOP)
-
-        net.register("a", lambda m: None)
-        net.register("b", relay)
-        net.register("c", lambda m: order.append("c"))
-        net.cast("a", "b", MessageKind.AGENT_HOP)
-        net.drain_casts(timeout_s=5.0)
-        assert order == ["b", "c"]
-        net.shutdown()
+        assert [e.kind for e in net.trace.events()] == ["INVOKE"]
 
     def test_cast_failure_is_swallowed(self):
-        net = SimNetwork(synchronous_casts=True)
+        net = SimNetwork()
         net.register("a", lambda m: None)
 
         def boom(message):
-            raise RuntimeError("agent died")
+            raise RuntimeError("receiver died")
 
         net.register("b", boom)
-        net.cast("a", "b", MessageKind.AGENT_HOP)  # must not raise
+        net.cast("a", "b", MessageKind.INVOKE)  # must not raise
 
     def test_cast_to_unreachable_node_traces_a_drop(self):
-        net = SimNetwork(synchronous_casts=True)
+        net = SimNetwork()
         net.register("a", lambda m: None)
-        net.cast("a", "ghost", MessageKind.AGENT_HOP, "state")  # must not raise
+        net.cast("a", "ghost", MessageKind.INVOKE, "state")  # must not raise
         dropped = [e for e in net.trace.events() if e.dropped]
         assert len(dropped) == 1
-        assert dropped[0].kind == "AGENT_HOP"
+        assert dropped[0].kind == "INVOKE"
         assert dropped[0].dst == "ghost"
 
 

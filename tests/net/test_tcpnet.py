@@ -61,7 +61,7 @@ class TestTcpDelivery:
         done = threading.Event()
         net.register("a", lambda m: None)
         net.register("b", lambda m: done.set())
-        net.cast("a", "b", MessageKind.AGENT_HOP, "state")
+        net.cast("a", "b", MessageKind.INVOKE, "state")
         assert done.wait(timeout=5.0)
 
     def test_concurrent_calls(self, net):
@@ -181,6 +181,35 @@ class TestConfig:
         with pytest.raises(TypeError):
             ReplyCache(shards=8)
 
+    def test_runtime_constructor_census(self):
+        """The census of the runtime's construction surface: no knob is
+        threaded through ``Namespace``, ``Node`` and ``Cluster`` that one
+        mechanism can do without — an agent's hop is a move, so there is
+        no second migration protocol, no one-way kind, no sim-only cast
+        pool, and no class fetch of the agents' own."""
+        import inspect
+        import re
+        from pathlib import Path
+
+        import repro
+        from repro.cluster import Cluster
+        from repro.cluster.node import Node
+        from repro.runtime.namespace import Namespace
+
+        def arity(cls):
+            return len(inspect.signature(cls.__init__).parameters) - 1
+
+        assert arity(Namespace) <= 8, inspect.signature(Namespace.__init__)
+        assert arity(Node) <= 8, inspect.signature(Node.__init__)
+        assert arity(Cluster) <= 10, inspect.signature(Cluster.__init__)
+        gone = re.compile(r"\b(AGENT_HOP|AgentHopPayload|ONEWAY_KINDS"
+                          r"|drain_casts|synchronous_casts)\b")
+        root = Path(repro.__file__).parent
+        for path in root.rglob("*.py"):
+            assert not gone.findall(path.read_text()), path
+        for path in (root / "core").rglob("*.py"):
+            assert "CLASS_REQUEST" not in path.read_text(), path
+
     def test_there_is_one_chase_and_one_race(self):
         """The census of the ways to reach a moving object: ``lock``,
         ``move`` and ``locate_any`` each call ``chase``, no other runtime
@@ -230,10 +259,10 @@ class TestConfig:
 class TestDropTracing:
     def test_cast_to_unknown_destination_traces_a_drop(self, net):
         net.register("a", lambda m: None)
-        net.cast("a", "ghost", MessageKind.AGENT_HOP, "state")  # must not raise
+        net.cast("a", "ghost", MessageKind.INVOKE, "state")  # must not raise
         dropped = [e for e in net.trace.events() if e.dropped]
         assert len(dropped) == 1
-        assert dropped[0].kind == "AGENT_HOP"
+        assert dropped[0].kind == "INVOKE"
         assert dropped[0].dst == "ghost"
 
 

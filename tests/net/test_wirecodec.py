@@ -66,6 +66,11 @@ SAMPLES = {
                                 state_blob=BIG_BLOB, class_desc=None,
                                 class_hash="h1", origin="n1",
                                 transfer_id="t-2"),
+        protocol.ObjectTransfer(name="agent", class_name="Crawler",
+                                state_blob=b"state", class_desc=None,
+                                class_hash="h2", origin="n1",
+                                transfer_id="t-3", shared=False,
+                                tour=("n2", "n3")),
     ],
     protocol.TransferPrepare: [
         protocol.TransferPrepare(name="acct", class_name="Account",
@@ -73,6 +78,11 @@ SAMPLES = {
                                  origin="n1", transfer_id="t-1",
                                  total_bytes=1024, chunk_count=4,
                                  shared=False, ttl_ms=5_000.0),
+        protocol.TransferPrepare(name="agent", class_name="Crawler",
+                                 class_desc=None, class_hash="h2",
+                                 origin="n1", transfer_id="t-4",
+                                 total_bytes=1 << 20, chunk_count=4,
+                                 tour=()),
     ],
     protocol.TransferChunk: [
         protocol.TransferChunk(transfer_id="t-1", index=0, data=b"chunk"),
@@ -104,13 +114,6 @@ SAMPLES = {
     ],
     protocol.UnlockPayload: [protocol.UnlockPayload(name="acct", token="t")],
     protocol.LockConfirm: [protocol.LockConfirm(name="acct", token="t")],
-    protocol.AgentHopPayload: [
-        protocol.AgentHopPayload(name="agent", class_name="Crawler",
-                                 state_blob=b"state", class_desc=None,
-                                 class_hash="h2", origin="n1",
-                                 tour_id="tour-1", itinerary=("n2", "n3"),
-                                 shared=True),
-    ],
     protocol.AgentLaunch: [
         protocol.AgentLaunch(name="agent", itinerary=("n1", "n2"),
                              lock_token="tok"),
@@ -294,6 +297,18 @@ class TestEnvelope:
         assert decoded.reply_to_id == request.msg_id
         assert decoded.msg_id == reply.msg_id
         assert decoded.deadline is None
+        assert not decoded.oneway
+
+    def test_a_cast_rides_the_oneway_flag(self):
+        message = Message(kind=MessageKind.INVOKE, src="a", dst="b")
+        message.__dict__["oneway"] = True
+        body = b"".join(
+            bytes(p) for p in wirecodec.encode_envelope(message))
+        assert wirecodec.decode_envelope(body).oneway
+        plain = Message(kind=MessageKind.INVOKE, src="a", dst="b")
+        body = b"".join(bytes(p) for p in wirecodec.encode_envelope(plain))
+        decoded = wirecodec.decode_envelope(body)
+        assert not decoded.oneway and "oneway" not in vars(decoded)
 
     def test_deadline_ships_remaining_budget(self):
         message = Message(kind=MessageKind.PING, src="a", dst="b",

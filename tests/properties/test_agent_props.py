@@ -27,7 +27,7 @@ itineraries = st.lists(st.sampled_from(NODES), min_size=1, max_size=6)
 @given(itinerary=itineraries)
 @settings(max_examples=30, deadline=None)
 def test_agent_visits_exactly_the_itinerary(itinerary):
-    with Cluster(NODES, synchronous_casts=True) as cluster:
+    with Cluster(NODES) as cluster:
         cluster["n0"].agents.launch(TrailAgent(), "agent", tuple(itinerary))
         cluster.quiesce()
         final = itinerary[-1]
@@ -45,7 +45,7 @@ def test_agent_visits_exactly_the_itinerary(itinerary):
 @settings(max_examples=20, deadline=None)
 def test_tour_leaves_a_resolvable_trail(itinerary):
     """After any tour, every node can find the agent via origin + chains."""
-    with Cluster(NODES, synchronous_casts=True) as cluster:
+    with Cluster(NODES) as cluster:
         cluster["n0"].agents.launch(TrailAgent(), "agent", tuple(itinerary))
         cluster.quiesce()
         final = itinerary[-1]
@@ -60,7 +60,7 @@ def test_tour_leaves_a_resolvable_trail(itinerary):
 @settings(max_examples=20, deadline=None)
 def test_agent_state_monotonically_accumulates(itinerary, data):
     """Weak migration must never lose or duplicate hook side effects."""
-    with Cluster(NODES, synchronous_casts=True) as cluster:
+    with Cluster(NODES) as cluster:
         extra = data.draw(st.lists(st.sampled_from(NODES), max_size=3))
         cluster["n0"].agents.launch(TrailAgent(), "agent", tuple(itinerary))
         cluster.quiesce()

@@ -19,7 +19,7 @@ moves = st.lists(st.sampled_from(NODES), min_size=0, max_size=8)
 @given(tour=moves, observer=st.sampled_from(NODES))
 @settings(max_examples=40, deadline=None)
 def test_verified_find_always_converges(tour, observer):
-    with Cluster(NODES, synchronous_casts=True) as cluster:
+    with Cluster(NODES) as cluster:
         cluster["n0"].register("obj", Counter())
         location = "n0"
         for target in tour:
@@ -36,7 +36,7 @@ def test_verified_find_always_converges(tour, observer):
 @given(tour=moves)
 @settings(max_examples=40, deadline=None)
 def test_exactly_one_copy_exists_after_any_tour(tour):
-    with Cluster(NODES, synchronous_casts=True) as cluster:
+    with Cluster(NODES) as cluster:
         cluster["n0"].register("obj", Counter(7))
         location = "n0"
         for target in tour:
@@ -54,7 +54,7 @@ def test_exactly_one_copy_exists_after_any_tour(tour):
 @settings(max_examples=30, deadline=None)
 def test_interleaved_finds_never_break_chains(tour, data):
     """Collapsing mid-tour must never corrupt later resolution."""
-    with Cluster(NODES, synchronous_casts=True) as cluster:
+    with Cluster(NODES) as cluster:
         cluster["n0"].register("obj", Counter())
         location = "n0"
         for target in tour:

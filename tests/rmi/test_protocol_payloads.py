@@ -37,10 +37,10 @@ SAMPLES = [
     protocol.LockRequestPayload(name="c", target="b", requester="a",
                                 wait_ms=10.0),
     protocol.UnlockPayload(name="c", token="t"),
-    protocol.AgentHopPayload(
-        name="c", class_name="Counter", state_blob=b"s",
-        class_desc=None, class_hash="h", origin="a", tour_id="t",
-        itinerary=("b", "c"), shared=False,
+    protocol.TransferPrepare(
+        name="c", class_name="Counter", class_desc=None, class_hash="h",
+        origin="a", transfer_id="x", total_bytes=1, chunk_count=1,
+        tour=("b", "c"),
     ),
     protocol.AgentLaunch(name="c", itinerary=("b",), lock_token=""),
     protocol.LoadQuery(),

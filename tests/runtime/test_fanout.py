@@ -9,13 +9,8 @@ measured in benchmarks/test_async_fanout.py.
 import pytest
 
 from repro.bench.workloads import Counter, PrintServer
-from repro.core.agents import Agent
 from repro.errors import ClassTransferError, ComponentNotFoundError
 from repro.net.message import MessageKind
-
-
-class Tourist(Agent):
-    """Module-level so its source ships cleanly through the class cache."""
 
 
 class TestBatchedPushClass:
@@ -157,50 +152,8 @@ class TestLocateAny:
 
 
 class TestClassProbeOverlap:
-    def test_probe_skips_body_when_target_learned_class_elsewhere(self, make_cluster):
-        cluster = make_cluster(["alpha", "beta", "gamma"], probe_classes=True)
-        cluster["alpha"].register_class(Counter)
-        cluster["alpha"].register("c", Counter())
-        # gamma's cache is warmed by an explicit class push — a path the
-        # mover's own shipping history knows nothing about, so only the
-        # probe can discover it.
-        cluster["alpha"].namespace.server.push_class("Counter", "gamma")
-        cluster["alpha"].move("c", "gamma")
-        events = cluster.trace.filtered(
-            kinds=["OBJECT_TRANSFER"], remote_only=True
-        )
-        assert len(events) == 1
-        # The probe discovered gamma's warm cache, so the transfer shipped
-        # no class body; gamma reconstructed from its cached clone without
-        # any CLASS_REQUEST pull to the origin.
-        pulls = cluster.trace.filtered(kinds=["CLASS_REQUEST"], remote_only=True)
-        assert pulls == []
-        stub = cluster["alpha"].stub("c")
-        assert stub.increment() == 1
-
-    def test_probe_miss_ships_the_body(self, make_cluster):
-        cluster = make_cluster(["alpha", "beta"], probe_classes=True)
-        cluster["alpha"].register("c", Counter())
-        cluster["alpha"].move("c", "beta")
-        assert cluster["beta"].namespace.store.contains("c")
-        # One probe (miss) preceded the transfer.
-        probes = cluster.trace.filtered(kinds=["CLASS_TRANSFER"], remote_only=True)
-        assert len(probes) == 1
-
     def test_default_moves_send_no_probe(self, pair):
         pair["alpha"].register("c", Counter())
         pair["alpha"].move("c", "beta")
         probes = pair.trace.filtered(kinds=["CLASS_TRANSFER"], remote_only=True)
         assert probes == []
-
-    def test_agent_hop_uses_the_probe(self, make_cluster):
-        cluster = make_cluster(["alpha", "beta", "gamma"], probe_classes=True)
-        cluster["alpha"].register_class(Tourist)
-        cluster["alpha"].namespace.server.push_class("Tourist", "beta")
-        cluster["alpha"].agents.launch(Tourist(), "tourist", ("beta",))
-        cluster.quiesce()
-        assert cluster["beta"].namespace.store.contains("tourist")
-        # beta's cache was warm, so the hop carried no class body and beta
-        # never pulled the class from the origin.
-        pulls = cluster.trace.filtered(kinds=["CLASS_REQUEST"], remote_only=True)
-        assert pulls == []

@@ -115,19 +115,6 @@ class TestClassShipping:
         assert any(not e.local for e in pulls)
         assert cluster["beta"].stub("c2", location="beta").get() == 5
 
-    def test_always_ship_class_mode(self, make_cluster):
-        cluster = make_cluster(["alpha", "beta"], always_ship_class=True)
-        cluster["alpha"].register("c1", Counter())
-        cluster["alpha"].register("c2", Counter())
-        cluster["alpha"].namespace.move("c1", "beta")
-        cluster["alpha"].namespace.move("c2", "beta")
-        # No back-pulls needed: the class body rode along both times.
-        pulls = [
-            e for e in cluster.trace.events()
-            if e.kind == "CLASS_REQUEST" and not e.local
-        ]
-        assert pulls == []
-
 
 class TestLockEnforcement:
     def test_uncontended_move_needs_no_token(self, pair):

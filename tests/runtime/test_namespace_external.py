@@ -87,10 +87,16 @@ class TestDispatcherEdges:
         assert pair["alpha"].namespace.query_load("beta") == 7.0
 
     def test_agent_hop_without_manager_is_refused(self):
-        net = SimNetwork(synchronous_casts=True)
+        """A touring transfer into a namespace with no agent manager is
+        refused before it applies: the agent stays with its sender."""
+        from repro.core.agents import agent_manager_for
+
+        net = SimNetwork()
+        home = Namespace("home", net)
         bare = Namespace("bare", net)  # no agent manager attached
-        message = Message(
-            kind=MessageKind.AGENT_HOP, src="bare", dst="bare", payload=None
-        )
+        manager = agent_manager_for(home)
+        home.register("c", Counter(), shared=False)
         with pytest.raises(MageError, match="accepts no agents"):
-            bare.external.handle(message)
+            manager.start_tour("c", ("bare",))
+        assert home.store.contains("c") and not bare.store.contains("c")
+        manager.shutdown()
