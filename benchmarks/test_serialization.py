@@ -97,7 +97,8 @@ SAMPLES: dict[type, object] = {
     RemoteRef: RemoteRef(node_id="n1", name="printer",
                          methods=("print_it",)),
     Batch: Batch(subs=tuple(
-        Message(kind=MessageKind.PING, src="n1", dst="n2", payload=i)
+        Message(kind=MessageKind.PING, src="n1", dst="n2", payload=i,
+                msg_id=f"msg-sub-{i}")
         for i in range(2)), sequential=False),
 }
 
@@ -144,8 +145,10 @@ def _best_of(fns: dict[str, object], iterations: int,
 def _bench_class(cls: type, iterations: int = ITERATIONS,
                  rounds: int = ROUNDS) -> dict:
     payload = SAMPLES[cls]
+    # A fixed id: a fresh one's length follows the process-wide token
+    # counter, so the byte columns would depend on what ran before.
     message = Message(kind=MessageKind.INVOKE, src="n1", dst="n2",
-                      payload=payload)
+                      payload=payload, msg_id="msg-bench")
     body = b"".join(bytes(p) for p in wirecodec.encode_envelope(message))
     blob = to_pickle(message)
     best = _best_of(

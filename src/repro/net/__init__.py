@@ -106,13 +106,13 @@ future, so N outstanding futures overlap N round trips on one socket.
 Bulk data and link awareness
 ----------------------------
 
-``Transport.stream(src, dst, requests, window=8)`` is the bulk-data
-primitive: a windowed, pipelined request sequence to one destination
-(each new submission first collects the oldest outstanding reply, so a
-slow receiver applies backpressure).  Chunked OBJECT_TRANSFER — the
-two-phase TRANSFER_PREPARE / TRANSFER_CHUNK / TRANSFER_COMMIT /
-TRANSFER_ABORT migration pipeline in :mod:`repro.runtime.mover` — rides
-it.
+``Transport.stream(src, dst, requests, window=8)`` is a windowed,
+pipelined request sequence to one destination (each new submission
+first collects the oldest outstanding reply, so a slow receiver applies
+backpressure).  The two-phase TRANSFER_PREPARE / TRANSFER_CHUNK /
+TRANSFER_COMMIT / TRANSFER_ABORT migration pipeline in
+:mod:`repro.runtime.mover` does not ride it: the mover's one sender
+loop keeps the same window per candidate on ``call_async`` and ``race``.
 
 The TCP transport additionally **compresses large frames by one rule**
 (:mod:`repro.net.codec`): a frame of at least 16 KiB is zlib-compressed

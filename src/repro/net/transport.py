@@ -867,8 +867,7 @@ class Transport(ABC):
                deadline: Deadline | None = None) -> list[Any]:
         """Windowed pipelined request sequence to one destination.
 
-        The bulk-data primitive behind chunked OBJECT_TRANSFER: issues the
-        ``(kind, payload)`` requests **in order**, keeping at most
+        Issues the ``(kind, payload)`` requests **in order**, keeping at most
         ``window`` exchanges outstanding — each new submission first
         collects the oldest outstanding reply, so a slow receiver applies
         backpressure instead of the sender buffering an unbounded frame
@@ -879,7 +878,8 @@ class Transport(ABC):
         round-trip latencies plus transmission); on eagerly completing
         transports (the simulated network) every exchange runs inline at
         submission, so the message sequence is the deterministic
-        one-call-per-chunk loop the figure traces expect.
+        one-call-per-request loop.  The mover keeps its own window per
+        candidate; ``perf/layers.py`` times this as the pipelining layer.
 
         One ``deadline`` bounds the whole stream.  The first failed
         exchange raises after cancelling everything still outstanding —

@@ -19,38 +19,40 @@ Transfer-then-evict ordering means a failed transfer leaves the object
 safely at the source; the exclusive move lock prevents the transient
 two-copies window from being observed.
 
-Step 2 has two wire shapes.  Small objects ship as the paper's single
-``OBJECT_TRANSFER`` frame — the fast path, and the exact message the
-figure benches trace.  State blobs at or above ``stream_threshold``
-stream as a **two-phase pipeline** instead:
+Step 2 is one engine: a loop over candidate targets, each sent one of
+two frame shapes.  Small objects ship as the paper's single
+``OBJECT_TRANSFER`` frame — the exact message the figure benches trace.
+State blobs at or above ``stream_threshold`` ship as a **two-phase
+pipeline** instead:
 
 ``TRANSFER_PREPARE``
     reserves a staging slot at the receiver (idempotent per
     ``transfer_id``); nothing touches the hot store.
 ``TRANSFER_CHUNK`` × N
-    windowed, pipelined slices of the marshalled state
-    (:meth:`Transport.stream`).  The state is packed as pieces — a
-    ``bytes`` of at least 64 KiB in it is a piece of its own and is the
-    servant's own object — and a chunk is a run of at most
-    ``chunk_bytes`` of their concatenation: one ``memoryview`` of a
-    piece, or a tuple of views when it spans pieces.  Nothing on the
-    send path copies the state.  Chunks accumulate in the staging slot
-    in the form they arrived in — views of their received frames — and
-    COMMIT unpickles from their segments in order without joining them.
+    windowed, pipelined slices of the marshalled state, sent once the
+    PREPARE is acked.  The state is packed as pieces — a ``bytes`` of at
+    least 64 KiB in it is a piece of its own and is the servant's own
+    object — and a chunk is a run of at most ``chunk_bytes`` of their
+    concatenation: one ``memoryview`` of a piece, or a tuple of views
+    when it spans pieces.  Nothing on the send path copies the state.
+    Chunks accumulate in the staging slot in the form they arrived in —
+    views of their received frames — and COMMIT unpickles from their
+    segments in order without joining them.
 ``TRANSFER_COMMIT``
     atomically verifies completeness, unpacks, registers, and acks; only
     now does the object exist at the target, and only on this ack does
     the source evict.  Idempotent per ``transfer_id``.
 ``TRANSFER_ABORT``
-    discards the staging slot (explicit on stream failure, from a hedged
-    write's loser, or implicitly when the staging GC reaps an orphan
-    whose TTL lapsed).  Refused after a commit — the object materialized.
+    discards the staging slot (explicit when a streamed candidate fails
+    or loses, or implicitly when the staging GC reaps an orphan whose
+    TTL lapsed).  Refused after a commit — the object materialized.
 
 Because apply is deferred to COMMIT, a partially streamed transfer can
 never materialize a half-built object, and the same property makes
-**hedged writes** safe: :meth:`Mover.move_out` with ``alternates`` streams
-PREPARE+CHUNKs speculatively to several candidate targets, COMMITs the
-first to finish staging, and ABORTs the losers before anything applied.
+**hedged writes** safe: :meth:`Mover.move_out` with ``alternates``
+streams to every candidate at once, COMMITs the first to finish staging,
+and ABORTs the others before anything applied.  The receiver applies an
+``OBJECT_TRANSFER`` and a COMMIT through one door.
 
 An agent's hop is a move whose transfer carries the remaining itinerary
 (``move_out(..., tour=rest)``); the receiver hands ``(name, tour)`` to
@@ -64,9 +66,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import (
+    CallTimeoutError,
     ClassTransferError,
     LockError,
     MageError,
@@ -109,7 +113,7 @@ DEFAULT_STREAM_THRESHOLD = 256 * 1024
 #: One TRANSFER_CHUNK's slice of the marshalled state.
 DEFAULT_CHUNK_BYTES = 256 * 1024
 
-#: How many chunk frames a plain streamed transfer keeps outstanding.
+#: How many chunk frames a streamed transfer keeps outstanding per candidate.
 DEFAULT_STREAM_WINDOW = 8
 
 #: How long an orphaned staging entry survives without its COMMIT before
@@ -200,16 +204,17 @@ class _Transfers:
         self._aborted: set[str] = set()
         self._aborted_order: deque[str] = deque()
 
-    def begin_apply(self, transfer_id: str) -> None:
-        """Reserve ``transfer_id`` for this thread's apply (single-flight)."""
+    def begin_apply(self, transfer_id: str) -> bool:
+        """Reserve ``transfer_id`` for this thread's apply (single-flight);
+        ``False`` when it already applied."""
         while True:
             with self._lock:
                 if transfer_id in self._seen:
-                    raise _AlreadyApplied()
+                    return False
                 event = self._applying.get(transfer_id)
                 if event is None:
                     self._applying[transfer_id] = threading.Event()
-                    return
+                    return True
             event.wait()
             # The holder finished: either it applied (seen → "ok") or it
             # failed and released the reservation (this thread then
@@ -361,8 +366,6 @@ class Mover:
         stub_factory: StubFactory,
         stream_threshold: int = DEFAULT_STREAM_THRESHOLD,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        stream_window: int = DEFAULT_STREAM_WINDOW,
-        staging_ttl_ms: float = DEFAULT_STAGING_TTL_MS,
     ) -> None:
         self.node_id = node_id
         self._store = store
@@ -379,8 +382,6 @@ class Mover:
         #: ``None``/huge effectively forces the monolithic fast path.
         self.stream_threshold = stream_threshold
         self.chunk_bytes = chunk_bytes
-        self.stream_window = stream_window
-        self.staging_ttl_ms = staging_ttl_ms
         self._known_at: dict[str, set[str]] = {}  # source_hash -> nodes holding it
         # Per-transfer receiver state: staging slots, apply reservations,
         # applied/aborted tombstones.
@@ -405,7 +406,12 @@ class Mover:
         return self._classcache.register_native(cls)
 
     def pack_state(self, obj: Any) -> tuple[bytes, ...]:
-        """Marshal the heap state of ``obj`` (honours ``__getstate__``).
+        """Marshal the heap state of ``obj``: its ``__getstate__()``.
+
+        That is the state pickle would save (CPython 3.11+ gives every
+        object the method): ``None`` for an object with no instance
+        attributes, ``(dict or None, slots)`` for one with ``__slots__``,
+        otherwise its ``__dict__`` or its class's own state.
 
         Returns the blob as its pieces in order
         (:func:`~repro.rmi.marshal.marshal_pieces`): each ``bytes`` of at
@@ -414,24 +420,32 @@ class Mover:
         copied, so changing it afterwards does not change the blob.  A
         single frame joins the pieces; a stream sends views of them.
         """
-        getstate = getattr(obj, "__getstate__", None)
-        state = getstate() if callable(getstate) else dict(obj.__dict__)
-        return marshal_pieces(state)
+        return marshal_pieces(obj.__getstate__())
 
     def unpack(self, cls: type, state_blob: Blob) -> Any:
-        """Rebuild an instance from migrated state (honours ``__setstate__``).
+        """Rebuild an instance from migrated state, by pickle's rules.
 
         ``state_blob`` is anything :func:`~repro.rmi.marshal.unmarshal`
         reads: the blob, a view of it, its pieces from :meth:`pack_state`,
-        or the segments of its staged chunks in order.
+        or the segments of its staged chunks in order.  A ``None`` state
+        sets nothing; a class's own ``__setstate__`` takes any other; a
+        ``(dict, slots)`` pair updates ``__dict__`` and sets each slot.
         """
         obj = cls.__new__(cls)
         state = unmarshal(state_blob, self._stub_factory)
+        if state is None:
+            return obj
         setstate = getattr(obj, "__setstate__", None)
         if callable(setstate):
             setstate(state)
-        else:
+            return obj
+        slots = None
+        if isinstance(state, tuple) and len(state) == 2:
+            state, slots = state
+        if state:
             obj.__dict__.update(state)
+        for attr, value in (slots or {}).items():
+            setattr(obj, attr, value)
         return obj
 
     # -- sending side ------------------------------------------------------------
@@ -452,7 +466,8 @@ class Mover:
 
         Small state ships as the paper's single OBJECT_TRANSFER frame;
         blobs at or above ``stream_threshold`` stream as the two-phase
-        PREPARE/CHUNK/COMMIT pipeline.  ``alternates`` names additional
+        PREPARE/CHUNK/COMMIT pipeline; one loop sends either
+        (:meth:`_send`).  ``alternates`` names additional
         candidate targets for a **hedged write**: the stream goes to
         every candidate speculatively, the first to finish staging gets
         the COMMIT (and becomes the returned location), and the losers
@@ -485,42 +500,23 @@ class Mover:
             )
         desc = self.descriptor_for(record.obj)
         pieces = self.pack_state(record.obj)
-        ship_class = self._must_ship(target, desc)
+        candidates = [target]
         if sum(map(len, pieces)) >= self.stream_threshold:
-            candidates = [node for node in dict.fromkeys((target, *alternates))
-                          if node != self.node_id]
-            return self._move_out_streamed(
-                name, record.shared, desc, pieces, ship_class,
-                candidates, deadline, tour,
-            )
-        transfer = ObjectTransfer(
-            name=name,
-            class_name=desc.class_name,
-            state_blob=join_pieces(pieces),
-            class_desc=desc if ship_class else None,
-            class_hash=desc.source_hash,
-            origin=self.node_id,
-            transfer_id=fresh_token("xfer"),
-            shared=record.shared,
-            tour=tour,
-        )
+            candidates = self._transport.rank_by_latency(
+                [node for node in dict.fromkeys((target, *alternates))
+                 if node != self.node_id])
+        firsts = {node: self._first_frame(name, record.shared, desc, pieces,
+                                          node, deadline, tour)
+                  for node in candidates}
         self._locks.begin_departure(name)
         try:
-            ack = self._transport.call(
-                self.node_id, target, MessageKind.OBJECT_TRANSFER, transfer,
-                deadline=deadline,
-            )
+            winner = self._send(name, firsts, pieces, deadline)
         except BaseException:
             self._locks.abort_departure(name)
             raise
-        if ack != "ok":
-            self._locks.abort_departure(name)
-            raise MigrationError(
-                f"target {target!r} rejected transfer of {name!r}: {ack!r}"
-            )
         # Transfer acknowledged: now (and only now) evict the local copy.
-        self._finish_departure(name, target, desc)
-        return target
+        self._finish_departure(name, winner, desc)
+        return winner
 
     def _finish_departure(self, name: str, target: str,
                           desc: ClassDescriptor) -> None:
@@ -532,222 +528,132 @@ class Mover:
         with self._lock:
             self.moves_out += 1
 
-    # -- streamed sending ------------------------------------------------------
-
-    def _prepare_for(self, name: str, shared: bool, desc: ClassDescriptor,
-                     nbytes: int, chunk_count: int, ship_class: bool,
-                     deadline: Deadline | None,
-                     tour: tuple[str, ...] | None) -> TransferPrepare:
-        ttl_ms = self.staging_ttl_ms
+    def _first_frame(self, name: str, shared: bool, desc: ClassDescriptor,
+                     pieces: Sequence[bytes], target: str,
+                     deadline: Deadline | None, tour: tuple[str, ...] | None
+                     ) -> ObjectTransfer | TransferPrepare:
+        """A candidate's first frame: the whole object, or its PREPARE."""
+        head = dict(
+            name=name,
+            class_name=desc.class_name,
+            class_desc=desc if self._must_ship(target, desc) else None,
+            class_hash=desc.source_hash,
+            origin=self.node_id,
+            transfer_id=fresh_token("xfer"),
+            shared=shared,
+            tour=tour,
+        )
+        nbytes = sum(map(len, pieces))
+        if nbytes < self.stream_threshold:
+            return ObjectTransfer(state_blob=join_pieces(pieces), **head)
+        ttl_ms = DEFAULT_STAGING_TTL_MS
         if deadline is not None:
             # The sender aborts (or is dead) once its budget lapses; the
             # slack covers the abort's own transit before the GC takes over.
             ttl_ms = min(ttl_ms, deadline.remaining_ms() + 1_000.0)
         return TransferPrepare(
-            name=name,
-            class_name=desc.class_name,
-            class_desc=desc if ship_class else None,
-            class_hash=desc.source_hash,
-            origin=self.node_id,
-            transfer_id=fresh_token("xfer"),
             total_bytes=nbytes,
-            chunk_count=chunk_count,
-            shared=shared,
+            chunk_count=max(1, -(-nbytes // self.chunk_bytes)),
             ttl_ms=ttl_ms,
-            tour=tour,
+            **head,
         )
 
-    def _chunk_requests(
-        self, transfer_id: str, pieces: Sequence[bytes]
-    ) -> Iterator[tuple[MessageKind, TransferChunk]]:
-        """Lazy ``(kind, payload)`` chunk stream over views of ``pieces``."""
-        for index, data in enumerate(_chunk_payloads(pieces, self.chunk_bytes)):
-            yield (
-                MessageKind.TRANSFER_CHUNK,
-                TransferChunk(transfer_id=transfer_id, index=index, data=data),
-            )
+    def _send(self, name: str,
+              firsts: dict[str, ObjectTransfer | TransferPrepare],
+              pieces: Sequence[bytes], deadline: Deadline | None) -> str:
+        """Send each candidate its frames; returns the first fully acked.
 
-    def _chunk_count(self, nbytes: int) -> int:
-        return max(1, -(-nbytes // self.chunk_bytes))
-
-    def _abort_remote(self, target: str, transfer_id: str, reason: str) -> None:
-        """Best-effort TRANSFER_ABORT; never blocks on a sick target."""
-        try:  # the outcome is advisory: nobody waits for it
-            self._transport.call_async(
-                self.node_id, target, MessageKind.TRANSFER_ABORT,
-                TransferAbort(transfer_id=transfer_id, reason=reason),
-            )
-        except Exception:
-            pass  # the staging GC reaps what the abort cannot reach
-
-    def _move_out_streamed(self, name: str, shared: bool,
-                           desc: ClassDescriptor, pieces: Sequence[bytes],
-                           ship_class: bool, targets: Sequence[str],
-                           deadline: Deadline | None,
-                           tour: tuple[str, ...] | None) -> str:
-        """Two-phase streamed transfer; hedged when several targets given."""
-        if len(targets) > 1:
-            return self._move_out_hedged(name, shared, desc, pieces,
-                                         targets, deadline, tour)
-        target = targets[0]
-        nbytes = sum(map(len, pieces))
-        prep = self._prepare_for(name, shared, desc, nbytes,
-                                 self._chunk_count(nbytes), ship_class,
-                                 deadline, tour)
-        self._locks.begin_departure(name)
-        try:
-            self._transport.call(
-                self.node_id, target, MessageKind.TRANSFER_PREPARE, prep,
-                deadline=deadline,
-            )
-            self._transport.stream(
-                self.node_id, target,
-                self._chunk_requests(prep.transfer_id, pieces),
-                window=self.stream_window, deadline=deadline,
-            )
-            ack = self._transport.call(
-                self.node_id, target, MessageKind.TRANSFER_COMMIT,
-                TransferCommit(transfer_id=prep.transfer_id, name=name),
-                deadline=deadline,
-            )
-        except BaseException:
-            # The object never applied (apply is COMMIT-gated), so it
-            # stays here; tell the target to drop its staging entry.
-            self._locks.abort_departure(name)
-            self._abort_remote(target, prep.transfer_id, "stream failed")
-            raise
-        if ack != "ok":
-            self._locks.abort_departure(name)
-            self._abort_remote(target, prep.transfer_id, f"bad ack {ack!r}")
-            raise MigrationError(
-                f"target {target!r} rejected transfer of {name!r}: {ack!r}"
-            )
-        self._finish_departure(name, target, desc)
-        return target
-
-    def _move_out_hedged(self, name: str, shared: bool, desc: ClassDescriptor,
-                         pieces: Sequence[bytes], targets: Sequence[str],
-                         deadline: Deadline | None,
-                         tour: tuple[str, ...] | None) -> str:
-        """Speculative streams to every candidate; first staged wins.
-
-        PREPARE goes to all candidates at once (distinct ``transfer_id``
-        each); a candidate's CHUNKs — views of the one packed state —
-        follow as soon as its own PREPARE is acked, and every frame joins
-        one :class:`~repro.net.transport.race`, so a slow candidate never
-        holds back a fast one.  The first candidate whose every frame is
-        acked gets the COMMIT and becomes the object's new host; the
-        losers' exchanges are cancelled and their staging ABORTed.  Safe
-        because nothing applies before COMMIT.  Falls back through the
-        completion order if the leader's COMMIT fails; raises
-        :class:`~repro.errors.MigrationError` when every candidate fails
-        or the deadline lapses first.
+        One :class:`~repro.net.transport.race` carries every exchange, so
+        a slow candidate never holds back a fast one.  A PREPARE's ack
+        opens its candidate's chunk window (a chunk sent earlier could
+        run before its staging slot exists); the last chunk's ack sends a
+        blocking COMMIT.  The first candidate whose final frame is acked
+        ``"ok"`` wins; the rest are cancelled, and ABORTed if they stream.
+        A lone candidate's failure raises as its exchange raised it; with
+        several, :class:`~repro.errors.MigrationError` chains the first.
         """
-        nbytes = sum(map(len, pieces))
-        preps = {
-            target: self._prepare_for(name, shared, desc, nbytes,
-                                      self._chunk_count(nbytes),
-                                      self._must_ship(target, desc), deadline,
-                                      tour)
-            for target in self._transport.rank_by_latency(list(targets))
-        }
-        staging = race(deadline)
-        self._locks.begin_departure(name)
-        try:
-            # PREPARE to everyone now; each candidate's chunks go out from
-            # the collector once its PREPARE is acked.  No windowing here —
-            # hedging trades the window's backpressure for never letting a
-            # slow candidate throttle the fast one, and the frames are
-            # zero-copy views so sender memory stays flat.
-            for target, prep in preps.items():
-                staging.add(target, self._transport.call_async(
-                    self.node_id, target, MessageKind.TRANSFER_PREPARE, prep,
-                    deadline=deadline,
-                ))
-            winner = self._commit_first_staged(name, preps, staging, pieces,
-                                               deadline)
-        except BaseException:
-            self._locks.abort_departure(name)
-            for future in staging.pending:
-                future.cancel("hedged write abandoned")
-            for target, prep in preps.items():
-                self._abort_remote(target, prep.transfer_id, "hedge aborted")
-            raise
-        self._finish_departure(name, winner, desc)
-        return winner
+        flights = race(deadline)
+        unacked = dict.fromkeys(firsts, 0)  # live candidates' frames in flight
+        chunks = {  # each streamed candidate's chunks not yet sent
+            target: self._chunks(first.transfer_id, pieces)
+            for target, first in firsts.items()
+            if isinstance(first, TransferPrepare)}
+        failure: BaseException | None = None
 
-    def _commit_first_staged(self, name: str,
-                             preps: dict[str, TransferPrepare],
-                             staging: race, pieces: Sequence[bytes],
-                             deadline: Deadline | None) -> str:
-        """Collect staging acks in completion order; COMMIT the first full
-        set, ABORT the other candidates.  Raises when nobody stages in
-        budget (the caller then aborts whatever is left).
-
-        ``staging`` starts with each candidate's PREPARE; its CHUNKs (views
-        of ``pieces``) are sent when that PREPARE is acked — the receiver
-        dispatches frames concurrently, so a chunk sent earlier could run
-        before the staging slot it belongs to exists."""
-        unacked = dict.fromkeys(preps, 0)  # live candidates' chunks in flight
-        failure: Exception | None = None
+        def send(target: str, kind: MessageKind, payload: Any) -> None:
+            flights.add((target, kind), self._transport.call_async(
+                self.node_id, target, kind, payload, deadline=deadline))
+            unacked[target] += 1
 
         def drop(target: str, reason: str) -> None:
             del unacked[target]
-            for future, key in list(staging.pending.items()):
+            for future, (key, _kind) in list(flights.pending.items()):
                 if key == target:
-                    future.cancel(f"hedged write: {reason}")
-            self._abort_remote(target, preps[target].transfer_id, reason)
+                    future.cancel(f"move of {name!r}: {reason}")
+            if target not in chunks:
+                return  # nothing is staged for a single frame
+            try:  # the outcome is advisory: nobody waits for it
+                self._transport.call_async(
+                    self.node_id, target, MessageKind.TRANSFER_ABORT,
+                    TransferAbort(transfer_id=firsts[target].transfer_id,
+                                  reason=reason))
+            except Exception:
+                pass  # the staging GC reaps what the abort cannot reach
 
-        for target, future in staging:
-            if target not in unacked:
-                continue  # a dropped candidate's cancelled frame
-            error = future.exception(0)
-            if error is not None:
-                # One frame failed: this candidate's stream is dead.  Cut
-                # its remaining exchanges loose and drop its partial
-                # staging now rather than leaving it to the TTL reaper.
-                failure = failure or error
-                drop(target, "stream failed")
-                continue
-            if not unacked[target]:  # its PREPARE was acked: stream now
-                for kind, payload in self._chunk_requests(
-                        preps[target].transfer_id, pieces):
-                    staging.add(target, self._transport.call_async(
-                        self.node_id, target, kind, payload, deadline=deadline,
-                    ))
-                    unacked[target] += 1
-                continue
-            unacked[target] -= 1
-            if unacked[target]:
-                continue
-            # Fully staged: commit this candidate, abort the rest.
-            try:
-                ack = self._transport.call(
-                    self.node_id, target, MessageKind.TRANSFER_COMMIT,
-                    TransferCommit(transfer_id=preps[target].transfer_id,
-                                   name=name),
-                    deadline=deadline,
-                )
-                if ack != "ok":
-                    raise MigrationError(
-                        f"target {target!r} rejected commit of {name!r}: "
-                        f"{ack!r}")
-            except Exception as exc:
-                failure = failure or exc
-                drop(target, "commit failed")
-                continue
-            del unacked[target]
-            for loser in list(unacked):
-                drop(loser, f"lost the hedge to {target!r}")
-            return target
-        if failure is not None:
-            raise MigrationError(
-                f"hedged write of {name!r} to {list(preps)} failed"
-            ) from failure
+        def check(target: str, ack: Any) -> None:
+            if ack != "ok":
+                raise MigrationError(
+                    f"target {target!r} rejected transfer of {name!r}: {ack!r}")
+
+        try:
+            for target, first in firsts.items():
+                send(target, MessageKind.TRANSFER_PREPARE if target in chunks
+                     else MessageKind.OBJECT_TRANSFER, first)
+            for (target, kind), future in flights:
+                if target not in unacked:
+                    continue  # a dropped candidate's straggler
+                try:
+                    check(target, future.result(0))
+                    unacked[target] -= 1
+                    if target in chunks:
+                        # The PREPARE's ack opens the window; each chunk's
+                        # ack slides it on by one.
+                        window = (DEFAULT_STREAM_WINDOW if kind is
+                                  MessageKind.TRANSFER_PREPARE else 1)
+                        for chunk in islice(chunks[target], window):
+                            send(target, MessageKind.TRANSFER_CHUNK, chunk)
+                        if unacked[target]:
+                            continue
+                        check(target, self._transport.call(
+                            self.node_id, target, MessageKind.TRANSFER_COMMIT,
+                            TransferCommit(
+                                transfer_id=firsts[target].transfer_id,
+                                name=name),
+                            deadline=deadline))
+                except Exception as exc:
+                    failure = failure or exc
+                    drop(target, "transfer failed")
+                    continue
+                del unacked[target]
+                for loser in list(unacked):
+                    drop(loser, f"lost to {target!r}")
+                return target
+            if unacked:  # the deadline lapsed with frames in flight
+                failure = failure or CallTimeoutError(
+                    f"move of {name!r}: deadline expired in flight")
+        finally:
+            for target in list(unacked):
+                drop(target, "move abandoned")
+        if len(firsts) == 1:
+            raise failure
         raise MigrationError(
-            f"hedged write of {name!r}: deadline expired before any of "
-            f"{list(preps)} finished staging"
-        )
+            f"move of {name!r} to {list(firsts)} failed") from failure
+
+    def _chunks(self, transfer_id: str,
+                pieces: Sequence[bytes]) -> Iterator[TransferChunk]:
+        """Lazy chunk frames over views of ``pieces``."""
+        for index, data in enumerate(_chunk_payloads(pieces, self.chunk_bytes)):
+            yield TransferChunk(transfer_id=transfer_id, index=index, data=data)
 
     def _must_ship(self, target: str, desc: ClassDescriptor) -> bool:
         with self._lock:
@@ -762,29 +668,24 @@ class Mover:
     def receive(self, transfer: ObjectTransfer) -> str:
         """Handle an incoming single-frame OBJECT_TRANSFER; returns ``"ok"``.
 
+        The frame opens and commits its transfer at once: it goes through
+        the same door as a COMMIT (:meth:`_apply`).
+        """
+        return self._apply(transfer.transfer_id,
+                           lambda: (transfer, transfer.state_blob))
+
+    def _apply(self, transfer_id: str, claim: Callable[
+            [], tuple[ObjectTransfer | TransferPrepare, Blob]]) -> str:
+        """Materialize an arrived object; the single door into the store.
+
         Idempotent per ``transfer_id`` so a retransmitted transfer (lost
         ack) cannot materialize two copies.  The id is **reserved on
         entry** (and the reservation released on failure): two concurrent
         retransmissions of one transfer converge on a single apply — the
         loser waits for the winner's outcome instead of racing it through
         the unpack/store window, which used to allow a double-apply.
-        """
-        try:
-            self._transfers.begin_apply(transfer.transfer_id)
-        except _AlreadyApplied:
-            return "ok"
-        try:
-            cls = self._class_for(transfer)
-            obj = self.unpack(cls, transfer.state_blob)
-            self._apply(transfer.name, obj, transfer.shared,
-                        transfer.transfer_id, transfer.tour)
-        finally:
-            self._transfers.end_apply(transfer.transfer_id)
-        return "ok"
-
-    def _apply(self, name: str, obj: Any, shared: bool, transfer_id: str,
-               tour: tuple[str, ...] | None) -> None:
-        """Materialize an arrived object; the single door into the store.
+        ``claim`` then yields the transfer's head (the frame that carried
+        its class and name) and its state blob.
 
         A touring arrival goes to :attr:`tour_hook` once it is in the
         store; a namespace without one refuses the transfer before
@@ -792,20 +693,29 @@ class Mover:
         arrival of an object still departing from here waits for that
         departure to end (:meth:`LockManager.wait_departed`).
         """
-        if tour is not None and self.tour_hook is None:
-            raise MageError(f"node {self.node_id!r} accepts no agents")
-        if not self._locks.wait_departed(name, effective_deadline(None)):
-            raise MigrationError(
-                f"{name!r} is still departing {self.node_id!r}"
-            )
-        self._store.add(name, obj, shared=shared)
-        self._registry.record_arrival(name)
-        self._locks.mark_arrived(name)
-        self._transfers.record_applied(transfer_id)
-        with self._lock:
-            self.moves_in += 1
-        if tour is not None:
-            self.tour_hook(name, tour)
+        if not self._transfers.begin_apply(transfer_id):
+            return "ok"
+        try:
+            head, blob = claim()
+            obj = self.unpack(self._class_for(head), blob)
+            name, tour = head.name, head.tour
+            if tour is not None and self.tour_hook is None:
+                raise MageError(f"node {self.node_id!r} accepts no agents")
+            if not self._locks.wait_departed(name, effective_deadline(None)):
+                raise MigrationError(
+                    f"{name!r} is still departing {self.node_id!r}"
+                )
+            self._store.add(name, obj, shared=head.shared)
+            self._registry.record_arrival(name)
+            self._locks.mark_arrived(name)
+            self._transfers.record_applied(transfer_id)
+            with self._lock:
+                self.moves_in += 1
+            if tour is not None:
+                self.tour_hook(name, tour)
+        finally:
+            self._transfers.end_apply(transfer_id)
+        return "ok"
 
     # -- receiving side: streamed transfers -------------------------------------
 
@@ -847,20 +757,11 @@ class Mover:
         retransmitted COMMIT re-acks); a commit of an incomplete or
         unknown staging raises, leaving the source's copy authoritative.
         """
-        try:
-            self._transfers.begin_apply(commit.transfer_id)
-        except _AlreadyApplied:
-            return "ok"
-        try:
+        def claim() -> tuple[TransferPrepare, Blob]:
             entry = self._transfers.claim_commit(commit, self.node_id)
-            prep = entry.prepare
-            cls = self._class_for(prep)
-            obj = self.unpack(cls, entry.pieces())
-            self._apply(prep.name, obj, prep.shared, commit.transfer_id,
-                        prep.tour)
-        finally:
-            self._transfers.end_apply(commit.transfer_id)
-        return "ok"
+            return entry.prepare, entry.pieces()
+
+        return self._apply(commit.transfer_id, claim)
 
     def abort(self, ab: TransferAbort) -> str:
         """Discard a staged transfer; refused once it committed.
@@ -900,7 +801,3 @@ class Mover:
                 f"for {transfer.class_name!r}"
             )
         return self._classcache.load(desc)
-
-
-class _AlreadyApplied(Exception):
-    """Internal: the transfer id already applied (dedup hit)."""

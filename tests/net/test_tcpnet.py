@@ -186,22 +186,47 @@ class TestConfig:
         threaded through ``Namespace``, ``Node`` and ``Cluster`` that one
         mechanism can do without — an agent's hop is a move, so there is
         no second migration protocol, no one-way kind, no sim-only cast
-        pool, and no class fetch of the agents' own."""
+        pool, and no class fetch of the agents' own.  A move is one
+        sender loop: each frame kind that starts or ends a transfer is
+        sent from one place, and the receiver applies through one door."""
+        import ast
         import inspect
         import re
+        from collections import Counter
         from pathlib import Path
 
         import repro
         from repro.cluster import Cluster
         from repro.cluster.node import Node
+        from repro.runtime.mover import Mover
         from repro.runtime.namespace import Namespace
 
         def arity(cls):
             return len(inspect.signature(cls.__init__).parameters) - 1
 
+        def kinds_in(node):
+            """``MessageKind.X`` in ``node``, not inside a nested call."""
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "MessageKind"):
+                yield node.attr
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, ast.Call):
+                    yield from kinds_in(child)
+
+        def send_sites(path):
+            """``MessageKind.X`` passed to a call, by kind."""
+            return Counter(
+                kind for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call)
+                for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                if not isinstance(arg, ast.Call)
+                for kind in kinds_in(arg))
+
         assert arity(Namespace) <= 8, inspect.signature(Namespace.__init__)
         assert arity(Node) <= 8, inspect.signature(Node.__init__)
         assert arity(Cluster) <= 10, inspect.signature(Cluster.__init__)
+        assert arity(Mover) <= 9, inspect.signature(Mover.__init__)
         gone = re.compile(r"\b(AGENT_HOP|AgentHopPayload|ONEWAY_KINDS"
                           r"|drain_casts|synchronous_casts)\b")
         root = Path(repro.__file__).parent
@@ -209,6 +234,17 @@ class TestConfig:
             assert not gone.findall(path.read_text()), path
         for path in (root / "core").rglob("*.py"):
             assert "CLASS_REQUEST" not in path.read_text(), path
+        mover_sites = send_sites(root / "runtime" / "mover.py")
+        for kind in ("OBJECT_TRANSFER", "TRANSFER_PREPARE", "TRANSFER_COMMIT"):
+            assert mover_sites[kind] == 1, (kind, mover_sites)
+        class_requests = {path.relative_to(root).as_posix(): count
+                          for path in root.rglob("*.py")
+                          if (count := send_sites(path)["CLASS_REQUEST"])}
+        assert class_requests == {"runtime/mover.py": 1,
+                                  "runtime/server.py": 1}, class_requests
+        mover_source = inspect.getsource(Mover)
+        for step in ("begin_apply(", "self.unpack(", "self._store.add("):
+            assert mover_source.count(step) == 1, step
 
     def test_there_is_one_chase_and_one_race(self):
         """The census of the ways to reach a moving object: ``lock``,
