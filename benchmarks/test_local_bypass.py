@@ -3,9 +3,10 @@
 Three comparisons, all at 8 concurrent callers:
 
 * **Colocated invoke** — a stub whose servant lives in the caller's own
-  store, with the tier-1 in-process bypass on vs off (off = the
-  pre-bypass behaviour: marshal, frame, loopback TCP through this node's
-  own listener, unmarshal).  The ladder's headline number: the bypass
+  store, through the tier-1 in-process bypass, against the wire: the
+  same stub on a second node of the same transport (marshal, frame,
+  loopback to the servant's node, unmarshal — a node's call to itself
+  never reaches a socket).  The ladder's headline number: the bypass
   must clear **5x**.
 * **Same-host UDS** — two separate transports on one machine (stand-ins
   for two processes), dialling each other over the tier-2 Unix-domain
@@ -107,18 +108,20 @@ def _best(a: LadderSample, b: LadderSample) -> LadderSample:
 
 def measure_colocated(local_bypass: bool,
                       calls: int = COLOCATED_CALLS) -> LadderSample:
-    """Stub-call rate against a servant in the caller's own store."""
+    """Stub-call rate against a servant in the caller's own store
+    (``local_bypass``), or from a second node of the same transport."""
     net = TcpNetwork()
     net.supports_local_bypass = local_bypass
     try:
-        ns = Namespace("bench", net)
+        home = Namespace("bench", net)
 
         class Adder:
             def add(self, a, b=0):
                 return a + b
 
-        ns.register("adder", Adder())
-        stub = ns.stub("adder")
+        home.register("adder", Adder())
+        ns = home if local_bypass else Namespace("caller", net)
+        stub = ns.stub("adder", location="bench")
         for _ in range(WARMUP_CALLS):
             stub.add(1)
         best = None
@@ -129,6 +132,8 @@ def measure_colocated(local_bypass: bool,
             assert ns.client.local_hits > 0, "bypass never engaged"
         else:
             assert ns.client.local_hits == 0, "wire leg leaked onto bypass"
+            assert ("caller", "bench") in net._channels, \
+                "wire leg never dialled"
         return best
     finally:
         net.shutdown()
@@ -233,7 +238,7 @@ def test_local_bypass(report, ladder):
         "Same-host fast paths -- 8 concurrent callers",
         "(locality tier vs calls/second; speedup over its wire baseline)",
         "",
-        "colocated invoke (tier 1 vs pipelined loopback TCP):",
+        "colocated invoke (tier 1 vs pipelined loopback from a second node):",
         f"  bypass     {bypass.calls_per_s:>10.0f} calls/s   "
         f"p50 {bypass.p50_ms:>6.3f} ms   p99 {bypass.p99_ms:>7.3f} ms",
         f"  wire       {wire.calls_per_s:>10.0f} calls/s   "

@@ -51,6 +51,7 @@ and writes the frame; the reactor resolves the future, so one caller
 can scatter N requests (to one node or to N nodes) and overlap every
 round trip without extra threads, and ``call`` is that future's
 ``result()``.
+
 ``CallFuture.cancel()`` and deadline expiry both *abandon* an in-flight
 exchange the way a timed-out waiter does: the pending reply slot is
 released, the late reply is dropped, and other waiters sharing the
@@ -62,6 +63,16 @@ calls to one peer coalesce into BATCH frames (see :class:`_AutoBatcher`)
 sequential (:class:`~repro.net.message.Batch`) and run by the same
 executor.
 
+**A node's message to itself** (``src == dst``, a node this transport
+serves — a namespace consulting its own registry or lock table) takes
+no socket: ``_submit`` copies it by value through the same envelope
+codec and hands it to the worker pool, which traces and executes it
+exactly as a delivered frame (reply cache, deadline admission, ambient
+deadline) and completes the future with a by-value copy of the reply.
+The future is still in flight when ``call_async`` returns; an emulated
+link does not delay it.  A message to another node served by the same
+transport crosses its socket as usual.
+
 **Data plane.**  Every socket — client channels, server-accepted
 connections, and listeners — is owned by a shared
 :class:`~repro.net.reactor.Reactor`: one ``selectors`` event loop doing
@@ -70,12 +81,13 @@ coalescing queued writes into large sends (see the reactor module
 docstring).  Only the client's HELLO exchange uses the socket in
 blocking mode, before the reactor adopts it.
 
-Handler execution never blocks a reactor loop: frames of every kind are
-dispatched to one bounded worker pool.  When every resident worker is
-busy a submission runs on a temporary overflow thread, so no job — a
-streamed migration's staging write included — waits behind a busy one,
-and a nested call made by a blocked handler (moves trigger
-OBJECT_TRANSFER, finds walk forwarding chains) can always be dispatched.
+Handler execution never blocks a reactor loop: frames of every kind,
+and every self delivery, are dispatched to one bounded worker pool.
+When every resident worker is busy a submission runs on a temporary
+overflow thread, so no job — a streamed migration's staging write
+included — waits behind a busy one, and a nested call made by a blocked
+handler (moves trigger OBJECT_TRANSFER, finds walk forwarding chains)
+can always be dispatched.
 Handlers declared :func:`~repro.net.message.inline_safe` run their
 allowlisted kinds on the loop thread itself, under a per-call time
 budget.  An emulated link (``latency_ms``, ``bandwidth_mbps``) holds
@@ -104,6 +116,7 @@ import socket
 import threading
 import time
 from collections import deque
+from typing import Callable
 
 from repro.errors import (
     CallTimeoutError,
@@ -268,6 +281,33 @@ def _transmittable_error_payload(payload: ReplyPayload) -> ReplyPayload:
         )
 
 
+def _envelope(message: Message) -> tuple[list[bytes | memoryview], int]:
+    """``message`` as binary-envelope buffers, and their total size.
+
+    Raises :class:`MarshalError` for a payload the codec cannot encode
+    or an envelope larger than one frame may carry.
+    """
+    try:
+        parts = wirecodec.encode_envelope(message)
+    except Exception as exc:
+        raise MarshalError(
+            f"cannot encode {message.describe()}: {exc}") from exc
+    nbytes = sum(len(part) for part in parts)
+    if nbytes > _MAX_FRAME:
+        raise MarshalError(f"message too large: {nbytes} bytes")
+    return parts, nbytes
+
+
+def _copy_by_value(message: Message) -> bytes:
+    """``message``'s envelope as one contiguous copy, for self delivery.
+
+    The same bytes the wire would carry, with every zero-copy segment
+    joined in: decoding them later yields a message that shares nothing
+    with ``message``, and later changes to its payload do not reach it.
+    """
+    return b"".join(_envelope(message)[0])
+
+
 def _encode_frame(message: Message,
                   compress: bool) -> "bytes | list[bytes | memoryview]":
     """One wire-ready frame: header word + binary envelope.
@@ -282,14 +322,7 @@ def _encode_frame(message: Message,
     codec fails to shrink is sent raw — the header is self-describing,
     so the receiver never needs to know what the sender attempted.
     """
-    try:
-        parts = wirecodec.encode_envelope(message)
-    except Exception as exc:
-        raise MarshalError(
-            f"cannot encode {message.describe()}: {exc}") from exc
-    nbytes = sum(len(part) for part in parts)
-    if nbytes > _MAX_FRAME:
-        raise MarshalError(f"message too large: {nbytes} bytes")
+    parts, nbytes = _envelope(message)
     ident = codec.choose(nbytes, compress)
     if ident != codec.RAW:
         body = codec.encode(ident, b"".join(parts))
@@ -1053,12 +1086,15 @@ class _WorkerPool:
         self._resident = 0
         self._closed = False
 
-    def submit(self, fn, *args) -> None:
+    def submit(self, fn, *args) -> bool:
+        """Queue ``fn(*args)``; ``False`` when the pool is closed and
+        refused the job (it will never run)."""
         with self._lock:
             if self._closed:
-                return
+                return False
             self._jobs.append((fn, args))
             self._arm_locked()
+        return True
 
     def _arm_locked(self) -> None:
         """Ensure one agent is on its way to pop; callers hold the lock."""
@@ -1129,17 +1165,22 @@ class _WorkerPool:
                 if self._jobs:
                     self._arm_locked()
 
-    def close(self) -> None:
+    def close(self) -> list[tuple]:
+        """Refuse new jobs and stop the workers; returns the ``(fn,
+        args)`` jobs still queued, which will never run."""
         with self._lock:
             self._closed = True
+            dropped = list(self._jobs)
             self._jobs.clear()
             self._wakeup.notify_all()
+        return dropped
 
 
 class _ServerConn:
     """Reactor-side state for one accepted server connection."""
 
-    __slots__ = ("conn", "hello", "compress", "closed", "link_free_at")
+    __slots__ = ("conn", "hello", "compress", "closed", "link_free_at",
+                 "answer")
 
     def __init__(self, compress: bool) -> None:
         self.conn: Connection | None = None
@@ -1154,6 +1195,9 @@ class _ServerConn:
         self.compress = compress
         self.closed = False  # torn down: frames still on the link are dropped
         self.link_free_at = 0.0  # emulated wire busy until (loop thread)
+        #: ``answer(request, payload)`` sends a reply on this connection
+        #: (set by the server that accepted it).
+        self.answer: Callable[[Message, ReplyPayload], None] | None = None
 
 
 class _NodeServer:
@@ -1242,6 +1286,8 @@ class _NodeServer:
 
     def _on_accept(self, sock: socket.socket) -> None:
         state = _ServerConn(compress=not _is_unix(sock))
+        state.answer = lambda message, payload: self._send_reply(
+            state, message, payload)
         conn = self._reactor.add_connection(
             sock,
             lambda ident, body, wire: self._on_frame(state, ident, body, wire),
@@ -1292,7 +1338,7 @@ class _NodeServer:
                 and self._inline_eligible(frame):
             self._dispatch_inline(state, frame)
             return
-        self._pool.submit(self._dispatch, state, frame)
+        self._pool.submit(self._dispatch, frame, state.answer)
 
     def _accept_hello(self, state: _ServerConn, ident: int,
                       body: FrameBody) -> None:
@@ -1353,7 +1399,7 @@ class _NodeServer:
         if frame.kind is MessageKind.BATCH:
             budget *= len(frame.payload.subs)
         start = time.monotonic()
-        self._dispatch(state, frame, inline=True)
+        self._dispatch(frame, state.answer, inline=True)
         elapsed = time.monotonic() - start
         self._call_metrics.record_inline()
         if elapsed <= budget:
@@ -1370,10 +1416,14 @@ class _NodeServer:
         with self._conn_lock:
             self._conns.discard(state)
 
-    def _dispatch(self, state: _ServerConn, message: Message,
+    def _dispatch(self, message: Message,
+                  answer: Callable[[Message, ReplyPayload], None],
                   inline: bool = False) -> None:
-        """Execute one frame and send its reply (a worker, or the loop).
+        """Execute one frame and hand its reply to ``answer`` (a worker,
+        or the loop).
 
+        ``answer(message, payload)`` is a connection's reply sender, or
+        the transport's self delivery (:meth:`TcpNetwork._deliver_self`).
         A pooled dispatch lets a batch of independent subs fan back out
         across the pool (:meth:`Transport.execute_batch`); ``inline`` —
         the loop thread — runs them in order where it stands.
@@ -1382,7 +1432,7 @@ class _NodeServer:
                 and isinstance(message.payload, Batch):
             Transport.execute_batch(
                 message, self._execute,
-                lambda payload: self._send_reply(state, message, payload),
+                lambda payload: answer(message, payload),
                 None if inline else self._pool.submit,
             )
             return
@@ -1391,7 +1441,7 @@ class _NodeServer:
         payload = self._execute(message)
         if message.oneway:
             return  # a cast carries no reply frame
-        self._send_reply(state, message, payload)
+        answer(message, payload)
 
     def _execute(self, message: Message) -> ReplyPayload:
         """One request — a whole frame or a batch's sub — to its outcome."""
@@ -1827,23 +1877,31 @@ class TcpNetwork(Transport):
     def _submit(self, message: Message,
                 future: _PipelinedCallFuture | None = None,
                 coalesce: bool = True) -> None:
-        """Put one frame on the wire: the only way anything is sent.
+        """Send one frame: the only way anything is sent.
 
-        Gets (or dials) the peer's channel, parks ``future`` and submits
-        the frame — through the channel's auto-batcher when it has one,
-        the kind is batchable and ``coalesce`` is on; a one-way message
-        has no ``future`` and is simply written.  A
-        channel may have died since its last use (the peer re-registered
-        or unregistered): ``_ChannelClosedError`` means the frame
-        provably never left this side, so redialling once and resending
-        preserves at-most-once.  A refused dial, or a second dead
-        channel, raises (:class:`NodeUnreachableError` /
+        A message a served node addresses to itself never touches a
+        socket: it goes to :meth:`_submit_self`.  For any other
+        destination, this gets (or dials) the peer's channel, parks
+        ``future`` and submits the frame — through the channel's
+        auto-batcher when it has one, the kind is batchable and
+        ``coalesce`` is on; a one-way message has no ``future`` and is
+        simply written.  A channel may have died since its last use (the
+        peer re-registered or unregistered): ``_ChannelClosedError``
+        means the frame provably never left this side, so redialling
+        once and resending preserves at-most-once.  A refused dial, or
+        a second dead channel, raises (:class:`NodeUnreachableError` /
         :class:`ProtocolMismatchError`) after tracing the drop of a
         one-way send; an unencodable payload raises
         :class:`MarshalError` with nothing parked.  Anything that goes
         wrong *after* the frame left reaches the future instead, through
         the channel.
         """
+        if message.dst == message.src:
+            with self._lock:
+                server = self._servers.get(message.dst)
+            if server is not None:
+                self._submit_self(server, message, future)
+                return
         for _ in range(2):
             try:
                 channel = self._channel(message.src, message.dst)
@@ -1869,6 +1927,55 @@ class TcpNetwork(Transport):
                 continue  # frame provably never left; reconnect and resend
         self._record_drop(message)
         raise NodeUnreachableError(message.dst, "connection lost before send")
+
+    def _submit_self(self, server: _NodeServer, message: Message,
+                     future: _PipelinedCallFuture | None) -> None:
+        """Deliver a message ``server``'s node sends itself, off the wire.
+
+        A node consulting its own registry or lock table is a local
+        interaction (the simulated network prices it at ``local_ms``), so
+        no channel is dialled and no emulated link delays it.  The
+        request is copied by value here, on the caller's thread — it is
+        what the wire would have carried at submission, and an
+        unencodable payload raises :class:`MarshalError` with nothing
+        queued, as :meth:`_Channel.submit` does — and handed to the
+        worker pool, so the future is genuinely in flight: a self
+        LOCK_REQUEST queued behind a held lock holds back no other
+        candidate of a chase, and a timeout or cancel abandons it
+        (``future._channel`` stays ``None``: there is nothing to
+        release).  A pool that has closed refuses the job, and the call
+        fails at once with :class:`NodeUnreachableError`.
+        """
+        blob = _copy_by_value(message)
+        if not self._pool.submit(self._deliver_self, server, blob, future):
+            self._record_drop(message)
+            raise NodeUnreachableError(message.dst, "transport shut down")
+
+    def _deliver_self(self, server: _NodeServer, blob: bytes,
+                      future: _PipelinedCallFuture | None) -> None:
+        """Pool job: run one self-addressed request as a socket delivery
+        would — decoded from its envelope, traced with the size the wire
+        would have measured, and executed by :meth:`_NodeServer._dispatch`
+        (reply cache, deadline admission, ambient deadline, batches).  A
+        cast ends there; a call's reply goes through the same error guard
+        and envelope round trip as a reply frame, then completes
+        ``future``."""
+        try:
+            request = wirecodec.decode_envelope(blob)
+            self.trace.record(request, self.clock.now_ms(),
+                              nbytes=HEADER.size + len(blob))
+
+            def answer(message: Message, payload: ReplyPayload) -> None:
+                reply = message.reply(_transmittable_error_payload(payload))
+                reply_blob = _copy_by_value(reply)
+                self.trace.record(reply, self.clock.now_ms(),
+                                  nbytes=HEADER.size + len(reply_blob))
+                future.resolve(wirecodec.decode_envelope(reply_blob))
+
+            server._dispatch(request, answer)
+        except Exception as exc:
+            if future is not None:
+                future._fail(exc)
 
     def _transmit_async(self, message: Message) -> CallFuture:
         """Native futures on the channel's waiter mechanism.
@@ -1901,8 +2008,8 @@ class TcpNetwork(Transport):
         fails its own future, never its group.  On the worker pool:
         rescue dials a fresh connection, which may block, and the thread
         asking may be the reactor loop (a reply-clocked flush).  After
-        shutdown the pool drops the job silently; the affected callers
-        then time out against a transport that is gone anyway.
+        shutdown the pool refuses the job and every future fails with
+        :class:`NodeUnreachableError`.
         """
         def resubmit() -> None:
             for message, future in items:
@@ -1911,8 +2018,10 @@ class TcpNetwork(Transport):
                 except Exception as exc:
                     future._fail(exc)
 
-        if items:
-            self._pool.submit(resubmit)
+        if items and not self._pool.submit(resubmit):
+            for message, future in items:
+                future._fail(NodeUnreachableError(
+                    message.dst, "transport shut down"))
 
     def _transmit_oneway(self, message: Message) -> None:
         self._submit(message)
@@ -1931,5 +2040,8 @@ class TcpNetwork(Transport):
             channel.close()
         for server in servers:
             server.close()
-        self._pool.close()
+        for fn, args in self._pool.close():
+            future = args[-1] if fn == self._deliver_self else None
+            if future is not None:
+                future.fail(ConnectionError("transport shut down"))
         self._reactor.close()

@@ -225,7 +225,10 @@ class MageServer:
 
         Modelled as a FIND message to this namespace's own registry so the
         consultation appears in traces exactly as Figure 7 draws its
-        messages 1 and 2.  ``verify=False`` accepts the local forwarding
+        messages 1 and 2.  The message is local on every transport: the
+        simulated network prices it at its local latency, and TCP hands
+        it to this node's own worker pool without touching a socket.
+        ``verify=False`` accepts the local forwarding
         table's (possibly stale) answer without walking the chain — the
         thin fast path the RPC attribute rides.
 

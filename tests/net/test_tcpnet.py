@@ -12,6 +12,17 @@ from repro.net.message import Message, MessageKind
 from repro.net.tcpnet import TcpNetwork
 
 
+class _Tally:
+    """A mobile servant for the census's TCP cluster."""
+
+    def __init__(self):
+        self.n = 0
+
+    def bump(self):
+        self.n += 1
+        return self.n
+
+
 @pytest.fixture
 def net():
     network = TcpNetwork()
@@ -245,6 +256,26 @@ class TestConfig:
         mover_source = inspect.getsource(Mover)
         for step in ("begin_apply(", "self.unpack(", "self._store.add("):
             assert mover_source.count(step) == 1, step
+        # A node's message to itself never dials its own listener: the
+        # paper's operations over TCP open no ``(n, n)`` channel.
+        dialled = []
+        cluster = Cluster(["lab", "field"], transport="tcp")
+        channel = cluster.transport._channel
+        cluster.transport._channel = lambda src, dst: (
+            dialled.append((src, dst)) or channel(src, dst))
+        try:
+            lab = cluster["lab"].namespace
+            lab.register("c", _Tally())
+            assert lab.find("c") == "lab"
+            lab.unlock(lab.lock("c", "lab"))
+            assert lab.stub("c").bump() == 1
+            lab.move("c", "field")
+            assert lab.find("c") == "field"
+            lab.unlock(lab.lock("c", "field"))
+        finally:
+            cluster.shutdown()
+        assert ("lab", "field") in dialled
+        assert not [key for key in dialled if key[0] == key[1]], dialled
 
     def test_there_is_one_chase_and_one_race(self):
         """The census of the ways to reach a moving object: ``lock``,

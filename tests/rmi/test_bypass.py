@@ -2,12 +2,20 @@
 
 The heart of this file is the parametrized semantic-equivalence suite:
 every test in :class:`TestInvokeSemantics` runs the same invoke matrix
-through the classic wire path (``supports_local_bypass`` cleared on the
-transport — loopback TCP to this node's own listener, the pre-bypass
-behaviour) and through the tier-1 bypass, asserting *identical
-observable outcomes* — by-value argument/result isolation, failure
-envelopes, deadline admission and propagation, cancellation.  A fixture postcondition then proves each leg
-actually took the path it claims to cover.
+down three legs and asserts *identical observable outcomes* — by-value
+argument/result isolation, failure envelopes, deadline admission and
+propagation, cancellation:
+
+* ``wire`` — the stub lives on a second node ``n0`` of the same
+  transport and calls ``n1`` over loopback (the only way a call reaches
+  a socket: a node's message to itself never does);
+* ``self`` — ``n1``'s own stub with ``supports_local_bypass`` cleared:
+  an INVOKE the node sends itself, delivered by value through its own
+  worker pool;
+* ``bypass`` — ``n1``'s own stub through the tier-1 in-process bypass.
+
+A fixture postcondition then proves each leg actually took the path it
+claims to cover.
 """
 
 import time
@@ -67,28 +75,38 @@ class MatrixServant:
         return "done"
 
 
-@pytest.fixture(params=["wire", "bypass"])
+@pytest.fixture(params=["wire", "self", "bypass"])
 def path(request):
-    """One namespace on real TCP, with the bypass off ("wire") or on."""
+    """A servant on ``n1`` of real TCP, called down one leg (module
+    docstring): ``ns`` is the calling namespace."""
     net = TcpNetwork()
     net.supports_local_bypass = request.param == "bypass"
-    ns = Namespace("n1", net)
+    home = Namespace("n1", net)
     servant = MatrixServant()
-    ns.register("subject", servant)
+    home.register("subject", servant)
+    ns = Namespace("n0", net) if request.param == "wire" else home
     leg = SimpleNamespace(
         kind=request.param, net=net, ns=ns, servant=servant,
-        stub=ns.stub("subject"),
+        stub=ns.stub("subject", location="n1"),
         ref=RemoteRef(node_id="n1", name="subject"),
     )
     yield leg
     # Postcondition: each leg provably takes the path it claims to test.
     before = ns.client.local_hits
+    invokes = len(net.trace.filtered(kinds=["INVOKE"]))
     assert leg.stub.add(20, b=2) == 22
     after = ns.client.local_hits
     if request.param == "bypass":
         assert after == before + 1, "bypass leg skipped the in-process path"
     else:
-        assert after == before == 0, "wire leg leaked onto the bypass"
+        assert after == before == 0, \
+            f"{request.param} leg leaked onto the bypass"
+    if request.param == "wire":
+        assert ("n0", "n1") in net._channels, "wire leg never dialled n1"
+        carried = net.trace.filtered(kinds=["INVOKE"])[invokes:]
+        assert [(e.src, e.dst) for e in carried] == [("n0", "n1")]
+    else:
+        assert ("n1", "n1") not in net._channels, "self call took a socket"
     net.shutdown()
 
 
