@@ -19,7 +19,6 @@ from typing import Any, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.cluster.node import Node
-from repro.core.agents import wait_for_tours
 from repro.net.conditions import LatencyModel, LossModel
 from repro.net.deadline import Deadline
 from repro.net.message import MessageKind
@@ -132,11 +131,12 @@ class Cluster:
         return node
 
     def quiesce(self, timeout_s: float = 30.0) -> None:
-        """Wait until no agent tour step is queued or running on any node
-        of this cluster's transport (§3.5's asynchrony: each node's agent
-        runner carries a tour on after its first hop returned).  Raises
-        :class:`~repro.errors.MageError` after ``timeout_s``."""
-        wait_for_tours(self.transport, timeout_s)
+        """Let every posted job finish — the agent steps that carry a tour
+        on after its first hop returned (§3.5's asynchrony) — see
+        :meth:`Transport.quiesce`.  On the simulated network they run here,
+        on this thread.  Raises :class:`~repro.errors.MageError` after
+        ``timeout_s``."""
+        self.transport.quiesce(timeout_s)
 
     # -- scatter-gather fan-out ----------------------------------------------------
 

@@ -97,8 +97,8 @@ class Node:
         return self.membership.join(seed, seed_endpoint)
 
     def shutdown(self) -> None:
-        """Stop the agent runner, then detach this node from the transport."""
-        self.agents.shutdown()
+        """Stop the membership service, then detach this node from the
+        transport; an agent step posted for it is then dropped."""
         self.membership.stop()
         self.namespace.shutdown()
 

@@ -18,23 +18,23 @@ A tour is a sequence of moves (DESIGN.md, "Agents").  Each hop is
 :meth:`Mover.move_out` with the remaining stops riding in the transfer,
 so it is acked, deduplicated, retried and streamed like any move, and a
 hop that fails leaves the agent where it is.  The receiving mover hands
-``(name, tour)`` to that node's :class:`AgentManager`, which queues the
+``(name, tour)`` to that node's :class:`AgentManager`, which posts the
 agent's step — its arrival hook, then its next hop or its completion
-hook — for its one runner thread.  That queue is MA's asynchrony: a hop
-returns once the agent has landed, not once the tour is over.
+hook — to the transport (:meth:`Transport.post`).  That post is MA's
+asynchrony: a hop returns once the agent has landed, not once the tour
+is over.  The simulated network runs posted steps, in order, when
+``quiesce`` is called; TCP runs them on its worker pool.  A receiver
+posts its step before it acks and the sender's step ends only after
+the ack, so ``quiesce`` cannot see a tour idle between two stops.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import LockError, MageError
 from repro.net.message import MessageKind
-from repro.net.transport import Transport
 from repro.rmi.protocol import AgentLaunch
 from repro.runtime.namespace import Namespace
 
@@ -82,71 +82,16 @@ class AgentContext:
         return self.runtime.query_load(node_id)
 
 
-class _Steps:
-    """The tour steps queued or running on every manager of one transport.
-
-    One count, not one per runner: a receiver counts its step before it
-    acks and the sender's step ends only after the ack, so the count
-    cannot read zero between two stops of a tour.
-    """
-
-    def __init__(self) -> None:
-        self._idle = threading.Condition()
-        self._count = 0
-
-    def begin(self) -> None:
-        with self._idle:
-            self._count += 1
-
-    def end(self) -> None:
-        with self._idle:
-            self._count -= 1
-            if not self._count:
-                self._idle.notify_all()
-
-    def wait_idle(self, timeout_s: float) -> bool:
-        with self._idle:
-            return self._idle.wait_for(lambda: not self._count, timeout_s)
-
-
-#: Each transport's count, created with its first manager and dropped
-#: with the transport: the nodes of one cluster share it, nothing else.
-_STEPS: "weakref.WeakKeyDictionary[Transport, _Steps]" = weakref.WeakKeyDictionary()
-_STEPS_LOCK = threading.Lock()
-
-
-def _steps_on(transport: Transport) -> _Steps:
-    with _STEPS_LOCK:
-        return _STEPS.setdefault(transport, _Steps())
-
-
-def wait_for_tours(transport: Transport, timeout_s: float = 30.0) -> None:
-    """Block until no tour step is queued or running on any node of
-    ``transport`` (``Cluster.quiesce``); raises :class:`MageError` after
-    ``timeout_s``."""
-    if not _steps_on(transport).wait_idle(timeout_s):
-        raise MageError(f"agent tours still running after {timeout_s}s")
-
-
-#: A queued step: agent name, stops after this one, lock token.
-_Step = tuple[str, tuple[str, ...], str]
-
-
 class AgentManager:
-    """Per-namespace tour runner: the first hop of each tour started here,
+    """Per-namespace tour steps: the first hop of each tour started here,
     and the step of each agent that arrives here (module docstring)."""
 
     def __init__(self, namespace: Namespace) -> None:
         self.ns = namespace
         #: Tours that ended early here: a hop or an arrival hook failed.
         self.tours_failed = 0
-        self._steps = _steps_on(namespace.transport)
-        self._queue: queue.SimpleQueue[_Step | None] = queue.SimpleQueue()
-        self._runner: threading.Thread | None = None
-        self._runner_lock = threading.Lock()
-        self._closed = False
         namespace.external.install_agent_handlers(self._on_launch)
-        namespace.mover.tour_hook = self._enqueue
+        namespace.mover.tour_hook = self._post
 
     # -- initiating tours -------------------------------------------------------
 
@@ -196,37 +141,24 @@ class AgentManager:
         self.start_tour(payload.name, payload.itinerary, payload.lock_token)
         return "touring"
 
-    # -- the runner ------------------------------------------------------------------
+    # -- steps ----------------------------------------------------------------------
 
-    def _enqueue(self, name: str, tour: tuple[str, ...],
-                 lock_token: str = "") -> None:
-        """Queue ``name``'s step, starting the runner on first use.
+    def _post(self, name: str, tour: tuple[str, ...],
+              lock_token: str = "") -> None:
+        """Post ``name``'s step to the transport.  The mover calls this
+        inside the transfer handler, after the agent landed, so it never
+        raises."""
+        self.ns.transport.post(lambda: self._run(name, tour, lock_token))
 
-        The mover calls this inside the transfer handler, after the agent
-        landed, so it never raises.  After :meth:`shutdown` the step is
-        dropped and the agent stays hosted here.
-        """
-        with self._runner_lock:
-            if self._closed:
-                return
-            if self._runner is None:
-                self._runner = threading.Thread(
-                    target=self._run, daemon=True,
-                    name=f"agent-runner-{self.ns.node_id}",
-                )
-                self._runner.start()
-            self._steps.begin()
-            self._queue.put((name, tour, lock_token))
-
-    def _run(self) -> None:
-        while (item := self._queue.get()) is not None:
-            try:
-                if not self._closed:
-                    self._step(*item)
-            except Exception:
-                self.tours_failed += 1
-            finally:
-                self._steps.end()
+    def _run(self, name: str, tour: tuple[str, ...], lock_token: str) -> None:
+        """A posted step.  On a node that has shut down it is dropped and
+        the agent stays hosted here."""
+        if not self.ns.running:
+            return
+        try:
+            self._step(name, tour, lock_token)
+        except Exception:
+            self.tours_failed += 1
 
     def _step(self, name: str, tour: tuple[str, ...], lock_token: str) -> None:
         """One stop of a tour: the arrival hook, then the next hop (or the
@@ -252,21 +184,9 @@ class AgentManager:
             if callable(on_complete):
                 on_complete(ctx)
         elif tour[0] == self.ns.node_id:
-            self._enqueue(name, tour[1:], lock_token)
+            self._post(name, tour[1:], lock_token)
         else:
             self.ns.mover.move_out(name, tour[0], lock_token, tour=tour[1:])
-
-    def shutdown(self) -> None:
-        """Stop the runner after its current step (idempotent).  Steps
-        still queued are dropped; their agents stay hosted here."""
-        with self._runner_lock:
-            self._closed = True
-            runner = self._runner
-        if runner is None:
-            return
-        self._queue.put(None)
-        if runner is not threading.current_thread():
-            runner.join()
 
 
 def agent_manager_for(namespace: Namespace) -> AgentManager:

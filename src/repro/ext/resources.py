@@ -94,8 +94,8 @@ class MeteredNamespace:
     instantiation) takes one ``object_slots`` unit before the inner
     handler runs, gives it back if the handler fails, and otherwise
     makes its object a *tenant* holding that slot.  Objects leave by
-    many paths — a MOVE_REQUEST, an agent's next hop from the agent
-    runner, an unregistration — so before each admission the tenants no
+    many paths — a MOVE_REQUEST, an agent's next hop from a posted
+    step, an unregistration — so before each admission the tenants no
     longer in the store give their slots back.  Only tenants do: a local
     resident never held a slot, and an admission still in its handler
     keeps its own.

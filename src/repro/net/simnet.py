@@ -10,8 +10,9 @@ Properties that matter for the reproduction:
 * **Determinism** — with the default ``NoLoss``/``ConstantLatency`` models
   a run produces an identical message trace every time, which the figure
   benches rely on.  Every delivery, a cast's included, runs its handler
-  on the sender's thread; the one asynchrony in the runtime — an agent's
-  tour — lives in :mod:`repro.core.agents`, not here.
+  on the sender's thread, and posted work (an agent's next step) waits in
+  one FIFO until :meth:`SimNetwork.quiesce` runs it on the caller's
+  thread, so a run with agent tours is single-threaded too.
 * **Calibration** — the default latency (10 ms one-way) makes a
   request/reply pair cost 20 virtual ms, matching the paper's amortized
   RMI round trip, so Table 3's shape reproduces from first principles
@@ -58,8 +59,11 @@ rankings.
 from __future__ import annotations
 
 import threading
+import time
+from collections import deque
+from typing import Callable
 
-from repro.errors import MessageLostError, NodeUnreachableError
+from repro.errors import MageError, MessageLostError, NodeUnreachableError
 from repro.net.conditions import ConstantLatency, LatencyModel, LossModel, NoLoss
 from repro.net.message import Message
 from repro.net.trace import MessageTrace
@@ -93,6 +97,9 @@ class SimNetwork(Transport):
         self._partitions: set[frozenset[str]] = set()
         self._state_lock = threading.RLock()
         self._attempt_counts: dict[str, int] = {}
+        #: Posted jobs not yet run: at most one step per touring agent,
+        #: plus one release per stray lock grant.
+        self._posted: deque[Callable[[], None]] = deque()
 
     # -- node management ----------------------------------------------------
 
@@ -139,18 +146,41 @@ class SimNetwork(Transport):
         with self._state_lock:
             self._partitions.clear()
 
+    # -- deferred work ----------------------------------------------------------
+
+    def post(self, fn: Callable[[], None]) -> None:
+        """Queue ``fn`` for the next :meth:`quiesce`."""
+        self._posted.append(fn)
+
+    def quiesce(self, timeout_s: float = 30.0) -> None:
+        """Run the posted jobs on this thread, in posting order, until none
+        is left; raises :class:`MageError` once ``timeout_s`` of wall time
+        has passed with jobs still queued (a runaway tour)."""
+        deadline = time.monotonic() + timeout_s
+        while self._posted:
+            if time.monotonic() > deadline:
+                raise MageError(f"posted work still running after {timeout_s}s")
+            try:
+                self._posted.popleft()()
+            except Exception:
+                pass
+
     # -- delivery -------------------------------------------------------------
 
     def _endpoint_for(self, message: Message) -> _Endpoint:
+        """``message.dst``'s endpoint; an unreachable destination is traced
+        as a drop, as TCP's refused dial is, before this raises."""
         with self._state_lock:
             if message.dst in self._crashed:
-                raise NodeUnreachableError(message.dst, "crashed")
-            if frozenset((message.src, message.dst)) in self._partitions:
-                raise NodeUnreachableError(message.dst, "partitioned from " + message.src)
-            endpoint = self._endpoints.get(message.dst)
-        if endpoint is None:
-            raise NodeUnreachableError(message.dst, "not registered")
-        return endpoint
+                reason = "crashed"
+            elif frozenset((message.src, message.dst)) in self._partitions:
+                reason = "partitioned from " + message.src
+            elif (endpoint := self._endpoints.get(message.dst)) is None:
+                reason = "not registered"
+            else:
+                return endpoint
+        self.trace.record(message, self.clock.now_ms(), dropped=True)
+        raise NodeUnreachableError(message.dst, reason)
 
     def _send_one(self, message: Message) -> None:
         """Charge latency and apply the loss model to one transmission."""
@@ -184,14 +214,7 @@ class SimNetwork(Transport):
         return reply
 
     def _transmit_oneway(self, message: Message) -> None:
-        try:
-            endpoint = self._endpoint_for(message)
-        except NodeUnreachableError:
-            # Match the TCP transport: an undeliverable one-way send is
-            # recorded as a drop before it vanishes (``cast``'s contract
-            # that "the trace still records drops").
-            self.trace.record(message, self.clock.now_ms(), dropped=True)
-            raise
+        endpoint = self._endpoint_for(message)
         self._send_one(message)
         try:
             endpoint.handler(message)
@@ -201,4 +224,5 @@ class SimNetwork(Transport):
             pass
 
     def shutdown(self) -> None:
-        """Nothing to release: every delivery runs on its sender's thread."""
+        """Nothing to release: every delivery runs on its sender's thread,
+        and every posted job on the thread that quiesces."""

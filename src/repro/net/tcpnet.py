@@ -82,7 +82,8 @@ docstring).  Only the client's HELLO exchange uses the socket in
 blocking mode, before the reactor adopts it.
 
 Handler execution never blocks a reactor loop: frames of every kind,
-and every self delivery, are dispatched to one bounded worker pool.
+every self delivery and every :meth:`TcpNetwork.post` job are
+dispatched to one bounded worker pool.
 When every resident worker is busy a submission runs on a temporary
 overflow thread, so no job — a streamed migration's staging write
 included — waits behind a busy one, and a nested call made by a blocked
@@ -121,6 +122,7 @@ from typing import Callable
 from repro.errors import (
     CallTimeoutError,
     ConfigurationError,
+    MageError,
     MarshalError,
     NodeUnreachableError,
     ProtocolMismatchError,
@@ -1466,9 +1468,12 @@ class _NodeServer:
         reply = message.reply(_transmittable_error_payload(payload))
         try:
             wire = _encode_frame(reply, state.compress)
-        except MarshalError:
-            self._trace.record(reply, self._clock.now_ms())
-            raise
+        except MarshalError as exc:
+            # The caller gets the error the self path raises, at once,
+            # instead of waiting out its io timeout.
+            reply = message.reply(
+                _transmittable_error_payload(ReplyPayload(error=exc)))
+            wire = _encode_frame(reply, state.compress)
         self._trace.record(reply, self._clock.now_ms(),
                            nbytes=_frame_nbytes(wire))
         try:
@@ -1601,6 +1606,11 @@ class TcpNetwork(Transport):
         self._channels: dict[tuple[str, str], _Channel] = {}
         self._chan_lock = threading.Lock()
         self._pool = _WorkerPool(_SERVER_WORKERS, "tcpnet")
+        #: Posted jobs queued or running on the pool: at most two steps
+        #: per touring agent (a hop's receiver posts the next before the
+        #: running one ends), plus one release per stray lock grant.
+        self._posted = 0
+        self._posted_idle = threading.Condition()
         self._reactor = Reactor(max_frame=_MAX_FRAME, name="tcpnet")
 
     # -- node management ----------------------------------------------------
@@ -2026,6 +2036,36 @@ class TcpNetwork(Transport):
     def _transmit_oneway(self, message: Message) -> None:
         self._submit(message)
 
+    # -- deferred work ----------------------------------------------------------
+
+    def post(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` on the worker pool, whose overflow drainers serve a
+        job blocked on nested calls; after :meth:`shutdown` it is dropped."""
+        with self._posted_idle:
+            self._posted += 1
+        if not self._pool.submit(self._run_posted, fn):
+            self._posted_done()
+
+    def _run_posted(self, fn: Callable[[], None]) -> None:
+        try:
+            fn()
+        finally:
+            self._posted_done()
+
+    def _posted_done(self) -> None:
+        with self._posted_idle:
+            self._posted -= 1
+            if not self._posted:
+                self._posted_idle.notify_all()
+
+    def quiesce(self, timeout_s: float = 30.0) -> None:
+        """Wait until no posted job is queued or running (why a tour never
+        reads idle between two stops: :mod:`repro.core.agents`)."""
+        with self._posted_idle:
+            if not self._posted_idle.wait_for(lambda: not self._posted,
+                                              timeout_s):
+                raise MageError(f"posted work still running after {timeout_s}s")
+
     # -- lifecycle -------------------------------------------------------------
 
     def shutdown(self) -> None:
@@ -2041,7 +2081,8 @@ class TcpNetwork(Transport):
         for server in servers:
             server.close()
         for fn, args in self._pool.close():
-            future = args[-1] if fn == self._deliver_self else None
-            if future is not None:
-                future.fail(ConnectionError("transport shut down"))
+            if fn == self._run_posted:
+                self._posted_done()
+            elif fn == self._deliver_self and args[-1] is not None:
+                args[-1].fail(ConnectionError("transport shut down"))
         self._reactor.close()

@@ -32,6 +32,11 @@ send from receive (the pipelined TCP transport) override
 :meth:`Transport._transmit_async` to return a genuinely in-flight future,
 so N futures to N nodes overlap their round trips.
 
+Deferred work has one door, :meth:`Transport.post`, and
+:meth:`Transport.quiesce` waits it out: the simulated network queues
+posted jobs and runs them, in posting order, on the thread that calls
+``quiesce``; the TCP transport runs them on its worker pool.
+
 Reliability: §4.3 requires protocols to "recover from message loss", so
 ``call`` retries lost transmissions up to a budget.  Because a reply can be
 lost *after* the handler ran, every node's dispatch path is wrapped in a
@@ -758,6 +763,23 @@ class Transport(ABC):
     @abstractmethod
     def nodes(self) -> list[str]:
         """Currently registered node ids."""
+
+    # -- deferred work ------------------------------------------------------
+
+    @abstractmethod
+    def post(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` later, off the caller's thread of control.
+
+        The one way the runtime defers work — an agent's next step, the
+        release of a stray lock grant.  A job's exception is dropped: a
+        job reports its own failures.
+        """
+
+    @abstractmethod
+    def quiesce(self, timeout_s: float = 30.0) -> None:
+        """Return once no posted job is queued or running, the jobs those
+        jobs post included; raises :class:`~repro.errors.MageError` after
+        ``timeout_s``.  Never call it from a posted job."""
 
     def max_reply_wait_s(self) -> float | None:
         """The longest this transport lets a caller wait for one reply.

@@ -375,8 +375,8 @@ class Mover:
         self._transport = transport
         self._stub_factory = stub_factory
         #: ``(name, tour)`` of each touring arrival goes here (the agent
-        #: manager's queue): it runs inside the transfer handler, before
-        #: the ack, so it must not run the agent's code itself.
+        #: manager posts its step): it runs inside the transfer handler,
+        #: before the ack, so it must not run the agent's code itself.
         self.tour_hook: Callable[[str, tuple[str, ...]], None] | None = None
         #: Streaming knobs (see module docstring); ``stream_threshold`` of
         #: ``None``/huge effectively forces the monolithic fast path.

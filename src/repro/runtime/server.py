@@ -42,7 +42,6 @@ the whole fan-out or chase, carried hop to hop in the message headers.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Sequence
 
 from repro.errors import (
@@ -640,23 +639,16 @@ class MageServer:
 
     def _release_stray_grant(self, future: CallFuture) -> None:
         """The lock chase's loser hook: a grant that raced its
-        cancellation is released (on a fresh thread — this callback may run
-        on a transport reader thread, which must never issue calls)."""
+        cancellation is released by a posted job — this callback may run
+        on a transport reader thread, which must never issue calls.  If
+        the host vanished, its lock state went with it and the posted
+        job's error is dropped."""
         try:
             grant = future.result(0)
         except Exception:
             return
-        if not isinstance(grant, LockGrant):
-            return
-
-        def release() -> None:
-            try:
-                self.unlock(grant)
-            except Exception:
-                pass  # the host vanished; its lock state went with it
-
-        threading.Thread(target=release, name="mage-stray-unlock",
-                         daemon=True).start()
+        if isinstance(grant, LockGrant):
+            self.transport.post(lambda: self.unlock(grant))
 
     def _confirm_grant(self, grant: LockGrant) -> LockGrant:
         """Acknowledge a provisional (leased) grant so its host keeps it.

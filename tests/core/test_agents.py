@@ -121,7 +121,7 @@ class TestRemoteLaunch:
         pair["alpha"].namespace.unlock(grant)
 
     def test_async_tours_complete(self, make_cluster):
-        """The real asynchronous path (each node's agent runner)."""
+        """The real asynchronous path (each step a posted job)."""
         cluster = make_cluster(["alpha", "beta", "gamma"])
         cluster["alpha"].agents.launch(Collector(), "async-agent",
                                        ("beta", "gamma"))

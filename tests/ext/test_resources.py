@@ -81,8 +81,8 @@ class TestMeteredNamespace:
         assert trio["gamma"].namespace.store.contains("b")
 
     def test_a_touring_agent_gives_its_slot_back(self, trio):
-        """An agent passing through leaves from the agent runner, which
-        the meter never sees; its slot still comes back."""
+        """An agent passing through leaves from a posted step, which the
+        meter never sees; its slot still comes back."""
         metered = meter(trio["beta"].namespace, {OBJECT_SLOTS: 1})
         trio["alpha"].agents.launch(Agent(), "tourist", ("beta", "gamma"))
         trio.quiesce()

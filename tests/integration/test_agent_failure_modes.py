@@ -190,9 +190,12 @@ class TestTcpTours:
 
 
 class TestComingStraightBack:
-    """The receiver queues the next step before it acks, so an agent can
-    be sent home before home has evicted its own copy.  The arrival must
-    wait for that eviction, not be removed by it."""
+    """The receiver posts the next step before it acks, so on TCP an agent
+    can be sent home before home has evicted its own copy.  The arrival
+    must wait for that eviction, not be removed by it.  The simulated
+    network runs a step only in ``quiesce``, after its sender's eviction,
+    so it cannot interleave the two: the race this guards is TCP's, and
+    the sim case pins that the same tours end on one host there too."""
 
     @pytest.mark.parametrize("transport", ["sim", "tcp"])
     def test_a_home_and_back_tour_ends_on_one_host(self, transport,

@@ -4,8 +4,8 @@ A pair of nodes, each on its own transport, does the two kinds of work
 that start threads and open connections — an invoke, and a streamed
 move — and is shut down.  Afterwards no ``tcpnet``
 thread may survive and the process holds no more file descriptors than
-before the pair was built.  A cluster that ran an agent tour leaves no
-agent runner behind either.
+before the pair was built.  An agent tour runs its steps on that pool:
+no agent runner thread exists during the tour or after it.
 """
 
 import os
@@ -90,13 +90,25 @@ def test_every_socket_is_closed_by_shutdown():
     assert _poll(lambda: _open_fds() <= before), (_open_fds(), before)
 
 
-def test_no_agent_runner_survives_shutdown():
+#: What :class:`Census` saw at each stop: (node, agent runner threads).
+SEEN_AT_STOPS = []
+
+
+class Census(Agent):
+    """Records, at each stop, the agent runner threads alive then."""
+
+    def on_arrival(self, ctx):
+        super().on_arrival(ctx)
+        SEEN_AT_STOPS.append((ctx.node_id, _agent_runners()))
+
+
+def test_no_agent_runner_during_or_after_a_tour():
     before = set(threading.enumerate())
+    SEEN_AT_STOPS.clear()
     with Cluster(["a", "b", "c"], transport="tcp") as cluster:
-        cluster["a"].agents.launch(Agent(), "walker", ("b", "c"))
+        cluster["a"].agents.launch(Census(), "walker", ("b", "c"))
         cluster.quiesce(timeout_s=10.0)
         assert cluster["c"].namespace.store.contains("walker")
-        assert sorted(_agent_runners(before)) == [
-            "agent-runner-b", "agent-runner-c"]
+        assert SEEN_AT_STOPS == [("b", []), ("c", [])]
     assert not _agent_runners(before)
     assert _poll(lambda: not _tcpnet_threads(before)), _tcpnet_threads(before)

@@ -7,7 +7,11 @@ import time
 
 import pytest
 
-from repro.errors import ConfigurationError, NodeUnreachableError
+from repro.errors import (
+    ConfigurationError,
+    MarshalError,
+    NodeUnreachableError,
+)
 from repro.net.message import Message, MessageKind
 from repro.net.tcpnet import TcpNetwork
 
@@ -74,6 +78,21 @@ class TestTcpDelivery:
         net.register("b", lambda m: done.set())
         net.cast("a", "b", MessageKind.INVOKE, "state")
         assert done.wait(timeout=5.0)
+
+    @pytest.mark.parametrize("caller", ["a", "b"])
+    def test_an_unencodable_reply_fails_the_caller_at_once(self, caller):
+        """A reply the codec cannot encode reaches a remote caller as the
+        error the self path raises, not as an io timeout."""
+        net = TcpNetwork(io_timeout_s=5)
+        try:
+            net.register("a", lambda m: None)
+            net.register("b", lambda m: threading.Lock())
+            started = time.monotonic()
+            with pytest.raises(MarshalError):
+                net.call(caller, "b", MessageKind.PING)
+            assert time.monotonic() - started < 1.0
+        finally:
+            net.shutdown()
 
     def test_concurrent_calls(self, net):
         net.register("client", lambda m: None)
@@ -199,7 +218,9 @@ class TestConfig:
         no second migration protocol, no one-way kind, no sim-only cast
         pool, and no class fetch of the agents' own.  A move is one
         sender loop: each frame kind that starts or ends a transfer is
-        sent from one place, and the receiver applies through one door."""
+        sent from one place, and the receiver applies through one door.
+        Deferred work is a ``Transport.post`` job: no agent runner, no
+        step count of its own, no thread started for a stray grant."""
         import ast
         import inspect
         import re
@@ -239,10 +260,14 @@ class TestConfig:
         assert arity(Cluster) <= 10, inspect.signature(Cluster.__init__)
         assert arity(Mover) <= 9, inspect.signature(Mover.__init__)
         gone = re.compile(r"\b(AGENT_HOP|AgentHopPayload|ONEWAY_KINDS"
-                          r"|drain_casts|synchronous_casts)\b")
+                          r"|drain_casts|synchronous_casts|_Steps"
+                          r"|_STEPS(_LOCK)?|_steps_on|wait_for_tours"
+                          r"|agent-runner|mage-stray-unlock|SimpleQueue)\b")
         root = Path(repro.__file__).parent
         for path in root.rglob("*.py"):
             assert not gone.findall(path.read_text()), path
+        for path in (root / "core" / "agents.py", root / "runtime" / "server.py"):
+            assert "threading.Thread(" not in path.read_text(), path
         for path in (root / "core").rglob("*.py"):
             assert "CLASS_REQUEST" not in path.read_text(), path
         mover_sites = send_sites(root / "runtime" / "mover.py")

@@ -5,9 +5,10 @@ traffic is one deterministic list of frames and replies.  Each shape is
 pinned whole here: a small move is one ``OBJECT_TRANSFER``, a stream is
 ``PREPARE, CHUNK × n, COMMIT``, a hedge prepares every candidate before
 either streams, and a failed stream (never a failed small move) sends
-``TRANSFER_ABORT``.  A hedge with more chunks than the per-candidate
-window may interleave its candidates differently; its per-candidate
-order is the same, and it is not pinned here.
+``TRANSFER_ABORT``.  A frame to a crashed node is traced as lost.  A
+hedge with more chunks than the per-candidate window may interleave its
+candidates differently; its per-candidate order is the same, and it is
+not pinned here.
 """
 
 import pytest
@@ -45,22 +46,6 @@ def _stream(dst, chunks):
     return (_exchange("alpha", dst, "TRANSFER_PREPARE")
             + _exchange("alpha", dst, "TRANSFER_CHUNK", chunks)
             + _exchange("alpha", dst, "TRANSFER_COMMIT"))
-
-
-def _requests(monkeypatch, cluster):
-    """Every request the cluster issues from now on, as ``src -> dst: KIND``.
-
-    A frame to a crashed node leaves no trace event, so the crashed cases
-    watch the transport's one request entry point instead."""
-    sent = []
-    call_async = cluster.transport.call_async
-
-    def spy(src, dst, kind, payload=None, deadline=None):
-        sent.append(f"{src} -> {dst}: {kind.name}")
-        return call_async(src, dst, kind, payload, deadline)
-
-    monkeypatch.setattr(cluster.transport, "call_async", spy)
-    return sent
 
 
 def _size_for(chunks):
@@ -106,25 +91,24 @@ class TestMoveSequence:
             + _exchange("alpha", "beta", "TRANSFER_COMMIT")
             + _exchange("alpha", "gamma", "TRANSFER_ABORT"))
 
-    def test_a_stream_into_a_crashed_target_aborts(self, make_cluster,
-                                                   monkeypatch):
+    def test_a_stream_into_a_crashed_target_aborts(self, make_cluster):
         cluster = _cluster(make_cluster)
         cluster["alpha"].register("b", Bulk(_size_for(4)))
         cluster.crash("beta")
-        sent = _requests(monkeypatch, cluster)
+        cluster.trace.clear()
         with pytest.raises(NodeUnreachableError):
             cluster["alpha"].namespace.move("b", "beta")
-        assert sent == ["alpha -> beta: TRANSFER_PREPARE",
-                        "alpha -> beta: TRANSFER_ABORT"]
+        assert _sent(cluster) == ["alpha -> beta: TRANSFER_PREPARE  [LOST]",
+                                  "alpha -> beta: TRANSFER_ABORT  [LOST]"]
         assert cluster["alpha"].namespace.store.contains("b")
 
     def test_a_small_move_into_a_crashed_target_sends_no_abort(
-            self, make_cluster, monkeypatch):
+            self, make_cluster):
         cluster = _cluster(make_cluster)
         cluster["alpha"].register("c", Counter(1))
         cluster.crash("beta")
-        sent = _requests(monkeypatch, cluster)
+        cluster.trace.clear()
         with pytest.raises(NodeUnreachableError):
             cluster["alpha"].namespace.move("c", "beta")
-        assert sent == ["alpha -> beta: OBJECT_TRANSFER"]
+        assert _sent(cluster) == ["alpha -> beta: OBJECT_TRANSFER  [LOST]"]
         assert cluster["alpha"].namespace.store.contains("c")

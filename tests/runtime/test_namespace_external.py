@@ -99,4 +99,3 @@ class TestDispatcherEdges:
         with pytest.raises(MageError, match="accepts no agents"):
             manager.start_tour("c", ("bare",))
         assert home.store.contains("c") and not bare.store.contains("c")
-        manager.shutdown()
