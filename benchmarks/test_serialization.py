@@ -80,7 +80,6 @@ SAMPLES: dict[type, object] = {
     protocol.LockRequestPayload: protocol.LockRequestPayload(
         name="acct", target="n2", requester="n1", wait_ms=250.0),
     protocol.UnlockPayload: protocol.UnlockPayload(name="acct", token="t"),
-    protocol.LockConfirm: protocol.LockConfirm(name="acct", token="t"),
     protocol.AgentLaunch: protocol.AgentLaunch(
         name="agent", itinerary=("n1", "n2"), lock_token="tok"),
     protocol.LoadQuery: protocol.LoadQuery(),

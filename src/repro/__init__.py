@@ -21,7 +21,7 @@ See DESIGN.md for the module map and the wire contract.
 """
 
 from repro import errors
-from repro.cluster import Cluster, DiscoveryService, LoadMonitor, Membership, Node
+from repro.cluster import Cluster, LoadMonitor, Membership, Node
 from repro.core import (
     CLE,
     COD,
@@ -68,7 +68,6 @@ __all__ = [
     "Cluster",
     "Combined",
     "ConstantLatency",
-    "DiscoveryService",
     "Membership",
     "FactoryMode",
     "GREV",

@@ -1,7 +1,7 @@
 """Cluster harness: nodes, bring-up, discovery, load modelling/balancing."""
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.discovery import DiscoveryService, Membership
+from repro.cluster.discovery import Membership
 from repro.cluster.load import (
     LoadBalancer,
     LoadMonitor,
@@ -12,7 +12,6 @@ from repro.cluster.node import Node
 
 __all__ = [
     "Cluster",
-    "DiscoveryService",
     "Membership",
     "LoadBalancer",
     "LoadMonitor",

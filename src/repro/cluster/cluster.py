@@ -39,7 +39,6 @@ class Cluster:
         latency: LatencyModel | None = None,
         loss: LossModel | None = None,
         clock: Clock | None = None,
-        fair_locks: bool = False,
         class_cache: bool = True,
         path_collapsing: bool = True,
         stream_threshold: int | None = None,
@@ -55,7 +54,6 @@ class Cluster:
             self._nodes[node_id] = Node(
                 node_id,
                 self.transport,
-                fair_locks=fair_locks,
                 class_cache=class_cache,
                 path_collapsing=path_collapsing,
                 stream_threshold=stream_threshold,

@@ -26,7 +26,7 @@ needs three more things, which this service provides:
   (latency EWMAs, address-book entry, channels).
 
 Nothing here runs unless asked: with no joins and no heartbeat the
-service answers exactly like the PR-4 ``DiscoveryService`` it grew from
+service answers exactly like the discovery-only service it grew from
 — ``hosts()`` is the transport's node list — which keeps every
 simulated-network trace byte-identical.
 """
@@ -347,11 +347,3 @@ class Membership:
         with self._lock:
             self._death_callbacks.append(callback)
 
-
-class DiscoveryService(Membership):
-    """Backward-compatible name for :class:`Membership`.
-
-    Earlier PRs exposed discovery-only queries under this name; the
-    membership refactor grew it join/announce/heartbeat machinery
-    without changing any existing method's behaviour.
-    """

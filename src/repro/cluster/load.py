@@ -33,7 +33,7 @@ def least_loaded(loads: dict[str, float],
     """The least-loaded host in ``loads`` (ties broken by name).
 
     The one tie-break rule every balancing path shares (the balancer
-    below, :meth:`DiscoveryService.least_loaded`).  Raises
+    below, :meth:`Membership.least_loaded`).  Raises
     :class:`~repro.errors.MageError` when no candidate remains.
     """
     candidates = {n: v for n, v in loads.items() if n not in exclude}

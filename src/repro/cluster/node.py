@@ -2,7 +2,7 @@
 
 :class:`~repro.runtime.namespace.Namespace` is the pure runtime;
 :class:`Node` adds what a deployed MAGE host carries — a load monitor
-answering LOAD_QUERY, a discovery service, an attached agent manager —
+answering LOAD_QUERY, a membership service, an attached agent manager —
 and the ``with node.activate():`` sugar that makes the paper's
 runtime-implicit code read naturally.
 """
@@ -20,24 +20,21 @@ from repro.runtime.namespace import Namespace
 
 
 class Node:
-    """One MAGE host: namespace + load monitor + discovery + agents."""
+    """One MAGE host: namespace + load monitor + membership + agents."""
 
     def __init__(
         self,
         node_id: str,
         transport: Transport,
-        fair_locks: bool = False,
         class_cache: bool = True,
         path_collapsing: bool = True,
         stream_threshold: int | None = None,
         chunk_bytes: int | None = None,
-        initial_load: float = 0.0,
     ) -> None:
-        self.load_monitor = LoadMonitor(initial_load)
+        self.load_monitor = LoadMonitor()
         self.namespace = Namespace(
             node_id,
             transport,
-            fair_locks=fair_locks,
             class_cache=class_cache,
             path_collapsing=path_collapsing,
             stream_threshold=stream_threshold,
@@ -46,9 +43,7 @@ class Node:
         )
         #: Membership service: discovery queries, seed-list join, and the
         #: heartbeat failure detector (opt-in via ``start_heartbeat``).
-        #: ``discovery`` is the same object under its historical name.
         self.membership = Membership(self.namespace)
-        self.discovery = self.membership
         self.agents: AgentManager = agent_manager_for(self.namespace)
 
     # -- identity ------------------------------------------------------------

@@ -47,7 +47,6 @@ class MessageKind(enum.Enum):
     CLASS_TRANSFER = "CLASS_TRANSFER"    # push a class definition (probe or body)
     INSTANTIATE = "INSTANTIATE"          # create an object from a cached class
     LOCK_REQUEST = "LOCK_REQUEST"        # stay/move lock acquisition
-    LOCK_CONFIRM = "LOCK_CONFIRM"        # acknowledge a provisional (leased) grant
     UNLOCK = "UNLOCK"                    # lock release
     AGENT_LAUNCH = "AGENT_LAUNCH"        # start an itinerary at the agent's host
     LOAD_QUERY = "LOAD_QUERY"            # host load for migration policies

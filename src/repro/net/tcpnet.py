@@ -54,14 +54,18 @@ round trip without extra threads, and ``call`` is that future's
 
 ``CallFuture.cancel()`` and deadline expiry both *abandon* an in-flight
 exchange the way a timed-out waiter does: the pending reply slot is
-released, the late reply is dropped, and other waiters sharing the
-connection are untouched.  A request's deadline also caps every reply
-wait (io timeout or less) and is enforced server-side: a frame whose
-deadline expired in the worker queue is dropped at dequeue.  Concurrent
-calls to one peer coalesce into BATCH frames (see :class:`_AutoBatcher`)
-— the same frame ``call_many`` builds, marked independent rather than
-sequential (:class:`~repro.net.message.Batch`) and run by the same
-executor.
+released and other waiters sharing the connection are untouched.  A
+reply that then arrives with no waiter — its call timed out, a chase
+cancelled it, a coalesced sub went unmatched, or a self-delivered
+reply lost to a timeout — is not dropped: :meth:`TcpNetwork.post`
+hands it to the handler of the node it is addressed to, whose runtime
+gives back a lock grant in it (DESIGN.md, "The chase").  A request's
+deadline also caps every reply wait (io timeout or less) and is
+enforced server-side: a frame whose deadline expired in the worker
+queue is dropped at dequeue.  Concurrent calls to one peer coalesce
+into BATCH frames (see :class:`_AutoBatcher`) — the same frame
+``call_many`` builds, marked independent rather than sequential
+(:class:`~repro.net.message.Batch`) and run by the same executor.
 
 **A node's message to itself** (``src == dst``, a node this transport
 serves — a namespace consulting its own registry or lock table) takes
@@ -448,13 +452,16 @@ class _Channel:
     and teardown serialize: a sink either parks before the drain (and is
     failed by it) or observes ``closed`` — it can never be parked and then
     silently forgotten.  A retransmission can put two frames of one id in
-    flight; each incoming reply resolves the oldest waiter.
+    flight; each incoming reply resolves the oldest waiter.  A reply
+    that finds no waiter goes to ``on_stray`` (loop thread; must not
+    block).
     """
 
     def __init__(self, dst: str, sock: socket.socket, reactor: Reactor,
-                 compress: bool) -> None:
+                 compress: bool, on_stray: Callable[[Message], None]) -> None:
         self.dst = dst
         self.compress = compress
+        self._on_stray = on_stray
         #: The transport attaches an :class:`_AutoBatcher` right after
         #: construction when auto-batching is enabled.
         self._batcher: "_AutoBatcher | None" = None
@@ -582,11 +589,14 @@ class _Channel:
         with self._lock:
             sink = self._pop_waiter_locked(reply.reply_to_id)
         if sink is not None:
-            sink.resolve(reply)  # a call's own reply, call_many's included
+            # A call's own reply, call_many's included; a timeout or
+            # cancel that won the race leaves it with nobody waiting.
+            if not sink.resolve(reply):
+                self._on_stray(reply)
         elif reply.in_reply_to is MessageKind.BATCH:
             self._on_batch_reply(reply)  # a frame the batcher coalesced
-        # Any other unmatched reply (its caller timed out and left) is
-        # dropped.
+        else:
+            self._on_stray(reply)  # its caller timed out or was cancelled
         batcher = self._batcher
         if batcher is not None:
             # Tick the reply clock *after* resolving: callers wake first,
@@ -602,10 +612,10 @@ class _Channel:
         payload value is a tuple of ``(sub_msg_id, ReplyPayload)``
         pairs; each resolves its own future with a synthesized per-sub
         REPLY so callers observe exactly what N individual replies would
-        have delivered.  A *whole-batch* error (the server could not run
-        the frame at all) fails every recorded sub instead.  The record
-        and the sinks are taken in one lock hold; the sinks resolve
-        outside it.
+        have delivered, or goes to ``on_stray`` when nobody waits for
+        it.  A *whole-batch* error (the server could not run the frame
+        at all) fails every recorded sub instead.  The record and the
+        sinks are taken in one lock hold; the sinks resolve outside it.
         """
         payload = reply.payload
         with self._lock:
@@ -618,8 +628,9 @@ class _Channel:
             sinks = [(self._pop_waiter_locked(sub_id), sub_id, sub_payload)
                      for sub_id, sub_payload in pairs]
         for sink, sub_id, sub_payload in sinks:
-            if sink is not None:
-                sink.resolve(self._sub_reply(reply, sub_id, sub_payload))
+            sub_reply = self._sub_reply(reply, sub_id, sub_payload)
+            if sink is None or not sink.resolve(sub_reply):
+                self._on_stray(sub_reply)
 
     @staticmethod
     def _sub_reply(aggregate: Message, sub_id: str,
@@ -986,14 +997,14 @@ class _PipelinedCallFuture(CallFuture):
 
     # -- sink protocol (called by the channel) --------------------------------
 
-    def resolve(self, reply: Message) -> None:
+    def resolve(self, reply: Message) -> bool:
         # Submission-to-reply latency feeds the per-link EWMA that ranks
         # hedge candidates; recorded before completion so a collector
         # that reacts to this future sees fresh numbers.
         self._transport.note_link_latency(
             self._message.dst, time.monotonic() - self._submitted
         )
-        self._complete_from_reply(reply)
+        return self._complete_from_reply(reply)
 
     def fail(self, error: Exception) -> None:
         # The frame was already on the wire, so the handler may have
@@ -1041,7 +1052,8 @@ class _PipelinedCallFuture(CallFuture):
 
     def _abandon(self) -> None:
         """Release the pending reply slot (timeout and cancel share this):
-        the late reply is dropped; other waiters are untouched."""
+        the late reply goes to its node's handler; other waiters are
+        untouched."""
         channel = self._channel
         if channel is not None:
             channel._discard_waiter(self._message.msg_id, self)
@@ -1808,6 +1820,7 @@ class TcpNetwork(Transport):
             # compressor's CPU cost goes with it.
             channel = _Channel(
                 dst, sock, self._reactor, compress=not _is_unix(sock),
+                on_stray=self._on_stray_reply,
             )  # from here the reactor owns the socket
         except BaseException:
             sock.close()
@@ -1969,7 +1982,8 @@ class TcpNetwork(Transport):
         (reply cache, deadline admission, ambient deadline, batches).  A
         cast ends there; a call's reply goes through the same error guard
         and envelope round trip as a reply frame, then completes
-        ``future``."""
+        ``future`` — or, if a timeout or cancel completed it first, is a
+        stray reply like a late frame's."""
         try:
             request = wirecodec.decode_envelope(blob)
             self.trace.record(request, self.clock.now_ms(),
@@ -1980,7 +1994,9 @@ class TcpNetwork(Transport):
                 reply_blob = _copy_by_value(reply)
                 self.trace.record(reply, self.clock.now_ms(),
                                   nbytes=HEADER.size + len(reply_blob))
-                future.resolve(wirecodec.decode_envelope(reply_blob))
+                delivered = wirecodec.decode_envelope(reply_blob)
+                if not future.resolve(delivered):
+                    self._on_stray_reply(delivered)
 
             server._dispatch(request, answer)
         except Exception as exc:
@@ -2037,6 +2053,14 @@ class TcpNetwork(Transport):
         self._submit(message)
 
     # -- deferred work ----------------------------------------------------------
+
+    def _on_stray_reply(self, reply: Message) -> None:
+        """A reply nobody waits for goes, as a posted job, to the handler
+        of the node it is addressed to (dropped if that node is gone)."""
+        with self._lock:
+            server = self._servers.get(reply.dst)
+        if server is not None:
+            self.post(lambda: server.handler(reply))
 
     def post(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` on the worker pool, whose overflow drainers serve a

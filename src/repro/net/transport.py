@@ -156,17 +156,18 @@ class CallFuture:
 
     # -- completion (transport-internal; the first completion wins) ----------
 
-    def _resolve(self, value: Any) -> None:
-        self._complete(value, None)
+    def _resolve(self, value: Any) -> bool:
+        return self._complete(value, None)
 
-    def _fail(self, error: BaseException) -> None:
-        self._complete(None, error)
+    def _fail(self, error: BaseException) -> bool:
+        return self._complete(None, error)
 
     def _complete(self, value: Any, error: BaseException | None,
-                  cancelled: bool = False) -> None:
+                  cancelled: bool = False) -> bool:
+        """Complete once; ``False`` when a racing completion already won."""
         with self._lock:
             if self._event.is_set():
-                return  # a racing completion already won
+                return False
             self._value = value
             self._error = error
             self._cancelled = cancelled
@@ -174,8 +175,9 @@ class CallFuture:
             callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
             callback(self)
+        return True
 
-    def _complete_from_reply(self, reply: Message) -> None:
+    def _complete_from_reply(self, reply: Message) -> bool:
         """Unwrap a reply envelope into this future's outcome.
 
         Mirrors what ``call`` raises/returns: a marshalled handler
@@ -183,28 +185,26 @@ class CallFuture:
         holds ``(sub id, ReplyPayload)`` pairs in request order and
         resolves to the list of sub-request values, failing on the first
         sub-error (the later subs never ran and are absent — the batch is
-        sequential at the destination).
+        sequential at the destination).  Returns whether the reply
+        completed the future (``False``: a timeout or cancel won).
         """
         payload = reply.payload
         if isinstance(payload, ReplyPayload):
             error = payload.error
             if error is not None:
-                self._fail(error)
-                return
+                return self._fail(error)
             value = payload.value
         else:
             value = payload
         if reply.in_reply_to is not MessageKind.BATCH:
-            self._resolve(value)
-            return
+            return self._resolve(value)
         results = []
         for _sub_id, sub_payload in value:
             sub_error = sub_payload.error
             if sub_error is not None:
-                self._fail(sub_error)
-                return
+                return self._fail(sub_error)
             results.append(sub_payload.value)
-        self._resolve(results)
+        return self._resolve(results)
 
     # -- waiting --------------------------------------------------------------
 
@@ -221,8 +221,8 @@ class CallFuture:
         (first-wins: a racing reply that already completed it wins and
         ``cancel`` returns ``False``) and releases any transport resources
         the exchange holds — on the pipelined TCP transport the pending
-        reply slot, exactly as a timed-out waiter, so a late reply is
-        dropped by the reader and other waiters on the shared connection
+        reply slot, exactly as a timed-out waiter, so a late reply goes
+        to its node's handler and other waiters on the shared connection
         are untouched.  On the simulated network futures complete eagerly,
         so a straggler can only be "cancelled" before it is issued — the
         call is then a harmless no-op, which is what keeps deterministic
@@ -771,8 +771,9 @@ class Transport(ABC):
         """Run ``fn()`` later, off the caller's thread of control.
 
         The one way the runtime defers work — an agent's next step, the
-        release of a stray lock grant.  A job's exception is dropped: a
-        job reports its own failures.
+        release of a stray lock grant, a reply that found no caller
+        waiting for it (handed to its node's handler).  A job's
+        exception is dropped: a job reports its own failures.
         """
 
     @abstractmethod

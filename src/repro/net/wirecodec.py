@@ -616,7 +616,6 @@ REGISTERED_PAYLOADS: tuple[type[Any], ...] = (
     protocol.InstantiateRequest,
     protocol.LockRequestPayload,
     protocol.UnlockPayload,
-    protocol.LockConfirm,
     protocol.AgentLaunch,
     protocol.LoadQuery,
     protocol.JoinRequest,

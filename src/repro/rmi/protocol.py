@@ -312,22 +312,6 @@ class UnlockPayload:
 
 
 @dataclass(frozen=True)
-class LockConfirm:
-    """Acknowledge receipt of a *provisional* (leased) lock grant.
-
-    A grant replied within roughly one-way transit of its caller's
-    deadline expiry can be dropped by the abandoned waiter, leaving the
-    lock held forever.  Such at-risk grants are issued provisionally
-    with a short unacknowledged-grant TTL; this message is the caller
-    saying "I did receive it" before the lock manager's lease reaper
-    auto-releases (see :class:`repro.runtime.locks.LockManager`).
-    """
-
-    name: str
-    token: str
-
-
-@dataclass(frozen=True)
 class AgentLaunch:
     """Ask the node hosting ``name`` to start an itinerary tour.
 

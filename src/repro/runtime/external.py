@@ -6,10 +6,11 @@ classes, as well as forward registry requests."
 
 This is each node's single inbound dispatcher: the transport delivers every
 request here, and the handler routes it to the registry, invoker, mover,
-class cache, or lock manager.  An agent arrives as an ordinary object
-transfer (the mover hands it to the agent manager); only AGENT_LAUNCH,
-the request to start a tour where the agent lives, goes to a handler the
-agent manager installs.
+class cache, or lock manager.  A reply that found no caller waiting for it
+comes here too, and a lock grant in it is released.  An agent arrives as
+an ordinary object transfer (the mover hands it to the agent manager);
+only AGENT_LAUNCH, the request to start a tour where the agent lives,
+goes to a handler the agent manager installs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.errors import (
     NoSuchObjectError,
 )
 from repro.net.deadline import current_deadline
-from repro.net.message import Message, MessageKind, inline_safe
+from repro.net.message import Message, MessageKind, ReplyPayload, inline_safe
 from repro.rmi.invoker import Invoker
 from repro.rmi.marshal import StubFactory, unmarshal_call
 from repro.rmi.protocol import (
@@ -36,7 +37,6 @@ from repro.rmi.protocol import (
     InvokeRequest,
     JoinRequest,
     ListRequest,
-    LockConfirm,
     LockRequestPayload,
     LookupRequest,
     MoveRequest,
@@ -74,6 +74,7 @@ class MageExternalServer:
         mover: Mover,
         stub_factory: StubFactory,
         load_provider: Callable[[], float],
+        release_grant: Callable[[Any], None],
     ) -> None:
         self.node_id = node_id
         self._store = store
@@ -84,6 +85,7 @@ class MageExternalServer:
         self._mover = mover
         self._stub_factory = stub_factory
         self._load_provider = load_provider
+        self._release_grant = release_grant
         self._invoker = Invoker(node_id, self._lookup_servant, stub_factory)
         self._agent_launcher: AgentHandler | None = None
         self._join_handler: Callable[[JoinRequest], Any] | None = None
@@ -105,13 +107,13 @@ class MageExternalServer:
             MessageKind.CLASS_TRANSFER: self._on_class_push,
             MessageKind.INSTANTIATE: self._on_instantiate,
             MessageKind.LOCK_REQUEST: self._on_lock,
-            MessageKind.LOCK_CONFIRM: self._on_lock_confirm,
             MessageKind.UNLOCK: self._on_unlock,
             MessageKind.AGENT_LAUNCH: self._on_agent_launch,
             MessageKind.LOAD_QUERY: self._on_load_query,
             MessageKind.PING: self._on_ping,
             MessageKind.JOIN: self._on_join,
             MessageKind.ANNOUNCE: self._on_announce,
+            MessageKind.REPLY: self._on_stray_reply,
         }
 
     @property
@@ -246,10 +248,10 @@ class MageExternalServer:
         )
         if deadline is not None and deadline.expired:
             # Granted at the buzzer: the caller's wait is deadline-capped
-            # too, so it has abandoned the exchange and this grant's reply
-            # would be dropped — leaving the lock held forever (there is
-            # no lease to reclaim it).  Give the grant back and answer
-            # with the timeout the caller is already raising.
+            # too, so it has abandoned the exchange and this grant would
+            # answer nobody.  Give it back here rather than leave it to
+            # the requester's stray-reply release, and answer with the
+            # timeout the caller is already raising.
             self._locks.release(request.name, grant.token)
             raise LockTimeoutError(
                 f"lock on {request.name!r} granted after its caller's "
@@ -257,13 +259,14 @@ class MageExternalServer:
             )
         return grant
 
-    def _on_lock_confirm(self, request: LockConfirm) -> bool:
-        # False = the lease reaper already released this grant; the
-        # confirming caller must not proceed on it.
-        return self._locks.confirm(request.name, request.token)
-
     def _on_unlock(self, request: UnlockPayload) -> None:
         self._locks.release(request.name, request.token)
+
+    def _on_stray_reply(self, reply: ReplyPayload) -> None:
+        # A reply to this node that found no caller waiting for it (the
+        # call timed out or a chase cancelled it), posted by the
+        # transport: a lock grant in it is held by nobody.
+        self._release_grant(reply.value)
 
     def _on_agent_launch(self, payload: Any) -> Any:
         if self._agent_launcher is None:

@@ -20,6 +20,10 @@ fairness claim measured by the Figure 8 bench.
 When the object departs, waiting requests fail with
 :class:`~repro.errors.LockMovedError` carrying the new location, so the
 requester re-acquires at the new host — locks do not follow the object.
+
+A grant is held until its holder releases it: there is no lease.  A
+grant whose reply reached its requester with nobody waiting is released
+by that requester (DESIGN.md, "The chase").
 """
 
 from __future__ import annotations
@@ -38,21 +42,13 @@ MOVE = "move"
 
 @dataclass(frozen=True)
 class LockGrant:
-    """A granted stay or move lock.
-
-    ``provisional`` marks a grant issued so close to its caller's
-    deadline expiry that the reply may be dropped by the abandoned
-    waiter — the lock manager holds it under a short unacknowledged
-    lease and auto-releases unless the caller confirms receipt
-    (:meth:`LockManager.confirm`).
-    """
+    """A granted stay or move lock."""
 
     token: str
     kind: str          # STAY or MOVE
     name: str
     location: str      # namespace hosting the object when granted
     requester: str
-    provisional: bool = False
 
 
 @dataclass
@@ -87,36 +83,21 @@ class LockStats:
     stay_waits: int = 0
     move_waits: int = 0
     moved_rejections: int = 0
-    leases_reaped: int = 0  # provisional grants auto-released unconfirmed
 
 
 class LockManager:
     """Stay/move lock queues for the objects hosted by one namespace.
 
-    **Unacknowledged-grant leases** close the residual window the
-    deadline machinery leaves open: a request granted *after* its
-    caller's deadline expired is released at grant time, but one granted
-    within roughly one-way transit of expiry can still have its reply
-    dropped by the abandoned waiter — leaving the lock held forever
-    (locks have no general lease to reclaim them).  A grant issued with
-    less than ``at_risk_window_ms`` of deadline budget remaining is
-    therefore *provisional*: unless the caller confirms receipt
-    (:meth:`confirm`, the LOCK_CONFIRM round trip
-    :class:`~repro.runtime.server.MageServer` performs automatically)
-    within ``unacked_grant_ttl_ms``, a reaper releases it and waiters
-    proceed.  Deadline-free acquisitions (every figure bench) are never
-    provisional, so their message sequences are unchanged.
+    The manager runs no timer: a grant is held until :meth:`release`.
+    One made after its request's deadline expired is released at grant
+    time by the dispatcher; one whose caller stopped waiting later is
+    released by the requester's runtime.
     """
 
-    def __init__(self, node_id: str, fair: bool = False,
-                 at_risk_window_ms: float = 50.0,
-                 unacked_grant_ttl_ms: float = 500.0) -> None:
+    def __init__(self, node_id: str, fair: bool = False) -> None:
         self.node_id = node_id
         self.fair = fair
-        self.at_risk_window_ms = at_risk_window_ms
-        self.unacked_grant_ttl_ms = unacked_grant_ttl_ms
         self._names: dict[str, _NameLock] = {}
-        self._unacked: set[str] = set()  # provisional tokens awaiting confirm
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
         self.stats = LockStats()
@@ -147,11 +128,6 @@ class LockManager:
         kind = STAY if target == self.node_id else MOVE
         if timeout_ms is not None and timeout_ms < 0:
             raise LockError(f"timeout_ms must be non-negative, got {timeout_ms}")
-        # Only the *propagated* deadline (a remote caller's budget riding
-        # the wire) can strand a grant in flight; a locally supplied
-        # timeout_ms bounds a blocking call that is right here to receive
-        # the grant, so it never makes one provisional.
-        wire_deadline = deadline
         if timeout_ms is not None:
             deadline = Deadline.tighter(deadline, Deadline.after_ms(timeout_ms))
         with self._cond:
@@ -170,8 +146,7 @@ class LockManager:
                         raise LockMovedError(name, state.moved_to)
                     if self._grantable(state, waiter):
                         state.queue.remove(waiter)
-                        return self._grant_locked(state, name, kind, requester,
-                                           wire_deadline)
+                        return self._grant_locked(state, name, kind, requester)
                     if first_pass:
                         first_pass = False
                         if kind == STAY:
@@ -225,19 +200,13 @@ class LockManager:
         )
 
     def _grant_locked(self, state: _NameLock, name: str, kind: str,
-                      requester: str,
-                      wire_deadline: Deadline | None = None) -> LockGrant:
-        provisional = (
-            wire_deadline is not None
-            and wire_deadline.remaining_ms() <= self.at_risk_window_ms
-        )
+                      requester: str) -> LockGrant:
         grant = LockGrant(
             token=fresh_token("lock"),
             kind=kind,
             name=name,
             location=self.node_id,
             requester=requester,
-            provisional=provisional,
         )
         if kind == STAY:
             state.stay_holders[grant.token] = grant
@@ -245,62 +214,7 @@ class LockManager:
         else:
             state.move_holder = grant
             self.stats.moves_granted += 1
-        if provisional:
-            # The reply races the caller's expiring wait: hold the grant
-            # under an unacknowledged lease and reap it unless the caller
-            # confirms receipt in time.  (Daemon timer: a reap racing a
-            # confirm or release is a no-op — whoever removes the token
-            # from the unacked set first wins.)
-            self._unacked.add(grant.token)
-            timer = threading.Timer(
-                self.unacked_grant_ttl_ms / 1000.0,
-                self._reap_unacked, args=(name, grant.token),
-            )
-            timer.daemon = True
-            timer.start()
         return grant
-
-    # -- unacknowledged-grant leases -------------------------------------------
-
-    def confirm(self, name: str, token: str) -> bool:
-        """The caller acknowledges a provisional grant.
-
-        Returns whether the grant is **still held** — the lease then
-        becomes a normal grant.  ``False`` means the reaper won the
-        race: the lock was auto-released (and may already be granted to
-        a queued waiter), so the confirming caller must treat its
-        acquisition as failed rather than proceed on a dead grant.
-        Idempotent for already-confirmed live grants.
-        """
-        with self._cond:
-            self._unacked.discard(token)
-            state = self._names.get(name)
-            if state is None:
-                return False
-            return (
-                token in state.stay_holders
-                or (state.move_holder is not None
-                    and state.move_holder.token == token)
-            )
-
-    def _reap_unacked(self, name: str, token: str) -> None:
-        """Lease expiry: auto-release a still-unconfirmed provisional grant."""
-        with self._cond:
-            if token not in self._unacked:
-                return  # confirmed (or already released) in time
-            self._unacked.discard(token)
-            state = self._names.get(name)
-            if state is None:
-                return
-            if token in state.stay_holders:
-                del state.stay_holders[token]
-            elif state.move_holder is not None and state.move_holder.token == token:
-                state.move_holder = None
-            else:
-                return  # released through the normal path meanwhile
-            self.stats.leases_reaped += 1
-            self._maybe_forget_locked(name, state)
-            self._cond.notify_all()
 
     # -- release / movement ------------------------------------------------------
 
@@ -316,7 +230,6 @@ class LockManager:
                 state.move_holder = None
             else:
                 raise LockError(f"token {token!r} holds no lock on {name!r}")
-            self._unacked.discard(token)  # an explicit release beats the reaper
             self._maybe_forget_locked(name, state)
             self._cond.notify_all()
 

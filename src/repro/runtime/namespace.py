@@ -39,8 +39,6 @@ class Namespace:
 
     Configuration knobs double as the ablation switches the benches study:
 
-    * ``fair_locks`` — strict-FIFO locking instead of the paper's unfair
-      stay preference (§4.4);
     * ``class_cache`` — retain class clones between migrations (§4.2);
     * ``path_collapsing`` — rewrite forwarding addresses on find (§4.1);
     * ``stream_threshold`` / ``chunk_bytes`` — state blobs at or above
@@ -54,7 +52,6 @@ class Namespace:
         self,
         node_id: str,
         transport: Transport,
-        fair_locks: bool = False,
         class_cache: bool = True,
         path_collapsing: bool = True,
         stream_threshold: int | None = None,
@@ -72,7 +69,7 @@ class Namespace:
             node_id, self.rmi_registry, self.store, transport,
             path_collapsing=path_collapsing,
         )
-        self.locks = LockManager(node_id, fair=fair_locks)
+        self.locks = LockManager(node_id)
         mover_kwargs = {}
         if stream_threshold is not None:
             mover_kwargs["stream_threshold"] = stream_threshold
@@ -109,6 +106,7 @@ class Namespace:
             self.mover,
             stub_factory=self.client.stub_for,
             load_provider=self._get_load,
+            release_grant=self.server.release_stray_grant,
         )
         if getattr(transport, "supports_local_bypass", False):
             # Same-host fast paths: attach the tier-1 in-process dispatcher

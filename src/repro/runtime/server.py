@@ -70,7 +70,6 @@ from repro.rmi.protocol import (
     InstantiateRequest,
     InvokeRequest,
     LoadQuery,
-    LockConfirm,
     LockRequestPayload,
     MoveRequest,
     UnlockPayload,
@@ -92,7 +91,7 @@ def chase(name: str, ask: Callable[[str], CallFuture], first: Sequence[str],
           walk: Callable[[], str] | None = None,
           timeout: Callable[[str], Exception] = MigrationError,
           on_moved: Callable[[str], None] | None = None,
-          on_loser: Callable[[CallFuture], None] | None = None) -> Any:
+          on_loser: Callable[[Any], None] | None = None) -> Any:
     """Ask hosts for ``name`` until one answers (DESIGN.md, "The chase").
 
     ``ask(node)`` sends FIND, LOCK_REQUEST or MOVE_REQUEST and returns its
@@ -103,8 +102,13 @@ def chase(name: str, ask: Callable[[str], CallFuture], first: Sequence[str],
     requests in flight, and sends at most :data:`MAX_LOCK_CHASES`.  It
     raises ``timeout(detail)`` on an expired deadline or only hung hosts,
     ``LockError`` if the object kept moving, else the last *not here*;
-    other errors are answers.  Losers are cancelled after ``on_loser``.
+    other errors are answers.  Losers are cancelled; ``on_loser`` gets the
+    answer of each one that beat its cancellation.
     """
+    def lost(future: CallFuture) -> None:
+        if future.exception(0) is None:
+            on_loser(future.result(0))
+
     def walked() -> str:
         try:
             return walk()
@@ -152,7 +156,7 @@ def chase(name: str, ask: Callable[[str], CallFuture], first: Sequence[str],
     finally:
         for future in answers.pending:
             if on_loser is not None:
-                future.add_done_callback(on_loser)
+                future.add_done_callback(lost)
             future.cancel(f"the chase for {name!r} is over")
     if deadline is not None and deadline.expired:
         raise timeout(f"{name!r}: deadline expired mid-chase")
@@ -617,11 +621,11 @@ class MageServer:
             # listeners (tier-3 cache) without writing the hint table.
             on_moved=None if hedge else (
                 lambda node: self.registry.observe_location(name, node)),
-            on_loser=self._release_stray_grant,
+            on_loser=self.release_stray_grant,
         )
         if hedge:
             self.registry.note_location(name, grant.location)
-        return self._confirm_grant(grant)
+        return grant
 
     def _lock_wait_ms(self, deadline: Deadline | None) -> float | None:
         """The server-side queue wait a LOCK_REQUEST may ask for.
@@ -629,65 +633,26 @@ class MageServer:
         The caller's remaining budget when one exists; otherwise the
         transport's own reply-wait bound — a server must never be asked to
         keep a request queued past the point its caller's transport has
-        abandoned the exchange, or the eventual grant answers nobody and
-        the lock leaks (there is no lease to reclaim it).
+        abandoned the exchange: the eventual grant would answer nobody and
+        hold the lock until the late reply reached this node.
         """
         if deadline is not None:
             return deadline.remaining_ms()
         bound_s = self.transport.max_reply_wait_s()
         return bound_s * 1000.0 if bound_s is not None else None
 
-    def _release_stray_grant(self, future: CallFuture) -> None:
-        """The lock chase's loser hook: a grant that raced its
-        cancellation is released by a posted job — this callback may run
-        on a transport reader thread, which must never issue calls.  If
-        the host vanished, its lock state went with it and the posted
-        job's error is dropped."""
-        try:
-            grant = future.result(0)
-        except Exception:
-            return
-        if isinstance(grant, LockGrant):
-            self.transport.post(lambda: self.unlock(grant))
+    def release_stray_grant(self, value: Any) -> None:
+        """Give back a lock grant nobody holds (DESIGN.md, "The chase").
 
-    def _confirm_grant(self, grant: LockGrant) -> LockGrant:
-        """Acknowledge a provisional (leased) grant so its host keeps it.
-
-        A grant issued within a whisker of the caller's deadline expiry
-        is held under an unacknowledged-grant lease (the reply might
-        have answered nobody); having actually received it, we confirm —
-        one LOCK_CONFIRM round trip — before the lease reaper releases
-        it.  Ordinary grants (every deadline-free path) pass through
-        untouched, with no extra messages.
-        """
-        if not getattr(grant, "provisional", False):
-            return grant
-        try:
-            still_held = self.transport.call(
-                self.node_id, grant.location, MessageKind.LOCK_CONFIRM,
-                LockConfirm(name=grant.name, token=grant.token),
-            )
-            if not still_held:
-                # The confirm lost the race against the lease reaper:
-                # the lock was auto-released (and may be someone else's
-                # now) — proceeding on this grant would break mutual
-                # exclusion, so the acquisition fails instead.
-                raise LockTimeoutError(
-                    f"provisional lock grant on {grant.name!r} was reaped "
-                    f"at {grant.location!r} before its confirmation arrived"
-                )
-        except LockTimeoutError:
-            raise
-        except Exception as exc:
-            # Unconfirmable (host gone, or our own budget died first):
-            # the lease reaper will release the grant server-side, so
-            # handing it to the caller would be handing out a lock about
-            # to be stolen — fail the acquisition instead.
-            raise LockTimeoutError(
-                f"provisional lock grant on {grant.name!r} could not be "
-                f"confirmed at {grant.location!r}: {exc}"
-            ) from exc
-        return grant
+        One routine, two triggers: a chase loser that resolved before it
+        was cancelled, and a reply the transport found no waiter for
+        (:class:`~repro.runtime.external.MageExternalServer` hands it
+        here).  Any other value is ignored.  The UNLOCK goes out from a
+        posted job — the first trigger may fire on a transport reader
+        thread, which must never issue calls.  If the host vanished, its
+        lock state went with it and the posted job's error is dropped."""
+        if isinstance(value, LockGrant):
+            self.transport.post(lambda: self.unlock(value))
 
     def unlock(self, grant: LockGrant) -> None:
         """Release a grant at the host that issued it."""

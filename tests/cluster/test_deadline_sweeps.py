@@ -1,7 +1,7 @@
 """Cluster-layer deadlines: one budget per fan-out, silence as a signal.
 
 * ``Cluster.broadcast`` / ``query_all_loads`` / ``locate`` and the
-  ``DiscoveryService`` sweeps take one shared deadline for the whole
+  ``Membership`` sweeps take one shared deadline for the whole
   fan-out (instead of per-node timeouts);
 * ``LoadBalancer(probe_timeout_ms=...)`` prices a host that misses the
   probe window at ``inf`` — overloaded-by-silence, so it counts against
@@ -68,12 +68,12 @@ class TestBroadcastDeadline:
 
 class TestDiscoveryDeadline:
     def test_alive_peers_counts_the_silent_host_dead(self, stalled_cluster):
-        discovery = stalled_cluster["ctrl"].discovery
+        discovery = stalled_cluster["ctrl"].membership
         assert discovery.alive_peers(
             deadline=Deadline.after_ms(250)) == ["fast"]
 
     def test_unbounded_sweep_waits_the_stall_out(self, stalled_cluster):
-        discovery = stalled_cluster["ctrl"].discovery
+        discovery = stalled_cluster["ctrl"].membership
         assert discovery.alive_peers() == ["fast", "slow"]
 
 

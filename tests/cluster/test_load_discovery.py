@@ -51,12 +51,12 @@ class TestProfiles:
 
 class TestDiscovery:
     def test_hosts_and_peers(self, trio):
-        discovery = trio["alpha"].discovery
+        discovery = trio["alpha"].membership
         assert discovery.hosts() == ["alpha", "beta", "gamma"]
         assert discovery.peers() == ["beta", "gamma"]
 
     def test_liveness(self, trio):
-        discovery = trio["alpha"].discovery
+        discovery = trio["alpha"].membership
         assert discovery.is_alive("beta")
         trio.crash("beta")
         assert not discovery.is_alive("beta")
@@ -65,26 +65,26 @@ class TestDiscovery:
     def test_loads(self, trio):
         trio["beta"].set_load(30.0)
         trio["gamma"].set_load(70.0)
-        loads = trio["alpha"].discovery.loads()
+        loads = trio["alpha"].membership.loads()
         assert loads == {"beta": 30.0, "gamma": 70.0}
 
     def test_least_loaded(self, trio):
         trio["beta"].set_load(30.0)
         trio["gamma"].set_load(70.0)
-        assert trio["alpha"].discovery.least_loaded() == "beta"
+        assert trio["alpha"].membership.least_loaded() == "beta"
 
     def test_least_loaded_skips_dead_hosts(self, trio):
         trio["beta"].set_load(1.0)
         trio["gamma"].set_load(50.0)
         trio.crash("beta")
-        assert trio["alpha"].discovery.least_loaded() == "gamma"
+        assert trio["alpha"].membership.least_loaded() == "gamma"
 
     def test_least_loaded_with_no_candidates(self, pair):
         from repro.errors import MageError
 
         pair.crash("beta")
         with pytest.raises(MageError):
-            pair["alpha"].discovery.least_loaded()
+            pair["alpha"].membership.least_loaded()
 
     def test_node_load_plumbs_to_queries(self, pair):
         """Node.set_load → LOAD_QUERY → discovery, end to end."""

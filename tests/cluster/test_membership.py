@@ -9,7 +9,7 @@ background thread.
 
 import pytest
 
-from repro.cluster import Cluster, DiscoveryService, LoadBalancer, Membership, Node
+from repro.cluster import Cluster, LoadBalancer, Membership, Node
 from repro.errors import MageError
 from repro.net import TcpNetwork
 
@@ -209,7 +209,7 @@ class _ClusterView:
 class TestCompatibility:
     def test_discovery_service_alias_still_constructs(self):
         with Cluster(["a", "b"]) as cluster:
-            service = DiscoveryService(cluster["a"].namespace)
+            service = Membership(cluster["a"].namespace)
             assert isinstance(service, Membership)
             assert service.hosts() == ["a", "b"]
             assert service.peers() == ["b"]

@@ -53,7 +53,7 @@ class TestWithDiscovery:
         quad["beta"].set_load(90.0)
         quad["gamma"].set_load(10.0)
         quad["delta"].set_load(30.0)
-        candidates = quad["alpha"].discovery.alive_peers()
+        candidates = quad["alpha"].membership.alive_peers()
         policy = LoadBalancing("svc", candidates=candidates, threshold=100.0,
                                runtime=quad["alpha"].namespace)
         policy.bind()

@@ -17,7 +17,6 @@ from repro.core.agents import Agent
 from repro.errors import MageError
 from repro.net.simnet import SimNetwork
 from repro.net.tcpnet import TcpNetwork
-from repro.net.transport import CallFuture
 
 
 def _two_tours():
@@ -130,8 +129,7 @@ def test_a_stray_grant_is_released_by_a_posted_job(transport):
         grant = cluster["beta"].namespace.lock("c", "beta", "alpha")
         host = cluster["alpha"].namespace
         assert host.locks.has_activity("c")
-        cluster["beta"].namespace.server._release_stray_grant(
-            CallFuture.completed(grant))
+        cluster["beta"].namespace.server.release_stray_grant(grant)
         if transport == "sim":
             assert host.locks.has_activity("c")  # runs in quiesce only
         cluster.quiesce(timeout_s=5.0)

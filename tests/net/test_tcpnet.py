@@ -220,7 +220,9 @@ class TestConfig:
         sender loop: each frame kind that starts or ends a transfer is
         sent from one place, and the receiver applies through one door.
         Deferred work is a ``Transport.post`` job: no agent runner, no
-        step count of its own, no thread started for a stray grant."""
+        step count of its own, no thread started for a stray grant.  A
+        grant nobody holds is released by its requester, so locks keep
+        no lease: no confirm round trip, no lease timer, no knobs."""
         import ast
         import inspect
         import re
@@ -230,6 +232,7 @@ class TestConfig:
         import repro
         from repro.cluster import Cluster
         from repro.cluster.node import Node
+        from repro.runtime.locks import LockManager
         from repro.runtime.mover import Mover
         from repro.runtime.namespace import Namespace
 
@@ -255,19 +258,25 @@ class TestConfig:
                 if not isinstance(arg, ast.Call)
                 for kind in kinds_in(arg))
 
-        assert arity(Namespace) <= 8, inspect.signature(Namespace.__init__)
-        assert arity(Node) <= 8, inspect.signature(Node.__init__)
-        assert arity(Cluster) <= 10, inspect.signature(Cluster.__init__)
+        assert arity(Namespace) <= 7, inspect.signature(Namespace.__init__)
+        assert arity(Node) <= 6, inspect.signature(Node.__init__)
+        assert arity(Cluster) <= 9, inspect.signature(Cluster.__init__)
         assert arity(Mover) <= 9, inspect.signature(Mover.__init__)
+        assert arity(LockManager) <= 2, inspect.signature(LockManager.__init__)
         gone = re.compile(r"\b(AGENT_HOP|AgentHopPayload|ONEWAY_KINDS"
                           r"|drain_casts|synchronous_casts|_Steps"
                           r"|_STEPS(_LOCK)?|_steps_on|wait_for_tours"
-                          r"|agent-runner|mage-stray-unlock|SimpleQueue)\b")
+                          r"|agent-runner|mage-stray-unlock|SimpleQueue"
+                          r"|LOCK_CONFIRM|LockConfirm|provisional|_reap_unacked"
+                          r"|leases_reaped|at_risk_window_ms"
+                          r"|unacked_grant_ttl_ms|fair_locks|initial_load"
+                          r"|DiscoveryService)\b")
         root = Path(repro.__file__).parent
         for path in root.rglob("*.py"):
             assert not gone.findall(path.read_text()), path
         for path in (root / "core" / "agents.py", root / "runtime" / "server.py"):
             assert "threading.Thread(" not in path.read_text(), path
+        assert "threading.Timer(" not in (root / "runtime" / "locks.py").read_text()
         for path in (root / "core").rglob("*.py"):
             assert "CLASS_REQUEST" not in path.read_text(), path
         mover_sites = send_sites(root / "runtime" / "mover.py")

@@ -63,7 +63,7 @@ class TestNamespaceLifecycle:
 
 class TestDispatcherEdges:
     def test_unknown_message_kind_is_refused(self, pair):
-        message = Message(kind=MessageKind.REPLY, src="beta", dst="alpha")
+        message = Message(kind=MessageKind.BATCH, src="beta", dst="alpha")
         with pytest.raises(MageError, match="cannot handle"):
             pair["alpha"].namespace.external.handle(message)
 

@@ -8,9 +8,11 @@ from typing import Iterable
 from magelint.findings import Finding
 from magelint.rules.base import ModuleContext, ProgramFacts, Rule, attr_chain
 
-#: Kinds the node dispatcher never sees: REPLY is the response envelope
-#: (matched to waiters by msg id at the transport) and BATCH is unpacked
-#: into its sub-requests by ``Transport.execute_batch`` itself.
+#: Kinds that need no node-dispatcher entry: REPLY is the response
+#: envelope (matched to waiters by msg id at the transport; the entry it
+#: has serves only a reply that found no waiter, which the TCP transport
+#: posts to the node it is addressed to) and BATCH is unpacked into its
+#: sub-requests by ``Transport.execute_batch`` itself.
 DISPATCH_EXEMPT = frozenset({"REPLY", "BATCH"})
 
 #: Kinds that legitimately travel with no protocol payload dataclass.
