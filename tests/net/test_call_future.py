@@ -62,6 +62,18 @@ class TestCallFuture:
         future._resolve("late value")
         assert future.result() == "first"
 
+    def test_a_completion_that_loses_the_race_reports_it(self):
+        """The transport hands a reply that lost to a timeout or cancel
+        to its node rather than dropping it, so a completion says
+        whether it won."""
+        future = CallFuture("test")
+        assert future._resolve("first") is True
+        assert future._fail(ValueError("late failure")) is False
+        assert future._resolve("late value") is False
+        cancelled = CallFuture("test")
+        assert cancelled.cancel("gone")
+        assert cancelled._resolve("late value") is False
+
     def test_result_wait_timeout(self):
         future = CallFuture("test")
         with pytest.raises(CallTimeoutError):

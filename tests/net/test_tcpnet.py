@@ -8,10 +8,12 @@ import time
 import pytest
 
 from repro.errors import (
+    CallTimeoutError,
     ConfigurationError,
     MarshalError,
     NodeUnreachableError,
 )
+from repro.net.deadline import Deadline
 from repro.net.message import Message, MessageKind
 from repro.net.tcpnet import TcpNetwork
 
@@ -132,6 +134,79 @@ class TestTcpDelivery:
         kinds = net.trace.kinds()
         assert "PING" in kinds
         assert "REPLY(PING)" in kinds
+
+
+class TestStrayReplies:
+    """A reply that finds no caller waiting is handed, as posted work, to
+    the handler of the node it is addressed to."""
+
+    @staticmethod
+    def serve(net, node, answer):
+        """Register ``node``: REPLY messages are recorded, anything else
+        is answered by ``answer(message)``; returns the record."""
+        strays = []
+
+        def handler(message):
+            if message.kind is MessageKind.REPLY:
+                strays.append(message)
+                return None
+            return answer(message)
+
+        net.register(node, handler)
+        return strays
+
+    @staticmethod
+    def wait_for(predicate, timeout_s=5.0):
+        deadline = time.monotonic() + timeout_s
+        while not predicate() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return predicate()
+
+    @staticmethod
+    def slow(release):
+        def answer(message):
+            release.wait(10.0)
+            return ("late", message.payload)
+        return answer
+
+    @pytest.mark.parametrize("server", ["b", "a"])
+    def test_a_late_reply_reaches_its_node_handler(self, net, server):
+        release = threading.Event()
+        strays = self.serve(net, "a", self.slow(release))
+        if server == "b":
+            self.serve(net, "b", self.slow(release))
+        with pytest.raises(CallTimeoutError):
+            net.call("a", server, MessageKind.PING, 7,
+                     deadline=Deadline.after_ms(100))
+        release.set()
+        assert self.wait_for(lambda: strays)
+        net.quiesce(timeout_s=5.0)
+        [stray] = strays
+        assert stray.dst == "a" and stray.src == server
+        assert stray.in_reply_to is MessageKind.PING
+        assert stray.payload.value == ("late", 7)
+
+    def test_a_reply_in_time_is_not_handed_over(self, net):
+        strays = self.serve(net, "a", lambda m: None)
+        self.serve(net, "b", lambda m: m.payload)
+        assert net.call("a", "b", MessageKind.PING, 7) == 7
+        net.quiesce(timeout_s=5.0)
+        assert strays == []
+
+    def test_a_late_reply_to_a_node_that_left_is_dropped(self, net):
+        release = threading.Event()
+        strays = self.serve(net, "a", lambda m: None)
+        self.serve(net, "b", self.slow(release))
+        with pytest.raises(CallTimeoutError):
+            net.call("a", "b", MessageKind.PING, 7,
+                     deadline=Deadline.after_ms(100))
+        net.unregister("a")
+        release.set()
+        # The reply is traced as it is sent, before it reaches "a".
+        assert self.wait_for(lambda: "REPLY(PING)" in net.trace.kinds())
+        time.sleep(0.2)
+        net.quiesce(timeout_s=5.0)
+        assert strays == []
 
 
 class TestConfig:

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.errors import LockError, LockMovedError, LockTimeoutError
+from repro.net.deadline import Deadline
 from repro.runtime.locks import LockManager, MOVE, STAY
 
 
@@ -192,6 +193,20 @@ class TestRelease:
         locks.release("obj", grant.token)
         with pytest.raises(LockError):
             locks.release("obj", grant.token)
+
+    def test_a_grant_made_with_little_budget_left_is_held_until_released(
+            self, locks):
+        """No lease: a grant whose deadline was about to run out is not
+        taken back by the manager; only its release frees the object."""
+        grant = locks.acquire("obj", "beta", "caller",
+                              deadline=Deadline.after_ms(10))
+        time.sleep(0.2)  # well past the request's deadline
+        assert locks.holds_move_lock("obj", grant.token)
+        with pytest.raises(LockTimeoutError):
+            locks.acquire("obj", "alpha", "reader", timeout_ms=50)
+        locks.release("obj", grant.token)
+        stay = locks.acquire("obj", "alpha", "reader", timeout_ms=50)
+        locks.release("obj", stay.token)
 
     def test_state_is_garbage_collected(self, locks):
         grant = locks.acquire("obj", "alpha", "reader")

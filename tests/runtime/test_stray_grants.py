@@ -69,6 +69,20 @@ def spy_strays(namespace):
     return strays
 
 
+def late_grant(cluster, where, target):
+    """Lock ``c`` from alpha at its host (beta, or alpha itself) for
+    ``target`` while the host holds the grant's reply past the caller's
+    deadline; returns the host's namespace and the hold's ``release``."""
+    caller = cluster["alpha"].namespace
+    host = cluster["beta" if where == "remote" else "alpha"].namespace
+    host.register("c", Counter())
+    granted, release = hold(host, MessageKind.LOCK_REQUEST, "c")
+    with pytest.raises(LockTimeoutError):
+        caller.lock("c", target(host.node_id), host.node_id, timeout_ms=250)
+    assert granted.is_set()
+    return host, release
+
+
 @pytest.fixture
 def tcp_pair():
     with Cluster(["alpha", "beta"], transport="tcp") as cluster:
@@ -94,6 +108,44 @@ def test_a_grant_that_reaches_its_caller_late_is_released(tcp_pair, where):
     grant = caller.lock("c", elsewhere, host.node_id, timeout_ms=2000)
     assert grant.kind == "move"
     caller.unlock(grant)
+    tcp_pair.quiesce(timeout_s=5.0)
+    assert not host.locks.has_activity("c")
+
+
+@pytest.mark.parametrize("where", ["remote", "self"])
+def test_a_move_grant_that_reaches_its_caller_late_is_released(tcp_pair,
+                                                               where):
+    """The exclusive kind: a move grant held for nobody blocks every
+    stay until it goes back."""
+    other = {"alpha": "beta", "beta": "alpha"}
+    host, release = late_grant(tcp_pair, where, lambda node: other[node])
+    assert host.locks.snapshot("c")["move"]  # held for nobody
+    release.set()
+    caller = tcp_pair["alpha"].namespace
+    grant = caller.lock("c", host.node_id, host.node_id, timeout_ms=2000)
+    assert grant.kind == "stay"
+    caller.unlock(grant)
+    tcp_pair.quiesce(timeout_s=5.0)
+    assert not host.locks.has_activity("c")
+
+
+@pytest.mark.parametrize("where", ["remote", "self"])
+def test_a_cancelled_lock_request_is_released(tcp_pair, where):
+    """A chase cancels a loser rather than timing it out: its grant,
+    answered after the cancel, goes back the same way."""
+    caller = tcp_pair["alpha"].namespace
+    host = tcp_pair["beta" if where == "remote" else "alpha"].namespace
+    host.register("c", Counter())
+    granted, release = hold(host, MessageKind.LOCK_REQUEST, "c")
+    future = tcp_pair.transport.call_async(
+        "alpha", host.node_id, MessageKind.LOCK_REQUEST,
+        LockRequestPayload(name="c", target=host.node_id,
+                           requester="alpha"))
+    assert granted.wait(5.0)
+    assert future.cancel("the chase is over")
+    assert host.locks.snapshot("c")["stays"] == 1
+    release.set()
+    assert wait_for(lambda: host.locks.snapshot("c")["stays"] == 0)
     tcp_pair.quiesce(timeout_s=5.0)
     assert not host.locks.has_activity("c")
 
@@ -132,6 +184,41 @@ def test_an_unmatched_lock_request_of_a_coalesced_batch_is_released(
     alpha.unlock(gate.result(5.0))
     alpha.unlock(alpha.lock("c", "alpha", "beta", timeout_ms=2000))
     assert not host.locks.has_activity("c")
+
+
+def test_an_unmatched_find_of_a_coalesced_batch_is_ignored(tcp_pair):
+    """A FIND answer that loses its caller inside a BATCH reaches the
+    caller's node as a stray and issues no call."""
+    net = tcp_pair.transport
+    caller = tcp_pair["alpha"].namespace
+    host = tcp_pair["beta"].namespace
+    for name in ("gate", "c", "d"):
+        host.register(name, Counter())
+    strays = spy_strays(caller)
+    unlocked = []
+    caller.server.unlock = unlocked.append
+    gate_found, gate_release = hold(host, MessageKind.FIND, "gate")
+    c_found, c_release = hold(host, MessageKind.FIND, "c")
+
+    def find(name):
+        return net.call_async(
+            "alpha", "beta", MessageKind.FIND,
+            FindRequest(name=name, origin_hint="", verify=False))
+
+    gate = find("gate")
+    assert gate_found.wait(5.0)
+    c, d = find("c"), find("d")  # queued behind the gate's round trip
+    gate_release.set()
+    assert c_found.wait(5.0)  # c and d left together
+    assert "BATCH" in tcp_pair.trace.kinds()
+    c.cancel("the caller left")
+    c_release.set()
+    assert d.result(5.0) == "beta"
+    assert gate.result(5.0) == "beta"
+    assert wait_for(lambda: strays)
+    tcp_pair.quiesce(timeout_s=5.0)
+    assert len(strays) == 1 and strays[0].error is None
+    assert unlocked == []
 
 
 @pytest.mark.parametrize("late", ["find", "error"])
@@ -185,3 +272,37 @@ def test_a_grant_received_in_time_is_untouched(tcp_pair):
     assert "UNLOCK" not in tcp_pair.trace.kinds()
     caller.unlock(grant)
     assert not host.locks.has_activity("c")
+
+
+@pytest.mark.parametrize("transport", ["sim", "tcp"])
+def test_a_lock_in_time_costs_one_round_trip(transport):
+    """No confirm follows a grant: past the chase's verified find, a
+    lock is one LOCK_REQUEST and its reply, even with a deadline."""
+    with Cluster(["alpha", "beta"], transport=transport) as cluster:
+        cluster["beta"].register("c", Counter())
+        cluster.quiesce(timeout_s=5.0)
+        cluster.trace.clear()
+        caller = cluster["alpha"].namespace
+        grant = caller.lock("c", "alpha", "beta",
+                            deadline=Deadline.after_ms(5_000))
+        assert grant.kind == "move"
+        kinds = cluster.trace.kinds()
+        assert [kind for kind in kinds if "FIND" not in kind] == [
+            "LOCK_REQUEST", "REPLY(LOCK_REQUEST)"], kinds
+        caller.unlock(grant)
+
+
+@pytest.mark.parametrize("transport", ["sim", "tcp"])
+def test_a_stray_grant_whose_host_left_is_dropped(transport):
+    """The host's lock state went with it: the release's failed UNLOCK
+    is dropped and posted work still drains."""
+    with Cluster(["alpha", "beta"], transport=transport) as cluster:
+        cluster["beta"].register("c", Counter())
+        caller = cluster["alpha"].namespace
+        grant = caller.lock("c", "beta", "beta", timeout_ms=2000)
+        cluster["beta"].shutdown()
+        caller.server.release_stray_grant(grant)
+        cluster.quiesce(timeout_s=5.0)
+        caller.register("d", Counter())  # the requester carries on
+        caller.unlock(caller.lock("d", "alpha", "alpha", timeout_ms=2000))
+        assert not caller.locks.has_activity("d")
