@@ -44,7 +44,7 @@ def _conversation_s() -> tuple[float, float]:
     ``steady_per_call_s`` excludes the first call (which pays connect +
     handshake), so it reflects the channel's per-frame cost alone.
     """
-    a = TcpNetwork(latency_ms=LINK_LATENCY_MS, hello_timeout_s=5.0)
+    a = TcpNetwork(latency_ms=LINK_LATENCY_MS)
     b = TcpNetwork(latency_ms=LINK_LATENCY_MS)
     try:
         a.register("caller", lambda m: "ok")

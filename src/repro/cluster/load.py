@@ -157,9 +157,8 @@ class LoadBalancer:
 
         Hosts priced ``inf`` (overloaded-by-silence) are never candidates.
         A hedged move hands ``[0]`` as the primary target and the rest as
-        ``alternates``; the mover then streams to all of them in
-        expected-link-latency order (the transport's per-destination
-        EWMAs) and commits whichever finishes staging first.  Raises
+        ``alternates``; the mover then streams to all of them at once
+        and commits whichever finishes staging first.  Raises
         :class:`~repro.errors.MageError` when no candidate remains.
         """
         loads = self.snapshot() if loads is None else loads

@@ -141,19 +141,12 @@ protocol version or wire format is refused with
 request frame is written.  HELLO frames are invisible to message
 traces.  The cluster layer's
 :class:`repro.cluster.discovery.Membership` service fills the address
-book via seed-list JOIN and ANNOUNCE propagation and prunes it (with
-the per-link EWMAs) when its heartbeat declares a peer dead.
+book via seed-list JOIN and ANNOUNCE propagation and prunes it when its
+heartbeat declares a peer dead.
 
-Transports also keep **per-link latency EWMAs**
-(``note_link_latency`` / ``link_latency_s`` / ``rank_by_latency``) — the
-TCP transport records every reply's submission-to-resolution time, and
-hedged chases (``lock``/``move``/``locate_any``) probe candidates in
-expected-latency order.  The simulated network records nothing
-(virtual time, not wall time), so ranking is the identity there and
-deterministic traces are unchanged.  The loss-retry loop is
-**deadline-aware**: retries are priced at the dearest of the link EWMA,
-the observed attempt cost, and a small floor, so an almost-expired call
-retries at most once instead of spending the whole fixed budget.
+The loss-retry loop is **deadline-aware**: retries are priced at the
+observed attempt cost, never below a small floor, so an almost-expired
+call retries at most once instead of spending the whole fixed budget.
 """
 
 from repro.net.conditions import (

@@ -102,7 +102,8 @@ class Hello:
     """The handshake frame exchanged once per new TCP connection.
 
     The client sends its HELLO immediately after connecting and waits
-    (``hello_timeout_s``) for the server's; both directions carry:
+    (``tcpnet._HELLO_TIMEOUT_S``, 2 s) for the server's; both directions
+    carry:
 
     ``version``
         :data:`PROTOCOL_VERSION` of the sender.  A receiver seeing any

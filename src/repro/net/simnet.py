@@ -50,10 +50,7 @@ so a chunked OBJECT_TRANSFER's trace is the literal PREPARE, CHUNK × N,
 COMMIT sequence and each frame charges the latency model per message —
 a bandwidth-aware model prices the chunks by their payload bytes.  Frame
 codecs are a wire-bytes concern and do not exist here (payloads cross by
-reference); this transport records no per-link latency EWMAs either
-(``track_link_latency`` stays off), because its exchanges cost virtual
-time and wall-clock noise would perturb deterministic candidate
-rankings.
+reference).
 """
 
 from __future__ import annotations
@@ -111,8 +108,8 @@ class SimNetwork(Transport):
     def unregister(self, node_id: str) -> None:
         with self._state_lock:
             self._endpoints.pop(node_id, None)
-        # Drop per-peer transport state (address-book entry, link EWMA)
-        # so departed nodes leave nothing behind, matching TCP.
+        # Drop the address-book entry so departed nodes leave nothing
+        # behind, matching TCP.
         self.forget_peer(node_id)
 
     def nodes(self) -> list[str]:

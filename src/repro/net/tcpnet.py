@@ -168,6 +168,10 @@ _MAX_FRAME = 64 * 1024 * 1024  # 64 MiB: a generous bound on one message
 
 _SERVER_WORKERS = 8  # resident dispatch workers; overflow threads beyond
 _CONNECT_TIMEOUT_S = 5.0
+#: How long a new connection waits for the server's HELLO before the
+#: dial fails.  A server answers HELLO before the emulated link delays
+#: anything, so ``latency_ms`` never needs a longer wait.
+_HELLO_TIMEOUT_S = 2.0
 
 #: Bound on a HELLO frame's body.  The HELLO comes from a peer nothing
 #: has verified yet, so it gets its own small bound instead of the
@@ -986,24 +990,16 @@ class _PipelinedCallFuture(CallFuture):
     permanently with :class:`~repro.errors.CallTimeoutError`.
     """
 
-    def __init__(self, message: Message, timeout_s: float,
-                 transport: TcpNetwork) -> None:
+    def __init__(self, message: Message, timeout_s: float) -> None:
         super().__init__(message.describe)
         self._message = message
         self._timeout_s = timeout_s
         self._submitted = time.monotonic()
         self._channel: _Channel | None = None
-        self._transport = transport
 
     # -- sink protocol (called by the channel) --------------------------------
 
     def resolve(self, reply: Message) -> bool:
-        # Submission-to-reply latency feeds the per-link EWMA that ranks
-        # hedge candidates; recorded before completion so a collector
-        # that reacts to this future sees fresh numbers.
-        self._transport.note_link_latency(
-            self._message.dst, time.monotonic() - self._submitted
-        )
         return self._complete_from_reply(reply)
 
     def fail(self, error: Exception) -> None:
@@ -1535,8 +1531,6 @@ class _NodeServer:
 class TcpNetwork(Transport):
     """Transport over real TCP sockets; see module docstring."""
 
-    track_link_latency = True  # reply latencies feed hedge-candidate ranking
-
     #: Coalesce this transport's concurrent calls to one peer into single
     #: BATCH frames (adaptive: a lone call is never delayed).  Client-side
     #: only — every server runs the BATCH frames it is sent.  Read at
@@ -1558,7 +1552,6 @@ class TcpNetwork(Transport):
                  bind: str = "127.0.0.1",
                  advertise_host: str | None = None,
                  ports: dict[str, int] | None = None,
-                 hello_timeout_s: float = 2.0,
                  uds: bool = True) -> None:
         """``latency_ms`` and ``bandwidth_mbps`` emulate a slower link
         (tc-netem style): a request frame reaches its handler once a
@@ -1576,8 +1569,8 @@ class TcpNetwork(Transport):
         reachable address in a real multi-host deployment.  ``ports``
         optionally pins ``node_id -> listen port`` (seeds want a fixed,
         firewall-friendly port; the default is an ephemeral one).
-        ``hello_timeout_s`` bounds how long a new connection waits for
-        the server's HELLO before the dial fails.
+        A new connection waits ``_HELLO_TIMEOUT_S`` for the server's
+        HELLO before the dial fails.
 
         ``uds`` (on by default) makes every node listener additionally
         bind an abstract Unix-domain socket, advertised through HELLO
@@ -1596,10 +1589,6 @@ class TcpNetwork(Transport):
             raise ConfigurationError(
                 f"bandwidth must be positive: {bandwidth_mbps}"
             )
-        if hello_timeout_s <= 0:
-            raise ConfigurationError(
-                f"hello timeout must be positive: {hello_timeout_s}"
-            )
         self.latency_ms = latency_ms
         self.io_timeout_s = io_timeout_s
         self.bind = bind
@@ -1607,7 +1596,6 @@ class TcpNetwork(Transport):
             "127.0.0.1" if bind in ("", "0.0.0.0", "::") else bind
         )
         self._ports = dict(ports) if ports else {}
-        self.hello_timeout_s = hello_timeout_s
         self.uds = uds and _UDS_SUPPORTED
         self._call_metrics = _CallPathMetrics()
         self._bytes_per_s = (
@@ -1654,8 +1642,8 @@ class TcpNetwork(Transport):
             server = self._servers.pop(node_id, None)
         if server is not None:
             server.close()
-        # Prune everything remembered about the departed node — link
-        # EWMA, address-book entry, live channels — so a long-lived
+        # Prune everything remembered about the departed node — its
+        # address-book entry and live channels — so a long-lived
         # transport carries no state for dead peers.
         self.forget_peer(node_id)
 
@@ -1690,8 +1678,7 @@ class TcpNetwork(Transport):
         return super().endpoint_of(node_id)
 
     def forget_peer(self, node_id: str) -> None:
-        # One atomic pop drops the peer's whole record — address book
-        # and link EWMA together.  Channels are closed with
+        # Drop the address-book entry, then the channels.  They close with
         # ``rescue=False``: the auto-batcher's queued frames fail instead
         # of redialing the node just forgotten.
         super().forget_peer(node_id)
@@ -1777,7 +1764,7 @@ class TcpNetwork(Transport):
                           dst: str) -> Hello:
         """Open a new connection with HELLO; returns the server's.
 
-        Sends this side's HELLO and waits up to ``hello_timeout_s`` for
+        Sends this side's HELLO and waits up to ``_HELLO_TIMEOUT_S`` for
         the server's.  No request frame has been written yet, so every
         failure is a refused dial: a timeout, a hang-up or a first frame
         that is not a bounded HELLO raises
@@ -1791,7 +1778,7 @@ class TcpNetwork(Transport):
             settings={wirecodec.WIRE_SETTING: wirecodec.WIRE_FORMAT},
         )
         try:
-            sock.settimeout(self.hello_timeout_s)
+            sock.settimeout(_HELLO_TIMEOUT_S)
             sock.sendall(_encode_hello(hello))
             peer = _recv_hello(sock)
         except (OSError, MarshalError) as exc:
@@ -2011,8 +1998,7 @@ class TcpNetwork(Transport):
         arrives.  Issuing N futures before collecting any puts N round
         trips in flight on the shared connection.
         """
-        future = _PipelinedCallFuture(message, self.io_timeout_s,
-                                      transport=self)
+        future = _PipelinedCallFuture(message, self.io_timeout_s)
         if message.deadline is not None and message.deadline.expired:
             # Budget already gone: never touch the wire.
             future._fail(CallTimeoutError(

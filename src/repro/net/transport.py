@@ -584,38 +584,14 @@ class ReplyCache:
             return len(self._entries)
 
 
-class _PeerRecord:
-    """Everything one transport remembers about one peer node.
-
-    Endpoint and latency EWMA live in *one* record, so ``forget_peer``
-    removes both in one pop — a concurrent ``note_link_latency`` can
-    never resurrect half a departed peer.
-    """
-
-    __slots__ = ("endpoint", "ewma_s")
-
-    def __init__(self) -> None:
-        self.endpoint: Endpoint | None = None
-        self.ewma_s: float | None = None
-
-
 class Transport(ABC):
     """Delivers messages between registered nodes; see module docstring."""
-
-    #: Whether this transport records per-destination reply latencies.
-    #: Off on the simulated network: its exchanges cost virtual time, not
-    #: wall time, and feeding wall-clock noise into candidate ranking
-    #: would perturb the deterministic traces the figure benches assert.
-    track_link_latency = False
 
     #: Whether stubs on this transport may short-circuit invokes to
     #: colocated servants in process (the tier-1 local bypass).  Off on
     #: the simulated network: every simulated call must cross the
     #: virtual wire so figure traces stay byte-identical.
     supports_local_bypass = False
-
-    #: EWMA smoothing factor for per-link latency estimates.
-    LINK_EWMA_ALPHA = 0.2
 
     #: Retransmissions ``call`` makes after a loss before giving up; a
     #: test that needs another budget sets it on one instance.
@@ -624,9 +600,9 @@ class Transport(ABC):
     def __init__(self, clock: Clock, trace: MessageTrace | None = None) -> None:
         self.clock = clock
         self.trace = trace if trace is not None else MessageTrace()
-        # The peer book: one record per peer under one lock.
+        # The peer book: each connected peer's endpoint, under one lock.
         self._peer_lock = threading.Lock()
-        self._peers: dict[str, _PeerRecord] = {}
+        self._peers: dict[str, Endpoint] = {}
 
     # -- address book ---------------------------------------------------------
 
@@ -651,8 +627,7 @@ class Transport(ABC):
             endpoint = Endpoint(*endpoint)
         address = endpoint.address()
         with self._peer_lock:
-            record = self._peer_locked(node_id)
-            previous = record.endpoint
+            previous = self._peers.get(node_id)
             # Identity is (host, port) only: the uds facet is advisory
             # routing data, and learning or shedding it must not sever
             # healthy connections built on the unchanged TCP address.
@@ -663,7 +638,7 @@ class Transport(ABC):
             keep_facet = (previous is not None and not changed
                           and bool(previous.uds) and not endpoint.uds)
             if not keep_facet:
-                record.endpoint = endpoint
+                self._peers[node_id] = endpoint
         if changed:
             self._peer_endpoint_changed(node_id)
 
@@ -675,80 +650,26 @@ class Transport(ABC):
         bound addresses.
         """
         with self._peer_lock:
-            record = self._peers.get(node_id)
-            return record.endpoint if record is not None else None
+            return self._peers.get(node_id)
 
     def known_peers(self) -> dict[str, Endpoint]:
         """Copy of the address book (peers learned via :meth:`connect`)."""
         with self._peer_lock:
-            return {node_id: record.endpoint
-                    for node_id, record in self._peers.items()
-                    if record.endpoint is not None}
-
-    def _peer_locked(self, node_id: str) -> _PeerRecord:
-        """``node_id``'s record, created empty; the peer lock is held."""
-        record = self._peers.get(node_id)
-        if record is None:
-            record = self._peers[node_id] = _PeerRecord()
-        return record
+            return dict(self._peers)
 
     def _peer_endpoint_changed(self, node_id: str) -> None:
         """Hook: ``node_id``'s endpoint was replaced (sever stale links)."""
 
     def forget_peer(self, node_id: str) -> None:
-        """Drop every per-peer record held for ``node_id``.
+        """Drop ``node_id``'s address-book entry.
 
         Called when a node deregisters or membership declares it dead,
-        so a long-lived transport does not accumulate latency EWMAs and
-        address-book entries for departed peers.  Idempotent; a later
-        :meth:`connect` or fresh traffic rebuilds the state from
-        scratch.  The whole record goes in one atomic pop, so a send
-        racing the forget observes either the full peer state or none
-        of it.
+        so a long-lived transport does not accumulate endpoints of
+        departed peers; this pop is the peer book's bound.  Idempotent;
+        a later :meth:`connect` records the peer afresh.
         """
         with self._peer_lock:
             self._peers.pop(node_id, None)
-
-    # -- per-link latency estimation ------------------------------------------
-
-    def note_link_latency(self, dst: str, elapsed_s: float) -> None:
-        """Record one observed request->reply latency to ``dst``.
-
-        Maintains an exponentially weighted moving average per
-        destination; hedged chases and balancing policies rank candidate
-        hosts by this expectation instead of by recency of contact.
-        No-op unless the transport opts in via ``track_link_latency``.
-        """
-        if not self.track_link_latency or elapsed_s < 0:
-            return
-        alpha = self.LINK_EWMA_ALPHA
-        with self._peer_lock:
-            record = self._peer_locked(dst)
-            if record.ewma_s is None:
-                record.ewma_s = elapsed_s
-            else:
-                record.ewma_s = (1 - alpha) * record.ewma_s + alpha * elapsed_s
-
-    def link_latency_s(self, dst: str) -> float | None:
-        """The expected reply latency to ``dst`` (``None`` when unknown)."""
-        with self._peer_lock:
-            record = self._peers.get(dst)
-            return record.ewma_s if record is not None else None
-
-    def rank_by_latency(self, candidates: Sequence[str]) -> list[str]:
-        """``candidates`` ordered by expected reply latency, fastest first.
-
-        The sort is *stable* and unknown links rank last-but-in-order, so
-        on transports that record nothing (the simulated network) the
-        input order is returned unchanged — deterministic fan-out code
-        can always pass its candidate list through this.
-        """
-        with self._peer_lock:
-            known = {node_id: record.ewma_s
-                     for node_id, record in self._peers.items()
-                     if record.ewma_s is not None}
-        return sorted(candidates,
-                      key=lambda node: known.get(node, float("inf")))
 
     # -- node management ----------------------------------------------------
 
@@ -958,8 +879,8 @@ class Transport(ABC):
         already-expired call never touches the wire).  And the retry count
         itself is **deadline-aware**: before each retransmission the loop
         asks whether the remaining budget can still afford an attempt —
-        priced at the dearest of the link's latency EWMA, the mean cost of
-        the attempts already made, and a small floor — so an almost-expired
+        priced at the mean cost of the attempts already made, never below
+        a small floor — so an almost-expired
         call retries at most once rather than queueing ``retry_budget``
         transmissions nobody will wait for.  Without a deadline the fixed
         budget applies unchanged.
@@ -978,16 +899,10 @@ class Transport(ABC):
                     f"{message.describe()}: remaining deadline budget cannot "
                     f"afford retry {attempt}"
                 ) from last_loss
-            attempt_started = time.monotonic()
             try:
-                reply = self._transmit(message)
+                return self._transmit(message)
             except MessageLostError as exc:
                 last_loss = exc
-                continue
-            self.note_link_latency(
-                message.dst, time.monotonic() - attempt_started
-            )
-            return reply
         raise MessageLostError(
             f"{message.describe()} lost {attempts} times (retry budget exhausted)"
         ) from last_loss
@@ -998,11 +913,8 @@ class Transport(ABC):
         deadline = message.deadline
         if deadline is None:
             return True
-        expected_s = (time.monotonic() - started_monotonic) / attempts_done
-        ewma_s = self.link_latency_s(message.dst)
-        if ewma_s is not None:
-            expected_s = max(expected_s, ewma_s)
-        expected_s = max(expected_s, MIN_ATTEMPT_COST_S)
+        expected_s = max((time.monotonic() - started_monotonic)
+                         / attempts_done, MIN_ATTEMPT_COST_S)
         return deadline.remaining_s() >= expected_s
 
     def cast(self, src: str, dst: str, kind: MessageKind, payload: Any = None) -> None:

@@ -502,9 +502,8 @@ class Mover:
         pieces = self.pack_state(record.obj)
         candidates = [target]
         if sum(map(len, pieces)) >= self.stream_threshold:
-            candidates = self._transport.rank_by_latency(
-                [node for node in dict.fromkeys((target, *alternates))
-                 if node != self.node_id])
+            candidates = [node for node in dict.fromkeys((target, *alternates))
+                          if node != self.node_id]
         firsts = {node: self._first_frame(name, record.shared, desc, pieces,
                                           node, deadline, tour)
                   for node in candidates}

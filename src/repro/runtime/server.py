@@ -276,11 +276,6 @@ class MageServer:
         if not candidates:
             raise ComponentNotFoundError(name, "no candidate registries to probe")
         deadline = effective_deadline(deadline)
-        # Probe in expected-latency order (per-link EWMAs): the fastest
-        # candidates' answers arrive — and win — soonest.  Transports that
-        # record no latencies (the simulated network) preserve input
-        # order, keeping deterministic traces unchanged.
-        candidates = self.transport.rank_by_latency(list(candidates))
         answer = chase(
             name,
             lambda node: self.transport.call_async(
@@ -383,12 +378,12 @@ class MageServer:
 
     def _hints(self, name: str, origin_hint: str | None) -> list[str]:
         """A hedged chase's first hosts: this one if it hosts ``name``, else
-        the last-known host and the origin hint in expected-latency order."""
+        the last-known host and the origin hint, asked at once."""
         if self.store.contains(name):
             return [self.node_id]
         hints = (self.registry.forwarding_hint(name), origin_hint)
-        return self.transport.rank_by_latency(list(dict.fromkeys(
-            hint for hint in hints if hint and hint != self.node_id)))
+        return list(dict.fromkeys(
+            hint for hint in hints if hint and hint != self.node_id))
 
     # -- class mobility --------------------------------------------------------------
 

@@ -163,7 +163,6 @@ def test_two_process_cluster_end_to_end(two_process):
     assert membership.is_dead("worker")
     assert membership.hosts() == ["hub"]
     assert hub.namespace.registry.forwarding_hint("payload") is None
-    assert net.link_latency_s("worker") is None
     assert net.endpoint_of("worker") is None
 
     # -- and the balancer never targets the corpse -------------------------

@@ -30,7 +30,7 @@ from repro.errors import (
     NodeUnreachableError,
     ProtocolMismatchError,
 )
-from repro.net import codec, wirecodec
+from repro.net import codec, tcpnet, wirecodec
 from repro.net.endpoint import PROTOCOL_VERSION, Endpoint, Hello
 from repro.net.message import Message, MessageKind
 from repro.net.reactor import FrameError
@@ -118,23 +118,10 @@ class TestAddressBook:
         b.register("worker", lambda m: "pong")
         a.connect("worker", b.endpoint_of("worker"))
         assert a.call("hub", "worker", MessageKind.PING) == "pong"
-        assert a.link_latency_s("worker") is not None  # EWMA recorded
         a.forget_peer("worker")
         assert a.endpoint_of("worker") is None
-        assert a.link_latency_s("worker") is None
         assert "worker" not in a.nodes()
         assert a.open_channels() == 0
-
-    def test_unregister_prunes_link_state(self, nets):
-        """Deregistration of a local node leaves no EWMA behind (a
-        long-lived transport must not leak)."""
-        net = nets()
-        net.register("a", lambda m: "ok")
-        net.register("b", lambda m: "pong")
-        assert net.call("a", "b", MessageKind.PING) == "pong"
-        assert net.link_latency_s("b") is not None
-        net.unregister("b")
-        assert net.link_latency_s("b") is None
 
     def test_fixed_port_pinning(self, nets):
         import socket
@@ -388,9 +375,10 @@ def pickles_after_handshake(conn, recv):
 
 
 @pytest.fixture
-def client(nets):
+def client(nets, monkeypatch):
     """A real transport with one healthy peer to prove it stays usable."""
-    net = nets(hello_timeout_s=0.3, io_timeout_s=5.0, uds=False)
+    monkeypatch.setattr(tcpnet, "_HELLO_TIMEOUT_S", 0.3)
+    net = nets(io_timeout_s=5.0, uds=False)
     healthy = nets(uds=False)
     net.register("hub", lambda m: "ok")
     healthy.register("healthy", lambda m: "pong")

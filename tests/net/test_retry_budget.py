@@ -62,13 +62,3 @@ class TestDeadlineAwareRetries:
                      deadline=Deadline.after_ms(0))
         assert loss.attempts == 0
 
-    def test_link_ewma_prices_the_retry(self, blackhole):
-        """A link known to cost ~200 ms refuses a retry on a 50 ms budget
-        even though the flat floor alone would have allowed it."""
-        net, loss = blackhole
-        net.track_link_latency = True
-        net.note_link_latency("b", 0.2)
-        with pytest.raises(CallTimeoutError):
-            net.call("a", "b", MessageKind.PING,
-                     deadline=Deadline.after_ms(50))
-        assert loss.attempts == 1

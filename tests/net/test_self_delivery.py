@@ -52,7 +52,7 @@ def _self_channels(net):
 def _submit(net, message):
     """Send ``message`` as is, past the caller-side checks of
     ``call_async`` (a retransmission, or a deadline expiring in flight)."""
-    future = _PipelinedCallFuture(message, net.io_timeout_s, transport=net)
+    future = _PipelinedCallFuture(message, net.io_timeout_s)
     net._submit(message, future)
     return future
 

@@ -217,6 +217,7 @@ class TestConfig:
         "retry_budget", "reactor_threads",
         "codecs", "compress_threshold", "auto_batch", "local_bypass",
         "server_workers", "connect_timeout_s", "bytes_per_s",
+        "hello_timeout_s",
     ])
     def test_there_is_one_wire_dialect_and_no_option_to_pick_another(
             self, option):
@@ -297,7 +298,9 @@ class TestConfig:
         Deferred work is a ``Transport.post`` job: no agent runner, no
         step count of its own, no thread started for a stray grant.  A
         grant nobody holds is released by its requester, so locks keep
-        no lease: no confirm round trip, no lease timer, no knobs."""
+        no lease: no confirm round trip, no lease timer, no knobs.  Hedges
+        ask every candidate at once, so nothing ranks them: no per-link
+        latency estimate, and the peer book holds endpoints only."""
         import ast
         import inspect
         import re
@@ -338,6 +341,7 @@ class TestConfig:
         assert arity(Cluster) <= 9, inspect.signature(Cluster.__init__)
         assert arity(Mover) <= 9, inspect.signature(Mover.__init__)
         assert arity(LockManager) <= 2, inspect.signature(LockManager.__init__)
+        assert arity(TcpNetwork) <= 9, inspect.signature(TcpNetwork.__init__)
         gone = re.compile(r"\b(AGENT_HOP|AgentHopPayload|ONEWAY_KINDS"
                           r"|drain_casts|synchronous_casts|_Steps"
                           r"|_STEPS(_LOCK)?|_steps_on|wait_for_tours"
@@ -345,7 +349,9 @@ class TestConfig:
                           r"|LOCK_CONFIRM|LockConfirm|provisional|_reap_unacked"
                           r"|leases_reaped|at_risk_window_ms"
                           r"|unacked_grant_ttl_ms|fair_locks|initial_load"
-                          r"|DiscoveryService)\b")
+                          r"|DiscoveryService|note_link_latency|link_latency_s"
+                          r"|rank_by_latency|track_link_latency|LINK_EWMA_ALPHA"
+                          r"|_PeerRecord|_peer_locked|hello_timeout_s)\b")
         root = Path(repro.__file__).parent
         for path in root.rglob("*.py"):
             assert not gone.findall(path.read_text()), path
@@ -563,7 +569,7 @@ class TestSharedTablesUnderLoad:
         def submitter():
             for i in range(200):
                 message = build_message(MessageKind.PING, "a", "b", i)
-                sink = _PipelinedCallFuture(message, 5.0, net)
+                sink = _PipelinedCallFuture(message, 5.0)
                 try:
                     channel.submit(message, sink)
                 except _ChannelClosedError:
@@ -591,7 +597,7 @@ class TestSharedTablesUnderLoad:
         assert channel._waiters == {}
         late = build_message(MessageKind.PING, "a", "b", "late")
         with pytest.raises(_ChannelClosedError):
-            channel.submit(late, _PipelinedCallFuture(late, 5.0, net))
+            channel.submit(late, _PipelinedCallFuture(late, 5.0))
         assert channel._waiters == {}
 
 

@@ -11,9 +11,10 @@ from magelint.rules.base import (
 )
 
 #: The layers whose time arithmetic feeds deadlines, lock leases,
-#: heartbeat verdicts, and link EWMAs.  Wall-clock readings there are
-#: corrupted by NTP steps and manual clock changes; ``time.monotonic()``
-#: is the only clock those computations may difference.
+#: heartbeat verdicts, and the reactor's loop-lag EWMA.  Wall-clock
+#: readings there are corrupted by NTP steps and manual clock changes;
+#: ``time.monotonic()`` is the only clock those computations may
+#: difference.
 SCOPED_PREFIXES = ("src/repro/net/", "src/repro/runtime/", "src/repro/cluster/")
 
 
@@ -22,7 +23,7 @@ class WallClockRule(Rule):
     title = "`time.time()` in deadline/lease/timing code"
     rationale = """
 Every duration in the stack — Deadline expiry, lock lease TTLs,
-heartbeat timeouts, per-link latency EWMAs — is a *difference of two
+heartbeat timeouts, the reactor's loop lag — is a *difference of two
 clock readings*.  ``time.time()`` differences jump when NTP steps the
 wall clock: a one-second backward step makes every outstanding deadline
 one second longer and can mark a healthy peer dead.  PR 3 anchored
