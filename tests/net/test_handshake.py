@@ -123,6 +123,31 @@ class TestAddressBook:
         assert "worker" not in a.nodes()
         assert a.open_channels() == 0
 
+    def test_unregister_prunes_link_state(self, nets):
+        """Deregistration of a local node leaves no address or channel
+        behind (a long-lived transport must not leak)."""
+        net = nets()
+        net.register("a", lambda m: "ok")
+        net.register("b", lambda m: "pong")
+        assert net.call("a", "b", MessageKind.PING) == "pong"
+        net.unregister("b")
+        assert net.endpoint_of("b") is None
+        assert "b" not in net.nodes()
+        assert net.open_channels() == 0
+
+    def test_replies_leave_the_address_book_alone(self, nets):
+        """Only ``connect`` writes the peer book: a node that answers, or
+        one that calls in, is not recorded by the transport it talks to."""
+        a, b = nets(), nets()
+        a.register("hub", lambda m: "ok")
+        a.register("spoke", lambda m: "ok")
+        b.register("worker", lambda m: "pong")
+        a.connect("worker", b.endpoint_of("worker"))
+        assert a.call("hub", "spoke", MessageKind.PING) == "ok"
+        assert a.call("hub", "worker", MessageKind.PING) == "pong"
+        assert a.known_peers() == {"worker": b.endpoint_of("worker")}
+        assert b.known_peers() == {}
+
     def test_fixed_port_pinning(self, nets):
         import socket
         probe = socket.socket()

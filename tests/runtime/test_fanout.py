@@ -150,6 +150,16 @@ class TestLocateAny:
         server = trio["alpha"].namespace.server
         assert server.locate_any("obj", ["beta", "gamma"]) == "gamma"
 
+    def test_probes_go_out_in_candidate_order(self, quad):
+        quad["beta"].register("doc", Counter())
+        quad.trace.clear()
+        server = quad["delta"].namespace.server
+        assert server.locate_any("doc", ["gamma", "alpha", "beta"]) == "beta"
+        probes = [event.arrow() for event in
+                  quad.trace.filtered(kinds=["FIND"], remote_only=True)]
+        assert probes == ["delta -> gamma: FIND", "delta -> alpha: FIND",
+                          "delta -> beta: FIND"]
+
 
 class TestClassProbeOverlap:
     def test_default_moves_send_no_probe(self, pair):

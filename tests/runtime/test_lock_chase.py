@@ -213,6 +213,25 @@ class TestHedgedLock:
         assert issuer.registry.forwarding_hint("obj") == "home"
         issuer.unlock(grant)
 
+    def test_hedge_asks_the_last_known_host_then_the_origin(
+            self, make_cluster):
+        cluster = make_cluster(["origin", "stale", "issuer"])
+        cluster["origin"].register("obj", Payload(), shared=True)
+        issuer = cluster["issuer"].namespace
+        issuer.registry.note_location("obj", "stale")
+        assert issuer.server._hints("obj", "origin") == ["stale", "origin"]
+        # One host named twice, or the asking host itself, is asked once
+        # or not at all.
+        assert issuer.server._hints("obj", "stale") == ["stale"]
+        assert issuer.server._hints("obj", "issuer") == ["stale"]
+
+    def test_hedge_on_the_hosting_node_asks_only_itself(self, make_cluster):
+        cluster = make_cluster(["origin", "home"])
+        cluster["home"].register("obj", Payload(), shared=True)
+        home = cluster["home"].namespace
+        home.registry.note_location("obj", "origin")
+        assert home.server._hints("obj", "origin") == ["home"]
+
     def test_hedged_lock_local_object(self, pair):
         alpha = pair["alpha"]
         alpha.register("obj", Payload(), shared=True)

@@ -91,6 +91,36 @@ class TestMoveSequence:
             + _exchange("alpha", "beta", "TRANSFER_COMMIT")
             + _exchange("alpha", "gamma", "TRANSFER_ABORT"))
 
+    def test_a_hedge_prepares_in_the_callers_order(self, make_cluster):
+        cluster = _cluster(make_cluster)
+        cluster["alpha"].register("b", Bulk(_size_for(4)))
+        cluster.trace.clear()
+        assert cluster["alpha"].namespace.move(
+            "b", "gamma", hedge=True, alternates=("beta",)) == "gamma"
+        assert _sent(cluster) == (
+            _exchange("alpha", "gamma", "TRANSFER_PREPARE")
+            + _exchange("alpha", "beta", "TRANSFER_PREPARE")
+            + _exchange("alpha", "gamma", "TRANSFER_CHUNK", 4)
+            + _exchange("alpha", "beta", "TRANSFER_CHUNK", 4)
+            + _exchange("alpha", "gamma", "TRANSFER_COMMIT")
+            + _exchange("alpha", "beta", "TRANSFER_ABORT"))
+
+    def test_a_hedge_skips_the_source_and_repeated_candidates(
+            self, make_cluster):
+        cluster = _cluster(make_cluster)
+        cluster["alpha"].register("b", Bulk(_size_for(4)))
+        cluster.trace.clear()
+        assert cluster["alpha"].namespace.move(
+            "b", "beta", hedge=True,
+            alternates=("alpha", "beta", "gamma", "gamma")) == "beta"
+        assert _sent(cluster) == (
+            _exchange("alpha", "beta", "TRANSFER_PREPARE")
+            + _exchange("alpha", "gamma", "TRANSFER_PREPARE")
+            + _exchange("alpha", "beta", "TRANSFER_CHUNK", 4)
+            + _exchange("alpha", "gamma", "TRANSFER_CHUNK", 4)
+            + _exchange("alpha", "beta", "TRANSFER_COMMIT")
+            + _exchange("alpha", "gamma", "TRANSFER_ABORT"))
+
     def test_a_stream_into_a_crashed_target_aborts(self, make_cluster):
         cluster = _cluster(make_cluster)
         cluster["alpha"].register("b", Bulk(_size_for(4)))
