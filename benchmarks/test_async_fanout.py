@@ -16,8 +16,8 @@ tc-netem-style emulated LAN link — which is the regime the paper's
 Two workloads, both at 8 nodes over real TCP sockets (pipelined mode):
 
 * ``push_class`` fan-out — distribute a class definition to 7 targets:
-  the sequential probe+body loop vs ``push_class_many`` (one batched
-  frame per target, all round trips overlapped).
+  the sequential probe+body loop vs ``push_class_many`` (one
+  conditional push per target, all round trips overlapped).
 * ``query_all_loads`` — sweep every node's load metric: the sequential
   ``query_load`` loop vs the parallel sweep.
 

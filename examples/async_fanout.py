@@ -40,7 +40,7 @@ def main():
         controller = cluster["host0"]
         controller.register_class(ShardWorker)
 
-        # --- distribute the class: one overlapped batched push per node ---
+        # --- distribute the class: one overlapped push per node ----------
         start = time.perf_counter()
         hashes = cluster.push_class_everywhere("ShardWorker")
         fanout_ms = (time.perf_counter() - start) * 1000
@@ -50,7 +50,7 @@ def main():
         # --- instantiate one shard per node ------------------------------
         for i, node_id in enumerate(node_ids):
             controller.namespace.instantiate(
-                "ShardWorker", f"shard{i}", node_id, args=(i,), batched=True
+                "ShardWorker", f"shard{i}", node_id, args=(i,)
             )
 
         # --- overlapped invocations via stub.futures ----------------------

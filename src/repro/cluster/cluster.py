@@ -192,7 +192,7 @@ class Cluster:
         """Distribute a class to every node in parallel; ``{node: hash}``.
 
         ``from_node`` names the serving node (default: the first node
-        whose cache holds the class).  The pushes are one batched frame
+        whose cache holds the class).  The pushes are one conditional push
         per target, all overlapped — at 8 nodes this is the scatter-gather
         fan-out the async benchmark measures against the sequential loop.
         ``deadline`` bounds the whole fan-out with one shared budget.

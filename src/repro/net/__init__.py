@@ -18,21 +18,21 @@ Shared guarantees, regardless of transport:
   request replays its cached reply, and one arriving *while* the original
   is still executing waits for that execution instead of starting a second
   one.  Non-idempotent moves therefore never run twice for one message id.
-* **Batching** — ``Transport.call_many`` ships a sequence of requests as
-  one BATCH frame (one round trip, run in order, stopped by the first
-  error), each sub-request keeping its own message id and at-most-once
-  slot; ``Transport.execute_batch`` is the one executor on both.
+* **Batching** — one BATCH frame kind, built only by the TCP transport's
+  auto-batcher from calls queued behind a round trip.  Its subs are
+  independent: each keeps its own message id and at-most-once slot, and
+  every one runs; ``Transport.execute_batch`` is the one executor.  The
+  simulated network sends every call as its own message.
 * **Drop tracing** — an undeliverable one-way send is recorded in the
   :class:`repro.net.trace.MessageTrace` as a drop on both transports.
 
 The asynchronous invocation core
 --------------------------------
 
-``Transport.call_async`` and ``Transport.call_many_async`` are the
-future-returning forms of ``call``/``call_many`` — the primitive every
-multi-node runtime operation (class fan-out, load sweeps, parallel find
-probes, cluster broadcast) scatters over.  They return a
-:class:`repro.net.transport.CallFuture`:
+``Transport.call_async`` is the future-returning form of ``call`` —
+the primitive every multi-node runtime operation (class fan-out, load
+sweeps, parallel find probes, cluster broadcast) scatters over.  It
+returns a :class:`repro.net.transport.CallFuture`:
 
 ``future.result(timeout_s=None)``
     Block until the exchange completes; return the reply value or re-raise
@@ -77,8 +77,7 @@ Deadlines
 call chain — built with ``Deadline.after_ms(250)`` / ``after_s(...)``,
 queried via ``remaining_ms()`` / ``remaining_s()`` / ``.expired``, and
 accepted by every request/response form (``call``, ``call_async``,
-``call_many``, ``call_many_async``) plus every runtime/cluster fan-out
-built on them.  One deadline:
+``stream``) plus every runtime/cluster fan-out built on them.  One deadline:
 
 * rides the :class:`~repro.net.message.Message` header, re-anchoring to
   the *remaining* budget across serialization, so each hop of a

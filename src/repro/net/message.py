@@ -259,15 +259,11 @@ class Batch:
 
     ``subs`` are complete request messages — each keeps its own message
     id, hence its own at-most-once slot and deadline admission at the
-    destination.  ``sequential`` is the one difference between the two
-    things that build a batch: ``call_many`` promises the behaviour of
-    the sequence of calls it replaces (run in order, stop after the
-    first error), while the TCP transport's auto-batcher coalesces calls
-    that know nothing of each other (every sub runs; the server may run
-    them side by side).  Either way the reply's value is one
-    ``(sub message id, ReplyPayload)`` pair per sub that ran, in request
-    order.
+    destination.  The TCP transport's auto-batcher is the one thing that
+    builds a batch: it coalesces calls that know nothing of each other,
+    so every sub runs and the server may run them side by side.  The
+    reply's value is one ``(sub message id, ReplyPayload)`` pair per
+    sub, in request order.
     """
 
     subs: tuple[Message, ...]
-    sequential: bool

@@ -20,11 +20,9 @@ Properties that matter for the reproduction:
 * **Fault injection** — per-link partitions, node crashes, and pluggable
   loss models exercise the recovery paths §4.3 demands.
 
-``Transport.call_many`` needs no code here: the base class packs the batch
-into one BATCH envelope and ``execute_handler`` hands it to the shared
-``execute_batch``; because this transport charges latency per *message*,
-a batch of N requests costs one round trip on the virtual clock —
-exactly the saving the TCP transport realizes in real time.
+No BATCH frame exists here: only the TCP transport's auto-batcher
+builds one, and every call on this transport is its own message, charged
+its own latency.
 
 ``Transport.call_async`` likewise needs no code: the base class completes
 the future *eagerly on the calling thread*, so a scatter-gather over this

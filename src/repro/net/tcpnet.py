@@ -43,8 +43,8 @@ many concurrent exchanges: submission enqueues the frame on the
 reactor's per-connection write queue, and incoming reply frames are
 demultiplexed to waiting callers by ``Message.reply_to_id``.  N threads
 calling into one destination share one socket and one round-trip
-pipeline.  There is one way in: every request — ``call``, ``call_async``,
-``call_many``, a cast, a frame rescued from a dead channel — goes
+pipeline.  There is one way in: every request — ``call``,
+``call_async``, a cast, a frame rescued from a dead channel — goes
 through :meth:`TcpNetwork._submit`, which parks a
 :class:`_PipelinedCallFuture` (the only kind of reply sink there is)
 and writes the frame; the reactor resolves the future, so one caller
@@ -63,9 +63,11 @@ gives back a lock grant in it (DESIGN.md, "The chase").  A request's
 deadline also caps every reply wait (io timeout or less) and is
 enforced server-side: a frame whose deadline expired in the worker
 queue is dropped at dequeue.  Concurrent calls to one peer coalesce
-into BATCH frames (see :class:`_AutoBatcher`) — the same frame
-``call_many`` builds, marked independent rather than sequential
-(:class:`~repro.net.message.Batch`) and run by the same executor.
+into BATCH frames (see :class:`_AutoBatcher`, the only thing that
+builds one); the server runs a frame's independent subs with
+:meth:`Transport.execute_batch` and refuses, with a
+:class:`~repro.errors.MarshalError`, a BATCH frame that carries no
+:class:`~repro.net.message.Batch`.
 
 **A node's message to itself** (``src == dst``, a node this transport
 serves — a namespace consulting its own registry or lock table) takes
@@ -526,7 +528,7 @@ class _Channel:
         subs = tuple(message for message, _sink in items)
         batch = build_message(
             MessageKind.BATCH, subs[0].src, subs[0].dst,
-            Batch(subs, sequential=False),
+            Batch(subs),
         )
         wire = _encode_frame(batch, self.compress)
         with self._lock:
@@ -593,8 +595,8 @@ class _Channel:
         with self._lock:
             sink = self._pop_waiter_locked(reply.reply_to_id)
         if sink is not None:
-            # A call's own reply, call_many's included; a timeout or
-            # cancel that won the race leaves it with nobody waiting.
+            # A call's own reply; a timeout or cancel that won the race
+            # leaves it with nobody waiting.
             if not sink.resolve(reply):
                 self._on_stray(reply)
         elif reply.in_reply_to is MessageKind.BATCH:
@@ -612,7 +614,7 @@ class _Channel:
         """Demultiplex a coalesced frame's reply to its parked sub-calls.
 
         Nothing is parked under the batch's own id (that is how
-        :meth:`_on_frame` tells this reply from a ``call_many``'s).  The
+        :meth:`_on_frame` tells this reply from a call's own).  The
         payload value is a tuple of ``(sub_msg_id, ReplyPayload)``
         pairs; each resolves its own future with a synthesized per-sub
         REPLY so callers observe exactly what N individual replies would
@@ -774,8 +776,7 @@ class _AutoBatcher:
     call is never delayed** (no timers, no waiting for company).  While
     a frame *is* in flight, new submissions merely enqueue; every
     arriving reply flushes whatever accumulated as one BATCH frame of
-    independent subs (``Batch(subs, sequential=False)`` — the frame
-    ``call_many`` builds, minus the ordering promise).  The flush clock
+    independent subs (:class:`~repro.net.message.Batch`).  The flush clock
     is thus the round-trip itself: group size adapts to exactly how
     many callers submitted during one server turnaround, with zero
     added latency on an idle channel and no timer anywhere.  If the
@@ -829,8 +830,8 @@ class _AutoBatcher:
 
         Every incoming reply decrements the in-flight gate and flushes
         the accumulated queue.  Replies to frames the batcher never sent
-        (``call_many`` exchanges, unbatchable kinds) may tick it early —
-        harmless: an early flush only makes a smaller group.
+        (unbatchable kinds) may tick it early — harmless: an early flush
+        only makes a smaller group.
         """
         with self._lock:
             if self._inflight > 0:
@@ -1436,18 +1437,22 @@ class _NodeServer:
         the transport's self delivery (:meth:`TcpNetwork._deliver_self`).
         A pooled dispatch lets a batch of independent subs fan back out
         across the pool (:meth:`Transport.execute_batch`); ``inline`` —
-        the loop thread — runs them in order where it stands.
+        the loop thread — runs them in order where it stands.  A BATCH
+        frame without a :class:`Batch` came from outside this program:
+        it is refused with a :class:`MarshalError` and never reaches the
+        handler.
         """
-        if message.kind is MessageKind.BATCH \
-                and isinstance(message.payload, Batch):
+        if message.kind is MessageKind.BATCH:
+            if not isinstance(message.payload, Batch):
+                answer(message, ReplyPayload(error=MarshalError(
+                    "BATCH frame without a Batch payload")))
+                return
             Transport.execute_batch(
                 message, self._execute,
                 lambda payload: answer(message, payload),
                 None if inline else self._pool.submit,
             )
             return
-        # (A BATCH frame whose payload is not a Batch falls through: the
-        # shared path answers it with a whole-batch error.)
         payload = self._execute(message)
         if message.oneway:
             return  # a cast carries no reply frame

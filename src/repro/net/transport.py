@@ -1,36 +1,32 @@
 """Transport abstraction.
 
 A transport delivers :class:`~repro.net.message.Message` envelopes between
-named nodes.  Three interaction styles exist, matching the paper's
+named nodes.  Two interaction styles exist, matching the paper's
 protocols:
 
 * ``call`` — synchronous request/response, the shape of an RMI call.  All
   of RPC/REV/COD/GREV/CLE traffic is built from calls.
-* ``call_many`` — a *batch* of request/response exchanges riding one
-  BATCH frame (one round trip).  A multi-step runtime operation — e.g.
-  instantiate-then-publish — collapses its round trips without changing
-  per-request semantics: each sub-request keeps its own message id, its
-  own at-most-once slot in the reply cache, and its own marshalled
-  result or exception, and the steps run in order, stopping at the
-  first error.  The frame's payload is a
-  :class:`~repro.net.message.Batch`; :func:`Transport.execute_batch` is
-  the one place a batch is run, for every transport and for both things
-  that build one (``call_many`` here, the TCP auto-batcher).
 * ``cast`` — one-way, best-effort, never answered.  MA's ``send`` uses
   it: "the result stays at the remote host" (Table 3).
 
-Each request/response style also exists as a *future-returning* form —
-``call_async`` / ``call_many_async`` — which is the primitive every
-multi-node runtime operation (class fan-out, load sweeps, parallel find
-probes) scatters over.  ``call`` is literally ``call_async(...).result()``
-and ``call_many`` is ``call_many_async(...).result()``, so the two forms
-can never drift apart semantically.  The base implementation completes
-the future *eagerly on the calling thread* — zero extra threads, fully
-deterministic, which is exactly what the simulated network needs for
-reproducible traces.  Transports whose wire protocol already decouples
-send from receive (the pipelined TCP transport) override
-:meth:`Transport._transmit_async` to return a genuinely in-flight future,
-so N futures to N nodes overlap their round trips.
+``call`` also exists as a *future-returning* form, ``call_async`` —
+the primitive every multi-node runtime operation (class fan-out, load
+sweeps, parallel find probes) scatters over.  ``call`` is literally
+``call_async(...).result()``, so the two forms can never drift apart
+semantically.  The base implementation completes the future *eagerly
+on the calling thread* — zero extra threads, fully deterministic,
+which is exactly what the simulated network needs for reproducible
+traces.  Transports whose wire protocol already decouples send from
+receive (the pipelined TCP transport) override
+:meth:`Transport._transmit_async` to return a genuinely in-flight
+future, so N futures to N nodes overlap their round trips.
+
+A BATCH frame (payload :class:`~repro.net.message.Batch`) is built by
+one thing only, the TCP transport's auto-batcher, which coalesces calls
+queued behind a round trip; :meth:`Transport.execute_batch` runs it at
+the destination.  Its subs are independent calls that happened to
+share a frame: each keeps its own message id, at-most-once slot and
+deadline admission, and every one runs.
 
 Deferred work has one door, :meth:`Transport.post`, and
 :meth:`Transport.quiesce` waits it out: the simulated network queues
@@ -181,30 +177,17 @@ class CallFuture:
         """Unwrap a reply envelope into this future's outcome.
 
         Mirrors what ``call`` raises/returns: a marshalled handler
-        exception fails the future; a reply to a BATCH (``call_many``)
-        holds ``(sub id, ReplyPayload)`` pairs in request order and
-        resolves to the list of sub-request values, failing on the first
-        sub-error (the later subs never ran and are absent — the batch is
-        sequential at the destination).  Returns whether the reply
-        completed the future (``False``: a timeout or cancel won).
+        exception fails the future, anything else resolves it.  Returns
+        whether the reply completed the future (``False``: a timeout or
+        cancel won).
         """
         payload = reply.payload
         if isinstance(payload, ReplyPayload):
             error = payload.error
             if error is not None:
                 return self._fail(error)
-            value = payload.value
-        else:
-            value = payload
-        if reply.in_reply_to is not MessageKind.BATCH:
-            return self._resolve(value)
-        results = []
-        for _sub_id, sub_payload in value:
-            sub_error = sub_payload.error
-            if sub_error is not None:
-                return self._fail(sub_error)
-            results.append(sub_payload.value)
-        return self._resolve(results)
+            return self._resolve(payload.value)
+        return self._resolve(payload)
 
     # -- waiting --------------------------------------------------------------
 
@@ -766,45 +749,6 @@ class Transport(ABC):
                                 effective_deadline(deadline))
         return self._transmit_async(message)
 
-    def call_many(self, src: str, dst: str,
-                  requests: Sequence[tuple[MessageKind, Any]],
-                  deadline: Deadline | None = None) -> list[Any]:
-        """Batched request/response: many requests, one frame, one round trip.
-
-        Each ``(kind, payload)`` pair executes at the destination exactly as
-        an individual ``call`` would — its own message id, its own
-        at-most-once reply-cache slot — but the batch crosses the network as
-        a single BATCH envelope, so N requests cost one round trip instead
-        of N.  Results return in request order.  The batch is built
-        ``sequential``: sub-requests execute in order and the first failure
-        stops the batch — exactly the behaviour of the sequence of ``call``s
-        the batch replaces, where a raised error prevents the later calls
-        from ever being issued.  That first error re-raises here.
-        """
-        return self.call_many_async(src, dst, requests, deadline).result()
-
-    def call_many_async(self, src: str, dst: str,
-                        requests: Sequence[tuple[MessageKind, Any]],
-                        deadline: Deadline | None = None) -> CallFuture:
-        """``call_many`` as a :class:`CallFuture` resolving to the result list.
-
-        One BATCH frame, one future: combining batching (one round trip per
-        destination) with scattering (futures to many destinations overlap)
-        prices a multi-step fan-out at a single round-trip latency.  One
-        ``deadline`` covers the whole batch; every sub-request carries it
-        too, so each gets its own admission check at the destination.
-        """
-        if not requests:
-            return CallFuture.completed([], f"{src} -> {dst}: empty BATCH")
-        deadline = effective_deadline(deadline)
-        subs = tuple(
-            build_message(kind, src, dst, payload, deadline)
-            for kind, payload in requests
-        )
-        batch = build_message(MessageKind.BATCH, src, dst,
-                              Batch(subs, sequential=True), deadline)
-        return self._transmit_async(batch)
-
     def stream(self, src: str, dst: str,
                requests: Iterable[tuple[MessageKind, Any]],
                window: int = 8,
@@ -870,7 +814,7 @@ class Transport(ABC):
         return future
 
     def _transmit_with_retries(self, message: Message) -> Message:
-        """Shared retry loop for ``call`` / ``call_many``.
+        """The retry loop behind every eager ``call``.
 
         A deadline on the message bounds the loop twice over.  An exchange
         whose budget is gone fails fast with :class:`CallTimeoutError`
@@ -965,9 +909,9 @@ class Transport(ABC):
         exceptions are marshalled into the reply; control-flow exceptions
         (``KeyboardInterrupt``/``SystemExit``) propagate uncached so they
         can actually stop the process instead of being replayed to callers
-        forever.  A BATCH envelope is handed to :meth:`execute_batch`,
-        which runs each sub-request through this same path, so
-        sub-requests get per-id deduplication and admission too.
+        forever.  A BATCH frame's subs each come through here on their
+        own (:meth:`execute_batch`), so they get per-id deduplication and
+        admission too.
 
         Admission control: a request whose deadline expired in flight or
         while queued behind busy workers is *dropped at dequeue* — the
@@ -996,17 +940,6 @@ class Transport(ABC):
                     payload = ReplyPayload(error=CallTimeoutError(
                         f"{message.describe()}: deadline expired before dispatch"
                     ))
-                elif message.kind is MessageKind.BATCH:
-                    # No ``spawn``: the subs run in order on this thread,
-                    # so the outcome is in hand when the call returns.
-                    outcome: list[ReplyPayload] = []
-                    Transport.execute_batch(
-                        message,
-                        lambda sub: Transport.execute_handler(
-                            sub, handler, cache),
-                        outcome.append,
-                    )
-                    payload = outcome[0]
                 elif (message.deadline is None
                         and current_deadline() is None):
                     # Unbounded request on a thread with no ambient
@@ -1038,29 +971,21 @@ class Transport(ABC):
         reply-cache slot, deadline admission and ambient deadline scope)
         and ``done`` receives the single reply:
         ``ReplyPayload(value=((sub_id, payload), ...))``, one pair per
-        sub that ran, in request order.
+        sub, in request order.
 
-        A ``sequential`` batch runs in order and stops after the first
-        error, like the sequence of calls it replaces (an instantiate
-        that raised must not be followed by its publish).  Otherwise the
-        subs are independent calls that happened to share a frame: none
-        shadows another, every one runs, and when the caller has a pool
-        (``spawn(fn, *args)``) they fan back out across it — this thread
-        runs the first, the last to finish calls ``done`` — so a slow
-        sub never serializes its siblings.  Without ``spawn`` everything
-        runs on the calling thread and ``done`` is called before this
-        returns.
+        The subs are independent calls that happened to share a frame:
+        none shadows another and every one runs.  When the caller has a
+        pool (``spawn(fn, *args)``) they fan back out across it — this
+        thread runs the first, the last to finish calls ``done`` — so a
+        slow sub never serializes its siblings.  Without ``spawn`` they
+        run in order on the calling thread and ``done`` is called before
+        this returns.
         """
         batch: Batch = message.payload
         subs = batch.subs
-        if batch.sequential or spawn is None or len(subs) < 2:
-            pairs: list[tuple[str, ReplyPayload]] = []
-            for sub in subs:
-                payload = run_sub(sub)
-                pairs.append((sub.msg_id, payload))
-                if batch.sequential and payload.is_error:
-                    break
-            done(ReplyPayload(value=tuple(pairs)))
+        if spawn is None or len(subs) < 2:
+            done(ReplyPayload(value=tuple(
+                (sub.msg_id, run_sub(sub)) for sub in subs)))
             return
         results: list[tuple[str, ReplyPayload] | None] = [None] * len(subs)
         lock = threading.Lock()

@@ -256,10 +256,9 @@ class ClassPush:
 
     ``only_if_missing`` makes a body-carrying push *conditional*: the
     receiver installs the descriptor only when it does not already cache
-    ``source_hash``.  Batched pushes ride this — a single BATCH frame
-    carries the probe and the conditional body, collapsing the warm and
-    cold paths into one round trip (at the cost of the body always
-    crossing the wire).
+    ``source_hash``.  Scattered pushes (``push_class_many``) send this
+    alone, collapsing the warm and cold paths into one round trip (at the
+    cost of the body always crossing the wire).
     """
 
     class_name: str

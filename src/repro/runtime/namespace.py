@@ -172,10 +172,9 @@ class Namespace:
         return self.server.find(name, origin_hint, verify=verify,
                                 candidates=candidates, deadline=deadline)
 
-    def push_class(self, class_name: str, to_node: str,
-                   batched: bool = False) -> str:
+    def push_class(self, class_name: str, to_node: str) -> str:
         """Push a class definition to ``to_node`` (REV direction)."""
-        return self.server.push_class(class_name, to_node, batched=batched)
+        return self.server.push_class(class_name, to_node)
 
     def push_class_many(self, class_name: str, targets,
                         deadline=None) -> dict[str, str]:
@@ -215,15 +214,10 @@ class Namespace:
 
     def instantiate(self, class_name: str, name: str, target: str,
                     args: tuple = (), kwargs: dict | None = None,
-                    shared: bool = True, batched: bool = False):
-        """Create an object of a cached class at ``target`` and register it.
-
-        ``batched=True`` collapses the instantiate and publish round trips
-        into one ``call_many`` frame.
-        """
+                    shared: bool = True):
+        """Create an object of a cached class at ``target`` and register it."""
         return self.server.instantiate(
-            class_name, name, target, args=args, kwargs=kwargs,
-            shared=shared, batched=batched,
+            class_name, name, target, args=args, kwargs=kwargs, shared=shared,
         )
 
     def lock(self, name: str, target: str, origin_hint: str | None = None,

@@ -26,7 +26,7 @@ Every operation a mobility attribute's ``bind`` needs is here:
 =================  ==========================================================
 
 Multi-node operations are *scatter-gather* over the transport's
-future-returning calls (``call_async``/``call_many_async``):
+future-returning call (``call_async``):
 ``push_class_many`` fans a class out to N targets, ``query_load_many`` and
 ``ping_many`` sweep N hosts — each priced at one round-trip latency (plus
 straggler time) instead of N on the pipelined TCP transport, and executing
@@ -407,74 +407,53 @@ class MageServer:
             return self.classcache.load(self.classcache.descriptor(class_name))
         return self.classcache.load(reply)
 
-    def push_class(self, class_name: str, to_node: str,
-                   batched: bool = False) -> str:
+    def push_class(self, class_name: str, to_node: str) -> str:
         """Push ``class_name`` to ``to_node`` (REV direction); returns its hash.
 
         Probes the remote cache first; the body travels only on a miss —
-        making warm REV binds cost one round trip for the class step.
-
-        ``batched=True`` rides the probe and a *conditional* body push on
-        one BATCH frame instead: always one round trip, cold or warm, at
-        the cost of the body always crossing the wire (the receiver
-        installs it only on a miss).  The default keeps the paper's
-        two-step REV sequence exactly as the figure benches assert it.
+        the paper's two-step REV sequence, which makes warm REV binds
+        cost one round trip for the class step.
         """
-        return self.push_class_async(class_name, to_node, batched=batched).result()
+        desc = self.classcache.descriptor(class_name)
+        if to_node == self.node_id:
+            return desc.source_hash
+        have = self.transport.call(
+            self.node_id, to_node, MessageKind.CLASS_TRANSFER,
+            ClassPush(class_name=class_name, source_hash=desc.source_hash),
+        )
+        if not have:
+            self.transport.call(
+                self.node_id, to_node, MessageKind.CLASS_TRANSFER,
+                ClassPush(class_name=class_name,
+                          source_hash=desc.source_hash, desc=desc),
+            )
+        return desc.source_hash
 
     def push_class_async(self, class_name: str, to_node: str,
-                         batched: bool = True,
                          deadline: Deadline | None = None) -> CallFuture:
-        """``push_class`` as a future resolving to the class's source hash.
+        """One conditional push as a future resolving to the source hash.
 
-        The asynchronous form always has a single collection point, so it
-        defaults to the batched single-round-trip exchange — the shape
-        :meth:`push_class_many` scatters across targets.
+        A single round trip, cold or warm: the body always crosses the
+        wire and the receiver installs it only on a miss
+        (``only_if_missing``) — the shape :meth:`push_class_many`
+        scatters across targets.
         """
         desc = self.classcache.descriptor(class_name)
         if to_node == self.node_id:
             return CallFuture.completed(desc.source_hash, f"push {class_name}")
-        probe = ClassPush(class_name=class_name, source_hash=desc.source_hash)
-        if batched:
-            future = self.transport.call_many_async(
-                self.node_id, to_node,
-                [(MessageKind.CLASS_TRANSFER, probe),
-                 (MessageKind.CLASS_TRANSFER, ClassPush(
-                     class_name=class_name, source_hash=desc.source_hash,
-                     desc=desc, only_if_missing=True))],
-                deadline=deadline,
-            )
-            return future.map(lambda _results: desc.source_hash)
-        # Unbatched: the paper's two-step sequence runs eagerly (blocking,
-        # no overlap); failures still surface through the future so both
-        # shapes honour the CallFuture contract.
-        future = CallFuture(f"push {class_name} -> {to_node}")
-        try:
-            have = self.transport.call(
-                self.node_id, to_node, MessageKind.CLASS_TRANSFER, probe,
-                deadline=deadline,
-            )
-            if not have:
-                self.transport.call(
-                    self.node_id, to_node, MessageKind.CLASS_TRANSFER,
-                    ClassPush(
-                        class_name=class_name, source_hash=desc.source_hash,
-                        desc=desc,
-                    ),
-                    deadline=deadline,
-                )
-        except Exception as exc:
-            future._fail(exc)
-        else:
-            future._resolve(desc.source_hash)
-        return future
+        return self.transport.call_async(
+            self.node_id, to_node, MessageKind.CLASS_TRANSFER,
+            ClassPush(class_name=class_name, source_hash=desc.source_hash,
+                      desc=desc, only_if_missing=True),
+            deadline=deadline,
+        ).map(lambda _installed: desc.source_hash)
 
     def push_class_many(self, class_name: str,
                         targets: Sequence[str],
                         deadline: Deadline | None = None) -> dict[str, str]:
         """Scatter ``class_name`` to every target in parallel.
 
-        One batched push future per target, all round trips overlapped;
+        One conditional push future per target, all round trips overlapped;
         returns ``{target: source_hash}``.  Every future is collected
         before any failure surfaces (no stragglers left running); the
         first failure then raises as a
@@ -511,16 +490,13 @@ class MageServer:
         args: tuple = (),
         kwargs: dict | None = None,
         shared: bool = True,
-        batched: bool = False,
         deadline: Deadline | None = None,
     ) -> RemoteRef:
         """Create an object of a cached class at ``target`` and register it.
 
-        ``batched=True`` sends the instantiate and publish steps as one
-        ``call_many`` batch — one round trip instead of two.  The default
-        keeps them as separate calls, reproducing the paper's REV message
-        sequence (class push, instantiate, publish, invoke) exactly as the
-        figure benches assert it.
+        The instantiate and publish steps are separate calls, reproducing
+        the paper's REV message sequence (class push, instantiate,
+        publish, invoke) exactly as the figure benches assert it.
         """
         kwargs = kwargs if kwargs is not None else {}
         if target == self.node_id:
@@ -533,32 +509,18 @@ class MageServer:
             args_blob=marshal_call(args, kwargs),
             shared=shared,
         )
-        if batched:
-            # The ref the remote instantiate returns is deterministic (the
-            # target host and the chosen name), so the publish step can ride
-            # the same frame without waiting for it.
-            bind = BindRequest(
-                name=name, ref=RemoteRef(node_id=target, name=name), replace=True
-            )
-            ref, _ = self.transport.call_many(
-                self.node_id, target,
-                [(MessageKind.INSTANTIATE, request),
-                 (MessageKind.REGISTRY_BIND, bind)],
-                deadline=deadline,
-            )
-        else:
-            ref = self.transport.call(
-                self.node_id, target, MessageKind.INSTANTIATE, request,
-                deadline=deadline,
-            )
-            # Publish the new object in its host's RMI registry — a separate
-            # Naming call, as in Java RMI (and as the paper's REV message count
-            # attests: class push, instantiate, publish, invoke).
-            self.transport.call(
-                self.node_id, target, MessageKind.REGISTRY_BIND,
-                BindRequest(name=name, ref=ref, replace=True),
-                deadline=deadline,
-            )
+        ref = self.transport.call(
+            self.node_id, target, MessageKind.INSTANTIATE, request,
+            deadline=deadline,
+        )
+        # Publish the new object in its host's RMI registry — a separate
+        # Naming call, as in Java RMI (and as the paper's REV message count
+        # attests: class push, instantiate, publish, invoke).
+        self.transport.call(
+            self.node_id, target, MessageKind.REGISTRY_BIND,
+            BindRequest(name=name, ref=ref, replace=True),
+            deadline=deadline,
+        )
         self.registry.note_location(name, target)
         return ref
 

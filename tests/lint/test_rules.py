@@ -15,6 +15,8 @@ import pytest
 
 from magelint.engine import lint_paths
 from magelint.rules import ALL_RULES, RULES_BY_ID
+from magelint.rules.mage001_lock_blocking import BLOCKING_METHODS
+from magelint.rules.mage004_deadline_drop import FANOUT_METHODS
 
 #: Default fixture location: inside the path scope every rule covers.
 DEFAULT_REL = "src/repro/runtime/fixture_mod.py"
@@ -53,6 +55,19 @@ def test_mage001_flags_rpc_under_lock(tmp_path):
                 with self._lock:
                     ack = self._transport.call(self.node_id, target, payload)
                 return ack
+    """, rule="MAGE001")
+    assert len(findings) == 1
+    assert "blocks while `self._lock` is held" in findings[0].message
+
+
+@pytest.mark.parametrize("method", sorted(BLOCKING_METHODS))
+def test_mage001_flags_every_listed_blocking_method(tmp_path, method):
+    findings = lint_snippet(tmp_path, f"""
+        class Holder:
+            def step(self, peer):
+                with self._lock:
+                    value = peer.{method}()
+                return value
     """, rule="MAGE001")
     assert len(findings) == 1
     assert "blocks while `self._lock` is held" in findings[0].message
@@ -218,6 +233,19 @@ def test_mage004_flags_deadlineless_fanout_in_cluster(tmp_path):
             return futures
     """, rel_path="src/repro/cluster/fixture_sweep.py", rule="MAGE004")
     assert len(findings) == 1
+    assert "deadline=" in findings[0].message
+
+
+@pytest.mark.parametrize("method", sorted(FANOUT_METHODS))
+def test_mage004_flags_every_listed_fanout_method(tmp_path, method):
+    findings = lint_snippet(tmp_path, f"""
+        def sweep(self, node_ids, kind, payload, deadline=None):
+            flagged = self.{method}(node_ids, kind, payload)
+            threaded = self.{method}(node_ids, kind, payload, deadline=deadline)
+            return flagged, threaded
+    """, rel_path="src/repro/cluster/fixture_sweep.py", rule="MAGE004")
+    assert len(findings) == 1
+    assert findings[0].line == 3
     assert "deadline=" in findings[0].message
 
 

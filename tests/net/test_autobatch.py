@@ -70,6 +70,16 @@ class _Gate:
         assert hung.result(timeout_s=5.0) == "hung"
 
 
+def _run_batch(batch, handler, cache):
+    """Run a BATCH frame as a TCP server without a pool does: each sub
+    through the at-most-once path, in order; the one reply."""
+    outcome = []
+    Transport.execute_batch(
+        batch, lambda sub: Transport.execute_handler(sub, handler, cache),
+        outcome.append)
+    return outcome[0]
+
+
 class TestAutoBatchFormation:
     def test_backlog_coalesces_into_one_frame(self, net):
         gate = _Gate()
@@ -133,7 +143,7 @@ class TestReplyIdUniqueness:
     def test_sub_reply_ids_are_derived_and_distinct(self):
         request = Message(
             kind=MessageKind.BATCH, src="a", dst="b",
-            payload=Batch((), sequential=False),
+            payload=Batch(()),
         )
         aggregate = request.reply(ReplyPayload(value=()))
         sub_ids = ("msg-1", "msg-2")
@@ -166,9 +176,9 @@ class TestReplyIdUniqueness:
         )
         batch = Message(
             kind=MessageKind.BATCH, src="a", dst="b",
-            payload=Batch(subs, sequential=False),
+            payload=Batch(subs),
         )
-        reply = Transport.execute_handler(batch, handler, cache)
+        reply = _run_batch(batch, handler, cache)
         assert [sub_id for sub_id, _ in reply.value] == ["dup-id", "dup-id"]
         assert [p.value for _, p in reply.value] == ["x", "x"]
         assert executed == ["x"]
@@ -242,18 +252,18 @@ class TestFailureIsolation:
         )
         batch = Message(
             kind=MessageKind.BATCH, src="a", dst="b",
-            payload=Batch(subs, sequential=False),
+            payload=Batch(subs),
         )
-        first = Transport.execute_handler(batch, handler, cache)
-        second = Transport.execute_handler(batch, handler, cache)
+        first = _run_batch(batch, handler, cache)
+        second = _run_batch(batch, handler, cache)
         expected = [(sub.msg_id, sub.payload * 10) for sub in subs]
         for reply in (first, second):
             assert [(sid, p.value) for sid, p in reply.value] == expected
         assert executed == [1, 2, 3]  # each sub ran exactly once
 
     def test_failing_sub_does_not_stop_the_rest(self):
-        """Unlike a sequential batch (``call_many``), coalesced calls are
-        independent: every sub runs, errors stay with their own sub."""
+        """Coalesced calls are independent: every sub runs, errors stay
+        with their own sub."""
         cache = ReplyCache()
         executed = []
 
@@ -269,9 +279,9 @@ class TestFailureIsolation:
         )
         batch = Message(
             kind=MessageKind.BATCH, src="a", dst="b",
-            payload=Batch(subs, sequential=False),
+            payload=Batch(subs),
         )
-        reply = Transport.execute_handler(batch, handler, cache)
+        reply = _run_batch(batch, handler, cache)
         assert [p.is_error for _, p in reply.value] == [False, True, False]
         assert executed == ["ok", "bad", "after"]
 

@@ -283,20 +283,21 @@ class TestSimAsync:
         future = sim.call_async("a", "b", MessageKind.PING)
         assert isinstance(future.exception(), MessageLostError)
 
-    def test_call_many_async_resolves_to_result_list(self):
+    def test_gathered_calls_resolve_to_a_result_list(self):
+        """Several requests to one peer: one ``call_async`` each, then
+        ``gather`` — on the sim, one round trip per call, in order."""
         sim = SimNetwork()
         sim.register("a", lambda m: None)
         sim.register("b", lambda m: m.payload + 1)
-        future = sim.call_many_async(
-            "a", "b", [(MessageKind.PING, i) for i in range(4)]
-        )
-        assert future.result() == [1, 2, 3, 4]
+        futures = [sim.call_async("a", "b", MessageKind.PING, i)
+                   for i in range(4)]
+        assert gather(futures) == [1, 2, 3, 4]
+        assert sim.trace.kinds() == ["PING", "REPLY(PING)"] * 4
 
-    def test_call_many_async_empty(self):
+    def test_gather_of_no_futures_is_an_empty_list(self):
         sim = SimNetwork()
-        future = sim.call_many_async("a", "b", [])
-        assert future.done()
-        assert future.result() == []
+        assert gather([]) == []
+        assert len(sim.trace) == 0
 
 
 class TestTcpAsync:
@@ -348,16 +349,13 @@ class TestTcpAsync:
         future = net.call_async("a", "ghost", MessageKind.PING)
         assert isinstance(future.exception(), NodeUnreachableError)
 
-    def test_call_many_async_batches_one_frame(self, net):
+    def test_gathered_calls_resolve_to_a_result_list(self, net):
         net.register("a", lambda m: None)
         net.register("b", lambda m: m.payload * 10)
         net.call("a", "b", MessageKind.PING, 0)  # warm the channel
-        before = len(net.trace)
-        future = net.call_many_async(
-            "a", "b", [(MessageKind.PING, i) for i in range(8)]
-        )
-        assert future.result() == [i * 10 for i in range(8)]
-        assert len(net.trace) - before == 2  # one BATCH frame, one reply
+        futures = [net.call_async("a", "b", MessageKind.PING, i)
+                   for i in range(8)]
+        assert gather(futures) == [i * 10 for i in range(8)]
 
 
 class TestFailureIsolation:

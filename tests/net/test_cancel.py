@@ -209,7 +209,14 @@ class TestUnpicklableRemoteErrors:
         assert net.open_channels() == 1
 
     def test_unpicklable_error_inside_a_batch(self, net):
+        """The same guard holds for a sub of a coalesced frame: the
+        auto-batcher packs two calls queued behind a held one."""
+        started, release = threading.Event(), threading.Event()
+
         def handler(message):
+            if message.payload == "hold":
+                started.set()
+                release.wait(5.0)
             if message.payload == "boom":
                 raise BadNews(7, "inside a batch")
             return message.payload
@@ -217,10 +224,16 @@ class TestUnpicklableRemoteErrors:
         net.register("a", lambda m: None)
         net.register("b", handler)
         from repro.errors import RemoteInvocationError
-        future = net.call_many_async(
-            "a", "b", [(MessageKind.PING, "fine"), (MessageKind.PING, "boom")]
-        )
-        assert isinstance(future.exception(), RemoteInvocationError)
+        net.call("a", "b", MessageKind.PING, "warm")
+        held = net.call_async("a", "b", MessageKind.PING, "hold")
+        assert started.wait(5.0)
+        good = net.call_async("a", "b", MessageKind.PING, "fine")
+        bad = net.call_async("a", "b", MessageKind.PING, "boom")
+        release.set()
+        assert isinstance(bad.exception(), RemoteInvocationError)
+        assert good.result(timeout_s=2.0) == "fine"
+        assert held.result(timeout_s=2.0) == "hold"
+        assert net.data_plane_metrics().auto_batches == 1
         assert net.call("a", "b", MessageKind.PING, "still-up") == "still-up"
 
     def test_mage_errors_cross_the_wire_intact(self, net):

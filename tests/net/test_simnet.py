@@ -59,6 +59,18 @@ class TestClockCharging:
         net.call("a", "b", MessageKind.PING)
         assert net.clock.now_ms() == 20.0
 
+    def test_concurrent_calls_each_cost_a_round_trip(self):
+        """The sim coalesces nothing: calls issued together still go out
+        one frame each, each charged its own round trip."""
+        net = SimNetwork(latency=ConstantLatency(remote_ms=10.0, local_ms=0.0))
+        net.register("a", lambda m: None)
+        net.register("b", echo_handler)
+        futures = [net.call_async("a", "b", MessageKind.PING, i)
+                   for i in range(5)]
+        assert [f.result() for f in futures] == [("echo", i) for i in range(5)]
+        assert net.clock.now_ms() == 100.0
+        assert net.trace.kinds() == ["PING", "REPLY(PING)"] * 5
+
     def test_local_call_is_nearly_free(self):
         net = SimNetwork(latency=ConstantLatency(remote_ms=10.0, local_ms=0.05))
         net.register("a", echo_handler)
@@ -98,6 +110,25 @@ class TestLossAndRetry:
         # Handler ran twice at the transport level but the reply cache must
         # make the second execution a replay: one unique msg_id, handled once.
         assert len(calls) == 1
+
+    def test_lost_replies_of_concurrent_calls_run_each_handler_once(self):
+        calls = []
+
+        def counting_handler(message):
+            calls.append(message.msg_id)
+            return message.payload
+
+        net = SimNetwork(loss=DeterministicLoss({"REPLY": 2}))
+        net.register("a", lambda m: None)
+        net.register("b", counting_handler)
+        futures = [net.call_async("a", "b", MessageKind.PING, i)
+                   for i in (1, 2)]
+        assert [f.result() for f in futures] == [1, 2]
+        # Two replies were lost and both requests retransmitted; each
+        # request's own reply-cache slot kept it to one execution.
+        assert len([e for e in net.trace.events() if e.dropped]) == 2
+        assert len(calls) == 2
+        assert len(set(calls)) == 2
 
     def test_retry_budget_exhaustion(self):
         net = SimNetwork(loss=BernoulliLoss(0.999999, seed=3))
@@ -189,58 +220,3 @@ class TestCasts:
         assert len(dropped) == 1
         assert dropped[0].kind == "INVOKE"
         assert dropped[0].dst == "ghost"
-
-
-class TestCallMany:
-    def _net(self, **kwargs):
-        net = SimNetwork(**kwargs)
-        net.register("a", lambda m: None)
-        net.register("b", echo_handler)
-        return net
-
-    def test_empty_batch_sends_nothing(self):
-        net = self._net()
-        assert net.call_many("a", "b", []) == []
-        assert len(net.trace) == 0
-
-    def test_batch_costs_one_round_trip(self):
-        net = self._net(latency=ConstantLatency(remote_ms=10.0, local_ms=0.0))
-        net.call_many("a", "b", [(MessageKind.PING, i) for i in range(5)])
-        # One BATCH frame out, one reply frame back: 20 virtual ms total,
-        # not 5 round trips.
-        assert net.clock.now_ms() == 20.0
-        assert net.trace.kinds() == ["BATCH", "REPLY(BATCH)"]
-
-    def test_subrequest_error_reraises(self):
-        def picky(message):
-            if message.payload == "bad":
-                raise KeyError("nope")
-            return message.payload
-
-        net = SimNetwork()
-        net.register("a", lambda m: None)
-        net.register("b", picky)
-        with pytest.raises(KeyError):
-            net.call_many(
-                "a", "b",
-                [(MessageKind.PING, "ok"), (MessageKind.PING, "bad")],
-            )
-
-    def test_batch_retransmission_is_at_most_once(self):
-        calls = []
-
-        def counting_handler(message):
-            calls.append(message.msg_id)
-            return "done"
-
-        net = SimNetwork(loss=DeterministicLoss({"REPLY": 1}))
-        net.register("a", lambda m: None)
-        net.register("b", counting_handler)
-        values = net.call_many(
-            "a", "b", [(MessageKind.PING, 1), (MessageKind.PING, 2)]
-        )
-        assert values == ["done", "done"]
-        # The reply was lost and the whole batch retransmitted, but each
-        # sub-request executed exactly once (per-id reply-cache slots).
-        assert len(calls) == 2
-        assert len(set(calls)) == 2

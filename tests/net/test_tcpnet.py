@@ -300,8 +300,11 @@ class TestConfig:
         grant nobody holds is released by its requester, so locks keep
         no lease: no confirm round trip, no lease timer, no knobs.  Hedges
         ask every candidate at once, so nothing ranks them: no per-link
-        latency estimate, and the peer book holds endpoints only."""
+        latency estimate, and the peer book holds endpoints only.  The
+        auto-batcher is the one thing that builds a BATCH frame: no
+        ``call_many``, no sequential batch, no ``batched=`` knob."""
         import ast
+        import dataclasses
         import inspect
         import re
         from collections import Counter
@@ -310,6 +313,7 @@ class TestConfig:
         import repro
         from repro.cluster import Cluster
         from repro.cluster.node import Node
+        from repro.net.message import Batch
         from repro.runtime.locks import LockManager
         from repro.runtime.mover import Mover
         from repro.runtime.namespace import Namespace
@@ -342,6 +346,11 @@ class TestConfig:
         assert arity(Mover) <= 9, inspect.signature(Mover.__init__)
         assert arity(LockManager) <= 2, inspect.signature(LockManager.__init__)
         assert arity(TcpNetwork) <= 9, inspect.signature(TcpNetwork.__init__)
+        for method, most in ((Namespace.instantiate, 6),
+                             (Namespace.push_class, 2)):
+            params = inspect.signature(method).parameters
+            assert len(params) - 1 <= most, (method, params)
+        assert [f.name for f in dataclasses.fields(Batch)] == ["subs"]
         gone = re.compile(r"\b(AGENT_HOP|AgentHopPayload|ONEWAY_KINDS"
                           r"|drain_casts|synchronous_casts|_Steps"
                           r"|_STEPS(_LOCK)?|_steps_on|wait_for_tours"
@@ -351,10 +360,19 @@ class TestConfig:
                           r"|unacked_grant_ttl_ms|fair_locks|initial_load"
                           r"|DiscoveryService|note_link_latency|link_latency_s"
                           r"|rank_by_latency|track_link_latency|LINK_EWMA_ALPHA"
-                          r"|_PeerRecord|_peer_locked|hello_timeout_s)\b")
+                          r"|_PeerRecord|_peer_locked|hello_timeout_s"
+                          r"|call_many|call_many_async)\b")
         root = Path(repro.__file__).parent
         for path in root.rglob("*.py"):
-            assert not gone.findall(path.read_text()), path
+            source = path.read_text()
+            assert not gone.findall(source), path
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.arguments):
+                    names = [a.arg for a in (*node.posonlyargs, *node.args,
+                                             *node.kwonlyargs)]
+                    assert "batched" not in names, path
+                elif isinstance(node, ast.keyword):
+                    assert node.arg != "batched", path
         for path in (root / "core" / "agents.py", root / "runtime" / "server.py"):
             assert "threading.Thread(" not in path.read_text(), path
         assert "threading.Timer(" not in (root / "runtime" / "locks.py").read_text()
@@ -668,12 +686,30 @@ class TestRegisterReplacement:
         assert net.call("a", "b", MessageKind.PING) == "replacement"
 
 
-class TestCallMany:
-    def test_batch_rides_one_frame(self, net):
+class TestAutoBatchTrace:
+    def test_coalesced_calls_are_traced_as_one_batch_frame(self, net):
+        """Calls queued behind a round trip still in flight leave in one
+        BATCH frame, answered by one reply."""
+        started, release = threading.Event(), threading.Event()
+
+        def handler(message):
+            if message.payload == "hang":
+                started.set()
+                release.wait(5.0)
+            return message.payload
+
         net.register("a", lambda m: None)
-        net.register("b", lambda m: m.payload)
-        net.call_many("a", "b", [(MessageKind.PING, i) for i in range(6)])
-        assert net.trace.kinds() == ["BATCH", "REPLY(BATCH)"]
+        net.register("b", handler)
+        net.call("a", "b", MessageKind.PING, "warm")
+        hung = net.call_async("a", "b", MessageKind.PING, "hang")
+        assert started.wait(5.0)
+        before = len(net.trace)
+        futures = [net.call_async("a", "b", MessageKind.PING, i)
+                   for i in range(4)]
+        assert [f.result(timeout_s=5.0) for f in futures] == [0, 1, 2, 3]
+        assert net.trace.kinds()[before:] == ["BATCH", "REPLY(BATCH)"]
+        release.set()
+        assert hung.result(timeout_s=5.0) == "hang"
 
 
 class TestEmulatedLinkLatency:

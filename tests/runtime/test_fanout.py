@@ -6,42 +6,77 @@ the TCP overlap itself is exercised in tests/net/test_call_future.py and
 measured in benchmarks/test_async_fanout.py.
 """
 
+from collections import Counter as Tally
+
 import pytest
 
 from repro.bench.workloads import Counter, PrintServer
 from repro.errors import ClassTransferError, ComponentNotFoundError
 from repro.net.message import MessageKind
+from repro.rmi.protocol import ClassPush
 
 
-class TestBatchedPushClass:
-    def test_batched_push_is_one_round_trip_cold(self, pair):
+class TestConditionalPush:
+    def test_scattered_push_is_one_round_trip_cold(self, pair):
         pair["alpha"].register_class(Counter)
         server = pair["alpha"].namespace.server
         before = pair.trace.remote_message_count()
-        server.push_class("Counter", "beta", batched=True)
-        assert pair.trace.remote_message_count() - before == 2  # BATCH + reply
+        server.push_class_many("Counter", ["beta"])
+        assert pair.trace.remote_message_count() - before == 2
+        assert pair.trace.kinds(remote_only=True)[-2:] == [
+            "CLASS_TRANSFER", "REPLY(CLASS_TRANSFER)"]
         assert pair["beta"].namespace.classcache.has_class("Counter")
 
-    def test_batched_push_is_one_round_trip_warm(self, pair):
+    def test_scattered_push_is_one_round_trip_warm(self, pair):
         pair["alpha"].register_class(Counter)
         server = pair["alpha"].namespace.server
-        server.push_class("Counter", "beta", batched=True)
+        server.push_class_many("Counter", ["beta"])
+        clone = pair["beta"].namespace.classcache.resolve("Counter")
         before = pair.trace.remote_message_count()
-        server.push_class("Counter", "beta", batched=True)
+        server.push_class_many("Counter", ["beta"])
         assert pair.trace.remote_message_count() - before == 2
         # The conditional push against a warm cache kept the existing clone.
-        assert pair["beta"].namespace.classcache.has_class("Counter")
+        assert pair["beta"].namespace.classcache.resolve("Counter") is clone
 
     def test_default_push_keeps_the_paper_sequence(self, pair):
-        """Unbatched: probe + body on a cold cache (Figure 1c's REV shape)."""
+        """Probe + body on a cold cache (Figure 1c's REV shape)."""
         pair["alpha"].register_class(Counter)
         before = pair.trace.remote_message_count()
         pair["alpha"].namespace.server.push_class("Counter", "beta")
         assert pair.trace.remote_message_count() - before == 4
 
-    def test_batched_class_is_instantiable_at_target(self, pair):
+    def test_one_conditional_push_carries_the_body(self, pair, monkeypatch):
+        """No probe goes first: the one request holds the class body and
+        asks the target to install it only on a miss."""
         pair["alpha"].register_class(Counter)
-        pair["alpha"].namespace.server.push_class("Counter", "beta", batched=True)
+        sent = []
+        call_async = pair.transport.call_async
+
+        def spy(src, dst, kind, payload=None, **kwargs):
+            sent.append((kind, payload))
+            return call_async(src, dst, kind, payload, **kwargs)
+
+        monkeypatch.setattr(pair.transport, "call_async", spy)
+        pair["alpha"].namespace.server.push_class_many("Counter", ["beta"])
+        ((kind, push),) = sent
+        assert kind is MessageKind.CLASS_TRANSFER
+        assert isinstance(push, ClassPush)
+        assert push.only_if_missing
+        assert push.desc == pair["alpha"].namespace.classcache.descriptor(
+            "Counter")
+
+    def test_a_push_to_itself_sends_nothing(self, pair):
+        pair["alpha"].register_class(Counter)
+        server = pair["alpha"].namespace.server
+        before = pair.trace.remote_message_count()
+        hashes = server.push_class_many("Counter", ["alpha"])
+        assert hashes == {"alpha": pair["alpha"].namespace.classcache
+                          .descriptor("Counter").source_hash}
+        assert pair.trace.remote_message_count() == before
+
+    def test_scattered_class_is_instantiable_at_target(self, pair):
+        pair["alpha"].register_class(Counter)
+        pair["alpha"].namespace.server.push_class_many("Counter", ["beta"])
         ref = pair["alpha"].namespace.instantiate("Counter", "c1", "beta")
         stub = pair["alpha"].stub("c1")
         assert ref.node_id == "beta"
@@ -60,13 +95,42 @@ class TestPushClassMany:
         for target in ("beta", "gamma", "delta"):
             assert quad[target].namespace.classcache.has_class("PrintServer")
 
-    def test_costs_one_batched_round_trip_per_target(self, quad):
+    def test_costs_one_round_trip_per_target(self, quad):
         quad["alpha"].register_class(Counter)
         before = quad.trace.remote_message_count()
         quad["alpha"].namespace.server.push_class_many(
             "Counter", ["beta", "gamma", "delta"]
         )
-        assert quad.trace.remote_message_count() - before == 6  # 3 x (BATCH+reply)
+        assert quad.trace.remote_message_count() - before == 6
+        assert quad.trace.kinds(remote_only=True)[-6:] == [
+            "CLASS_TRANSFER", "REPLY(CLASS_TRANSFER)"] * 3
+
+    def test_no_targets_sends_nothing(self, quad):
+        quad["alpha"].register_class(Counter)
+        before = len(quad.trace.events())
+        assert quad["alpha"].namespace.server.push_class_many(
+            "Counter", []) == {}
+        assert len(quad.trace.events()) == before
+
+    def test_fans_out_over_tcp_one_round_trip_per_target(self, make_cluster):
+        """Real sockets: the pushes overlap, so their frames may
+        interleave, but each target still costs one request and one
+        reply, and a second scatter keeps every target's class."""
+        tcp = make_cluster(["alpha", "beta", "gamma", "delta"],
+                           transport="tcp")
+        tcp["alpha"].register_class(Counter)
+        server = tcp["alpha"].namespace.server
+        targets = ["beta", "gamma", "delta"]
+        before = len(tcp.trace.kinds(remote_only=True))
+        server.push_class_many("Counter", targets)
+        assert Tally(tcp.trace.kinds(remote_only=True)[before:]) == Tally(
+            {"CLASS_TRANSFER": 3, "REPLY(CLASS_TRANSFER)": 3})
+        clones = {t: tcp[t].namespace.classcache.resolve("Counter")
+                  for t in targets}
+        server.push_class_many("Counter", targets)
+        for target in targets:
+            assert tcp[target].namespace.classcache.resolve(
+                "Counter") is clones[target]
 
     def test_dead_target_raises_after_gathering_all(self, quad):
         quad["alpha"].register_class(Counter)

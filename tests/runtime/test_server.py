@@ -82,6 +82,43 @@ class TestInstantiate:
         stub = pair["alpha"].namespace.naming.lookup("mage://beta/ps1")
         assert stub.print_job("doc") == "laserjet:1:doc"
 
+    def test_remote_instantiate_sends_instantiate_then_bind(self, pair):
+        """Two separate round trips, as in the paper's REV sequence."""
+        pair["alpha"].register_class(Counter)
+        server = pair["alpha"].namespace.server
+        server.push_class("Counter", "beta")
+        before = len(pair.trace.kinds(remote_only=True))
+        server.instantiate("Counter", "c-seq", "beta")
+        assert pair.trace.kinds(remote_only=True)[before:] == [
+            "INSTANTIATE", "REPLY(INSTANTIATE)",
+            "REGISTRY_BIND", "REPLY(REGISTRY_BIND)",
+        ]
+
+    def test_published_ref_is_the_one_instantiate_returned(self, pair):
+        pair["alpha"].register_class(Counter)
+        server = pair["alpha"].namespace.server
+        server.push_class("Counter", "beta")
+        ref = server.instantiate("Counter", "c-bound", "beta")
+        bound = pair["beta"].namespace.rmi_registry.lookup("c-bound")
+        assert bound.node_id == ref.node_id == "beta"
+        assert bound.methods == ref.methods
+
+    def test_remote_instantiate_over_tcp(self, make_cluster):
+        """Real sockets carry the same two round trips, and the new
+        object answers through the name it was published under."""
+        tcp = make_cluster(["alpha", "beta"], transport="tcp")
+        tcp["alpha"].register_class(Counter)
+        server = tcp["alpha"].namespace.server
+        server.push_class("Counter", "beta")
+        before = len(tcp.trace.kinds(remote_only=True))
+        ref = server.instantiate("Counter", "c-tcp", "beta", args=(5,))
+        assert tcp.trace.kinds(remote_only=True)[before:] == [
+            "INSTANTIATE", "REPLY(INSTANTIATE)",
+            "REGISTRY_BIND", "REPLY(REGISTRY_BIND)",
+        ]
+        assert ref.node_id == "beta"
+        assert tcp["alpha"].stub("c-tcp").get() == 5
+
     def test_local_instantiate(self, pair):
         pair["alpha"].register_class(Counter)
         ref = pair["alpha"].namespace.server.instantiate(
@@ -108,57 +145,23 @@ class TestInstantiate:
         server.instantiate("Counter", "c-remote", "beta")
         assert pair["alpha"].namespace.registry.forwarding_hint("c-remote") == "beta"
 
-    def test_batched_instantiate_rides_one_round_trip(self, pair):
-        """``batched=True`` collapses instantiate + publish into one
-        call_many frame: 2 remote messages instead of 4."""
-        pair["alpha"].register_class(PrintServer)
-        server = pair["alpha"].namespace.server
-        server.push_class("PrintServer", "beta")
-        before = pair.trace.remote_message_count()
-        ref = server.instantiate(
-            "PrintServer", "ps-batched", "beta", args=("inkjet",), batched=True
-        )
-        assert pair.trace.remote_message_count() - before == 2
-        assert ref.node_id == "beta"
-        # The publish step still happened: the name resolves and invokes.
-        stub = pair["alpha"].namespace.naming.lookup("mage://beta/ps-batched")
-        assert stub.print_job("doc") == "inkjet:1:doc"
-        assert (
-            pair["alpha"].namespace.registry.forwarding_hint("ps-batched")
-            == "beta"
-        )
-
-    def test_batched_and_unbatched_publish_identical_refs(self, pair):
-        """The batched path predicts the ref for its REGISTRY_BIND step
-        (it cannot wait for the INSTANTIATE reply inside one frame); this
-        pins the prediction to what the unbatched path actually binds."""
-        pair["alpha"].register_class(Counter)
-        server = pair["alpha"].namespace.server
-        server.push_class("Counter", "beta")
-        server.instantiate("Counter", "c-plain", "beta")
-        server.instantiate("Counter", "c-batch2", "beta", batched=True)
-        plain = pair["beta"].namespace.rmi_registry.lookup("c-plain")
-        batched = pair["beta"].namespace.rmi_registry.lookup("c-batch2")
-        assert plain.node_id == batched.node_id
-        assert plain.methods == batched.methods
-
-    def test_batched_instantiate_failure_does_not_publish(self, pair):
-        """A failed INSTANTIATE stops the batch before the REGISTRY_BIND
-        step, so no dangling binding appears (matching batched=False)."""
+    def test_failed_instantiate_does_not_publish(self, pair):
+        """A failed INSTANTIATE raises before the REGISTRY_BIND step is
+        sent, so no dangling binding appears."""
         with pytest.raises(ClassTransferError):
             pair["alpha"].namespace.server.instantiate(
-                "Ghost", "ghost-batched", "beta", batched=True
+                "Ghost", "ghost", "beta"
             )
-        assert not pair["beta"].namespace.rmi_registry.contains("ghost-batched")
+        assert not pair["beta"].namespace.rmi_registry.contains("ghost")
 
-    def test_batched_instantiate_via_namespace_facade(self, pair):
+    def test_instantiate_via_namespace_facade(self, pair):
         pair["alpha"].register_class(Counter)
         pair["alpha"].namespace.server.push_class("Counter", "beta")
         ref = pair["alpha"].namespace.instantiate(
-            "Counter", "c-batch", "beta", args=(4,), batched=True
+            "Counter", "c-facade", "beta", args=(4,)
         )
         assert ref.node_id == "beta"
-        assert pair["alpha"].stub("c-batch").get() == 4
+        assert pair["alpha"].stub("c-facade").get() == 4
 
 
 class TestLockBracket:

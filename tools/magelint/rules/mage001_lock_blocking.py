@@ -12,14 +12,14 @@ from magelint.rules.base import (
 )
 
 #: Method names that block the calling thread until remote/IO progress.
-#: ``call``/``call_many`` are the transport's synchronous RPC forms,
+#: ``call`` is the transport's synchronous RPC form,
 #: ``result``/``exception`` block on a CallFuture, ``stream`` drives a
 #: windowed transfer to completion, and the socket verbs speak for
 #: themselves.  ``call_async``/``cast`` are deliberately absent: they
 #: return immediately and are the *correct* thing to do under a lock.
 BLOCKING_METHODS = frozenset({
-    "call", "call_many", "call_many_async_wait", "result", "exception",
-    "stream", "recv", "recv_into", "accept", "sendall", "connect",
+    "call", "result", "exception", "stream",
+    "recv", "recv_into", "accept", "sendall", "connect",
 })
 
 #: ``module.function`` chains that block (checked against the full chain).

@@ -15,8 +15,7 @@ from magelint.rules.base import (
 #: A fan-out that omits ``deadline=`` silently re-introduces the pre-PR 3
 #: unbounded-walk behaviour for every caller above it.
 FANOUT_METHODS = frozenset({
-    "scatter", "gather", "call_many", "call_many_async",
-    "ping_many", "push_class_many", "query_all_loads",
+    "scatter", "gather", "ping_many", "push_class_many", "query_all_loads",
 })
 
 #: Only the layers that *compose* calls are held to this; leaf modules
