@@ -85,7 +85,10 @@ connections, and listeners — is owned by a shared
 non-blocking reads through per-connection receive state machines and
 coalescing queued writes into large sends (see the reactor module
 docstring).  Only the client's HELLO exchange uses the socket in
-blocking mode, before the reactor adopts it.
+blocking mode, before the reactor adopts it.  Both ends of a same-host
+Unix-socket channel ask for a :data:`_UDS_SNDBUF` (2 MiB) send buffer,
+so a bulk frame leaves in one write; TCP sockets keep the kernel's
+autotuned buffers.
 
 Handler execution never blocks a reactor loop: frames of every kind,
 every self delivery and every :meth:`TcpNetwork.post` job are
@@ -193,16 +196,35 @@ _UDS_SETTING = "uds"
 #: inside restricted sandboxes) — every failure degrades to TCP.
 _UDS_SUPPORTED = hasattr(socket, "AF_UNIX")
 
+#: ``SO_SNDBUF`` requested on both ends of every Unix-domain channel, so
+#: a 1 MiB bulk frame (a streamed chunk, a whole default stream window)
+#: leaves in one ``sendmsg`` instead of queueing behind the default
+#: 208 KiB buffer for several loop rounds.  Linux doubles the request,
+#: capped at 2 x ``net.core.wmem_max``.  TCP sockets keep the kernel's
+#: autotuning, which an explicit size would switch off.
+_UDS_SNDBUF = 2 * 1024 * 1024
+
 
 def _is_unix(sock: socket.socket) -> bool:
     """Whether ``sock`` is a Unix-domain socket, i.e. provably same-host."""
     return _UDS_SUPPORTED and sock.family == socket.AF_UNIX
 
 
+def _size_uds_sndbuf(sock: socket.socket) -> None:
+    """Ask for :data:`_UDS_SNDBUF`; a refusal keeps the default size."""
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _UDS_SNDBUF)
+    except OSError:
+        pass
+
+
 #: Kinds the client-side auto-batcher never coalesces: bulk kinds carry
 #: large zero-copy payloads that would only delay the calls batched with
-#: them; nested batches stay flat.  (A cast never reaches the batcher: it
-#: has no reply to demultiplex, so ``_submit`` writes it directly.)
+#: them.  The batcher never submits a BATCH itself; the member keeps a
+#: hand-built one passed to ``_transmit_async`` out of its queue, so that
+#: frame is sent and run as its own, never nested inside an auto-batch.
+#: (A cast never reaches the batcher: it has no reply to demultiplex, so
+#: ``_submit`` writes it directly.)
 _UNBATCHABLE_KINDS = BULK_KINDS | {MessageKind.BATCH}
 
 #: Caps on one coalesced BATCH frame: sub-calls, and estimated payload bytes.
@@ -1296,7 +1318,10 @@ class _NodeServer:
                 )
 
     def _on_accept(self, sock: socket.socket) -> None:
-        state = _ServerConn(compress=not _is_unix(sock))
+        unix = _is_unix(sock)
+        if unix:
+            _size_uds_sndbuf(sock)
+        state = _ServerConn(compress=not unix)
         state.answer = lambda message, payload: self._send_reply(
             state, message, payload)
         conn = self._reactor.add_connection(
@@ -1753,10 +1778,13 @@ class TcpNetwork(Transport):
         """Dial the abstract Unix socket ``name``; ``None`` on failure.
 
         No TCP_NODELAY here — Unix sockets have no Nagle to disable —
-        and no exception surface: the caller always has TCP to fall
-        back on, so a same-host dial can only ever *add* a fast path.
+        but a send buffer of :data:`_UDS_SNDBUF` (the accepting side
+        sizes its end too), so a bulk frame leaves in one write.  No
+        exception surface: the caller always has TCP to fall back on,
+        so a same-host dial can only ever *add* a fast path.
         """
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        _size_uds_sndbuf(sock)
         sock.settimeout(_CONNECT_TIMEOUT_S)
         try:
             sock.connect("\0" + name)

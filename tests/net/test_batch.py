@@ -398,6 +398,52 @@ class TestTcpOnly:
         finally:
             net.shutdown()
 
+    def test_a_hand_built_batch_is_never_nested_in_an_auto_batch(
+            self, monkeypatch):
+        """A BATCH frame handed to ``_transmit_async`` while the reply
+        clock runs skips the batcher's queue: it goes out and runs as
+        its own frame, never as a sub of a coalesced one."""
+        started, release = threading.Event(), threading.Event()
+
+        def handler(message):
+            if message.payload == "hang":
+                started.set()
+                release.wait(5.0)
+            return message.payload
+
+        ran = []
+        execute = Transport.execute_batch
+
+        def recording(message, run_sub, done, spawn=None):
+            ran.append(message.msg_id)
+            execute(message, run_sub, done, spawn)
+
+        monkeypatch.setattr(Transport, "execute_batch",
+                            staticmethod(recording))
+        net = TcpNetwork()
+        try:
+            net.register("a", lambda m: None)
+            net.register("b", handler)
+            net.call("a", "b", PING, "warm")
+            hung = net.call_async("a", "b", PING, "hang")
+            assert started.wait(5.0)
+            # Queued behind the in-flight call, as a batch would be.
+            queued = net.call_async("a", "b", PING, "queued")
+            own = build_message(MessageKind.BATCH, "a", "b", Batch(tuple(
+                build_message(PING, "a", "b", payload)
+                for payload in ("x", "y"))))
+            assert net._transmit_async(own).exception(timeout_s=5.0) is None
+            assert ran == [own.msg_id]
+            assert not queued.done()
+            release.set()
+            assert hung.result(timeout_s=5.0) == "hang"
+            assert queued.result(timeout_s=5.0) == "queued"
+            assert ran == [own.msg_id]
+            assert net.data_plane_metrics().auto_batches == 0
+        finally:
+            release.set()
+            net.shutdown()
+
     def test_batch_frame_without_a_batch_payload_is_answered_with_an_error(
             self):
         """Such a frame comes from outside the program: it is refused by

@@ -302,7 +302,9 @@ class TestConfig:
         ask every candidate at once, so nothing ranks them: no per-link
         latency estimate, and the peer book holds endpoints only.  The
         auto-batcher is the one thing that builds a BATCH frame: no
-        ``call_many``, no sequential batch, no ``batched=`` knob."""
+        ``call_many``, no sequential batch, no ``batched=`` knob.  The
+        Unix-socket send buffer is a module constant of ``tcpnet``: no
+        transport argument, and the reactor sizes no socket."""
         import ast
         import dataclasses
         import inspect
@@ -345,7 +347,9 @@ class TestConfig:
         assert arity(Cluster) <= 9, inspect.signature(Cluster.__init__)
         assert arity(Mover) <= 9, inspect.signature(Mover.__init__)
         assert arity(LockManager) <= 2, inspect.signature(LockManager.__init__)
-        assert arity(TcpNetwork) <= 9, inspect.signature(TcpNetwork.__init__)
+        # Pinned, not bounded: the Unix-socket send buffer is one module
+        # constant, never a constructor argument.
+        assert arity(TcpNetwork) == 9, inspect.signature(TcpNetwork.__init__)
         for method, most in ((Namespace.instantiate, 6),
                              (Namespace.push_class, 2)):
             params = inspect.signature(method).parameters
@@ -373,6 +377,12 @@ class TestConfig:
                     assert "batched" not in names, path
                 elif isinstance(node, ast.keyword):
                     assert node.arg != "batched", path
+        # The send buffer is sized where the Unix sockets are made, never
+        # in the reactor, whose sockets tests shrink to force backpressure.
+        sized = {path.relative_to(root).as_posix()
+                 for path in root.rglob("*.py")
+                 if "SO_SNDBUF" in path.read_text()}
+        assert sized == {"net/tcpnet.py"}, sized
         for path in (root / "core" / "agents.py", root / "runtime" / "server.py"):
             assert "threading.Thread(" not in path.read_text(), path
         assert "threading.Timer(" not in (root / "runtime" / "locks.py").read_text()

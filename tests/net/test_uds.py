@@ -6,20 +6,23 @@ through :meth:`connect` and whatever the HELLO handshake carries.  The
 suite covers the facet advertisement, the UDS dial itself (asserted on
 the live channel's socket family), every degradation path back to plain
 TCP (peer without UDS, dialer without UDS, foreign-host facet),
-HELLO-driven facet learning for 2-tuple roster entries, and the
-peer-eviction hygiene of the auto-batcher (a re-joined peer must start
-clean).
+HELLO-driven facet learning for 2-tuple roster entries, the one-write
+rule (both ends of a Unix-socket channel get a send buffer that takes a
+bulk frame whole; TCP keeps the kernel's), and the peer-eviction hygiene
+of the auto-batcher (a re-joined peer must start clean).
 """
 
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.errors import NodeUnreachableError, TransportError
 from repro.net.endpoint import Endpoint
 from repro.net.message import MessageKind
-from repro.net.tcpnet import _UDS_SUPPORTED, TcpNetwork
+from repro.net.tcpnet import _UDS_SNDBUF, _UDS_SUPPORTED, TcpNetwork
+from repro.runtime.namespace import Namespace
 
 pytestmark = pytest.mark.skipif(
     not _UDS_SUPPORTED, reason="platform lacks AF_UNIX sockets"
@@ -49,8 +52,29 @@ def link(a, a_node, b, b_node):
 
 def channel_family(net, src, dst):
     """Address family of the live client channel ``src -> dst``."""
-    channel = net._channels[(src, dst)]
-    return channel._conn._sock.family
+    return channel_socket(net, src, dst).family
+
+
+def channel_socket(net, src, dst):
+    """The socket of the live client channel ``src -> dst``."""
+    return net._channels[(src, dst)]._conn._sock
+
+
+def accepted_sockets(net, node):
+    """The sockets ``node``'s server accepted and still serves."""
+    return [state.conn._sock for state in net._servers[node]._conns]
+
+
+def sndbuf(sock):
+    return sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+
+
+def wmem_max():
+    """``net.core.wmem_max``, the cap on a requested send buffer."""
+    path = Path("/proc/sys/net/core/wmem_max")
+    if not path.exists():
+        pytest.skip("no net.core.wmem_max to read")
+    return int(path.read_text())
 
 
 class TestFacetAdvertisement:
@@ -138,6 +162,74 @@ class TestFacetLearning:
         a._drop_channels("b")
         assert a.call("a", "b", MessageKind.PING, 8) == 8
         assert channel_family(a, "a", "b") == socket.AF_UNIX
+
+
+class Mirror:
+    """Servant that answers with what it was given."""
+
+    def echo(self, value):
+        return value
+
+
+class TestOneWrite:
+    """A bulk frame leaves a same-host socket in one write."""
+
+    def test_both_ends_of_a_unix_channel_get_the_large_send_buffer(
+            self, nets):
+        want = min(_UDS_SNDBUF, wmem_max())
+        a, b = nets(), nets()
+        a.register("a", lambda m: m.payload)
+        b.register("b", lambda m: m.payload)
+        link(a, "a", b, "b")
+        assert a.call("a", "b", MessageKind.PING, 1) == 1
+        dialled = channel_socket(a, "a", "b")
+        (accepted,) = accepted_sockets(b, "b")
+        assert dialled.family == accepted.family == socket.AF_UNIX
+        assert sndbuf(dialled) >= want
+        assert sndbuf(accepted) >= want
+
+    def test_a_tcp_channel_keeps_the_kernels_send_buffer(self, nets):
+        """An explicit size would switch TCP's autotuning off."""
+        a, b = nets(uds=False), nets(uds=False)
+        a.register("a", lambda m: m.payload)
+        b.register("b", lambda m: m.payload)
+        link(a, "a", b, "b")
+        assert a.call("a", "b", MessageKind.PING, 1) == 1
+        with socket.create_server(("127.0.0.1", 0)) as listener, \
+                socket.create_connection(listener.getsockname()) as fresh:
+            fresh_sndbuf = sndbuf(fresh)
+        dialled = channel_socket(a, "a", "b")
+        (accepted,) = accepted_sockets(b, "b")
+        assert dialled.family == accepted.family == socket.AF_INET
+        assert sndbuf(dialled) == fresh_sndbuf
+        assert sndbuf(accepted) == fresh_sndbuf
+
+    def test_a_mebibyte_echo_queues_nothing_on_either_side(self, nets):
+        """With the default 208 KiB buffer the non-blocking ``sendmsg``
+        takes about 213 KiB of the frame; the reactor queues the rest
+        and finishes it over several loop rounds on each side."""
+        if wmem_max() < 1 << 20:
+            pytest.skip("net.core.wmem_max caps the buffer below 1 MiB")
+        a, b = nets(), nets()
+        caller, server = Namespace("caller", a), Namespace("server", b)
+        try:
+            link(a, "caller", b, "server")
+            server.register("mirror", Mirror())
+            stub = caller.stub("mirror", location="server")
+            assert stub.echo(b"warm") == b"warm"
+            assert channel_family(a, "caller", "server") == socket.AF_UNIX
+            before = [net.data_plane_metrics() for net in (a, b)]
+            payload = bytes(range(256)) * 4096  # 1 MiB
+            assert stub.echo(payload) == payload
+            after = [net.data_plane_metrics() for net in (a, b)]
+        finally:
+            caller.shutdown()
+            server.shutdown()
+        for was, now in zip(before, after):
+            assert now.max_queue_bytes == was.max_queue_bytes, (was, now)
+            assert now.queued_bytes == 0
+        # The caller's request went out in one flush.
+        assert after[0].flushes - before[0].flushes == 1
 
 
 class _Park:
