@@ -13,16 +13,18 @@ acts:
 1. **Monolithic baseline** — the paper's single OBJECT_TRANSFER frame
    (compression off, streaming off): the whole marshalled state
    serializes, crosses the link, and applies as one blocking unit.
-2. **Streamed + compressed** — the same object with the PR-4 pipeline:
-   TRANSFER_PREPARE reserves a staging slot, zlib-compressed
-   TRANSFER_CHUNK frames pipeline over the pooled socket (windowed,
-   zero-copy slices of one blob), TRANSFER_COMMIT atomically applies.
-   Until that commit the receiver's store shows nothing — a partially
-   streamed object is invisible by construction.
+2. **Streamed + compressed** — the same object as a staged stream:
+   zlib-compressed TRANSFER_CHUNK frames pipeline over the pooled
+   socket (windowed, zero-copy slices of one blob).  The first chunk
+   carries the stream's head and opens a staging slot; the last, sent
+   once every other chunk is acked, carries the commit that atomically
+   applies.  Until that commit the receiver's store shows nothing — a
+   partially streamed object is invisible by construction.
 3. **Hedged write** — the preferred target is wedged (500 ms per
    message).  ``move(hedge=True, alternates=...)`` streams to the wedged
-   *and* a healthy target speculatively, commits whichever finishes
-   staging first, and aborts the loser before anything applied.  The
+   *and* a healthy target speculatively, sends a TRANSFER_COMMIT to
+   whichever finishes staging first, and aborts the loser before
+   anything applied.  The
    move completes at healthy speed; the loser never materializes a copy.
 """
 

@@ -21,7 +21,8 @@ endpoint layer:
    socket for later dials.
 3. **The paper's operations, cross-process** — a remote invocation, a
    stay/move lock served by the other process, and a large object
-   *streamed* to the worker as TRANSFER_PREPARE / CHUNK / COMMIT.
+   *streamed* to the worker as TRANSFER_CHUNK frames, the first of
+   which opens its staging slot and the last of which commits it.
 4. **Heartbeat failure detection** — the parent kills the child, the
    heartbeat sweep misses it repeatedly, membership declares it dead,
    its forwarding hints and transport state are pruned, and the load

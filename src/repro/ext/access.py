@@ -104,13 +104,13 @@ class AccessPolicy:
 
 
 #: Message kinds gated by each verb.  An object — an agent on its tour
-#: included — arrives as one OBJECT_TRANSFER or as a stream that opens
-#: with TRANSFER_PREPARE; refusing the PREPARE refuses the stream before
-#: anything stages.
+#: included — arrives as one OBJECT_TRANSFER or as a stream of
+#: TRANSFER_CHUNKs whose first opens the staging slot; refusing the
+#: first chunk refuses the stream before anything stages.
 _VERB_FOR_KIND = {
     MessageKind.INVOKE: "invoke",
     MessageKind.OBJECT_TRANSFER: "move_in",
-    MessageKind.TRANSFER_PREPARE: "move_in",
+    MessageKind.TRANSFER_CHUNK: "move_in",
     MessageKind.INSTANTIATE: "move_in",
     MessageKind.MOVE_REQUEST: "move_out",
     MessageKind.AGENT_LAUNCH: "move_out",

@@ -78,10 +78,13 @@ class ResourceBudget:
             self._used[resource] = max(0.0, used - amount)
 
 
-#: Inbound kinds that materialize an object: a single-frame transfer, the
-#: COMMIT of a streamed one, an instantiation.  Each takes a slot.
+#: Inbound kinds that may materialize an object: a single-frame
+#: transfer, a streamed one's commit (a hedge's TRANSFER_COMMIT, or the
+#: last chunk of a single-target stream), an instantiation.  Each
+#: arrival takes a slot.
 _ADMITTING_KINDS = frozenset({
     MessageKind.OBJECT_TRANSFER,
+    MessageKind.TRANSFER_CHUNK,
     MessageKind.TRANSFER_COMMIT,
     MessageKind.INSTANTIATE,
 })
@@ -90,7 +93,7 @@ _ADMITTING_KINDS = frozenset({
 class MeteredNamespace:
     """Wraps a namespace's inbound dispatcher with admission control.
 
-    Occupancy accounting: an arrival (a transfer or its COMMIT, an
+    Occupancy accounting: an arrival (a transfer or its commit, an
     instantiation) takes one ``object_slots`` unit before the inner
     handler runs, gives it back if the handler fails, and otherwise
     makes its object a *tenant* holding that slot.  Objects leave by
@@ -113,7 +116,11 @@ class MeteredNamespace:
 
     def handle(self, message: Message) -> Any:
         """Meter one inbound message, then delegate to the real dispatcher."""
-        if message.kind not in _ADMITTING_KINDS or message.is_local:
+        payload = message.payload
+        if message.kind is MessageKind.TRANSFER_CHUNK:
+            payload = payload.commit  # only a committing chunk admits
+        if (message.kind not in _ADMITTING_KINDS or payload is None
+                or message.is_local):
             return self._inner_handle(message)
         with self._lock:
             self._release_departed()
@@ -127,7 +134,7 @@ class MeteredNamespace:
         except BaseException:
             self.budget.release(OBJECT_SLOTS, 1.0)
             raise
-        name = message.payload.name
+        name = payload.name
         with self._lock:
             if name in self._tenants:
                 # A retransmission, or a tenant back before its departure

@@ -108,10 +108,11 @@ Bulk data and link awareness
 ``Transport.stream(src, dst, requests, window=8)`` is a windowed,
 pipelined request sequence to one destination (each new submission
 first collects the oldest outstanding reply, so a slow receiver applies
-backpressure).  The two-phase TRANSFER_PREPARE / TRANSFER_CHUNK /
-TRANSFER_COMMIT / TRANSFER_ABORT migration pipeline in
-:mod:`repro.runtime.mover` does not ride it: the mover's one sender
-loop keeps the same window per candidate on ``call_async`` and ``race``.
+backpressure).  The streamed migration in :mod:`repro.runtime.mover`
+(TRANSFER_CHUNK frames whose first opens the staging slot and whose
+last commits, TRANSFER_COMMIT for a hedge's winner, TRANSFER_ABORT)
+does not ride it: the mover's one sender loop keeps the same window
+per candidate on ``call_async`` and ``race``.
 
 The TCP transport additionally **compresses large frames by one rule**
 (:mod:`repro.net.codec`): a frame of at least 16 KiB is zlib-compressed

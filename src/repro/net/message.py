@@ -39,9 +39,8 @@ class MessageKind(enum.Enum):
     FIND = "FIND"                        # forwarding-chain component lookup
     MOVE_REQUEST = "MOVE_REQUEST"        # ask the hosting node to ship an object
     OBJECT_TRANSFER = "OBJECT_TRANSFER"  # host -> target: serialized object (+class)
-    TRANSFER_PREPARE = "TRANSFER_PREPARE"  # reserve a staging slot for a streamed transfer
-    TRANSFER_CHUNK = "TRANSFER_CHUNK"      # one slice of a streamed transfer's state
-    TRANSFER_COMMIT = "TRANSFER_COMMIT"    # atomically apply a fully staged transfer
+    TRANSFER_CHUNK = "TRANSFER_CHUNK"      # one slice of a stream (its head rides chunk 0)
+    TRANSFER_COMMIT = "TRANSFER_COMMIT"    # apply a hedged write's fully staged winner
     TRANSFER_ABORT = "TRANSFER_ABORT"      # discard a staged (or staging) transfer
     CLASS_REQUEST = "CLASS_REQUEST"      # pull a class definition (conditional)
     CLASS_TRANSFER = "CLASS_TRANSFER"    # push a class definition (probe or body)
@@ -67,7 +66,6 @@ class MessageKind(enum.Enum):
 #: payloads would only hold up the small calls batched beside them.
 BULK_KINDS = frozenset({
     MessageKind.OBJECT_TRANSFER,
-    MessageKind.TRANSFER_PREPARE,
     MessageKind.TRANSFER_CHUNK,
     MessageKind.TRANSFER_COMMIT,
     MessageKind.TRANSFER_ABORT,

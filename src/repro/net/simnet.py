@@ -44,9 +44,9 @@ is deterministic on this transport and genuinely concurrent on TCP.
 
 ``Transport.stream`` likewise needs no code here: eager futures make a
 windowed chunk stream execute as the sequential one-call-per-chunk loop,
-so a chunked OBJECT_TRANSFER's trace is the literal PREPARE, CHUNK × N,
-COMMIT sequence and each frame charges the latency model per message —
-a bandwidth-aware model prices the chunks by their payload bytes.  Frame
+so a stream's trace is its literal sequence of requests and each frame
+charges the latency model per message — a bandwidth-aware model prices
+the chunks by their payload bytes.  Frame
 codecs are a wire-bytes concern and do not exist here (payloads cross by
 reference).
 """

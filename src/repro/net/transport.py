@@ -406,8 +406,8 @@ class race:
     The first-wins collector (a chase over several hosts, a hedged write
     racing its candidates): one hung destination cannot stand in front
     of a fast one.  :meth:`add` works while iterating — how a chase asks
-    the next host and a hedged write sends a candidate's chunks once its
-    PREPARE is acked; keys need not be unique.
+    the next host and a streamed move sends a candidate's chunks once its
+    chunk 0 is acked; keys need not be unique.
     Iteration stops when nothing is pending or ``deadline`` expires; what
     is left in :attr:`pending` is then the caller's to cancel.
 

@@ -135,15 +135,17 @@ class ObjectTransfer:
 
 @dataclass(frozen=True)
 class TransferPrepare:
-    """Phase one of a streamed transfer: reserve a staging slot.
+    """The head of a streamed transfer: it opens a staging slot.
 
     Carries everything :class:`ObjectTransfer` carries (``tour`` too)
-    *except* the state blob, which follows as
-    :class:`TransferChunk` slices.  PREPARE is
-    idempotent per ``transfer_id`` (a retransmission re-reserves the same
-    slot) and reserves only *staging* space: nothing touches the object
-    store, the registry, or the lock manager until TRANSFER_COMMIT, so a
-    partially streamed transfer can never materialize an object.
+    *except* the state blob, which follows as :class:`TransferChunk`
+    slices.  It rides in the stream's chunk 0
+    (:attr:`TransferChunk.prepare`), never in a frame of its own.
+    Staging is idempotent per ``transfer_id`` (a retransmitted chunk 0
+    re-stages into the same slot) and reserves only *staging* space:
+    nothing touches the object store, the registry, or the lock manager
+    until the commit, so a partially streamed transfer can never
+    materialize an object.
 
     ``total_bytes``/``chunk_count`` let the receiver verify completeness
     at commit; ``ttl_ms`` bounds how long an orphaned staging entry (its
@@ -167,6 +169,10 @@ class TransferPrepare:
 class TransferChunk:
     """One slice of a streamed transfer's marshalled state.
 
+    Chunk 0 carries the stream's head as ``prepare``, which opens the
+    staging slot; a single-target move's last chunk carries ``commit``,
+    which applies the transfer once the slice is staged.
+
     The slice is a run of the blob's pieces
     (:func:`repro.rmi.marshal.marshal_pieces`) taken as if they were
     joined, and ``data`` holds it without a copy at either end: one
@@ -178,7 +184,7 @@ class TransferChunk:
     views of the frame the chunk arrived in (plain ``bytes`` for an item
     under :data:`repro.net.reactor.DIRECT_RECV_MIN`), which the mover
     stages as they are — so a staged chunk keeps its whole frame alive
-    until COMMIT, ABORT or the staging reaper drops it.  On the
+    until the commit, ABORT or the staging reaper drops it.  On the
     in-process simulated network the payload crosses by reference and
     the receiver stages the sender's views.
 
@@ -194,6 +200,8 @@ class TransferChunk:
     transfer_id: str
     index: int
     data: "object"  # bytes | memoryview | a tuple of them (the wire tags it)
+    prepare: TransferPrepare | None = None  # chunk 0: opens the slot
+    commit: TransferCommit | None = None    # a lone move's last chunk: applies
 
     def __reduce__(self):
         data = self.data
@@ -203,15 +211,19 @@ class TransferChunk:
             data = tuple(pickle.PickleBuffer(segment)
                          if isinstance(segment, memoryview) else segment
                          for segment in data)
-        return (TransferChunk, (self.transfer_id, self.index, data))
+        return (TransferChunk, (self.transfer_id, self.index, data,
+                                self.prepare, self.commit))
 
 
 @dataclass(frozen=True)
 class TransferCommit:
-    """Phase two: atomically unpack, register, and ack a staged transfer.
+    """Atomically unpack, register, and ack a fully staged transfer.
 
-    Idempotent per ``transfer_id``: a retransmitted COMMIT (lost ack)
-    finds the id in the mover's seen-set and re-acks without re-applying.
+    Rides in a single-target stream's last chunk
+    (:attr:`TransferChunk.commit`), or travels alone as TRANSFER_COMMIT
+    to a hedged write's winner.  Idempotent per ``transfer_id``: a
+    retransmission (lost ack) finds the id in the mover's seen-set and
+    re-acks without re-applying.
     """
 
     transfer_id: str

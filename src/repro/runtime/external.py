@@ -44,7 +44,6 @@ from repro.rmi.protocol import (
     TransferAbort,
     TransferChunk,
     TransferCommit,
-    TransferPrepare,
     UnbindRequest,
     UnlockPayload,
 )
@@ -99,7 +98,6 @@ class MageExternalServer:
             MessageKind.FIND: self._on_find,
             MessageKind.MOVE_REQUEST: self._on_move_request,
             MessageKind.OBJECT_TRANSFER: self._on_object_transfer,
-            MessageKind.TRANSFER_PREPARE: self._on_transfer_prepare,
             MessageKind.TRANSFER_CHUNK: self._on_transfer_chunk,
             MessageKind.TRANSFER_COMMIT: self._on_transfer_commit,
             MessageKind.TRANSFER_ABORT: self._on_transfer_abort,
@@ -186,9 +184,6 @@ class MageExternalServer:
 
     def _on_object_transfer(self, transfer: ObjectTransfer) -> str:
         return self._mover.receive(transfer)
-
-    def _on_transfer_prepare(self, prepare: TransferPrepare) -> str:
-        return self._mover.prepare(prepare)
 
     def _on_transfer_chunk(self, chunk: TransferChunk) -> str:
         return self._mover.receive_chunk(chunk)

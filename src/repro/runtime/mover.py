@@ -22,37 +22,40 @@ two-copies window from being observed.
 Step 2 is one engine: a loop over candidate targets, each sent one of
 two frame shapes.  Small objects ship as the paper's single
 ``OBJECT_TRANSFER`` frame — the exact message the figure benches trace.
-State blobs at or above ``stream_threshold`` ship as a **two-phase
-pipeline** instead:
+State blobs at or above ``stream_threshold`` ship as a **staged
+stream** instead, its control riding in its chunk frames:
 
-``TRANSFER_PREPARE``
-    reserves a staging slot at the receiver (idempotent per
-    ``transfer_id``); nothing touches the hot store.
 ``TRANSFER_CHUNK`` × N
-    windowed, pipelined slices of the marshalled state, sent once the
-    PREPARE is acked.  The state is packed as pieces — a ``bytes`` of at
-    least 64 KiB in it is a piece of its own and is the servant's own
-    object — and a chunk is a run of at most ``chunk_bytes`` of their
-    concatenation: one ``memoryview`` of a piece, or a tuple of views
-    when it spans pieces.  Nothing on the send path copies the state.
-    Chunks accumulate in the staging slot in the form they arrived in —
-    views of their received frames — and COMMIT unpickles from their
-    segments in order without joining them.
-``TRANSFER_COMMIT``
-    atomically verifies completeness, unpacks, registers, and acks; only
-    now does the object exist at the target, and only on this ack does
-    the source evict.  Idempotent per ``transfer_id``.
+    windowed, pipelined slices of the marshalled state.  Chunk 0 carries
+    the stream's head (a :class:`~repro.rmi.protocol.TransferPrepare`):
+    the receiver opens a staging slot (idempotent per ``transfer_id``)
+    and nothing touches the hot store; its ack opens the window.  The
+    state is packed as pieces — a ``bytes`` of at least 64 KiB in it is
+    a piece of its own and is the servant's own object — and a chunk is
+    a run of at most ``chunk_bytes`` of their concatenation: one
+    ``memoryview`` of a piece, or a tuple of views when it spans pieces.
+    Nothing on the send path copies the state.  Chunks accumulate in the
+    staging slot in the form they arrived in — views of their received
+    frames — and the commit unpickles from their segments in order
+    without joining them.
+the commit
+    verifies completeness, unpacks, registers, and acks; only now does
+    the object exist at the target, and only on this ack does the source
+    evict.  Idempotent per ``transfer_id``.  A single-target move's last
+    chunk carries it, sent once every earlier chunk is acked, so a
+    one-chunk move is one exchange.
 ``TRANSFER_ABORT``
     discards the staging slot (explicit when a streamed candidate fails
     or loses, or implicitly when the staging GC reaps an orphan whose
     TTL lapsed).  Refused after a commit — the object materialized.
 
-Because apply is deferred to COMMIT, a partially streamed transfer can
-never materialize a half-built object, and the same property makes
+Because apply is deferred to the commit, a partially streamed transfer
+can never materialize a half-built object, and the same property makes
 **hedged writes** safe: :meth:`Mover.move_out` with ``alternates``
-streams to every candidate at once, COMMITs the first to finish staging,
-and ABORTs the others before anything applied.  The receiver applies an
-``OBJECT_TRANSFER`` and a COMMIT through one door.
+streams to every candidate at once without a commit, sends a standalone
+``TRANSFER_COMMIT`` to the first to finish staging, and ABORTs the
+others before anything applied.  The receiver applies an
+``OBJECT_TRANSFER`` and a commit through one door.
 
 An agent's hop is a move whose transfer carries the remaining itinerary
 (``move_out(..., tour=rest)``); the receiver hands ``(name, tour)`` to
@@ -105,8 +108,7 @@ from repro.runtime.registry import MageRegistry
 from repro.runtime.store import ObjectStore
 from repro.util.ids import fresh_token
 
-#: State blobs at or above this many bytes stream as chunked two-phase
-#: transfers; below it the paper's single OBJECT_TRANSFER frame ships
+#: State blobs at or above this many bytes stream as staged chunks; below it the paper's single OBJECT_TRANSFER frame ships
 #: (keeping every figure bench's traces byte-identical).
 DEFAULT_STREAM_THRESHOLD = 256 * 1024
 
@@ -116,7 +118,7 @@ DEFAULT_CHUNK_BYTES = 256 * 1024
 #: How many chunk frames a streamed transfer keeps outstanding per candidate.
 DEFAULT_STREAM_WINDOW = 8
 
-#: How long an orphaned staging entry survives without its COMMIT before
+#: How long an orphaned staging entry survives without its commit before
 #: the staging GC reaps it (senders with a deadline shorten this to their
 #: remaining budget plus slack).
 DEFAULT_STAGING_TTL_MS = 30_000.0
@@ -168,7 +170,8 @@ def _segments(data: Any) -> "tuple[Any, ...]":
 @dataclass
 class _StagedTransfer:
     """One in-flight streamed transfer at the receiver, keyed off the hot
-    store: chunks accumulate here and nothing is observable until COMMIT."""
+    store: chunks accumulate here and nothing is observable until the
+    commit."""
 
     prepare: TransferPrepare
     expires_at: float                       # monotonic reap point
@@ -190,9 +193,9 @@ class _Transfers:
     """The receiver's per-transfer state: the transfer protocol's state
     machine, under one lock.
 
-    Every cross-check the protocol depends on — PREPARE against the
-    abort tombstones, COMMIT against the staging slot, ABORT against an
-    in-flight apply — happens under that lock.
+    Every cross-check the protocol depends on — a stream's head against
+    the abort tombstones, a commit against the staging slot, ABORT
+    against an in-flight apply — happens under that lock.
     """
 
     def __init__(self) -> None:
@@ -236,7 +239,7 @@ class _Transfers:
     def stage(self, prep: TransferPrepare, node_id: str) -> None:
         with self._lock:
             if prep.transfer_id in self._seen:
-                return  # already committed; a late PREPARE retransmission
+                return  # already committed; a late chunk 0 retransmission
             if prep.transfer_id in self._aborted:
                 raise MigrationError(
                     f"transfer {prep.transfer_id!r} was aborted at "
@@ -249,14 +252,14 @@ class _Transfers:
                 )
 
     def add_chunk(self, chunk: TransferChunk, node_id: str) -> None:
-        """Stage ``chunk.data`` as it arrived, within the PREPARE's bounds.
+        """Stage ``chunk.data`` as it arrived, within its head's bounds.
 
         The data is a buffer or a tuple of them; every segment must be
         bytes-like, and the byte count is over all of them.  A staged
         view pins the frame it arrived in, so a stream must not be able
-        to stage more than it declared: an index outside the PREPARE's
+        to stage more than it declared: an index outside the head's
         chunk count, or data past its byte total, is refused here rather
-        than at COMMIT.
+        than at the commit.
         """
         data = chunk.data
         nbytes = 0
@@ -274,7 +277,7 @@ class _Transfers:
             if entry is None:
                 raise MigrationError(
                     f"no staged transfer {chunk.transfer_id!r} at "
-                    f"{node_id!r} (PREPARE missing, aborted, or reaped)"
+                    f"{node_id!r} (chunk 0 missing, aborted, or reaped)"
                 )
             if chunk.index in entry.chunks:
                 return  # retransmitted chunk
@@ -301,7 +304,7 @@ class _Transfers:
             if entry is None:
                 raise MigrationError(
                     f"cannot commit unknown transfer {commit.transfer_id!r} "
-                    f"at {node_id!r} (never prepared, aborted, or reaped)"
+                    f"at {node_id!r} (never staged, aborted, or reaped)"
                 )
             prep = entry.prepare
             if (len(entry.chunks) != prep.chunk_count
@@ -465,13 +468,13 @@ class Mover:
         too).
 
         Small state ships as the paper's single OBJECT_TRANSFER frame;
-        blobs at or above ``stream_threshold`` stream as the two-phase
-        PREPARE/CHUNK/COMMIT pipeline; one loop sends either
-        (:meth:`_send`).  ``alternates`` names additional
+        blobs at or above ``stream_threshold`` stream as staged chunks
+        whose first opens the slot and whose last commits; one loop
+        sends either (:meth:`_send`).  ``alternates`` names additional
         candidate targets for a **hedged write**: the stream goes to
         every candidate speculatively, the first to finish staging gets
-        the COMMIT (and becomes the returned location), and the losers
-        are ABORTed before anything applied.  Sub-threshold objects
+        a TRANSFER_COMMIT (and becomes the returned location), and the
+        losers are ABORTed before anything applied.  Sub-threshold objects
         ignore alternates — hedging a single small frame buys nothing.
 
         ``tour`` makes the move an agent's hop (module docstring): the
@@ -504,12 +507,12 @@ class Mover:
         if sum(map(len, pieces)) >= self.stream_threshold:
             candidates = [node for node in dict.fromkeys((target, *alternates))
                           if node != self.node_id]
-        firsts = {node: self._first_frame(name, record.shared, desc, pieces,
-                                          node, deadline, tour)
-                  for node in candidates}
+        heads = {node: self._head(name, record.shared, desc, pieces, node,
+                                  deadline, tour)
+                 for node in candidates}
         self._locks.begin_departure(name)
         try:
-            winner = self._send(name, firsts, pieces, deadline)
+            winner = self._send(name, heads, pieces, deadline)
         except BaseException:
             self._locks.abort_departure(name)
             raise
@@ -527,11 +530,12 @@ class Mover:
         with self._lock:
             self.moves_out += 1
 
-    def _first_frame(self, name: str, shared: bool, desc: ClassDescriptor,
-                     pieces: Sequence[bytes], target: str,
-                     deadline: Deadline | None, tour: tuple[str, ...] | None
-                     ) -> ObjectTransfer | TransferPrepare:
-        """A candidate's first frame: the whole object, or its PREPARE."""
+    def _head(self, name: str, shared: bool, desc: ClassDescriptor,
+              pieces: Sequence[bytes], target: str,
+              deadline: Deadline | None, tour: tuple[str, ...] | None
+              ) -> ObjectTransfer | TransferPrepare:
+        """A candidate's transfer head: the whole object in one frame, or
+        the head its stream's chunk 0 carries."""
         head = dict(
             name=name,
             class_name=desc.class_name,
@@ -558,35 +562,52 @@ class Mover:
         )
 
     def _send(self, name: str,
-              firsts: dict[str, ObjectTransfer | TransferPrepare],
+              heads: dict[str, ObjectTransfer | TransferPrepare],
               pieces: Sequence[bytes], deadline: Deadline | None) -> str:
         """Send each candidate its frames; returns the first fully acked.
 
         One :class:`~repro.net.transport.race` carries every exchange, so
-        a slow candidate never holds back a fast one.  A PREPARE's ack
-        opens its candidate's chunk window (a chunk sent earlier could
-        run before its staging slot exists); the last chunk's ack sends a
-        blocking COMMIT.  The first candidate whose final frame is acked
-        ``"ok"`` wins; the rest are cancelled, and ABORTed if they stream.
-        A lone candidate's failure raises as its exchange raised it; with
-        several, :class:`~repro.errors.MigrationError` chains the first.
+        a slow candidate never holds back a fast one.  A streamed
+        candidate's chunk 0 carries its head, and that ack opens its
+        window (a chunk sent earlier could run before its staging slot
+        exists); each later ack slides it on by one.  A lone candidate's
+        last chunk carries the commit, and is held back until every
+        earlier chunk is acked: sent sooner, it could overtake one of
+        them on the receiver's worker pool.  A hedge's candidates stage
+        without committing, and the first to be fully acked gets a
+        blocking TRANSFER_COMMIT.  The first candidate whose final frame
+        is acked ``"ok"`` wins; the rest are cancelled, and ABORTed if
+        they stream.  A lone candidate's failure raises as its exchange
+        raised it; with several, :class:`~repro.errors.MigrationError`
+        chains the first.
         """
         flights = race(deadline)
-        unacked = dict.fromkeys(firsts, 0)  # live candidates' frames in flight
+        unacked = dict.fromkeys(heads, 0)  # live candidates' frames in flight
+        lone = len(heads) == 1
         chunks = {  # each streamed candidate's chunks not yet sent
-            target: self._chunks(first.transfer_id, pieces)
-            for target, first in firsts.items()
-            if isinstance(first, TransferPrepare)}
+            target: self._chunks(head, pieces, commit=lone)
+            for target, head in heads.items()
+            if isinstance(head, TransferPrepare)}
+        held: dict[str, TransferChunk] = {}  # committing chunks kept back
         failure: BaseException | None = None
 
         def send(target: str, kind: MessageKind, payload: Any) -> None:
-            flights.add((target, kind), self._transport.call_async(
+            flights.add((target, payload), self._transport.call_async(
                 self.node_id, target, kind, payload, deadline=deadline))
             unacked[target] += 1
 
+        def feed(target: str, window: int) -> None:
+            for chunk in islice(chunks[target], window):
+                if chunk.commit is None:
+                    send(target, MessageKind.TRANSFER_CHUNK, chunk)
+                else:
+                    held[target] = chunk
+            if target in held and not unacked[target]:
+                send(target, MessageKind.TRANSFER_CHUNK, held.pop(target))
+
         def drop(target: str, reason: str) -> None:
             del unacked[target]
-            for future, (key, _kind) in list(flights.pending.items()):
+            for future, (key, _frame) in list(flights.pending.items()):
                 if key == target:
                     future.cancel(f"move of {name!r}: {reason}")
             if target not in chunks:
@@ -594,7 +615,7 @@ class Mover:
             try:  # the outcome is advisory: nobody waits for it
                 self._transport.call_async(
                     self.node_id, target, MessageKind.TRANSFER_ABORT,
-                    TransferAbort(transfer_id=firsts[target].transfer_id,
+                    TransferAbort(transfer_id=heads[target].transfer_id,
                                   reason=reason))
             except Exception:
                 pass  # the staging GC reaps what the abort cannot reach
@@ -605,30 +626,30 @@ class Mover:
                     f"target {target!r} rejected transfer of {name!r}: {ack!r}")
 
         try:
-            for target, first in firsts.items():
-                send(target, MessageKind.TRANSFER_PREPARE if target in chunks
-                     else MessageKind.OBJECT_TRANSFER, first)
-            for (target, kind), future in flights:
+            for target, head in heads.items():
+                if target in chunks:
+                    feed(target, 1)
+                else:
+                    send(target, MessageKind.OBJECT_TRANSFER, head)
+            for (target, frame), future in flights:
                 if target not in unacked:
                     continue  # a dropped candidate's straggler
                 try:
                     check(target, future.result(0))
                     unacked[target] -= 1
                     if target in chunks:
-                        # The PREPARE's ack opens the window; each chunk's
-                        # ack slides it on by one.
-                        window = (DEFAULT_STREAM_WINDOW if kind is
-                                  MessageKind.TRANSFER_PREPARE else 1)
-                        for chunk in islice(chunks[target], window):
-                            send(target, MessageKind.TRANSFER_CHUNK, chunk)
+                        feed(target, 1 if frame.prepare is None
+                             else DEFAULT_STREAM_WINDOW)
                         if unacked[target]:
                             continue
-                        check(target, self._transport.call(
-                            self.node_id, target, MessageKind.TRANSFER_COMMIT,
-                            TransferCommit(
-                                transfer_id=firsts[target].transfer_id,
-                                name=name),
-                            deadline=deadline))
+                        if not lone:
+                            check(target, self._transport.call(
+                                self.node_id, target,
+                                MessageKind.TRANSFER_COMMIT,
+                                TransferCommit(
+                                    transfer_id=heads[target].transfer_id,
+                                    name=name),
+                                deadline=deadline))
                 except Exception as exc:
                     failure = failure or exc
                     drop(target, "transfer failed")
@@ -643,16 +664,23 @@ class Mover:
         finally:
             for target in list(unacked):
                 drop(target, "move abandoned")
-        if len(firsts) == 1:
+        if lone:
             raise failure
         raise MigrationError(
-            f"move of {name!r} to {list(firsts)} failed") from failure
+            f"move of {name!r} to {list(heads)} failed") from failure
 
-    def _chunks(self, transfer_id: str,
-                pieces: Sequence[bytes]) -> Iterator[TransferChunk]:
-        """Lazy chunk frames over views of ``pieces``."""
+    def _chunks(self, head: TransferPrepare, pieces: Sequence[bytes],
+                commit: bool) -> Iterator[TransferChunk]:
+        """Lazy chunk frames over views of ``pieces``: chunk 0 carries the
+        stream's ``head``, and with ``commit`` the last carries its commit."""
+        last = head.chunk_count - 1
         for index, data in enumerate(_chunk_payloads(pieces, self.chunk_bytes)):
-            yield TransferChunk(transfer_id=transfer_id, index=index, data=data)
+            yield TransferChunk(
+                transfer_id=head.transfer_id, index=index, data=data,
+                prepare=head if index == 0 else None,
+                commit=(TransferCommit(transfer_id=head.transfer_id,
+                                       name=head.name)
+                        if commit and index == last else None))
 
     def _must_ship(self, target: str, desc: ClassDescriptor) -> bool:
         with self._lock:
@@ -668,7 +696,7 @@ class Mover:
         """Handle an incoming single-frame OBJECT_TRANSFER; returns ``"ok"``.
 
         The frame opens and commits its transfer at once: it goes through
-        the same door as a COMMIT (:meth:`_apply`).
+        the same door as a commit (:meth:`_apply`).
         """
         return self._apply(transfer.transfer_id,
                            lambda: (transfer, transfer.state_blob))
@@ -736,24 +764,29 @@ class Mover:
                 self.staging_reaped += dead
         return dead
 
-    def prepare(self, prep: TransferPrepare) -> str:
-        """Reserve a staging slot (phase one); idempotent per transfer id."""
-        self.reap_staging()
-        self._transfers.stage(prep, self.node_id)
-        return "ok"
-
     def receive_chunk(self, chunk: TransferChunk) -> str:
-        """Accumulate one streamed slice in its staging slot."""
+        """Accumulate one streamed slice in its staging slot.
+
+        A chunk carrying the stream's head opens the slot first
+        (idempotent per transfer id); one carrying its commit applies the
+        transfer once the slice is staged, so its ack is the apply's
+        outcome, and a retransmission of it re-acks ``"ok"``.
+        """
+        if chunk.prepare is not None:
+            self.reap_staging()
+            self._transfers.stage(chunk.prepare, self.node_id)
         self._transfers.add_chunk(chunk, self.node_id)
+        if chunk.commit is not None:
+            return self.commit(chunk.commit)
         return "ok"
 
     def commit(self, commit: TransferCommit) -> str:
-        """Atomically apply a fully staged transfer (phase two).
+        """Atomically apply a fully staged transfer.
 
-        Verifies completeness against the PREPARE's chunk count and byte
+        Verifies completeness against the head's chunk count and byte
         total, unpacks, and registers — the first moment the object is
         observable at this node.  Idempotent per ``transfer_id`` (a
-        retransmitted COMMIT re-acks); a commit of an incomplete or
+        retransmitted commit re-acks); a commit of an incomplete or
         unknown staging raises, leaving the source's copy authoritative.
         """
         def claim() -> tuple[TransferPrepare, Blob]:
@@ -767,10 +800,10 @@ class Mover:
 
         Leaves a tombstone: transfer ids are single-use, so any frame of
         this transfer still in flight (or queued behind a stall) is
-        refused when it eventually dispatches — a PREPARE executing
+        refused when it eventually dispatches — a chunk 0 executing
         *after* its ABORT must not resurrect an orphan staging entry.
 
-        An abort racing an **in-flight COMMIT** (the sender's commit call
+        An abort racing an **in-flight commit** (the sender's commit call
         timed out mid-apply and its failure path sent the abort) waits
         for that apply's outcome instead of answering from the gap: the
         commit claims the staging entry before it unpacks, so a same-

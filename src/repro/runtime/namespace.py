@@ -42,8 +42,8 @@ class Namespace:
     * ``class_cache`` — retain class clones between migrations (§4.2);
     * ``path_collapsing`` — rewrite forwarding addresses on find (§4.1);
     * ``stream_threshold`` / ``chunk_bytes`` — state blobs at or above
-      the threshold migrate as the chunked two-phase
-      PREPARE/CHUNK/COMMIT pipeline instead of one monolithic
+      the threshold migrate as a staged stream of TRANSFER_CHUNK
+      frames instead of one monolithic
       OBJECT_TRANSFER frame (``None`` keeps the mover defaults; a huge
       threshold forces the paper's single-frame path for every object).
     """

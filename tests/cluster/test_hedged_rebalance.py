@@ -53,9 +53,11 @@ class TestHedgedRebalance:
         assert landed in ("beta", "gamma")
         assert cluster[landed].namespace.store.contains("bulk")
         assert not cluster["alpha"].namespace.store.contains("bulk")
-        # Two-phase frames were used and no staging leaked anywhere.
+        # The hedge streamed, committed its winner with a standalone
+        # TRANSFER_COMMIT, and no staging leaked anywhere.
         kinds = [e.kind for e in cluster.trace.events() if not e.local]
-        assert "TRANSFER_COMMIT" in kinds
+        assert "TRANSFER_CHUNK" in kinds
+        assert kinds.count("TRANSFER_COMMIT") == 1
         for node in cluster:
             assert node.namespace.mover.staging_count() == 0
 
@@ -121,10 +123,10 @@ class TestStreamedMoveOverTcp:
 
     def test_hedged_chunks_wait_for_their_prepare(self):
         """A server runs frames concurrently, so a candidate's chunks must
-        not be sent before its PREPARE is acked: a chunk dispatched ahead
-        of its staging slot is refused and sinks that candidate.  Here the
-        healthy candidate is slow only to PREPARE, and must still win
-        against a wedged one."""
+        not be sent before its chunk 0, which carries the stream's head,
+        is acked: a chunk dispatched ahead of its staging slot is refused
+        and sinks that candidate.  Here the healthy candidate is slow only
+        to open its slot, and must still win against a wedged one."""
         net = TcpNetwork()
         cluster = Cluster(["n0", "n1", "n2"], transport=net,
                           stream_threshold=4 * 1024, chunk_bytes=16 * 1024)
@@ -137,7 +139,8 @@ class TestStreamedMoveOverTcp:
             return wedged(message)
 
         def slow_prepare(message):
-            if message.kind is MessageKind.TRANSFER_PREPARE:
+            if (message.kind is MessageKind.TRANSFER_CHUNK
+                    and message.payload.prepare is not None):
                 time.sleep(0.2)
             return healthy(message)
 

@@ -9,6 +9,21 @@ from repro.ext.resources import OBJECT_SLOTS, ResourceBudget, meter
 from repro.bench.workloads import Counter
 from repro.core.agents import Agent
 
+KIB = 1024
+CHUNK = 16 * KIB
+
+
+class Bulk:
+    """A servant whose marshalled state spans ``chunks`` stream chunks."""
+
+    def __init__(self, chunks):
+        self.payload = b"r" * (chunks * CHUNK - CHUNK // 2)
+
+
+def _streaming(make_cluster):
+    return make_cluster(["alpha", "beta"], stream_threshold=4 * KIB,
+                        chunk_bytes=CHUNK)
+
 
 class TestBudget:
     def test_admit_and_release(self):
@@ -157,3 +172,28 @@ class TestMeteredNamespace:
         with pytest.raises(ObjectPinnedError):
             pair["alpha"].namespace.move("fixed", "beta")
         assert metered.budget.used(OBJECT_SLOTS) == 0.0
+
+    @pytest.mark.parametrize("chunks", [1, 4])
+    def test_a_streamed_arrival_takes_one_slot(self, make_cluster, chunks):
+        """Only the chunk that carries the commit admits: a stream of any
+        length holds one slot, as a single frame does."""
+        cluster = _streaming(make_cluster)
+        metered = meter(cluster["beta"].namespace, {OBJECT_SLOTS: 5})
+        cluster["alpha"].register("b", Bulk(chunks))
+        assert cluster["alpha"].namespace.move("b", "beta") == "beta"
+        assert metered.budget.used(OBJECT_SLOTS) == 1.0
+        assert metered.rejections == 0
+
+    @pytest.mark.parametrize("chunks", [1, 4])
+    def test_a_full_meter_refuses_the_committing_chunk(self, make_cluster,
+                                                       chunks):
+        cluster = _streaming(make_cluster)
+        metered = meter(cluster["beta"].namespace, {OBJECT_SLOTS: 0})
+        cluster["alpha"].register("b", Bulk(chunks))
+        with pytest.raises(ResourceExhaustedError):
+            cluster["alpha"].namespace.move("b", "beta")
+        assert metered.rejections == 1
+        assert cluster["alpha"].namespace.store.contains("b")
+        beta = cluster["beta"].namespace
+        assert not beta.store.contains("b")
+        assert beta.mover.staging_count() == 0

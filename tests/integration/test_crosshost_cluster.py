@@ -133,7 +133,7 @@ def test_two_process_cluster_end_to_end(two_process):
     assert grant.kind == "move"
     hub.namespace.unlock(grant)
 
-    # -- streaming move: PREPARE/CHUNK/COMMIT into the child ---------------
+    # -- streaming move: staged chunks into the child ----------------------
     blob = bytes(range(256)) * 256  # 64 KiB >> the 4 KiB stream threshold
     payload = Payload(blob)
     hub.register("payload", payload)
@@ -145,12 +145,13 @@ def test_two_process_cluster_end_to_end(two_process):
     assert moved.checksum() == payload.checksum()
 
     # The child's own trace proves the object arrived as a chunked
-    # two-phase stream, not one monolithic OBJECT_TRANSFER frame.
+    # stream, not one monolithic OBJECT_TRANSFER frame; its head and its
+    # commit rode the first and last chunks.
     probe = hub.stub("probe", location="worker")
     seen = probe.kinds()
-    assert "TRANSFER_PREPARE" in seen
     assert "TRANSFER_CHUNK" in seen
-    assert "TRANSFER_COMMIT" in seen
+    assert "OBJECT_TRANSFER" not in seen
+    assert "TRANSFER_COMMIT" not in seen
     assert probe.summary()["TRANSFER_CHUNK"] >= len(blob) // CHUNK_BYTES
 
     # -- failure: kill the child; the heartbeat must notice ----------------

@@ -1,9 +1,12 @@
-"""A streamed move over TCP: its chunk window, and a chunk refused mid-stream.
+"""A streamed move over TCP: its chunk window, its committing chunk, and a
+chunk refused mid-stream.
 
 The mover's one sender loop keeps at most ``DEFAULT_STREAM_WINDOW``
-chunk exchanges in flight to a candidate, each ack sending the next; a
-failed exchange fails the move with the receiver's own error, ABORTs the
-staging, and leaves the object where it was.
+chunk exchanges in flight to a candidate, each ack sending the next.  A
+single-target move's last chunk carries its commit and leaves only once
+every earlier chunk is acked.  A failed exchange fails the move with the
+receiver's own error, ABORTs the staging, and leaves the object where it
+was.
 """
 
 import threading
@@ -82,11 +85,40 @@ def test_a_twelve_chunk_move_keeps_at_most_the_window_in_flight(
     assert peak[0] == DEFAULT_STREAM_WINDOW
 
 
+def test_the_committing_chunk_waits_for_every_earlier_ack(cluster):
+    """Chunk 1 is slow on the receiver's pool.  Sent with the window, the
+    committing chunk would run beside it and find the staging incomplete;
+    held back, it leaves after chunk 1's ack and the move applies."""
+    handle = cluster["n1"].namespace.external.handle
+    events = []
+
+    def slow_chunk_one(message):
+        chunk = (message.payload
+                 if message.kind is MessageKind.TRANSFER_CHUNK else None)
+        if chunk is not None and chunk.commit is not None:
+            events.append(f"commit with chunk {chunk.index}")
+        if chunk is not None and chunk.index == 1:
+            time.sleep(0.05)
+            result = handle(message)
+            events.append("chunk 1 acked")
+            return result
+        return handle(message)
+
+    cluster.transport.register("n1", slow_chunk_one)
+    cluster["n0"].register("b", Bulk(4 * CHUNK - CHUNK // 2))
+    assert cluster["n0"].namespace.move("b", "n1") == "n1"
+    assert cluster["n1"].namespace.store.get("b").payload[:1] == b"w"
+    assert events == ["chunk 1 acked", "commit with chunk 3"]
+
+
 def test_a_refused_chunk_fails_the_move_and_aborts_the_staging(cluster):
     seen = []
 
     def refuse_chunk_five(message):
         seen.append(message.kind)
+        if (message.kind is MessageKind.TRANSFER_CHUNK
+                and message.payload.commit is not None):
+            seen.append(MessageKind.TRANSFER_COMMIT)  # it rides the chunk
         if (message.kind is MessageKind.TRANSFER_CHUNK
                 and message.payload.index == 5):
             raise MigrationError("chunk 5 refused by the receiver")

@@ -293,8 +293,10 @@ class TestConfig:
         mechanism can do without — an agent's hop is a move, so there is
         no second migration protocol, no one-way kind, no sim-only cast
         pool, and no class fetch of the agents' own.  A move is one
-        sender loop: each frame kind that starts or ends a transfer is
-        sent from one place, and the receiver applies through one door.
+        sender loop: a stream's head and its commit ride its chunks, so
+        there is no PREPARE kind and the only standalone COMMIT (a
+        hedge's) is sent from one place, as is OBJECT_TRANSFER; the
+        receiver applies through one door.
         Deferred work is a ``Transport.post`` job: no agent runner, no
         step count of its own, no thread started for a stray grant.  A
         grant nobody holds is released by its requester, so locks keep
@@ -355,6 +357,7 @@ class TestConfig:
             params = inspect.signature(method).parameters
             assert len(params) - 1 <= most, (method, params)
         assert [f.name for f in dataclasses.fields(Batch)] == ["subs"]
+        assert len(MessageKind) == 23, list(MessageKind)
         gone = re.compile(r"\b(AGENT_HOP|AgentHopPayload|ONEWAY_KINDS"
                           r"|drain_casts|synchronous_casts|_Steps"
                           r"|_STEPS(_LOCK)?|_steps_on|wait_for_tours"
@@ -365,7 +368,7 @@ class TestConfig:
                           r"|DiscoveryService|note_link_latency|link_latency_s"
                           r"|rank_by_latency|track_link_latency|LINK_EWMA_ALPHA"
                           r"|_PeerRecord|_peer_locked|hello_timeout_s"
-                          r"|call_many|call_many_async)\b")
+                          r"|call_many|call_many_async|TRANSFER_PREPARE)\b")
         root = Path(repro.__file__).parent
         for path in root.rglob("*.py"):
             source = path.read_text()
@@ -389,7 +392,7 @@ class TestConfig:
         for path in (root / "core").rglob("*.py"):
             assert "CLASS_REQUEST" not in path.read_text(), path
         mover_sites = send_sites(root / "runtime" / "mover.py")
-        for kind in ("OBJECT_TRANSFER", "TRANSFER_PREPARE", "TRANSFER_COMMIT"):
+        for kind in ("OBJECT_TRANSFER", "TRANSFER_COMMIT"):
             assert mover_sites[kind] == 1, (kind, mover_sites)
         class_requests = {path.relative_to(root).as_posix(): count
                           for path in root.rglob("*.py")

@@ -87,6 +87,13 @@ SAMPLES = {
     protocol.TransferChunk: [
         protocol.TransferChunk(transfer_id="t-1", index=0, data=b"chunk"),
         protocol.TransferChunk(transfer_id="t-1", index=3, data=BIG_BLOB),
+        protocol.TransferChunk(
+            transfer_id="t-4", index=0, data=BIG_BLOB,
+            prepare=protocol.TransferPrepare(
+                name="agent", class_name="Crawler", class_desc=None,
+                class_hash="h2", origin="n1", transfer_id="t-4",
+                total_bytes=len(BIG_BLOB), chunk_count=1, tour=()),
+            commit=protocol.TransferCommit(transfer_id="t-4", name="agent")),
     ],
     protocol.TransferCommit: [
         protocol.TransferCommit(transfer_id="t-1", name="acct"),
@@ -403,10 +410,12 @@ class TestEnvelope:
 
     def test_bulk_fields_keep_their_wire_layout(self):
         """Only the decoder differs: a bulk field is written exactly as a
-        ``bytes`` / tagged field was, so envelope sizes do not move."""
+        ``bytes`` / tagged field was, so envelope sizes do not move.  A
+        chunk's absent head and commit follow its data as two ``None``
+        tags."""
         chunk = protocol.TransferChunk("t", 0, b"abc")
-        assert wirecodec.encode_value(chunk)[-8:] == \
-            b"\x06" + (3).to_bytes(4, "big") + b"abc"
+        assert wirecodec.encode_value(chunk)[-10:] == \
+            b"\x06" + (3).to_bytes(4, "big") + b"abc" + b"\x00\x00"
         invoke = protocol.InvokeRequest("n", "m", b"abc")
         assert wirecodec.encode_value(invoke)[-7:] == \
             (3).to_bytes(4, "big") + b"abc"

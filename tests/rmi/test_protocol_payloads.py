@@ -42,6 +42,13 @@ SAMPLES = [
         origin="a", transfer_id="x", total_bytes=1, chunk_count=1,
         tour=("b", "c"),
     ),
+    protocol.TransferChunk(
+        transfer_id="x", index=0, data=b"d",
+        prepare=protocol.TransferPrepare(
+            name="c", class_name="Counter", class_desc=None, class_hash="h",
+            origin="a", transfer_id="x", total_bytes=1, chunk_count=1),
+        commit=protocol.TransferCommit(transfer_id="x", name="c"),
+    ),
     protocol.AgentLaunch(name="c", itinerary=("b",), lock_token=""),
     protocol.LoadQuery(),
     protocol.RegistrySnapshot(bindings={"c": RemoteRef("a", "c")},

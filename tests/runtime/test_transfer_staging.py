@@ -1,8 +1,9 @@
-"""Two-phase streamed migration: staging, commit atomicity, hedged writes.
+"""Staged streamed migration: staging, commit atomicity, hedged writes.
 
 The invariant under test everywhere here: **staging never leaks into the
-store before COMMIT** — a partially streamed transfer is invisible, an
-aborted one evaporates, and only a COMMIT materializes the object.
+store before the commit** — a partially streamed transfer is invisible,
+an aborted one evaporates, and only a commit (riding the last chunk, or
+a hedge's TRANSFER_COMMIT) materializes the object.
 """
 
 import threading
@@ -42,15 +43,12 @@ def _streaming_cluster(make_cluster, nodes=("alpha", "beta", "gamma")):
 
 def _staged_parts(mover, name="obj", transfer_id="xfer-test",
                   payload=b"p" * 1000, chunk_bytes=300, ttl_ms=30_000.0):
-    """Hand-built PREPARE + CHUNK frames targeting ``mover`` directly."""
+    """A hand-built stream head and its chunks, chunk 0 carrying the head,
+    targeting ``mover`` directly."""
     obj = BigStateLike(payload)
     desc = mover.descriptor_for(obj)
     state_blob = join_pieces(mover.pack_state(obj))
-    chunks = [
-        TransferChunk(transfer_id=transfer_id, index=i,
-                      data=state_blob[start:start + chunk_bytes])
-        for i, start in enumerate(range(0, len(state_blob), chunk_bytes))
-    ]
+    starts = range(0, len(state_blob), chunk_bytes)
     prepare = TransferPrepare(
         name=name,
         class_name=desc.class_name,
@@ -59,10 +57,24 @@ def _staged_parts(mover, name="obj", transfer_id="xfer-test",
         origin="alpha",
         transfer_id=transfer_id,
         total_bytes=len(state_blob),
-        chunk_count=len(chunks),
+        chunk_count=len(starts),
         ttl_ms=ttl_ms,
     )
+    chunks = [
+        TransferChunk(transfer_id=transfer_id, index=i,
+                      data=state_blob[start:start + chunk_bytes],
+                      prepare=prepare if i == 0 else None)
+        for i, start in enumerate(starts)
+    ]
     return prepare, chunks
+
+
+def _with_commit(chunk, name="obj"):
+    """``chunk`` as the committing last chunk of a single-target move."""
+    return TransferChunk(
+        transfer_id=chunk.transfer_id, index=chunk.index, data=chunk.data,
+        prepare=chunk.prepare,
+        commit=TransferCommit(transfer_id=chunk.transfer_id, name=name))
 
 
 class BigStateLike(Counter):
@@ -83,15 +95,11 @@ class TestStreamedMove:
         assert moved.nbytes() == 128 * 1024
         assert moved.tag == "big"
         kinds = [e.kind for e in cluster.trace.events() if not e.local]
-        assert "TRANSFER_PREPARE" in kinds
-        assert "TRANSFER_COMMIT" in kinds
-        # 128 KiB of raw state / 16 KiB chunks, plus marshalling overhead.
+        # 128 KiB of raw state / 16 KiB chunks, plus marshalling overhead;
+        # the head rides the first chunk and the commit the last.
         assert kinds.count("TRANSFER_CHUNK") in (8, 9)
+        assert "TRANSFER_COMMIT" not in kinds
         assert "OBJECT_TRANSFER" not in kinds
-        # Commit came strictly after every chunk.
-        assert kinds.index("TRANSFER_COMMIT") > max(
-            i for i, k in enumerate(kinds) if k == "TRANSFER_CHUNK"
-        )
         # Nothing left staged on either side.
         assert cluster["beta"].namespace.mover.staging_count() == 0
 
@@ -101,7 +109,6 @@ class TestStreamedMove:
         cluster["alpha"].namespace.move("small", "beta")
         kinds = [e.kind for e in cluster.trace.events() if not e.local]
         assert "OBJECT_TRANSFER" in kinds
-        assert "TRANSFER_PREPARE" not in kinds
         assert "TRANSFER_CHUNK" not in kinds
 
     def test_streamed_round_trip_preserves_state(self, make_cluster):
@@ -127,7 +134,6 @@ class TestStagingInvariants:
     def test_staging_never_leaks_into_the_store_before_commit(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        assert beta.mover.prepare(prepare) == "ok"
         for chunk in chunks:
             assert beta.mover.receive_chunk(chunk) == "ok"
             # The explicit invariant: chunks staged, store untouched.
@@ -143,10 +149,12 @@ class TestStagingInvariants:
     def test_prepare_is_idempotent(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         beta.mover.receive_chunk(chunks[0])
-        beta.mover.prepare(prepare)  # retransmission must not reset staging
-        for chunk in chunks[1:]:
+        beta.mover.receive_chunk(chunks[1])
+        # A retransmitted chunk 0 re-stages its head: it must not reset
+        # the slot and drop chunk 1.
+        beta.mover.receive_chunk(chunks[0])
+        for chunk in chunks[2:]:
             beta.mover.receive_chunk(chunk)
         assert beta.mover.commit(
             TransferCommit(transfer_id=prepare.transfer_id, name="obj")
@@ -155,7 +163,6 @@ class TestStagingInvariants:
     def test_retransmitted_commit_is_idempotent(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         for chunk in chunks:
             beta.mover.receive_chunk(chunk)
         commit = TransferCommit(transfer_id=prepare.transfer_id, name="obj")
@@ -165,10 +172,43 @@ class TestStagingInvariants:
         assert beta.store.get("obj").get() == 1  # not clobbered
         assert beta.mover.moves_in == 1
 
+    def test_a_committing_chunk_applies_and_its_retransmission_reacks(
+            self, pair):
+        beta = pair["beta"].namespace
+        _prepare, chunks = _staged_parts(beta.mover)
+        for chunk in chunks[:-1]:
+            beta.mover.receive_chunk(chunk)
+        last = _with_commit(chunks[-1])
+        assert beta.mover.receive_chunk(last) == "ok"
+        assert beta.store.get("obj").payload == b"p" * 1000
+        assert beta.mover.staging_count() == 0
+        beta.store.get("obj").increment()
+        assert beta.mover.receive_chunk(last) == "ok"  # lost-ack replay
+        assert beta.store.get("obj").get() == 1  # not clobbered
+        assert beta.mover.moves_in == 1
+
+    def test_a_one_chunk_stream_opens_stages_and_applies_in_one_frame(
+            self, pair):
+        beta = pair["beta"].namespace
+        _prepare, [only] = _staged_parts(beta.mover, chunk_bytes=10_000)
+        assert only.prepare is not None
+        assert beta.mover.receive_chunk(_with_commit(only)) == "ok"
+        assert beta.store.get("obj").payload == b"p" * 1000
+        assert beta.mover.staging_count() == 0
+
+    def test_a_committing_chunk_of_an_incomplete_stream_is_refused(
+            self, pair):
+        beta = pair["beta"].namespace
+        _prepare, chunks = _staged_parts(beta.mover)
+        beta.mover.receive_chunk(chunks[0])  # chunks 1 and 2 never came
+        with pytest.raises(MigrationError, match="incomplete"):
+            beta.mover.receive_chunk(_with_commit(chunks[-1]))
+        assert not beta.store.contains("obj")
+        assert beta.mover.moves_in == 0
+
     def test_commit_of_incomplete_staging_is_refused(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         for chunk in chunks[:-1]:  # one chunk short
             beta.mover.receive_chunk(chunk)
         with pytest.raises(MigrationError):
@@ -189,7 +229,6 @@ class TestStagingInvariants:
     def test_duplicate_chunk_retransmission_is_ignored(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         for chunk in chunks:
             beta.mover.receive_chunk(chunk)
         beta.mover.receive_chunk(chunks[0])  # lost-ack retransmission
@@ -201,7 +240,6 @@ class TestStagingInvariants:
     def test_chunk_index_outside_the_prepare_is_refused(self, pair, index):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         beta.mover.receive_chunk(chunks[0])
         stray = TransferChunk(
             transfer_id=prepare.transfer_id,
@@ -218,7 +256,6 @@ class TestStagingInvariants:
     def test_chunk_past_the_prepared_byte_total_is_refused(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         for chunk in chunks[:-1]:
             beta.mover.receive_chunk(chunk)
         last = chunks[-1]
@@ -234,11 +271,11 @@ class TestStagingInvariants:
 
     def test_chunk_that_is_not_bytes_is_refused(self, pair):
         beta = pair["beta"].namespace
-        prepare, _chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
+        prepare, chunks = _staged_parts(beta.mover)
+        beta.mover.receive_chunk(chunks[0])
         with pytest.raises(MigrationError, match="not bytes"):
             beta.mover.receive_chunk(TransferChunk(
-                transfer_id=prepare.transfer_id, index=0, data=7))
+                transfer_id=prepare.transfer_id, index=1, data=7))
         beta.mover.abort(TransferAbort(transfer_id=prepare.transfer_id))
         assert beta.mover.staging_count() == 0
 
@@ -246,12 +283,12 @@ class TestStagingInvariants:
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover, payload=b"m" * 5000,
                                         chunk_bytes=900)
-        beta.mover.prepare(prepare)
         for chunk in chunks:
             view = memoryview(chunk.data)
             beta.mover.receive_chunk(TransferChunk(
                 transfer_id=chunk.transfer_id, index=chunk.index,
-                data=(bytes(view[:100]), view[100:400], view[400:])))
+                data=(bytes(view[:100]), view[100:400], view[400:]),
+                prepare=chunk.prepare))
         assert beta.mover.commit(
             TransferCommit(transfer_id=prepare.transfer_id, name="obj")
         ) == "ok"
@@ -260,11 +297,10 @@ class TestStagingInvariants:
     def test_a_segment_that_is_not_bytes_is_refused(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         with pytest.raises(MigrationError, match="carries int, not bytes"):
             beta.mover.receive_chunk(TransferChunk(
                 transfer_id=prepare.transfer_id, index=0,
-                data=(chunks[0].data, 7)))
+                data=(chunks[0].data, 7), prepare=prepare))
         # Nothing of the refused chunk was kept: the honest one stages.
         beta.mover.receive_chunk(chunks[0])
         beta.mover.abort(TransferAbort(transfer_id=prepare.transfer_id))
@@ -273,7 +309,6 @@ class TestStagingInvariants:
     def test_segments_past_the_prepared_byte_total_are_refused(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         for chunk in chunks[:-1]:
             beta.mover.receive_chunk(chunk)
         last = chunks[-1]
@@ -291,11 +326,13 @@ class TestStagingInvariants:
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover, payload=b"v" * 5000,
                                         chunk_bytes=7)
-        beta.mover.prepare(prepare)
-        for chunk in reversed(chunks):  # out of order, as read-only views
+        # Chunk 0 opens the slot; the rest arrive out of order, all as
+        # read-only views.
+        for chunk in [chunks[0], *reversed(chunks[1:])]:
             beta.mover.receive_chunk(TransferChunk(
                 transfer_id=chunk.transfer_id, index=chunk.index,
-                data=memoryview(bytearray(chunk.data)).toreadonly()))
+                data=memoryview(bytearray(chunk.data)).toreadonly(),
+                prepare=chunk.prepare))
         assert beta.mover.commit(
             TransferCommit(transfer_id=prepare.transfer_id, name="obj")
         ) == "ok"
@@ -305,7 +342,6 @@ class TestStagingInvariants:
     def test_abort_discards_staging(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         beta.mover.receive_chunk(chunks[0])
         assert beta.mover.abort(
             TransferAbort(transfer_id=prepare.transfer_id, reason="test")
@@ -317,23 +353,22 @@ class TestStagingInvariants:
             beta.mover.receive_chunk(chunks[1])
 
     def test_prepare_after_abort_cannot_resurrect_staging(self, pair):
-        """Abort tombstones: on a congested node a PREPARE can dispatch
-        *after* the ABORT that killed its transfer — it must be refused,
-        not resurrect an orphan staging entry."""
+        """Abort tombstones: on a congested node a stream's chunk 0 can
+        dispatch *after* the ABORT that killed its transfer — its head
+        must be refused, not resurrect an orphan staging entry."""
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
         beta.mover.abort(TransferAbort(transfer_id=prepare.transfer_id,
                                        reason="loser"))
-        with pytest.raises(MigrationError):
-            beta.mover.prepare(prepare)
-        with pytest.raises(MigrationError):
+        with pytest.raises(MigrationError, match="aborted"):
             beta.mover.receive_chunk(chunks[0])
+        with pytest.raises(MigrationError):
+            beta.mover.receive_chunk(chunks[1])
         assert beta.mover.staging_count() == 0
 
     def test_abort_after_commit_is_refused(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         for chunk in chunks:
             beta.mover.receive_chunk(chunk)
         beta.mover.commit(
@@ -349,7 +384,6 @@ class TestStagingInvariants:
         would leave a committed copy the source believes was aborted."""
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover)
-        beta.mover.prepare(prepare)
         for chunk in chunks:
             beta.mover.receive_chunk(chunk)
         real_unpack = beta.mover.unpack
@@ -392,7 +426,6 @@ class TestStagingInvariants:
     def test_orphaned_staging_is_reaped_after_its_ttl(self, pair):
         beta = pair["beta"].namespace
         prepare, chunks = _staged_parts(beta.mover, ttl_ms=30.0)
-        beta.mover.prepare(prepare)
         beta.mover.receive_chunk(chunks[0])
         assert beta.mover.staging_count() == 1
         time.sleep(0.05)
@@ -407,8 +440,8 @@ class TestStagingInvariants:
 
     def test_fresh_staging_survives_the_reaper(self, pair):
         beta = pair["beta"].namespace
-        prepare, _chunks = _staged_parts(beta.mover, ttl_ms=30_000.0)
-        beta.mover.prepare(prepare)
+        _prepare, chunks = _staged_parts(beta.mover, ttl_ms=30_000.0)
+        beta.mover.receive_chunk(chunks[0])
         assert beta.mover.reap_staging() == 0
         assert beta.mover.staging_count() == 1
 
@@ -584,7 +617,7 @@ class TestHedgedWrites:
             "small", "beta", hedge=True, alternates=("gamma",))
         assert landed == "beta"
         kinds = [e.kind for e in cluster.trace.events() if not e.local]
-        assert "TRANSFER_PREPARE" not in kinds
+        assert "TRANSFER_CHUNK" not in kinds
 
 
 class TestDepartureLocking:
