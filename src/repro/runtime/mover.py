@@ -567,19 +567,16 @@ class Mover:
         """Send each candidate its frames; returns the first fully acked.
 
         One :class:`~repro.net.transport.race` carries every exchange, so
-        a slow candidate never holds back a fast one.  A streamed
-        candidate's chunk 0 carries its head, and that ack opens its
-        window (a chunk sent earlier could run before its staging slot
-        exists); each later ack slides it on by one.  A lone candidate's
-        last chunk carries the commit, and is held back until every
-        earlier chunk is acked: sent sooner, it could overtake one of
-        them on the receiver's worker pool.  A hedge's candidates stage
-        without committing, and the first to be fully acked gets a
-        blocking TRANSFER_COMMIT.  The first candidate whose final frame
-        is acked ``"ok"`` wins; the rest are cancelled, and ABORTed if
-        they stream.  A lone candidate's failure raises as its exchange
-        raised it; with several, :class:`~repro.errors.MigrationError`
-        chains the first.
+        a slow candidate never holds back a fast one.  Chunk 0's ack opens
+        a streamed candidate's window (a chunk sent earlier could run
+        before its staging slot exists); each later ack slides it on by
+        one.  A lone candidate's committing chunk waits until every
+        earlier chunk is acked, lest it overtake one on the receiver's
+        worker pool; a hedge's first fully acked candidate gets a blocking
+        TRANSFER_COMMIT.  The first candidate whose final frame is acked
+        ``"ok"`` wins; the rest are cancelled, and ABORTed if they stream.
+        A lone candidate's failure raises as its exchange raised it; with
+        several, :class:`~repro.errors.MigrationError` chains the first.
         """
         flights = race(deadline)
         unacked = dict.fromkeys(heads, 0)  # live candidates' frames in flight
@@ -765,13 +762,9 @@ class Mover:
         return dead
 
     def receive_chunk(self, chunk: TransferChunk) -> str:
-        """Accumulate one streamed slice in its staging slot.
-
-        A chunk carrying the stream's head opens the slot first
-        (idempotent per transfer id); one carrying its commit applies the
-        transfer once the slice is staged, so its ack is the apply's
-        outcome, and a retransmission of it re-acks ``"ok"``.
-        """
+        """Stage one streamed slice.  A carried head opens the slot first;
+        a carried commit applies the transfer after, so the ack is the
+        apply's outcome (a retransmission re-acks ``"ok"``)."""
         if chunk.prepare is not None:
             self.reap_staging()
             self._transfers.stage(chunk.prepare, self.node_id)
